@@ -21,23 +21,21 @@ from .generation import (LtiGenerator, dc_gain, derivative, is_hurwitz,
                          make_first_order, make_second_order, output)
 from .network import (Bus, BusKind, CommEdge, Line, PowerNetwork, line_power,
                       net_injection, validate)
-from .sim import (Equilibrium, Scenario, SystemState, Trajectory,
-                  closed_loop_derivative, compute_equilibrium,
-                  dissipation_check, integrate, load_bus_frequency,
-                  lyapunov_value)
+from .sim import (Equilibrium, Scenario, Trajectory, compute_equilibrium,
+                  dissipation_check, integrate, lyapunov_value)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Bus", "BusKind", "Certificate", "CommEdge", "ControllerGains",
     "DispatchProblem", "Equilibrium", "Line", "LtiGenerator", "PowerNetwork",
-    "Scenario", "SymmetricMatrix", "SystemState", "Trajectory",
+    "Scenario", "SymmetricMatrix", "Trajectory",
     "check_optimality", "check_primary_lmi", "check_secondary_lmi",
-    "closed_loop_derivative", "command_derivative", "compute_equilibrium",
+    "command_derivative", "compute_equilibrium",
     "control_input", "dc_gain", "default_kf", "derivative",
     "dissipation_check", "droop_input", "first_order_certificate",
     "first_order_min_damping", "integrate", "is_hurwitz",
-    "is_positive_definite", "line_power", "load_bus_frequency",
+    "is_positive_definite", "line_power",
     "lyapunov_value", "make_first_order", "make_second_order",
     "marginal_costs", "net_injection", "optimal_kc", "output",
     "primary_lmi_matrix", "search_certificate", "second_order_certificate",

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import certify, control, generation, sim
 from .certify import Certificate, search_certificate, secondary_lmi_matrix, sym_eigenvalues
 from .control import ControllerGains
@@ -275,10 +277,9 @@ def serialize_scenario(scn: Scenario) -> str:
 # --- outputs ---------------------------------------------------------------
 
 def _csv_columns(traj: Trajectory) -> List[str]:
-    bus_ids = sorted(traj.freqs)
-    gen_ids = sorted(traj.p_m)
+    gen_ids = traj.layout.gen_ids
     cols = ["t"]
-    cols += [f"omega_{b}" for b in bus_ids]
+    cols += [f"omega_{b}" for b in range(traj.layout.n_bus)]
     cols += [f"pm_{g}" for g in gen_ids]
     cols += [f"pc_{g}" for g in gen_ids]
     cols += [f"mc_{g}" for g in gen_ids]
@@ -288,17 +289,15 @@ def _csv_columns(traj: Trajectory) -> List[str]:
 
 def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
     """Full-precision CSV export; the V column is blank without certificates."""
-    bus_ids = sorted(traj.freqs)
-    gen_ids = sorted(traj.p_m)
+    series = [traj.times[:, None], traj.freqs, traj.p_m, traj.commands,
+              traj.marginal_cost]
+    if traj.lyapunov is not None:
+        series.append(traj.lyapunov[:, None])
+    blank_v = "" if traj.lyapunov is not None else ","
+    # tolist() yields Python floats, whose repr is the shortest round trip
     rows = [",".join(_csv_columns(traj))]
-    for i, t in enumerate(traj.times):
-        cells = [repr(t)]
-        cells += [repr(traj.freqs[b][i]) for b in bus_ids]
-        cells += [repr(traj.p_m[g][i]) for g in gen_ids]
-        cells += [repr(traj.states[i].power_commands[g]) for g in gen_ids]
-        cells += [repr(traj.marginal_cost[g][i]) for g in gen_ids]
-        cells.append(repr(traj.lyapunov[i]) if traj.lyapunov is not None else "")
-        rows.append(",".join(cells))
+    rows += [",".join(map(repr, row)) + blank_v
+             for row in np.hstack(series).tolist()]
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
@@ -310,7 +309,7 @@ def emit_plots(traj: Trajectory, outdir) -> List[Path]:
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    if not traj.times:
+    if len(traj.times) == 0:
         raise ValueError("cannot plot an empty trajectory")
     cols = _csv_columns(traj)
 
@@ -364,7 +363,7 @@ class RunReport:
 
 
 _GATED = ("validation", "certification", "security", "settling",
-          "dispatch-optimality")
+          "dissipation", "dispatch-optimality")
 
 
 def run(scn: Scenario, flags: RunFlags) -> RunReport:
@@ -372,7 +371,8 @@ def run(scn: Scenario, flags: RunFlags) -> RunReport:
 
     The exit code is 1 when any gating check fails (validation,
     certification unless skipped, the security constraint, settling, or
-    dispatch optimality when --optimal-gains is on); hard errors raise.
+    dissipation when certificates exist, or dispatch optimality when
+    --optimal-gains is on); hard errors raise.
     """
     checks: Dict[str, Tuple[str, str]] = {}
     lines: List[str] = []
@@ -482,27 +482,30 @@ def run(scn: Scenario, flags: RunFlags) -> RunReport:
     lines.append("")
     lines.append("[simulation]")
     lines.append(f"t_end = {scn.t_end!r} dt = {scn.dt!r} samples = {len(traj.times)}")
-    final_omega = max(abs(traj.freqs[b][-1]) for b in traj.freqs)
+    final_omega = float(np.max(np.abs(traj.freqs[-1])))
     settled = final_omega < SETTLING_TOL
     checks["settling"] = ("pass", "") if settled else \
         ("fail", f"final max |omega| = {final_omega!r}")
     lines.append(f"final max |omega| = {final_omega!r} -> settling "
                  + ("pass" if settled else "FAIL"))
-    for g in sorted(traj.p_m):
-        lines.append(f"gen {g}: final pm={traj.p_m[g][-1]!r} "
-                     f"pc={traj.states[-1].power_commands[g]!r} "
-                     f"mc={traj.marginal_cost[g][-1]!r}")
+    finals = zip(traj.layout.gen_ids, traj.p_m[-1].tolist(),
+                 traj.commands[-1].tolist(), traj.marginal_cost[-1].tolist())
+    for g, pm, pc, mc in finals:
+        lines.append(f"gen {g}: final pm={pm!r} pc={pc!r} mc={mc!r}")
     if certs is not None:
         jump = sim.dissipation_check(scn, certs, eq, traj)
         ok = jump <= sim.EPSILON_V
+        checks["dissipation"] = ("pass", "") if ok else \
+            ("fail", f"max V jump = {jump!r}")
         lines.append(f"dissipation: max V jump = {jump!r} "
                      f"(tolerance {sim.EPSILON_V!r}) -> "
                      + ("pass" if ok else "EXCEEDED"))
     else:
+        checks["dissipation"] = ("skipped", "")
         lines.append("dissipation: not evaluated (no certificates)")
 
     if flags.optimal_gains:
-        finals = [traj.marginal_cost[g][-1] for g in sorted(traj.marginal_cost)]
+        finals = traj.marginal_cost[-1].tolist()
         spread = max(finals) - min(finals)
         rel = max(abs(v - nu_opt) for v in finals) / max(abs(nu_opt), 1e-12)
         ok = spread <= MARGINAL_TOL and rel <= MARGINAL_TOL
@@ -622,17 +625,35 @@ def apply_param(scn: Scenario, path: str, value: float) -> Scenario:
     raise ScenarioError(f"unknown parameter path {path!r}")
 
 
-def _sweep_worker(args) -> Tuple[str, int]:
+#: Errors that end a run with exit code 2: an unreadable or invalid
+#: scenario or parameter, a diverging integration, an equilibrium failure.
+_HARD_ERRORS = (RuntimeError, ArithmeticError, ValueError)
+
+
+def _error_text(exc: Exception) -> str:
+    kind = "scenario error" if isinstance(exc, ScenarioError) else "error"
+    return f"{kind}: {exc}"
+
+
+def _sweep_worker(args) -> Tuple[str, int, str]:
+    """One sweep value: its label, its exit code, and its error text (empty
+    unless the run hit a hard error)."""
     scn_path, param, value, flags = args
-    scn = load_scenario(scn_path)
-    scn = apply_param(scn, param, value)
-    report = run(scn, flags)
-    return repr(value), report.exit_code
+    try:
+        report = run(apply_param(load_scenario(scn_path), param, value), flags)
+    except _HARD_ERRORS as exc:
+        return repr(value), 2, _error_text(exc)
+    return repr(value), report.exit_code, ""
 
 
 def run_sweep(scn_path: str, param: str, values: Sequence[float],
               base_out: str, flags: RunFlags) -> int:
-    """Run one isolated simulation per parameter value, in parallel."""
+    """Run one isolated simulation per parameter value, in parallel.
+
+    Prints ``param=value: exit N`` for every value, and a value's error
+    text on stderr, so one failing value costs only its own result.
+    Returns the worst exit code.
+    """
     jobs = []
     for v in values:
         sub = Path(base_out) / f"{param.replace('.', '_')}={v!r}"
@@ -645,7 +666,9 @@ def run_sweep(scn_path: str, param: str, values: Sequence[float],
     else:
         results = [_sweep_worker(j) for j in jobs]
     worst = 0
-    for label, code in results:
+    for label, code, error in results:
+        if error:
+            print(f"{param}={label}: {error}", file=sys.stderr)
         print(f"{param}={label}: exit {code}")
         worst = max(worst, code)
     return worst
@@ -747,11 +770,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             out = args.out if args.out is not None else "sweep_out"
             return run_sweep(args.scenario, args.param, values, out,
                              dataclasses.replace(flags, out_dir=None))
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 2
-    except (RuntimeError, ArithmeticError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except _HARD_ERRORS as exc:
+        print(_error_text(exc), file=sys.stderr)
         return 2
     return 2
 

@@ -1,30 +1,37 @@
 """Closed-loop time-domain simulation, equilibria, and Lyapunov monitoring.
 
-The dynamic state consists of bus angles, generator frequencies,
-generator internal states, and power commands.  Load-bus frequencies are
-not states: they are recovered algebraically from the damping balance at
-each load bus, which is why load damping must be positive.
+The dynamic state is one flat vector: bus angles (bus b at index b),
+generator frequencies, generator internal states and power commands, in
+the order a StateLayout records.  Load-bus frequencies are not states:
+they are the load-bus angle rates, fixed algebraically by the damping
+balance at each load bus, which is why load damping must be positive.
 
-Integration is classical fixed-step RK4.  The public right-hand side
-(closed_loop_derivative) is assembled from the network/generation/control
-modules and is the contract; integrate() runs a packed flat-array variant
-of the same arithmetic for speed, and the test suite pins the two against
-each other.
+Generation blocks, controller and damping are linear; the only
+nonlinearity is the line flow b*sin(theta_i - theta_k).  So the whole
+closed loop is
+
+    x' = J x + c(t) + S sin(E x)
+
+with J the linear part, c the step loads (zero before the disturbance
+time), E the line incidence and S each line's flow carried into the rows
+it drives.  assemble() builds these once per scenario; the integrator,
+the derived series, the equilibrium and the Lyapunov function all read
+them.  Integration is classical fixed-step RK4.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from . import control, generation, network
+from . import generation
 from .certify import Certificate
 from .control import ControllerGains
 from .generation import LtiGenerator
-from .network import BusKind, PowerNetwork
+from .network import PowerNetwork
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 100
@@ -65,13 +72,143 @@ class Scenario:
 
 
 @dataclass(frozen=True)
-class SystemState:
-    """Full dynamic state at one instant (dict-keyed by bus id)."""
+class StateLayout:
+    """Where each quantity sits in the flat state vector.
 
-    angles: Mapping[int, float]
-    gen_freqs: Mapping[int, float]
-    gen_states: Mapping[int, Tuple[float, ...]]
-    power_commands: Mapping[int, float]
+    Bus b's angle is at index b.  Generator gen_ids[i] has its frequency
+    at n_bus + i, its internal state in the slice x[i] and its command at
+    pc.start + i.  labels names every slot.
+    """
+
+    n_bus: int
+    gen_ids: Tuple[int, ...]
+    x: Tuple[slice, ...]
+    labels: Tuple[str, ...]
+
+    @property
+    def size(self) -> int:
+        return len(self.labels)
+
+    @property
+    def omega(self) -> slice:
+        return slice(self.n_bus, self.n_bus + len(self.gen_ids))
+
+    @property
+    def pc(self) -> slice:
+        return slice(self.size - len(self.gen_ids), self.size)
+
+
+def state_layout(scn: Scenario) -> StateLayout:
+    """The layout of a scenario's flat state."""
+    n_bus = len(scn.network.buses)
+    gens = tuple(sorted(scn.network.generator_ids))
+    labels = [f"theta_{b}" for b in range(n_bus)] + [f"omega_{g}" for g in gens]
+    x = []
+    for g in gens:
+        order = scn.generators[g].order
+        x.append(slice(len(labels), len(labels) + order))
+        labels += [f"x_{g}[{i}]" for i in range(order)]
+    labels += [f"pc_{g}" for g in gens]
+    return StateLayout(n_bus=n_bus, gen_ids=gens, x=tuple(x), labels=tuple(labels))
+
+
+def _lines(net: PowerNetwork, size: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Line incidence E (+1 at the from-bus angle, -1 at the to-bus angle,
+    over ``size`` state columns) and the line susceptances."""
+    rows = np.arange(len(net.lines))
+    e = np.zeros((len(net.lines), size))
+    e[rows, np.array([ln.from_bus for ln in net.lines], dtype=int)] = 1.0
+    e[rows, np.array([ln.to_bus for ln in net.lines], dtype=int)] = -1.0
+    return e, np.array([ln.susceptance for ln in net.lines])
+
+
+@dataclass(frozen=True, eq=False)
+class ClosedLoop:
+    """The closed loop x' = J x + c(t) + S sin(E x) of one scenario.
+
+    jac is J.  load is c once the step is on (c is zero before
+    load_time).  incidence is E.  spread is S: line l's flow b_l sin((E x)_l) leaves its from-bus and
+    enters its to-bus, in the frequency row of a generator bus (divided
+    by its inertia) or the angle row of a load bus (divided by its
+    damping).  pm_rows maps the state to the generator outputs p_m.
+    """
+
+    layout: StateLayout
+    jac: np.ndarray
+    load: np.ndarray
+    load_time: float
+    incidence: np.ndarray
+    spread: np.ndarray
+    pm_rows: np.ndarray
+
+    def loaded(self, t):
+        """Whether the step load is on at time t (a scalar or an array)."""
+        return np.asarray(t) >= self.load_time - _TIME_EPS
+
+    def derivative(self, x: np.ndarray, t) -> np.ndarray:
+        """x' for one state at time t, or for a (samples, states) array at
+        the sample times t."""
+        return (x @ self.jac.T + np.multiply.outer(self.loaded(t), self.load)
+                + np.sin(x @ self.incidence.T) @ self.spread.T)
+
+
+def assemble(scn: Scenario) -> ClosedLoop:
+    """Read every parameter of the dynamics into J, c, E, S and p_m's rows.
+
+    Generator bus g (the i-th generator) contributes, with the input
+    u = k_c pc - k_d omega and p_m = C x_g + D u:
+      theta_g' = omega,
+      M omega' = p_m - step - Lambda_g omega + line inflow,
+      x_g'     = A x_g + B u,
+      gamma pc' = p_m - K u - k_f omega + sum_j alpha_ij (pc_j - pc_i);
+    load bus l contributes  Lambda_l theta_l' = -step + line inflow.
+    """
+    net = scn.network
+    lay = state_layout(scn)
+    n, n_bus = lay.size, lay.n_bus
+    pc0 = lay.pc.start
+    jac = np.zeros((n, n))
+    pm_rows = np.zeros((len(lay.gen_ids), n))
+    gamma = np.empty(len(lay.gen_ids))
+    # The state row a bus's line inflow and step load drive, and what they
+    # are divided by there: a load bus's angle row and damping; a generator
+    # bus's frequency row and inertia (set in the loop below).
+    flow_row = np.arange(n_bus)
+    divisor = np.array([b.damping for b in sorted(net.buses, key=lambda b: b.id)])
+    for i, g in enumerate(lay.gen_ids):
+        gen, prm, bus = scn.generators[g], scn.controllers[g], net.bus(g)
+        om, pc, xs = lay.omega.start + i, pc0 + i, lay.x[i]
+        u = np.zeros(n)
+        u[pc], u[om] = prm.k_c, -prm.k_d
+        pm = pm_rows[i]
+        pm[xs] = gen.c_vector
+        pm += gen.d_scalar * u
+        jac[g, om] = 1.0
+        jac[om] = pm
+        jac[om, om] -= bus.damping
+        jac[om] /= bus.inertia
+        jac[xs] = np.outer(gen.b_vector, u)
+        jac[xs, xs] += np.array(gen.a_matrix)
+        jac[pc] = pm - generation.dc_gain(gen) * u
+        jac[pc, om] -= prm.k_f
+        gamma[i] = prm.gamma
+        flow_row[g], divisor[g] = om, bus.inertia
+    index = {g: pc0 + i for i, g in enumerate(lay.gen_ids)}
+    for e in net.comm:
+        a, b = index[e.a], index[e.b]
+        jac[[a, b], [b, a]] += e.weight
+        jac[[a, b], [a, b]] -= e.weight
+    jac[lay.pc] /= gamma[:, None]
+
+    incidence, susceptance = _lines(net, n)
+    spread = np.zeros((n, len(net.lines)))
+    spread[flow_row] = -(incidence[:, :n_bus].T * susceptance) / divisor[:, None]
+    load = np.zeros(n)
+    for bus, delta in scn.step_loads.items():
+        load[flow_row[bus]] = -delta / divisor[bus]
+    return ClosedLoop(layout=lay, jac=jac, load=load,
+                      load_time=scn.disturbance_time, incidence=incidence,
+                      spread=spread, pm_rows=pm_rows)
 
 
 @dataclass(frozen=True)
@@ -92,283 +229,120 @@ class Equilibrium:
     max_abs_angle_diff: float
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
-    """Sampled run: raw states plus the derived per-bus/per-generator series."""
+    """Sampled run: the states as one (samples, states) array, plus the
+    series derived from them.
 
-    times: List[float]
-    states: List[SystemState]
-    freqs: Dict[int, List[float]]
-    p_m: Dict[int, List[float]]
-    marginal_cost: Dict[int, List[float]]
-    lyapunov: Optional[List[float]]
-
-
-def load_bus_frequency(net: PowerNetwork, bus: int,
-                       angles: Mapping[int, float], load: float = 0.0) -> float:
-    """Algebraic frequency at a load bus: (-load + net inflow) / damping."""
-    b = net.bus(bus)
-    if b.kind is not BusKind.LOAD:
-        raise ValueError(f"bus {bus} is not a load bus")
-    if not b.damping > 0.0:
-        raise ValueError(f"load bus {bus} has nonpositive damping")
-    return (-load + network.net_injection(net, bus, angles)) / b.damping
-
-
-def _active_loads(scn: Scenario, t: float) -> Dict[int, float]:
-    if t >= scn.disturbance_time - _TIME_EPS:
-        return dict(scn.step_loads)
-    return {}
-
-
-def closed_loop_derivative(scn: Scenario, state: SystemState, t: float) -> SystemState:
-    """Time derivative of the full closed loop at time t.
-
-    Returned as a SystemState whose fields hold the derivatives of the
-    corresponding state fields (load-bus angle slots carry the algebraic
-    frequency).  Loads are zero before the disturbance time and equal to
-    the step values after.
+    freqs has one column per bus (the angle rates: generator frequency or
+    algebraic load-bus frequency); p_m and marginal_cost one per
+    generator, in layout.gen_ids order.  lyapunov is None unless the run
+    had certificates and an equilibrium.
     """
-    net = scn.network
-    loads = _active_loads(scn, t)
-    angles = state.angles
 
-    d_angles: Dict[int, float] = {}
-    d_freqs: Dict[int, float] = {}
-    d_states: Dict[int, Tuple[float, ...]] = {}
-    d_cmds: Dict[int, float] = {}
+    layout: StateLayout
+    times: np.ndarray
+    states: np.ndarray
+    freqs: np.ndarray
+    p_m: np.ndarray
+    marginal_cost: np.ndarray
+    lyapunov: Optional[np.ndarray]
 
-    neighbor_map: Dict[int, List[Tuple[float, float]]] = {g: [] for g in net.generator_ids}
-    for e in net.comm:
-        neighbor_map[e.a].append((e.weight, state.power_commands[e.b]))
-        neighbor_map[e.b].append((e.weight, state.power_commands[e.a]))
-
-    for b in net.buses:
-        if b.kind is BusKind.GENERATOR:
-            gen = scn.generators[b.id]
-            params = scn.controllers[b.id]
-            omega = state.gen_freqs[b.id]
-            xm = state.gen_states[b.id]
-            if len(xm) != gen.order:
-                raise ValueError(f"generator {b.id} state has wrong dimension")
-            pc = state.power_commands[b.id]
-            u = control.control_input(params, pc, omega)
-            p_m = generation.output(gen, xm, u)
-            inj = network.net_injection(net, b.id, angles)
-            d_angles[b.id] = omega
-            d_freqs[b.id] = (p_m - loads.get(b.id, 0.0) - b.damping * omega + inj) / b.inertia
-            d_states[b.id] = generation.derivative(gen, xm, u)
-            d_cmds[b.id] = control.command_derivative(
-                params, p_m, u, generation.dc_gain(gen), omega, pc,
-                neighbor_map[b.id])
-        else:
-            d_angles[b.id] = load_bus_frequency(net, b.id, angles,
-                                               loads.get(b.id, 0.0))
-    return SystemState(angles=d_angles, gen_freqs=d_freqs,
-                       gen_states=d_states, power_commands=d_cmds)
+    @property
+    def commands(self) -> np.ndarray:
+        return self.states[:, self.layout.pc]
 
 
-# --- packed fast path -------------------------------------------------------
-
-class _Packed:
-    """Index layout and precomputed tables for the flat-list integrator."""
-
-    def __init__(self, scn: Scenario):
-        net = scn.network
-        self.bus_ids = sorted(b.id for b in net.buses)
-        self.gen_ids = sorted(net.generator_ids)
-        self.load_ids = sorted(net.load_ids)
-        nbus = len(self.bus_ids)
-
-        self.i_omega = {g: nbus + i for i, g in enumerate(self.gen_ids)}
-        off = nbus + len(self.gen_ids)
-        self.i_xm = {}
-        for g in self.gen_ids:
-            n = scn.generators[g].order
-            self.i_xm[g] = (off, n)
-            off += n
-        self.i_pc = {g: off + i for i, g in enumerate(self.gen_ids)}
-        self.size = off + len(self.gen_ids)
-
-        self.lines = [(ln.from_bus, ln.to_bus, ln.susceptance) for ln in net.lines]
-        self.load_info = []
-        for lid in self.load_ids:
-            b = net.bus(lid)
-            self.load_info.append((lid, 1.0 / b.damping, scn.step_loads.get(lid, 0.0)))
-        self.gen_info = []
-        for g in self.gen_ids:
-            b = net.bus(g)
-            gen = scn.generators[g]
-            prm = scn.controllers[g]
-            self.gen_info.append((
-                g, self.i_omega[g], self.i_xm[g][0], gen.order, self.i_pc[g],
-                1.0 / b.inertia, b.damping, scn.step_loads.get(g, 0.0),
-                tuple(tuple(r) for r in gen.a_matrix), tuple(gen.b_vector),
-                tuple(gen.c_vector), gen.d_scalar, generation.dc_gain(gen),
-                prm.k_c, prm.k_d, prm.k_f, 1.0 / prm.gamma,
-            ))
-        self.comm_info = [(self.i_pc[e.a], self.i_pc[e.b], e.weight)
-                          for e in net.comm]
-
-    def pack(self, state: SystemState) -> List[float]:
-        x = [0.0] * self.size
-        for bid in self.bus_ids:
-            x[bid] = state.angles[bid]
-        for g in self.gen_ids:
-            x[self.i_omega[g]] = state.gen_freqs[g]
-            start, n = self.i_xm[g]
-            xm = state.gen_states[g]
-            for i in range(n):
-                x[start + i] = xm[i]
-            x[self.i_pc[g]] = state.power_commands[g]
-        return x
-
-    def unpack(self, x: Sequence[float]) -> SystemState:
-        angles = {bid: x[bid] for bid in self.bus_ids}
-        freqs = {g: x[self.i_omega[g]] for g in self.gen_ids}
-        states = {g: tuple(x[self.i_xm[g][0]:self.i_xm[g][0] + self.i_xm[g][1]])
-                  for g in self.gen_ids}
-        cmds = {g: x[self.i_pc[g]] for g in self.gen_ids}
-        return SystemState(angles=angles, gen_freqs=freqs, gen_states=states,
-                           power_commands=cmds)
-
-    def label(self, idx: int) -> str:
-        if idx < len(self.bus_ids):
-            return f"theta_{idx}"
-        for g in self.gen_ids:
-            if idx == self.i_omega[g]:
-                return f"omega_{g}"
-            start, n = self.i_xm[g]
-            if start <= idx < start + n:
-                return f"x_{g}[{idx - start}]"
-            if idx == self.i_pc[g]:
-                return f"pc_{g}"
-        return f"state[{idx}]"
-
-    def rhs(self, x: Sequence[float], loaded: bool) -> List[float]:
-        sin = math.sin
-        dx = [0.0] * self.size
-        inj = [0.0] * len(self.bus_ids)
-        for i, k, b in self.lines:
-            f = b * sin(x[i] - x[k])
-            inj[i] -= f
-            inj[k] += f
-        for bid, inv_lam, step in self.load_info:
-            pl = step if loaded else 0.0
-            dx[bid] = (-pl + inj[bid]) * inv_lam
-        for (g, iom, x0, n, ipc, inv_m, lam, step, a_rows, b_vec, c_vec, d,
-             k_gain, k_c, k_d, k_f, inv_gamma) in self.gen_info:
-            w = x[iom]
-            dx[g] = w
-            pc = x[ipc]
-            u = k_c * pc - k_d * w
-            p_m = d * u
-            for i in range(n):
-                row = a_rows[i]
-                acc = b_vec[i] * u
-                for j in range(n):
-                    acc += row[j] * x[x0 + j]
-                dx[x0 + i] = acc
-                p_m += c_vec[i] * x[x0 + i]
-            pl = step if loaded else 0.0
-            dx[iom] = (p_m - pl - lam * w + inj[g]) * inv_m
-            dx[ipc] = p_m - k_gain * u - k_f * w
-        for pi, pj, alpha in self.comm_info:
-            v = alpha * (x[pj] - x[pi])
-            dx[pi] += v
-            dx[pj] -= v
-        for info in self.gen_info:
-            dx[info[4]] *= info[16]
-        return dx
-
-
-def zero_state(scn: Scenario) -> SystemState:
-    """The pre-disturbance rest state: all angles, frequencies, generator
-    states and commands zero."""
-    return SystemState(
-        angles={b.id: 0.0 for b in scn.network.buses},
-        gen_freqs={g: 0.0 for g in scn.network.generator_ids},
-        gen_states={g: (0.0,) * scn.generators[g].order
-                    for g in scn.network.generator_ids},
-        power_commands={g: 0.0 for g in scn.network.generator_ids},
-    )
-
-
-def integrate(scn: Scenario, *, initial_state: Optional[SystemState] = None,
+def integrate(scn: Scenario, *, initial_state: Optional[np.ndarray] = None,
               certs: Optional[Mapping[int, Certificate]] = None,
               equilibrium: Optional[Equilibrium] = None) -> Trajectory:
-    """Fixed-step RK4 run over [0, t_end].
+    """Fixed-step RK4 run over [0, t_end] from initial_state (default: the
+    all-zero rest state).
 
-    Records the state every output_stride steps (plus the initial state)
-    together with the derived series.  The Lyapunov series is filled only
-    when both certificates and an equilibrium are supplied.  Bitwise
-    reproducible: no randomness, fixed iteration order.
+    Records the state every output_stride steps (plus the initial and
+    final states), then derives the per-bus and per-generator series.  The
+    Lyapunov series is filled only when both certificates and an
+    equilibrium are supplied.  Bitwise reproducible: no randomness, fixed
+    operation order.
     """
-    packed = _Packed(scn)
+    loop = assemble(scn)
+    lay = loop.layout
+    n = lay.size
     dt = scn.dt
     nsteps = int(round(scn.t_end / dt))
     if abs(nsteps * dt - scn.t_end) > 1e-9 * max(1.0, abs(scn.t_end)):
         raise ValueError("t_end must be an integer multiple of dt")
-
-    x = packed.pack(initial_state if initial_state is not None else zero_state(scn))
-    with_v = certs is not None and equilibrium is not None
-
-    times: List[float] = []
-    states: List[SystemState] = []
-    freqs: Dict[int, List[float]] = {b.id: [] for b in scn.network.buses}
-    p_m: Dict[int, List[float]] = {g: [] for g in packed.gen_ids}
-    mc: Dict[int, List[float]] = {g: [] for g in packed.gen_ids}
-    lyap: Optional[List[float]] = [] if with_v else None
-
-    def record(t: float, xvec: Sequence[float]):
-        for idx, v in enumerate(xvec):
-            if not math.isfinite(v):
-                raise ArithmeticError(
-                    f"non-finite value in {packed.label(idx)} at t={t}")
-        st = packed.unpack(xvec)
-        times.append(t)
-        states.append(st)
-        loads = _active_loads(scn, t)
-        for g in packed.gen_ids:
-            freqs[g].append(st.gen_freqs[g])
-        for lid in packed.load_ids:
-            freqs[lid].append(load_bus_frequency(scn.network, lid, st.angles,
-                                                 loads.get(lid, 0.0)))
-        for g in packed.gen_ids:
-            prm = scn.controllers[g]
-            u = control.control_input(prm, st.power_commands[g], st.gen_freqs[g])
-            out = generation.output(scn.generators[g], st.gen_states[g], u)
-            p_m[g].append(out)
-            mc[g].append(prm.q * out)
-        if with_v:
-            lyap.append(lyapunov_value(scn, certs, equilibrium, st))
-
-    record(0.0, x)
-    rhs = packed.rhs
     stride = scn.output_stride
-    half = dt / 2.0
-    sixth = dt / 6.0
-    for k in range(nsteps):
-        t = k * dt
-        loaded = t >= scn.disturbance_time - _TIME_EPS
-        try:
-            k1 = rhs(x, loaded)
-            k2 = rhs([xi + half * di for xi, di in zip(x, k1)], loaded)
-            k3 = rhs([xi + half * di for xi, di in zip(x, k2)], loaded)
-            k4 = rhs([xi + dt * di for xi, di in zip(x, k3)], loaded)
-        except (ValueError, OverflowError) as exc:
-            # a diverging state can hit sin(inf) mid-step, before the next
-            # recorded sample would flag it
-            raise ArithmeticError(
-                f"non-finite value during integration step at t={t}") from exc
-        x = [xi + sixth * (a + 2.0 * b + 2.0 * c + d)
-             for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
-        if (k + 1) % stride == 0:
-            record((k + 1) * dt, x)
-    if nsteps % stride != 0:
-        record(nsteps * dt, x)
-    return Trajectory(times=times, states=states, freqs=freqs, p_m=p_m,
-                      marginal_cost=mc, lyapunov=lyap)
+    recorded = list(range(0, nsteps + 1, stride))
+    if recorded[-1] != nsteps:
+        recorded.append(nsteps)
+    times = np.array(recorded) * dt
+    states = np.empty((len(recorded), n))
+    load_step = int(np.searchsorted(loop.loaded(np.arange(nsteps) * dt), True))
+
+    # Preallocated buffers keep a slope evaluation to four numpy calls.  With
+    # z = [x, 1] the product m @ z is [J x + c, E x]: the constant 1 carries
+    # c.  Row 0 of v is [x, 1] and rows 1-4 the stage slopes [k, 0], so each
+    # stage input, and the step itself, is one product of RK4 weights with v.
+    n_lines = len(loop.incidence)
+    m = np.zeros((n + n_lines, n + 1))
+    m[:n, :n] = loop.jac
+    m[n:, :n] = loop.incidence
+    spread = loop.spread
+    v = np.zeros((5, n + 1))
+    x = v[0]
+    if initial_state is not None:
+        x[:n] = initial_state
+    x[n] = 1.0
+    k1, *later = (v[i, :n] for i in range(1, 5))
+    y = np.empty(n + n_lines)
+    lin, flow = y[:n], y[n:]
+    z = np.empty(n + 1)
+    stages = [np.array([1.0, dt / 2.0, 0.0, 0.0, 0.0]),
+              np.array([1.0, 0.0, dt / 2.0, 0.0, 0.0]),
+              np.array([1.0, 0.0, 0.0, dt, 0.0])]
+    combine = np.array([1.0, dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0])
+
+    # positional out arguments: the keyword form costs as much again
+    def slope(z, out):
+        m.dot(z, y)
+        np.sin(flow, flow)
+        spread.dot(flow, out)
+        np.add(out, lin, out)
+
+    states[0] = x[:n]
+    j = 1
+    # a diverging state runs to inf/nan: the run stops at the first such
+    # sample, and the check after the loop names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(nsteps):
+            if k == load_step:
+                m[:n, n] = loop.load
+            slope(x, k1)
+            for weights, out in zip(stages, later):
+                weights.dot(v, z)
+                slope(z, out)
+            combine.dot(v, z)
+            x[:] = z
+            if k + 1 == recorded[j]:
+                states[j] = z[:n]
+                j += 1
+                if not np.isfinite(z).all():
+                    break
+    bad = np.argwhere(~np.isfinite(states[:j]))
+    if len(bad):
+        i, col = bad[0]
+        raise ArithmeticError(
+            f"non-finite value in {lay.labels[col]} at t={float(times[i])}")
+
+    p_m = states @ loop.pm_rows.T
+    cost = np.array([scn.controllers[g].q for g in lay.gen_ids])
+    with_v = certs is not None and equilibrium is not None
+    return Trajectory(
+        layout=lay, times=times, states=states,
+        freqs=loop.derivative(states, times)[:, :lay.n_bus],
+        p_m=p_m, marginal_cost=p_m * cost,
+        lyapunov=lyapunov_value(scn, certs, equilibrium, states) if with_v else None)
 
 
 def compute_equilibrium(scn: Scenario) -> Equilibrium:
@@ -392,36 +366,23 @@ def compute_equilibrium(scn: Scenario) -> Equilibrium:
     }
 
     # Power that each bus must push into the network at equilibrium.
-    bus_ids = sorted(b.id for b in net.buses)
-    nbus = len(bus_ids)
+    nbus = len(net.buses)
     target = np.zeros(nbus)
     for g in gens:
-        target[g] = p_m_star[g] - scn.step_loads.get(g, 0.0)
-    for lid in net.load_ids:
-        target[lid] = -scn.step_loads.get(lid, 0.0)
-
-    lines = [(ln.from_bus, ln.to_bus, ln.susceptance) for ln in net.lines]
+        target[g] = p_m_star[g]
+    for bus, delta in scn.step_loads.items():
+        target[bus] -= delta
+    e, b = _lines(net, nbus)
 
     def residual(theta: np.ndarray) -> np.ndarray:
-        r = target.copy()
-        for i, k, b in lines:
-            f = b * math.sin(theta[i] - theta[k])
-            r[i] -= f
-            r[k] += f
-        return r
+        return target - e.T @ (b * np.sin(e @ theta))
 
     theta = np.zeros(nbus)
     r = residual(theta)
     for _ in range(NEWTON_MAX_ITER):
         if float(np.max(np.abs(r))) < NEWTON_TOL or nbus == 1:
             break
-        jac = np.zeros((nbus, nbus))
-        for i, k, b in lines:
-            c = b * math.cos(theta[i] - theta[k])
-            jac[i, i] -= c
-            jac[k, k] -= c
-            jac[i, k] += c
-            jac[k, i] += c
+        jac = -(e.T * (b * np.cos(e @ theta))) @ e
         try:
             step = np.linalg.solve(jac[1:, 1:], r[1:])
         except np.linalg.LinAlgError as exc:
@@ -447,83 +408,76 @@ def compute_equilibrium(scn: Scenario) -> Equilibrium:
             f"equilibrium Newton did not converge in {NEWTON_MAX_ITER} "
             "iterations; try smaller loads or larger susceptances")
 
-    angles_star = {bid: float(theta[bid]) for bid in bus_ids}
-    flows_star = {}
-    max_eta = 0.0
-    for ln in net.lines:
-        eta = angles_star[ln.from_bus] - angles_star[ln.to_bus]
-        flows_star[(ln.from_bus, ln.to_bus)] = network.line_power(eta, ln.susceptance)
-        max_eta = max(max_eta, abs(eta))
+    eta = e @ theta
+    flows = b * np.sin(eta)
+    max_eta = float(np.max(np.abs(eta), initial=0.0))
     return Equilibrium(
-        angles_star=angles_star,
+        angles_star={bid: float(theta[bid]) for bid in range(nbus)},
         nu=nu,
         gen_states_star=gen_states_star,
         p_m_star=p_m_star,
-        flows_star=flows_star,
+        flows_star={(ln.from_bus, ln.to_bus): float(f)
+                    for ln, f in zip(net.lines, flows)},
         security_ok=max_eta < math.pi / 2.0,
         max_abs_angle_diff=max_eta,
     )
 
 
-def equilibrium_system_state(scn: Scenario, eq: Equilibrium) -> SystemState:
-    """The equilibrium expressed as a full SystemState (frequencies zero,
-    commands at nu)."""
-    return SystemState(
-        angles=dict(eq.angles_star),
-        gen_freqs={g: 0.0 for g in scn.network.generator_ids},
-        gen_states={g: tuple(eq.gen_states_star[g])
-                    for g in scn.network.generator_ids},
-        power_commands={g: eq.nu for g in scn.network.generator_ids},
-    )
+def equilibrium_system_state(scn: Scenario, eq: Equilibrium) -> np.ndarray:
+    """The equilibrium as a flat state (frequencies zero, commands at nu)."""
+    lay = state_layout(scn)
+    x = np.zeros(lay.size)
+    x[:lay.n_bus] = [eq.angles_star[b] for b in range(lay.n_bus)]
+    for g, xs in zip(lay.gen_ids, lay.x):
+        x[xs] = eq.gen_states_star[g]
+    x[lay.pc] = eq.nu
+    return x
 
 
 def lyapunov_value(scn: Scenario, certs: Mapping[int, Certificate],
-                   eq: Equilibrium, state: SystemState) -> float:
+                   eq: Equilibrium, state: np.ndarray):
     """Energy-style distance of a state from the equilibrium.
 
     Sum of a kinetic term over generator frequencies, a line potential
     term evaluated in closed form, certificate-weighted quadratic terms on
     generator internal states, and a quadratic term on the power
     commands.  Zero exactly at the equilibrium, positive nearby while the
-    security constraint holds.
+    security constraint holds.  ``state`` is one flat state (the result
+    is a scalar) or a (samples, states) array (one value per sample).
     """
-    net = scn.network
-    v = 0.0
-    for g in net.generator_ids:
+    lay = state_layout(scn)
+    weights = np.zeros((lay.size, lay.size))
+    for i, g in enumerate(lay.gen_ids):
         if g not in certs:
             raise ValueError(f"missing certificate for generator bus {g}")
-        b = net.bus(g)
-        w = state.gen_freqs[g]
-        v += 0.5 * b.inertia * w * w
-    for ln in net.lines:
-        eta = state.angles[ln.from_bus] - state.angles[ln.to_bus]
-        eta_s = eq.angles_star[ln.from_bus] - eq.angles_star[ln.to_bus]
-        v += ln.susceptance * ((math.cos(eta_s) - math.cos(eta))
-                               - math.sin(eta_s) * (eta - eta_s))
-    for g in net.generator_ids:
-        p = certs[g].p_matrix
-        xs = eq.gen_states_star[g]
-        x = state.gen_states[g]
-        d = [x[i] - xs[i] for i in range(len(xs))]
-        acc = 0.0
-        for i in range(len(d)):
-            for j in range(len(d)):
-                acc += d[i] * p.entry(i, j) * d[j]
-        v += 0.5 * acc
-    for g in net.generator_ids:
-        dpc = state.power_commands[g] - eq.nu
-        v += 0.5 * scn.controllers[g].gamma * dpc * dpc
-    return v
+        om, pc, xs = lay.omega.start + i, lay.pc.start + i, lay.x[i]
+        weights[om, om] = scn.network.bus(g).inertia
+        weights[xs, xs] = certs[g].p_matrix.to_array()
+        weights[pc, pc] = scn.controllers[g].gamma
+    e, b = _lines(scn.network, lay.size)
+    x_star = equilibrium_system_state(scn, eq)
+    d = state - x_star
+    eta_s = x_star @ e.T
+    delta = state @ e.T - eta_s
+    # cos(eta_s) - cos(eta_s + delta) written as a product of sines, so that
+    # rounding cannot leave a first-order term behind when delta is tiny
+    potential = (2.0 * np.sin(eta_s + delta / 2.0) * np.sin(delta / 2.0)
+                 - np.sin(eta_s) * delta) @ b
+    return 0.5 * np.sum((d @ weights) * d, axis=-1) + potential
 
 
 def dissipation_check(scn: Scenario, certs: Mapping[int, Certificate],
                       eq: Equilibrium, trajectory: Trajectory) -> float:
     """Largest increase of the Lyapunov value between consecutive samples.
 
-    Theory predicts no increase at all along converging trajectories;
-    numerically anything at or below EPSILON_V counts as clean.
+    Reads the series the run stored, or evaluates it when the run had no
+    certificates.  Theory predicts no increase at all along converging
+    trajectories; numerically anything at or below EPSILON_V counts as
+    clean.
     """
-    values = [lyapunov_value(scn, certs, eq, st) for st in trajectory.states]
+    values = trajectory.lyapunov
+    if values is None:
+        values = lyapunov_value(scn, certs, eq, trajectory.states)
     if len(values) < 2:
         return 0.0
-    return max(b - a for a, b in zip(values, values[1:]))
+    return float(np.max(np.diff(values)))

@@ -4,7 +4,7 @@ The references were produced by the dict-state simulator of commit
 a2d6fc8, before the closed loop was rewritten in matrix form, and this
 script is written against that commit's API.  To regenerate them:
 
-    git archive a2d6fc8 src | tar -x -C OLD
+    mkdir OLD && git archive a2d6fc8 src | tar -x -C OLD
     PYTHONPATH=OLD/src python3 tests/data/pin_trajectories.py \
         > tests/data/pinned_a2d6fc8.json
 
@@ -53,6 +53,16 @@ def reference(name):
             "rows": samples}
 
 
+def dumps(refs) -> str:
+    """JSON with one line per sample row."""
+    parts = []
+    for name, ref in refs.items():
+        head = {k: v for k, v in ref.items() if k != "rows"}
+        rows = ",\n  ".join(json.dumps(row) for row in ref["rows"])
+        parts.append(f" {json.dumps(name)}: {json.dumps(head)[:-1]},\n"
+                     f'  "rows": [\n  {rows}]}}')
+    return "{\n" + ",\n".join(parts) + "\n}"
+
+
 if __name__ == "__main__":
-    print(json.dumps({name: reference(name)
-                      for name in ("two_gen.scn", "ring9.scn")}, indent=1))
+    print(dumps({name: reference(name) for name in ("two_gen.scn", "ring9.scn")}))

@@ -43,7 +43,7 @@ def test_01_frequency_restoration(two_gen_scenario):
     t0 = time.perf_counter()
     traj = integrate(scn)
     elapsed = time.perf_counter() - t0
-    final = max(abs(traj.freqs[b][-1]) for b in traj.freqs)
+    final = float(np.max(np.abs(traj.freqs[-1])))
     ok = final < 1e-4 and elapsed < 2.0
     _report(1, "frequency restoration", ok,
             f"final max |omega| = {final:.3e}, runtime {elapsed:.2f}s")
@@ -174,14 +174,8 @@ def test_07_equilibrium_invariance_and_order(two_gen_scenario):
     eq = compute_equilibrium(scn)
     start = equilibrium_system_state(scn, eq)
     final = integrate(scn, initial_state=start).states[-1]
-    drift = 0.0
-    for bid, th in final.angles.items():
-        drift = max(drift, abs(th - start.angles[bid]))
-    for g in scn.network.generator_ids:
-        drift = max(drift, abs(final.gen_freqs[g]))
-        drift = max(drift, abs(final.power_commands[g] - eq.nu))
-        for a, b in zip(final.gen_states[g], start.gen_states[g]):
-            drift = max(drift, abs(a - b))
+    # the start has zero frequencies and every command at nu
+    drift = float(np.max(np.abs(final - start)))
 
     # part 2: halving dt cuts the terminal error by ~2^4
     def terminal(dt):
@@ -191,15 +185,7 @@ def test_07_equilibrium_invariance_and_order(two_gen_scenario):
     ref = terminal(0.0025)
 
     def err(state):
-        e = 0.0
-        for bid, th in state.angles.items():
-            e = max(e, abs(th - ref.angles[bid]))
-        for g in state.gen_freqs:
-            e = max(e, abs(state.gen_freqs[g] - ref.gen_freqs[g]))
-            e = max(e, abs(state.power_commands[g] - ref.power_commands[g]))
-            for a, b in zip(state.gen_states[g], ref.gen_states[g]):
-                e = max(e, abs(a - b))
-        return e
+        return float(np.max(np.abs(state - ref)))
 
     e_coarse = err(terminal(0.04))
     e_fine = err(terminal(0.02))

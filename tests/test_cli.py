@@ -3,13 +3,14 @@ import textwrap
 
 import pytest
 
+from gridfreq import sim
 from gridfreq.cli import (MARGINAL_TOL, RunFlags, ScenarioError, apply_param,
                           emit_plots, load_scenario, main, parse_scenario_text,
                           run, run_sweep, serialize_scenario,
                           write_trajectory_csv)
 from gridfreq.fixtures import fixture_path
 from gridfreq.network import PowerNetwork
-from gridfreq.sim import Trajectory, integrate
+from gridfreq.sim import integrate
 
 MINIMAL = textwrap.dedent("""\
     # one generator feeding one load
@@ -143,7 +144,7 @@ class TestOutputs:
         assert first[-1] == ""  # no certificates, V column blank
         assert len(rows) == 1 + len(short_traj.times)
         # full-precision repr round-trips through float()
-        assert float(rows[2].split(",")[1]) == short_traj.freqs[0][1]
+        assert float(rows[2].split(",")[1]) == short_traj.freqs[1, 0]
 
     def test_plots_reference_csv_columns(self, short_traj, tmp_path):
         paths = emit_plots(short_traj, tmp_path)
@@ -159,9 +160,9 @@ class TestOutputs:
         b = emit_plots(short_traj, tmp_path / "b")[0].read_bytes()
         assert a == b
 
-    def test_empty_trajectory_rejected(self, tmp_path):
-        empty = Trajectory(times=[], states=[], freqs={}, p_m={},
-                           marginal_cost={}, lyapunov=None)
+    def test_empty_trajectory_rejected(self, short_traj, tmp_path):
+        empty = dataclasses.replace(short_traj, times=short_traj.times[:0],
+                                    states=short_traj.states[:0])
         with pytest.raises(ValueError):
             emit_plots(empty, tmp_path)
 
@@ -170,7 +171,8 @@ class TestRun:
     def test_clean_run_passes_all_gates(self, two_gen_scenario, tmp_path):
         report = run(two_gen_scenario, RunFlags(out_dir=str(tmp_path)))
         assert report.exit_code == 0
-        for name in ("validation", "certification", "security", "settling"):
+        for name in ("validation", "certification", "security", "settling",
+                     "dissipation"):
             assert report.checks[name][0] == "pass", name
         assert report.checks["dispatch-optimality"][0] == "skipped"
         names = {p.name for p in report.outputs}
@@ -188,8 +190,17 @@ class TestRun:
     def test_skip_certify(self, two_gen_scenario):
         report = run(two_gen_scenario, RunFlags(skip_certify=True))
         assert report.checks["certification"][0] == "skipped"
+        assert report.checks["dissipation"][0] == "skipped"
         assert "dissipation: not evaluated" in report.report_text
         assert report.exit_code == 0
+
+    def test_energy_increase_fails_the_run(self, monkeypatch, capsys):
+        monkeypatch.setattr(sim, "dissipation_check",
+                            lambda *args: 10 * sim.EPSILON_V)
+        assert main(["simulate", str(fixture_path("two_gen.scn"))]) == 1
+        out = capsys.readouterr().out
+        assert "-> EXCEEDED" in out
+        assert "\ndissipation: fail (max V jump = " in out
 
     def test_short_horizon_fails_settling(self, two_gen_scenario):
         report = run(two_gen_scenario, RunFlags(t_end=2.0))
@@ -293,6 +304,18 @@ class TestSweep:
             sub = tmp_path / f"controllers_1_k_d={v}"
             assert (sub / "report.txt").exists()
             assert (sub / "trajectory.csv").exists()
+
+    def test_bad_value_keeps_the_others(self, tmp_path, capsys):
+        code = main(["sweep", str(fixture_path("two_gen.scn")),
+                     "--param", "controllers.1.k_d", "--values", "0.6,-1",
+                     "--t-end", "3", "--out", str(tmp_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == ["controllers.1.k_d=0.6: exit 1",
+                                             "controllers.1.k_d=-1.0: exit 2"]
+        assert captured.err == ("controllers.1.k_d=-1.0: error: "
+                                "k_d must be strictly positive\n")
+        assert (tmp_path / "controllers_1_k_d=0.6" / "trajectory.csv").exists()
 
 
 class TestMain:

@@ -16,8 +16,8 @@ import pytest
 
 from gridfreq import sim
 from gridfreq.certify import search_certificate
-from gridfreq.fixtures import fixture_path
 from gridfreq.cli import load_scenario
+from gridfreq.fixtures import fixture_path
 
 PINS = json.loads((Path(__file__).parent / "data" / "pinned_a2d6fc8.json")
                   .read_text(encoding="utf-8"))
@@ -43,8 +43,7 @@ def certified_run(name):
 def test_trajectory_matches_pin(name):
     pin = PINS[name]
     scn, certs, eq, traj = certified_run(name)
-    gens = sorted(scn.network.generator_ids)
-    packed = sim._Packed(scn)
+    gens = traj.layout.gen_ids
     assert len(traj.times) == pin["samples"]
     assert eq.nu == pytest.approx(pin["nu"], rel=0, abs=TOL)
     assert sim.dissipation_check(scn, certs, eq, traj) == pytest.approx(
@@ -52,11 +51,11 @@ def test_trajectory_matches_pin(name):
     for row in pin["rows"]:
         i = row["index"]
         got = {"t": traj.times[i], "V": traj.lyapunov[i]}
-        got.update({f"omega_{b}": traj.freqs[b][i] for b in traj.freqs})
-        got.update({f"pm_{g}": traj.p_m[g][i] for g in gens})
-        got.update({f"pc_{g}": traj.states[i].power_commands[g] for g in gens})
-        got.update({f"mc_{g}": traj.marginal_cost[g][i] for g in gens})
-        assert packed.pack(traj.states[i]) == pytest.approx(
+        got.update({f"omega_{b}": w for b, w in enumerate(traj.freqs[i])})
+        for name, series in (("pm", traj.p_m), ("pc", traj.commands),
+                             ("mc", traj.marginal_cost)):
+            got.update({f"{name}_{g}": v for g, v in zip(gens, series[i])})
+        assert list(traj.states[i]) == pytest.approx(
             row["state"], rel=0, abs=TOL), f"state at sample {i}"
         for key, value in got.items():
             assert value == pytest.approx(row[key], rel=0, abs=TOL), \

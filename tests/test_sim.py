@@ -1,18 +1,20 @@
 import dataclasses
 import math
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from gridfreq.certify import search_certificate
 from gridfreq.control import ControllerGains
+from gridfreq.fixtures import fixture_path
 from gridfreq.generation import dc_gain, make_first_order, output
-from gridfreq.network import Bus, BusKind, CommEdge, Line, PowerNetwork
-from gridfreq.sim import (EPSILON_V, Scenario, SystemState, _Packed,
-                          closed_loop_derivative, compute_equilibrium,
+from gridfreq.network import Bus, BusKind, Line, PowerNetwork, net_injection
+from gridfreq.sim import (EPSILON_V, Scenario, assemble, compute_equilibrium,
                           dissipation_check, equilibrium_system_state,
-                          integrate, load_bus_frequency, lyapunov_value,
-                          zero_state)
+                          integrate, lyapunov_value, state_layout)
 
 
 def _single_bus_scenario():
@@ -51,50 +53,51 @@ class TestScenarioValidation:
 
 class TestLoadBusFrequency:
     def test_algebraic_balance(self, two_gen_scenario):
-        net = two_gen_scenario.network
-        angles = {0: 0.1, 1: 0.05, 2: 0.0}
-        from gridfreq.network import net_injection
-        want = (-0.2 + net_injection(net, 2, angles)) / net.bus(2).damping
-        assert load_bus_frequency(net, 2, angles, 0.2) == pytest.approx(want)
-
-    def test_rejects_generator_bus(self, two_gen_scenario):
-        with pytest.raises(ValueError):
-            load_bus_frequency(two_gen_scenario.network, 0, {0: 0.0, 1: 0.0, 2: 0.0})
+        # the recorded load-bus frequency is the damping balance
+        # (-load + net inflow) / damping at every sample
+        scn = dataclasses.replace(two_gen_scenario, t_end=3.0)
+        traj = integrate(scn)
+        net = scn.network
+        for t, x, w in zip(traj.times, traj.states, traj.freqs[:, 2]):
+            angles = {b: x[b] for b in range(3)}
+            load = scn.step_loads[2] if t >= scn.disturbance_time else 0.0
+            want = (-load + net_injection(net, 2, angles)) / net.bus(2).damping
+            assert w == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 class TestClosedLoopDerivative:
+    # single bus: [theta, omega, x, pc]
+    STATE = np.array([0.1, 0.3, 0.2, 0.7])
+
     def test_single_bus_hand_values(self):
-        scn = _single_bus_scenario()
-        state = SystemState(angles={0: 0.1}, gen_freqs={0: 0.3},
-                            gen_states={0: (0.2,)}, power_commands={0: 0.7})
-        d = closed_loop_derivative(scn, state, 0.0)  # before the load step
-        assert d.angles[0] == pytest.approx(0.3)
-        assert d.gen_freqs[0] == pytest.approx(0.025)
-        assert d.gen_states[0][0] == pytest.approx(1.12)
-        assert d.power_commands[0] == pytest.approx(-0.415)
+        loop = assemble(_single_bus_scenario())
+        d = loop.derivative(self.STATE, 0.0)  # before the load step
+        assert d == pytest.approx([0.3, 0.025, 1.12, -0.415])
+
+    def test_load_bus_hand_value(self, two_gen_scenario):
+        # bus 2 takes a 0.4 step at t = 1 and has damping 0.9; with angles
+        # (0.1, 0.05, 0) it receives 5 sin(0.1) + 5 sin(0.05) over its lines
+        loop = assemble(two_gen_scenario)
+        x = np.zeros(loop.layout.size)
+        x[:3] = [0.1, 0.05, 0.0]
+        assert loop.derivative(x, 0.5)[2] == pytest.approx(0.832292143986147,
+                                                           rel=1e-12)
+        assert loop.derivative(x, 2.0)[2] == pytest.approx(0.3878476995417026,
+                                                           rel=1e-12)
 
     def test_load_step_only_after_disturbance_time(self):
-        scn = _single_bus_scenario()
-        state = SystemState(angles={0: 0.1}, gen_freqs={0: 0.3},
-                            gen_states={0: (0.2,)}, power_commands={0: 0.7})
-        before = closed_loop_derivative(scn, state, 0.5)
-        at = closed_loop_derivative(scn, state, 1.0)
-        after = closed_loop_derivative(scn, state, 1.5)
-        assert at.gen_freqs[0] == after.gen_freqs[0]
-        assert after.gen_freqs[0] == pytest.approx(before.gen_freqs[0] - 0.1 / 2.0)
+        loop = assemble(_single_bus_scenario())
+        before, at, after = (loop.derivative(self.STATE, t)[1]
+                             for t in (0.5, 1.0, 1.5))
+        assert at == after
+        assert after == pytest.approx(before - 0.1 / 2.0)
 
     def test_vanishes_at_equilibrium(self, two_gen_scenario):
         scn = two_gen_scenario
         eq = compute_equilibrium(scn)
-        state = equilibrium_system_state(scn, eq)
-        d = closed_loop_derivative(scn, state, scn.disturbance_time + 1.0)
-        for g in scn.network.generator_ids:
-            assert d.gen_freqs[g] == pytest.approx(0.0, abs=1e-11)
-            assert d.power_commands[g] == pytest.approx(0.0, abs=1e-11)
-            for v in d.gen_states[g]:
-                assert v == pytest.approx(0.0, abs=1e-11)
-        for lid in scn.network.load_ids:
-            assert d.angles[lid] == pytest.approx(0.0, abs=1e-11)
+        d = assemble(scn).derivative(equilibrium_system_state(scn, eq),
+                                     scn.disturbance_time + 1.0)
+        assert d == pytest.approx(np.zeros(len(d)), abs=1e-11)
 
     def test_line_orientation_flip_is_invisible(self, two_gen_scenario):
         scn = two_gen_scenario
@@ -105,89 +108,45 @@ class TestClosedLoopDerivative:
         flipped_lines += list(net.lines[1:])
         flipped = dataclasses.replace(
             scn, network=PowerNetwork(net.buses, flipped_lines, net.comm))
-        state = SystemState(
-            angles={0: 0.11, 1: -0.07, 2: 0.02},
-            gen_freqs={0: 0.01, 1: -0.03},
-            gen_states={0: (0.4,), 1: (0.1,)},
-            power_commands={0: 0.2, 1: 0.3})
-        d1 = closed_loop_derivative(scn, state, 2.0)
-        d2 = closed_loop_derivative(flipped, state, 2.0)
-        assert d1 == d2
+        # angles, frequencies, internal states, commands
+        x = np.array([0.11, -0.07, 0.02, 0.01, -0.03, 0.4, 0.1, 0.2, 0.3])
+        d1 = assemble(scn).derivative(x, 2.0)
+        d2 = assemble(flipped).derivative(x, 2.0)
+        assert np.array_equal(d1, d2)
 
     def test_aggregate_command_rate_ignores_communication(self, ring9_scenario):
         # the averaging terms are pairwise antisymmetric, so the
         # gamma-weighted sum of command rates depends only on local terms
         scn = ring9_scenario
-        rng = np.random.default_rng(5)
-        state = SystemState(
-            angles={b.id: float(rng.normal(scale=0.1)) for b in scn.network.buses},
-            gen_freqs={g: float(rng.normal(scale=0.05))
-                       for g in scn.network.generator_ids},
-            gen_states={g: tuple(rng.normal(scale=0.3, size=scn.generators[g].order))
-                        for g in scn.network.generator_ids},
-            power_commands={g: float(rng.normal(scale=0.5))
-                            for g in scn.network.generator_ids})
-        d = closed_loop_derivative(scn, state, 2.0)
-        lhs = sum(scn.controllers[g].gamma * d.power_commands[g]
-                  for g in scn.network.generator_ids)
-        rhs = 0.0
-        for g in scn.network.generator_ids:
+        loop = assemble(scn)
+        lay = loop.layout
+        x = np.random.default_rng(5).normal(scale=0.3, size=lay.size)
+        d = loop.derivative(x, 2.0)
+        lhs = rhs = 0.0
+        for i, g in enumerate(lay.gen_ids):
             prm = scn.controllers[g]
             gen = scn.generators[g]
-            u = prm.k_c * state.power_commands[g] - prm.k_d * state.gen_freqs[g]
-            p_m = output(gen, state.gen_states[g], u)
-            rhs += p_m - dc_gain(gen) * u - prm.k_f * state.gen_freqs[g]
+            omega, pc = x[lay.n_bus + i], x[lay.pc][i]
+            lhs += prm.gamma * d[lay.pc][i]
+            u = prm.k_c * pc - prm.k_d * omega
+            p_m = output(gen, x[lay.x[i]], u)
+            rhs += p_m - dc_gain(gen) * u - prm.k_f * omega
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     def test_wrong_state_dimension_rejected(self):
-        scn = _single_bus_scenario()
-        state = SystemState(angles={0: 0.0}, gen_freqs={0: 0.0},
-                            gen_states={0: (0.0, 0.0)}, power_commands={0: 0.0})
+        loop = assemble(_single_bus_scenario())
         with pytest.raises(ValueError):
-            closed_loop_derivative(scn, state, 0.0)
+            loop.derivative(np.zeros(5), 0.0)
 
 
-class TestPackedFastPath:
-    @pytest.mark.parametrize("t", [0.2, 5.0])
-    def test_matches_public_derivative(self, ring9_scenario, t):
-        scn = ring9_scenario
-        packed = _Packed(scn)
-        rng = np.random.default_rng(17)
-        state = SystemState(
-            angles={b.id: float(rng.normal(scale=0.2)) for b in scn.network.buses},
-            gen_freqs={g: float(rng.normal(scale=0.1))
-                       for g in scn.network.generator_ids},
-            gen_states={g: tuple(rng.normal(scale=0.4, size=scn.generators[g].order))
-                        for g in scn.network.generator_ids},
-            power_commands={g: float(rng.normal(scale=0.6))
-                            for g in scn.network.generator_ids})
-        loaded = t >= scn.disturbance_time
-        fast = packed.unpack(packed.rhs(packed.pack(state), loaded))
-        slow = closed_loop_derivative(scn, state, t)
-        for g in scn.network.generator_ids:
-            assert fast.gen_freqs[g] == pytest.approx(slow.gen_freqs[g],
-                                                      rel=1e-12, abs=1e-13)
-            assert fast.power_commands[g] == pytest.approx(slow.power_commands[g],
-                                                           rel=1e-12, abs=1e-13)
-            assert fast.gen_states[g] == pytest.approx(slow.gen_states[g],
-                                                       rel=1e-12, abs=1e-13)
-        for b in scn.network.buses:
-            # load-bus slots carry the algebraic frequency in both paths
-            assert fast.angles[b.id] == pytest.approx(slow.angles[b.id],
-                                                      rel=1e-12, abs=1e-13)
-
-    def test_pack_unpack_round_trip(self, two_gen_scenario):
-        packed = _Packed(two_gen_scenario)
-        state = zero_state(two_gen_scenario)
-        assert packed.unpack(packed.pack(state)) == state
-
+class TestStateLayout:
     def test_labels_name_every_slot(self, two_gen_scenario):
-        packed = _Packed(two_gen_scenario)
-        labels = [packed.label(i) for i in range(packed.size)]
-        assert labels[0] == "theta_0"
-        assert "omega_1" in labels
-        assert "pc_0" in labels
-        assert len(set(labels)) == packed.size
+        lay = state_layout(two_gen_scenario)
+        assert lay.labels[0] == "theta_0"
+        assert lay.labels[lay.omega] == ("omega_0", "omega_1")
+        assert [lay.labels[xs] for xs in lay.x] == [("x_0[0]",), ("x_1[0]",)]
+        assert lay.labels[lay.pc] == ("pc_0", "pc_1")
+        assert len(set(lay.labels)) == lay.size == 9
 
 
 class TestIntegrate:
@@ -196,6 +155,7 @@ class TestIntegrate:
                                   t_end=1.0, dt=0.1, output_stride=3)
         traj = integrate(scn)
         assert traj.times == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0])
+        assert traj.states.shape == (5, 9)
 
     def test_t_end_must_be_dt_multiple(self, two_gen_scenario):
         scn = dataclasses.replace(two_gen_scenario, disturbance_time=0.5,
@@ -203,22 +163,35 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(scn)
 
+    @pytest.mark.parametrize("disturbance_time", [0.0, 0.005])
+    def test_step_is_classical_rk4(self, ring9_scenario, disturbance_time):
+        # one step of the integrator's buffered kernel against RK4 written
+        # out over the public right-hand side
+        scn = dataclasses.replace(ring9_scenario, dt=0.01, t_end=0.01,
+                                  disturbance_time=disturbance_time)
+        loop = assemble(scn)
+        x = np.random.default_rng(17).normal(scale=0.3, size=loop.layout.size)
+        h = scn.dt
+        k1 = loop.derivative(x, 0.0)
+        k2 = loop.derivative(x + h / 2 * k1, 0.0)
+        k3 = loop.derivative(x + h / 2 * k2, 0.0)
+        k4 = loop.derivative(x + h * k3, 0.0)
+        want = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        got = integrate(scn, initial_state=x).states[-1]
+        assert got == pytest.approx(want, rel=1e-13, abs=1e-15)
+
     def test_no_disturbance_stays_at_rest(self, two_gen_scenario):
         scn = dataclasses.replace(two_gen_scenario, step_loads={},
                                   disturbance_time=0.5, t_end=1.0, dt=0.01)
         traj = integrate(scn)
-        final = traj.states[-1]
-        assert all(v == 0.0 for v in final.angles.values())
-        assert all(v == 0.0 for v in final.gen_freqs.values())
-        assert all(v == 0.0 for v in final.power_commands.values())
+        assert not traj.states.any()
 
     def test_marginal_cost_series_scales_output(self, two_gen_scenario):
         scn = dataclasses.replace(two_gen_scenario, t_end=2.0, dt=0.01)
         traj = integrate(scn)
-        for g in scn.network.generator_ids:
+        for i, g in enumerate(traj.layout.gen_ids):
             q = scn.controllers[g].q
-            for p, m in zip(traj.p_m[g], traj.marginal_cost[g]):
-                assert m == q * p
+            assert np.array_equal(traj.marginal_cost[:, i], q * traj.p_m[:, i])
 
     def test_equilibrium_is_a_fixed_point(self, two_gen_scenario):
         scn = dataclasses.replace(two_gen_scenario, disturbance_time=0.0,
@@ -226,19 +199,22 @@ class TestIntegrate:
         eq = compute_equilibrium(scn)
         start = equilibrium_system_state(scn, eq)
         traj = integrate(scn, initial_state=start)
-        final = traj.states[-1]
-        dev = 0.0
-        for bid, th in final.angles.items():
-            dev = max(dev, abs(th - start.angles[bid]))
-        for g, w in final.gen_freqs.items():
-            dev = max(dev, abs(w))
-            dev = max(dev, abs(final.power_commands[g] - eq.nu))
-        assert dev <= 1e-10
+        assert np.max(np.abs(traj.states[-1] - start)) <= 1e-10
 
     def test_unstable_step_size_reports_offending_variable(self, two_gen_scenario):
         scn = dataclasses.replace(two_gen_scenario, dt=10.0, t_end=1000.0)
-        with pytest.raises(ArithmeticError, match="non-finite"):
+        with pytest.raises(ArithmeticError, match="non-finite value in "):
             integrate(scn)
+        # through the CLI: exit 2 and one error line, without numpy warnings
+        proc = subprocess.run(
+            [sys.executable, "-m", "gridfreq.cli", "simulate",
+             str(fixture_path("two_gen.scn")), "--dt", "10", "--t-end", "1000"],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        labels = state_layout(scn).labels
+        assert re.fullmatch(r"error: non-finite value in (\S+) at t=\S+\n",
+                            proc.stderr), proc.stderr
+        assert proc.stderr.split()[4] in labels
 
 
 class TestEquilibrium:
@@ -255,7 +231,6 @@ class TestEquilibrium:
     def test_flow_balance_at_each_bus(self, ring9_scenario):
         scn = ring9_scenario
         eq = compute_equilibrium(scn)
-        from gridfreq.network import net_injection
         for b in scn.network.buses:
             inj = net_injection(scn.network, b.id, eq.angles_star)
             load = scn.step_loads.get(b.id, 0.0)
@@ -302,18 +277,16 @@ class TestLyapunov:
 
     def test_frequency_perturbation_contributes_kinetic_term(self, certified):
         scn, certs, eq = certified
-        state = equilibrium_system_state(scn, eq)
-        bumped = dataclasses.replace(
-            state, gen_freqs={**state.gen_freqs, 0: 0.02})
+        bumped = equilibrium_system_state(scn, eq)
+        bumped[state_layout(scn).labels.index("omega_0")] = 0.02
         v = lyapunov_value(scn, certs, eq, bumped)
         m = scn.network.bus(0).inertia
         assert v == pytest.approx(0.5 * m * 0.02 ** 2, rel=1e-12)
 
     def test_angle_perturbation_is_positive(self, certified):
         scn, certs, eq = certified
-        state = equilibrium_system_state(scn, eq)
-        bumped = dataclasses.replace(
-            state, angles={**state.angles, 2: state.angles[2] + 0.05})
+        bumped = equilibrium_system_state(scn, eq)
+        bumped[2] += 0.05
         assert lyapunov_value(scn, certs, eq, bumped) > 0.0
 
     def test_missing_certificate_rejected(self, certified):
@@ -339,3 +312,14 @@ class TestLyapunov:
         assert peak <= EPSILON_V
         # V must actually decay once the step has landed
         assert traj.lyapunov[-1] < traj.lyapunov[len(traj.lyapunov) // 3]
+
+    def test_series_matches_single_states(self, certified):
+        scn, certs, eq = certified
+        scn_fast = dataclasses.replace(scn, t_end=3.0)
+        traj = integrate(scn_fast, certs=certs, equilibrium=eq)
+        one_by_one = [lyapunov_value(scn, certs, eq, x) for x in traj.states]
+        assert traj.lyapunov == pytest.approx(one_by_one, rel=1e-13, abs=1e-16)
+        # without a stored series, dissipation_check evaluates it itself
+        bare = dataclasses.replace(traj, lyapunov=None)
+        assert dissipation_check(scn, certs, eq, bare) == pytest.approx(
+            dissipation_check(scn, certs, eq, traj), rel=0, abs=1e-15)
