@@ -13,13 +13,11 @@ lambda_hat).
 For the two worked generator models there are exact diagonal certificates
 with closed-form feasibility thresholds on the bus damping; for anything
 else a deterministic diagonal search runs.  Eigenvalues of the symmetric
-matrices come from a hand-rolled cyclic Jacobi solver so the check has no
-dependencies beyond basic arithmetic.
+matrices come from numpy.linalg.eigvalsh.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -39,9 +37,6 @@ TOL_PD_PER_DIM = 1e-12
 #: Default relative shave applied to the bus damping when picking
 #: lambda_hat inside the search: lambda_hat = Lambda * (1 - LAMBDA_SHAVE).
 LAMBDA_SHAVE = 1e-3
-
-_JACOBI_OFF_TOL = 1e-12
-_JACOBI_MAX_SWEEPS = 60
 
 
 @dataclass(frozen=True)
@@ -81,28 +76,24 @@ class SymmetricMatrix:
     @classmethod
     def from_rows(cls, rows) -> "SymmetricMatrix":
         """Build from a full square array, reading only the upper triangle."""
-        n = len(rows)
-        packed = []
-        for i in range(n):
-            if len(rows[i]) != n:
-                raise ValueError("rows must form a square matrix")
-            for j in range(i, n):
-                packed.append(float(rows[i][j]))
-        return cls(dim=n, entries=tuple(packed))
+        a = np.asarray(rows, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError("rows must form a square matrix")
+        return cls(dim=len(a), entries=tuple(a[np.triu_indices(len(a))].tolist()))
 
     @classmethod
     def diagonal(cls, values: Sequence[float]) -> "SymmetricMatrix":
-        n = len(values)
-        rows = [[0.0] * n for _ in range(n)]
-        for i, v in enumerate(values):
-            rows[i][i] = float(v)
-        return cls.from_rows(rows)
+        return cls.from_rows(np.diag(np.asarray(values, dtype=float)))
 
     def to_lists(self) -> List[List[float]]:
-        return [[self.entry(i, j) for j in range(self.dim)] for i in range(self.dim)]
+        return self.to_array().tolist()
 
     def to_array(self) -> np.ndarray:
-        return np.array(self.to_lists(), dtype=float)
+        a = np.zeros((self.dim, self.dim))
+        upper = np.triu_indices(self.dim)
+        a[upper] = self.entries
+        a.T[upper] = self.entries
+        return a
 
 
 @dataclass(frozen=True)
@@ -122,49 +113,27 @@ class Certificate:
 
 
 def sym_eigenvalues(m: SymmetricMatrix) -> List[float]:
-    """All eigenvalues, ascending, via cyclic Jacobi rotations.
-
-    Sweeps run until every off-diagonal magnitude falls below 1e-12 (or
-    below roundoff relative to the matrix norm, whichever is larger); for
-    the small dimensions used here that takes a handful of sweeps.
-    """
-    n = m.dim
-    if n == 1:
-        return [m.entry(0, 0)]
-    a = m.to_lists()
-    fro = math.sqrt(sum(a[i][j] ** 2 for i in range(n) for j in range(n)))
-    stop = max(_JACOBI_OFF_TOL, 1e-15 * fro)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off = max(off, abs(a[p][q]))
-        if off < stop:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p][q]
-                if abs(apq) < stop * 1e-2:
-                    continue
-                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                for k in range(n):
-                    if k == p or k == q:
-                        continue
-                    akp = a[k][p]
-                    akq = a[k][q]
-                    a[k][p] = a[p][k] = c * akp - s * akq
-                    a[k][q] = a[q][k] = s * akp + c * akq
-                a[p][p] -= t * apq
-                a[q][q] += t * apq
-                a[p][q] = a[q][p] = 0.0
-    return sorted(a[i][i] for i in range(n))
+    """All eigenvalues, ascending."""
+    return np.linalg.eigvalsh(m.to_array()).tolist()
 
 
 def is_positive_definite(m: SymmetricMatrix) -> bool:
     return sym_eigenvalues(m)[0] > TOL_PD_PER_DIM * m.dim
+
+
+def _primary_array(gen: LtiGenerator, k_d: float, p: np.ndarray,
+                   lambda_hat: float) -> np.ndarray:
+    n = gen.order
+    if p.shape != (n, n):
+        raise ValueError(f"P has dim {len(p)}, generator has order {n}")
+    b = np.array(gen.b_vector, dtype=float)
+    c = np.array(gen.c_vector, dtype=float)
+    pa = p @ np.array(gen.a_matrix, dtype=float)
+    m = np.empty((n + 1, n + 1))
+    m[:n, :n] = (pa + pa.T) / 2.0
+    m[:n, n] = m[n, :n] = (k_d * (p @ b) - c) / 2.0
+    m[n, n] = -lambda_hat - gen.d_scalar * k_d
+    return m
 
 
 def primary_lmi_matrix(gen: LtiGenerator, k_d: float, p: SymmetricMatrix,
@@ -176,20 +145,8 @@ def primary_lmi_matrix(gen: LtiGenerator, k_d: float, p: SymmetricMatrix,
     semidefiniteness of this matrix (with P positive definite and
     lambda_hat < Lambda) is the primary-control stability condition.
     """
-    n = gen.order
-    if p.dim != n:
-        raise ValueError(f"P has dim {p.dim}, generator has order {n}")
-    pa = p.to_array() @ np.array(gen.a_matrix, dtype=float)
-    sym_pa = (pa + pa.T) / 2.0
-    col = (k_d * (p.to_array() @ np.array(gen.b_vector, dtype=float))
-           - np.array(gen.c_vector, dtype=float)) / 2.0
-    rows = [[0.0] * (n + 1) for _ in range(n + 1)]
-    for i in range(n):
-        for j in range(n):
-            rows[i][j] = sym_pa[i][j]
-        rows[i][n] = rows[n][i] = col[i]
-    rows[n][n] = -lambda_hat - gen.d_scalar * k_d
-    return SymmetricMatrix.from_rows(rows)
+    return SymmetricMatrix.from_rows(
+        _primary_array(gen, k_d, p.to_array(), lambda_hat))
 
 
 def check_primary_lmi(gen: LtiGenerator, k_d: float, cert: Certificate,
@@ -203,6 +160,22 @@ def check_primary_lmi(gen: LtiGenerator, k_d: float, cert: Certificate,
     return sym_eigenvalues(m)[-1] <= TOL_PSD
 
 
+def _secondary_array(gen: LtiGenerator, params: ControllerGains,
+                     p: np.ndarray, lambda_hat: float, k_f: float) -> np.ndarray:
+    n = gen.order
+    k_gain = dc_gain(gen)
+    d = gen.d_scalar
+    m = np.empty((n + 2, n + 2))
+    m[1:, 1:] = _primary_array(gen, params.k_d, p, lambda_hat)
+    m[0, 0] = -k_gain * params.k_c + d * params.k_c
+    m[0, 1:n + 1] = m[1:n + 1, 0] = (
+        params.k_c * (np.array(gen.b_vector, dtype=float) @ p)
+        + np.array(gen.c_vector, dtype=float)) / 2.0
+    m[0, n + 1] = m[n + 1, 0] = (
+        k_f - params.k_d * k_gain + d * params.k_d - d * params.k_c) / 2.0
+    return m
+
+
 def secondary_lmi_matrix(gen: LtiGenerator, params: ControllerGains,
                          p: SymmetricMatrix, lambda_hat: float,
                          k_f: Optional[float] = None) -> SymmetricMatrix:
@@ -214,25 +187,32 @@ def secondary_lmi_matrix(gen: LtiGenerator, params: ControllerGains,
     construction).  ``k_f`` overrides params.k_f when given, since the
     certifier treats it as a free variable.
     """
-    n = gen.order
-    if p.dim != n:
-        raise ValueError(f"P has dim {p.dim}, generator has order {n}")
     kf = params.k_f if k_f is None else k_f
-    k_gain = dc_gain(gen)
-    base = primary_lmi_matrix(gen, params.k_d, p, lambda_hat)
-    r_state = (params.k_c * (np.array(gen.b_vector, dtype=float) @ p.to_array())
-               + np.array(gen.c_vector, dtype=float)) / 2.0
-    r_freq = (kf - params.k_d * k_gain + gen.d_scalar * params.k_d
-              - gen.d_scalar * params.k_c) / 2.0
-    rows = [[0.0] * (n + 2) for _ in range(n + 2)]
-    rows[0][0] = -k_gain * params.k_c + gen.d_scalar * params.k_c
-    for i in range(n):
-        rows[0][i + 1] = rows[i + 1][0] = r_state[i]
-    rows[0][n + 1] = rows[n + 1][0] = r_freq
-    for i in range(n + 1):
-        for j in range(n + 1):
-            rows[i + 1][j + 1] = base.entry(i, j)
-    return SymmetricMatrix.from_rows(rows)
+    return SymmetricMatrix.from_rows(
+        _secondary_array(gen, params, p.to_array(), lambda_hat, kf))
+
+
+def _diagonal_secondary(gen: LtiGenerator, params: ControllerGains,
+                        lambda_hat: float):
+    """The secondary matrices for diagonal P, as one product.
+
+    With P = diag(d) the matrix is affine in (d, k_f):
+    M = M0 + sum_i d_i T_i + k_f E.  The templates are read off the
+    assembled matrix at P = 0 and P = e_i e_i^T, k_f = 0 and 1.  Returns
+    a function from a (candidates, n+2) array of rows [d_1..d_n, k_f, 1]
+    to the (candidates, n+2, n+2) stack of matrices.
+    """
+    n = gen.order
+    m0 = _secondary_array(gen, params, np.zeros((n, n)), lambda_hat, 0.0)
+    probes = [_secondary_array(gen, params, np.diag(e), lambda_hat, 0.0)
+              for e in np.eye(n)]
+    probes.append(_secondary_array(gen, params, np.zeros((n, n)),
+                                   lambda_hat, 1.0))
+    templates = np.stack([m - m0 for m in probes] + [m0]).reshape(n + 2, -1)
+
+    def matrices(rows: np.ndarray) -> np.ndarray:
+        return (rows @ templates).reshape(-1, n + 2, n + 2)
+    return matrices
 
 
 def check_secondary_lmi(gen: LtiGenerator, params: ControllerGains,
@@ -301,13 +281,6 @@ def first_order_certificate(tau: float, k_gain: float, k_c: float,
         raise ValueError("all certificate parameters must be strictly positive")
     p = SymmetricMatrix.diagonal([tau / (k_gain * k_c)])
     return Certificate(p_matrix=p, k_f=k_gain * k_c, lambda_hat=lambda_hat)
-
-
-def _max_eig(gen: LtiGenerator, params: ControllerGains, diag: Sequence[float],
-             k_f: float, lambda_hat: float) -> float:
-    p = SymmetricMatrix.diagonal(diag)
-    m = secondary_lmi_matrix(gen, params, p, lambda_hat, k_f=k_f)
-    return sym_eigenvalues(m)[-1]
 
 
 def _golden_min(f, lo: float, hi: float, iters: int = 32) -> float:
@@ -392,26 +365,36 @@ def search_certificate(gen: LtiGenerator, params: ControllerGains,
     else:
         diag_candidates = [(g,) * n for g in grid]
 
-    best = None  # (max_eig, diag, k_f)
-    for diag in analytic_diags + diag_candidates:
-        for kf in kf_candidates:
-            val = _max_eig(gen, params, diag, kf, lambda_hat)
-            if best is None or val < best[0]:
-                best = (val, diag, kf)
-            if val <= TOL_PSD:
-                return finish(diag, kf)
+    matrices = _diagonal_secondary(gen, params, lambda_hat)
+
+    def max_eigs(pairs) -> np.ndarray:
+        rows = np.array([[*diag, kf, 1.0] for diag, kf in pairs])
+        return np.linalg.eigvalsh(matrices(rows))[:, -1]
+
+    def max_eig(diag: Sequence[float], k_f: float) -> float:
+        return float(max_eigs([(diag, k_f)])[0])
+
+    # The whole grid in one batch: the first passing candidate in loop
+    # order wins, else the descent starts from the first minimum.
+    pairs = [(diag, kf) for diag in analytic_diags + diag_candidates
+             for kf in kf_candidates]
+    vals = max_eigs(pairs)
+    passing = np.flatnonzero(vals <= TOL_PSD)
+    if len(passing):
+        return finish(*pairs[passing[0]])
 
     # Coordinate descent from the best grid point.
-    _, diag, kf = best
+    best = int(np.argmin(vals))
+    diag, kf = pairs[best]
     logd = [math.log10(v) for v in diag]
-    val = best[0]
+    val = float(vals[best])
     for _ in range(200):
         improved = False
         for i in range(n):
             def f_logp(x, i=i):
                 d = list(logd)
                 d[i] = x
-                return _max_eig(gen, params, [10.0 ** v for v in d], kf, lambda_hat)
+                return max_eig([10.0 ** v for v in d], kf)
             xi = _golden_min(f_logp, logd[i] - 1.0, logd[i] + 1.0)
             vi = f_logp(xi)
             if vi < val - 1e-15:
@@ -420,7 +403,7 @@ def search_certificate(gen: LtiGenerator, params: ControllerGains,
                 improved = True
 
         def f_kf(x):
-            return _max_eig(gen, params, [10.0 ** v for v in logd], x, lambda_hat)
+            return max_eig([10.0 ** v for v in logd], x)
         xk = _golden_min(f_kf, kf * 0.25, kf * 4.0)
         vk = f_kf(xk)
         if vk < val - 1e-15:

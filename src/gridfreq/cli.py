@@ -366,6 +366,15 @@ _GATED = ("validation", "certification", "security", "settling",
           "dissipation", "dispatch-optimality")
 
 
+def with_optimal_gains(scn: Scenario) -> Scenario:
+    """The scenario with k_c = 1/(q K) at every generator (--optimal-gains)."""
+    return dataclasses.replace(scn, controllers={
+        g: dataclasses.replace(
+            prm, k_c=control.optimal_kc(prm.q,
+                                        generation.dc_gain(scn.generators[g])))
+        for g, prm in scn.controllers.items()})
+
+
 def run(scn: Scenario, flags: RunFlags) -> RunReport:
     """Full pipeline: certify, equilibrium, integrate, check, write files.
 
@@ -404,12 +413,7 @@ def run(scn: Scenario, flags: RunFlags) -> RunReport:
         return _finish(scn, flags, checks, lines, None)
 
     if flags.optimal_gains:
-        new_controllers = {}
-        for g, prm in scn.controllers.items():
-            k_gain = generation.dc_gain(scn.generators[g])
-            new_controllers[g] = dataclasses.replace(
-                prm, k_c=control.optimal_kc(prm.q, k_gain))
-        scn = dataclasses.replace(scn, controllers=new_controllers)
+        scn = with_optimal_gains(scn)
 
     certs: Optional[Dict[int, Certificate]] = None
     lines.append("")
@@ -723,11 +727,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         if args.command == "certify":
             if flags.optimal_gains:
-                ctl = {g: dataclasses.replace(
-                    prm, k_c=control.optimal_kc(
-                        prm.q, generation.dc_gain(scn.generators[g])))
-                    for g, prm in scn.controllers.items()}
-                scn = dataclasses.replace(scn, controllers=ctl)
+                scn = with_optimal_gains(scn)
             all_found = True
             for g in sorted(scn.network.generator_ids):
                 lam = scn.network.bus(g).damping

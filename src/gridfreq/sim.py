@@ -331,7 +331,11 @@ def integrate(scn: Scenario, *, initial_state: Optional[np.ndarray] = None,
                     break
     bad = np.argwhere(~np.isfinite(states[:j]))
     if len(bad):
+        # by the first bad sample one inf has usually spread to every slot,
+        # so name the slot that was largest in the last finite sample
         i, col = bad[0]
+        if i > 0:
+            col = int(np.argmax(np.abs(states[i - 1])))
         raise ArithmeticError(
             f"non-finite value in {lay.labels[col]} at t={float(times[i])}")
 

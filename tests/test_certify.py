@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gridfreq.certify import (Certificate, SymmetricMatrix, TOL_PSD,
+from gridfreq.certify import (Certificate, LAMBDA_SHAVE, SymmetricMatrix,
+                              TOL_PSD, _diagonal_secondary,
                               check_primary_lmi, check_secondary_lmi,
                               first_order_certificate, first_order_min_damping,
                               is_positive_definite, primary_lmi_matrix,
@@ -13,7 +14,9 @@ from gridfreq.certify import (Certificate, SymmetricMatrix, TOL_PSD,
                               second_order_min_damping, secondary_lmi_matrix,
                               sym_eigenvalues)
 from gridfreq.control import ControllerGains
-from gridfreq.generation import make_first_order, make_second_order
+from gridfreq.generation import (LtiGenerator, first_order_params,
+                                 make_first_order, make_second_order,
+                                 second_order_params)
 
 
 def _params(**over):
@@ -317,3 +320,100 @@ class TestSearchCertificate:
             assert check_primary_lmi(gen, params.k_d, cert, lam)
             checked += 1
         assert checked >= 100
+
+
+def _block(a, b, c, d):
+    return LtiGenerator(a_matrix=tuple(tuple(r) for r in a), b_vector=tuple(b),
+                        c_vector=tuple(c), d_scalar=d, order=len(b))
+
+
+class TestDiagonalEvaluator:
+    """The search's affine templates against the assembled matrix."""
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_templates_match_assembled_matrix(self, order):
+        rng = np.random.default_rng(300 + order)
+        # lower triangular with a negative diagonal: Hurwitz by construction
+        a = (-np.diag(rng.uniform(0.5, 5.0, order))
+             + np.tril(rng.normal(size=(order, order)), -1))
+        gen = _block(a.tolist(), rng.uniform(0.2, 3.0, order).tolist(),
+                     rng.uniform(0.0, 1.0, order).tolist(),
+                     float(rng.uniform(0.0, 0.5)))
+        params = _params(k_c=float(rng.uniform(0.3, 2.0)),
+                         k_d=float(rng.uniform(0.3, 2.0)))
+        lambda_hat = float(rng.uniform(0.1, 2.0))
+        matrices = _diagonal_secondary(gen, params, lambda_hat)
+        count = 20
+        diags = 10.0 ** rng.uniform(-3.0, 3.0, size=(count, order))
+        kfs = rng.uniform(0.05, 5.0, count)
+        rows = np.column_stack([diags, kfs, np.ones(count)])
+        batched = matrices(rows)
+        batched_top = np.linalg.eigvalsh(batched)[:, -1]
+        assert batched.shape == (count, order + 2, order + 2)
+        for i in range(count):
+            want = secondary_lmi_matrix(
+                gen, params, SymmetricMatrix.diagonal(diags[i].tolist()),
+                lambda_hat, k_f=float(kfs[i])).to_array()
+            single = matrices(rows[i:i + 1])[0]
+            scale = np.abs(want).max()
+            assert np.abs(single - want).max() <= 1e-14 * scale
+            assert np.abs(batched[i] - want).max() <= 1e-14 * scale
+            top = np.linalg.eigvalsh(single)[-1]
+            assert batched_top[i] == pytest.approx(top, rel=1e-14,
+                                                   abs=1e-14 * scale)
+
+
+def _assembled_secondary(gen, params, p, k_f, lambda_hat):
+    """The secondary matrix written out from its definition in numpy."""
+    a = np.array(gen.a_matrix)
+    b = np.array(gen.b_vector)
+    c = np.array(gen.c_vector)
+    d, k_c, k_d = gen.d_scalar, params.k_c, params.k_d
+    n = len(b)
+    k = d - c @ np.linalg.solve(a, b)
+    m = np.zeros((n + 2, n + 2))
+    m[0, 0] = (d - k) * k_c
+    m[0, 1:n + 1] = m[1:n + 1, 0] = (k_c * (b @ p) + c) / 2.0
+    m[0, n + 1] = m[n + 1, 0] = (k_f - k_d * k + d * k_d - d * k_c) / 2.0
+    m[1:n + 1, 1:n + 1] = (p @ a + a.T @ p) / 2.0
+    m[1:n + 1, n + 1] = m[n + 1, 1:n + 1] = (k_d * (p @ b) - c) / 2.0
+    m[n + 1, n + 1] = -lambda_hat - d * k_d
+    return m
+
+
+class TestSearchPaths:
+    """Blocks outside the worked shapes take the grid and the descent."""
+
+    def _assert_certifies(self, gen, params, lam):
+        assert first_order_params(gen) is None
+        assert second_order_params(gen) is None
+        cert = search_certificate(gen, params, lam)
+        assert cert is not None
+        p = cert.p_matrix.to_array()
+        assert cert.lambda_hat < lam
+        assert np.linalg.eigvalsh(p)[0] > 0.0
+        m = _assembled_secondary(gen, params, p, cert.k_f, cert.lambda_hat)
+        assert np.linalg.eigvalsh(m)[-1] <= TOL_PSD
+
+    def test_reheat_governor(self):
+        # governor lag -> steam chest -> reheater, p_m = F x_ch + (1 - F) x_rh
+        t_g, t_ch, t_rh, f_hp = 0.2, 0.3, 6.0, 0.3
+        gen = _block([[-1.0 / t_g, 0.0, 0.0], [1.0 / t_ch, -1.0 / t_ch, 0.0],
+                      [0.0, 1.0 / t_rh, -1.0 / t_rh]],
+                     [1.0 / t_g, 0.0, 0.0], [0.0, f_hp, 1.0 - f_hp], 0.0)
+        self._assert_certifies(gen, _params(k_f=1.0, k_c=1.0, k_d=1.0), 1.0)
+
+    def test_cascade_with_feedthrough(self):
+        # two-lag cascade, p_m = (1 - f) x_2 + f K u
+        t_a, t_p, f = 0.3, 1.1, 0.2
+        gen = _block([[-1.0 / t_a, 0.0], [1.0 / t_p, -1.0 / t_p]],
+                     [1.0 / t_a, 0.0], [0.0, 1.0 - f], f)
+        self._assert_certifies(gen, _params(k_f=1.0, k_c=1.0, k_d=1.0), 1.0)
+
+    def test_lag_below_threshold_not_found(self):
+        gen = make_first_order(0.45, 1.0)
+        params = _params(k_f=2.0, k_c=1.0, k_d=3.0)
+        threshold = first_order_min_damping(1.0, 1.0, 3.0)
+        lam = 0.9 * threshold
+        assert lam * (1.0 - LAMBDA_SHAVE) < threshold
+        assert search_certificate(gen, params, lam) is None

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import textwrap
 
 import pytest
@@ -352,6 +353,17 @@ class TestMain:
         assert main(["certify", str(fixture_path("two_gen.scn"))]) == 0
         out = capsys.readouterr().out
         assert out.count("found") == 2
+
+    def test_optimal_gains_certify_matches_simulate(self, capsys):
+        ring9 = str(fixture_path("ring9.scn"))
+        main(["certify", ring9, "--optimal-gains"])
+        certified = capsys.readouterr().out
+        main(["simulate", ring9, "--optimal-gains", "--t-end", "1.01"])
+        simulated = capsys.readouterr().out
+        found = re.compile(r"^gen (\d+): found k_f=(\S+) ", re.M)
+        gens = load_scenario(fixture_path("ring9.scn")).network.generator_ids
+        assert len(found.findall(certified)) == len(gens)
+        assert found.findall(certified) == found.findall(simulated)
 
     def test_dispatch_prints_allocation(self, capsys):
         assert main(["dispatch", str(fixture_path("two_gen.scn"))]) == 0
