@@ -16,14 +16,16 @@ with J the linear part, c the step loads (zero before the disturbance
 time), E the line incidence and S each line's flow carried into the rows
 it drives.  assemble() builds these once per scenario; the integrator,
 the derived series, the equilibrium and the Lyapunov function all read
-them.  Integration is classical fixed-step RK4.
+them.  Integration is classical fixed-step RK4.  Scenarios on one time
+grid can be integrated together (integrate_many): uncoupled loops side
+by side are one loop with block-diagonal J, E and S.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -265,9 +267,51 @@ def integrate(scn: Scenario, *, initial_state: Optional[np.ndarray] = None,
     equilibrium are supplied.  Bitwise reproducible: no randomness, fixed
     operation order.
     """
-    loop = assemble(scn)
-    lay = loop.layout
-    n = lay.size
+    return integrate_many([scn], initial_states=[initial_state], certs=[certs],
+                          equilibria=[equilibrium])[0]
+
+
+def _block_diag(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    if len(blocks) == 1:
+        return blocks[0]
+    out = np.zeros((sum(b.shape[0] for b in blocks),
+                    sum(b.shape[1] for b in blocks)))
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
+
+
+def integrate_many(scns: Sequence[Scenario], *,
+                   initial_states: Optional[Sequence[Optional[np.ndarray]]] = None,
+                   certs: Optional[Sequence[Optional[Mapping[int, Certificate]]]] = None,
+                   equilibria: Optional[Sequence[Optional[Equilibrium]]] = None,
+                   ) -> List[Trajectory]:
+    """integrate() for several scenarios on one time grid, as one run.
+
+    Uncoupled closed loops taken together are one closed loop whose J, E
+    and S are block-diagonal and whose c is the concatenation, so one RK4
+    kernel advances them all with one numpy call per product.  The
+    optional sequences hold one entry per scenario.  A single scenario
+    runs on its own matrices and is bitwise what integrate() gives; in a
+    union the block products sum in another order, so a member may differ
+    from its lone run in the last digits.  A non-finite sample raises
+    ArithmeticError; in a union it may have spread to every member.
+    """
+    loops = [assemble(s) for s in scns]
+    scn = scns[0]
+    grid = (scn.dt, scn.t_end, scn.output_stride, scn.disturbance_time)
+    if any((s.dt, s.t_end, s.output_stride, s.disturbance_time) != grid
+           for s in scns):
+        raise ValueError("integrate_many needs one time grid: dt, t_end, "
+                         "output_stride and disturbance_time must agree")
+    nones = [None] * len(scns)
+    initial_states = initial_states or nones
+    certs = certs or nones
+    equilibria = equilibria or nones
+    sizes = [loop.layout.size for loop in loops]
+    n = sum(sizes)
     dt = scn.dt
     nsteps = int(round(scn.t_end / dt))
     if abs(nsteps * dt - scn.t_end) > 1e-9 * max(1.0, abs(scn.t_end)):
@@ -278,21 +322,25 @@ def integrate(scn: Scenario, *, initial_state: Optional[np.ndarray] = None,
         recorded.append(nsteps)
     times = np.array(recorded) * dt
     states = np.empty((len(recorded), n))
-    load_step = int(np.searchsorted(loop.loaded(np.arange(nsteps) * dt), True))
+    load_step = int(np.searchsorted(loops[0].loaded(np.arange(nsteps) * dt), True))
 
     # Preallocated buffers keep a slope evaluation to four numpy calls.  With
     # z = [x, 1] the product m @ z is [J x + c, E x]: the constant 1 carries
     # c.  Row 0 of v is [x, 1] and rows 1-4 the stage slopes [k, 0], so each
     # stage input, and the step itself, is one product of RK4 weights with v.
-    n_lines = len(loop.incidence)
+    incidence = _block_diag([loop.incidence for loop in loops])
+    n_lines = len(incidence)
     m = np.zeros((n + n_lines, n + 1))
-    m[:n, :n] = loop.jac
-    m[n:, :n] = loop.incidence
-    spread = loop.spread
+    m[:n, :n] = _block_diag([loop.jac for loop in loops])
+    m[n:, :n] = incidence
+    load = np.concatenate([loop.load for loop in loops])
+    spread = _block_diag([loop.spread for loop in loops])
     v = np.zeros((5, n + 1))
     x = v[0]
-    if initial_state is not None:
-        x[:n] = initial_state
+    offsets = np.cumsum([0] + sizes)
+    for lo, hi, x0 in zip(offsets, offsets[1:], initial_states):
+        if x0 is not None:
+            x[lo:hi] = x0
     x[n] = 1.0
     k1, *later = (v[i, :n] for i in range(1, 5))
     y = np.empty(n + n_lines)
@@ -317,7 +365,7 @@ def integrate(scn: Scenario, *, initial_state: Optional[np.ndarray] = None,
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(nsteps):
             if k == load_step:
-                m[:n, n] = loop.load
+                m[:n, n] = load
             slope(x, k1)
             for weights, out in zip(stages, later):
                 weights.dot(v, z)
@@ -336,17 +384,36 @@ def integrate(scn: Scenario, *, initial_state: Optional[np.ndarray] = None,
         i, col = bad[0]
         if i > 0:
             col = int(np.argmax(np.abs(states[i - 1])))
-        raise ArithmeticError(
-            f"non-finite value in {lay.labels[col]} at t={float(times[i])}")
+        member = int(np.searchsorted(offsets, col, side="right")) - 1
+        label = loops[member].layout.labels[col - offsets[member]]
+        if len(loops) > 1:
+            label += f" of member {member}"
+        raise ArithmeticError(f"non-finite value in {label} at t={float(times[i])}")
 
-    p_m = states @ loop.pm_rows.T
-    cost = np.array([scn.controllers[g].q for g in lay.gen_ids])
-    with_v = certs is not None and equilibrium is not None
-    return Trajectory(
-        layout=lay, times=times, states=states,
-        freqs=loop.derivative(states, times)[:, :lay.n_bus],
-        p_m=p_m, marginal_cost=p_m * cost,
-        lyapunov=lyapunov_value(scn, certs, equilibrium, states) if with_v else None)
+    out = []
+    for loop, s, lo, hi, cert, eq in zip(loops, scns, offsets, offsets[1:],
+                                         certs, equilibria):
+        lay = loop.layout
+        own = states[:, lo:hi]
+        p_m = own @ loop.pm_rows.T
+        cost = np.array([s.controllers[g].q for g in lay.gen_ids])
+        with_v = cert is not None and eq is not None
+        out.append(Trajectory(
+            layout=lay, times=times, states=own,
+            freqs=loop.derivative(own, times)[:, :lay.n_bus].copy(),
+            p_m=p_m, marginal_cost=p_m * cost,
+            lyapunov=lyapunov_value(s, cert, eq, own) if with_v else None))
+    return out
+
+
+def transient_angle_peak(scn: Scenario, traj: Trajectory) -> Tuple[float, float]:
+    """Largest |theta_i - theta_k| over the lines and the recorded samples,
+    and the first sample time where it occurs."""
+    e, _ = _lines(scn.network, traj.layout.n_bus)
+    peak = np.max(np.abs(traj.states[:, :traj.layout.n_bus] @ e.T), axis=1,
+                  initial=0.0)
+    i = int(np.argmax(peak))
+    return float(peak[i]), float(traj.times[i])
 
 
 def compute_equilibrium(scn: Scenario) -> Equilibrium:

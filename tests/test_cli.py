@@ -1,14 +1,16 @@
 import dataclasses
+import math
 import re
 import textwrap
 
+import numpy as np
 import pytest
 
 from gridfreq import sim
-from gridfreq.cli import (MARGINAL_TOL, RunFlags, ScenarioError, apply_param,
-                          emit_plots, load_scenario, main, parse_scenario_text,
-                          run, run_sweep, serialize_scenario,
-                          write_trajectory_csv)
+from gridfreq.cli import (_PACK_ENTRIES, MARGINAL_TOL, RunFlags, ScenarioError,
+                          _packs, apply_param, emit_plots, load_scenario, main,
+                          parse_scenario_text, run, run_sweep,
+                          serialize_scenario, write_trajectory_csv)
 from gridfreq.fixtures import fixture_path
 from gridfreq.network import PowerNetwork
 from gridfreq.sim import integrate
@@ -203,6 +205,14 @@ class TestRun:
         assert "-> EXCEEDED" in out
         assert "\ndissipation: fail (max V jump = " in out
 
+    def test_transient_angle_excursion_fails_the_run(self, monkeypatch, capsys):
+        monkeypatch.setattr(sim, "transient_angle_peak",
+                            lambda *args: (math.pi / 2.0, 2.5))
+        assert main(["simulate", str(fixture_path("two_gen.scn"))]) == 1
+        out = capsys.readouterr().out
+        assert f"= {math.pi / 2.0!r} at t=2.5 -> VIOLATED (>= pi/2)" in out
+        assert "\ntransient-security: fail (max transient |angle difference| = " in out
+
     def test_short_horizon_fails_settling(self, two_gen_scenario):
         report = run(two_gen_scenario, RunFlags(t_end=2.0))
         assert report.checks["settling"][0] == "fail"
@@ -317,6 +327,77 @@ class TestSweep:
         assert captured.err == ("controllers.1.k_d=-1.0: error: "
                                 "k_d must be strictly positive\n")
         assert (tmp_path / "controllers_1_k_d=0.6" / "trajectory.csv").exists()
+
+    def test_swept_values_match_lone_runs(self, tmp_path, capsys):
+        # eight k_d values on one grid integrate as one pack
+        values = [0.43, 0.54, 0.59, 0.7, 0.74, 0.81, 0.88, 1.0]
+        scn = load_scenario(fixture_path("two_gen.scn"))
+        assert run_sweep(str(fixture_path("two_gen.scn")), "controllers.1.k_d",
+                         values, str(tmp_path / "sweep"), RunFlags(t_end=5.0)) == 1
+        lines = capsys.readouterr().out.splitlines()
+        for v, line in zip(values, lines):
+            lone = run(apply_param(scn, "controllers.1.k_d", v),
+                       RunFlags(t_end=5.0, out_dir=str(tmp_path / "lone")))
+            assert line == f"controllers.1.k_d={v!r}: exit {lone.exit_code}"
+            swept = tmp_path / "sweep" / f"controllers_1_k_d={v!r}"
+            a, b = (np.genfromtxt(d / "trajectory.csv", delimiter=",",
+                                  skip_header=1)
+                    for d in (swept, tmp_path / "lone"))
+            assert np.max(np.abs(a - b)) <= 1e-12
+
+    def test_diverging_value_keeps_the_others(self, tmp_path, capsys):
+        # 1e-6 diverges: its pack is integrated again one value at a time
+        args = ["--skip-certify", "--t-end", "5"]
+        code = main(["sweep", str(fixture_path("two_gen.scn")), *args,
+                     "--param", "controllers.1.gamma",
+                     "--values", "1.0,1e-6,0.8", "--out", str(tmp_path / "sweep")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ("controllers.1.gamma=1e-06: error: "
+                                "non-finite value in pc_1 at t=1.03\n")
+        scn = load_scenario(fixture_path("two_gen.scn"))
+        want = []
+        for v in (1.0, 0.8):
+            lone = tmp_path / f"lone{v}"
+            report = run(apply_param(scn, "controllers.1.gamma", v),
+                         RunFlags(skip_certify=True, t_end=5.0, out_dir=str(lone)))
+            want.append(f"controllers.1.gamma={v!r}: exit {report.exit_code}")
+            swept = tmp_path / "sweep" / f"controllers_1_gamma={v!r}"
+            for f in ("report.txt", "trajectory.csv", "frequency.gnu",
+                      "marginal_cost.gnu"):
+                assert (swept / f).read_bytes() == (lone / f).read_bytes(), f
+        assert captured.out.splitlines() == [
+            want[0], "controllers.1.gamma=1e-06: exit 2", want[1]]
+
+    def test_time_step_sweep_matches_simulate(self, tmp_path, capsys):
+        # values on different grids integrate apart, each as simulate would
+        fixture = str(fixture_path("two_gen.scn"))
+        assert main(["sweep", fixture, "--t-end", "4", "--param", "sim.dt",
+                     "--values", "0.002,0.004", "--out", str(tmp_path / "sweep")]) == 1
+        for v in ("0.002", "0.004"):
+            lone = tmp_path / f"lone{v}"
+            main(["simulate", fixture, "--t-end", "4", "--dt", v,
+                  "--out", str(lone)])
+            swept = tmp_path / "sweep" / f"sim_dt={v}"
+            for f in ("report.txt", "trajectory.csv", "frequency.gnu",
+                      "marginal_cost.gnu"):
+                assert (swept / f).read_bytes() == (lone / f).read_bytes(), f
+
+    def test_packs_stay_within_the_budget(self):
+        rng = np.random.default_rng(3)
+        sizes = [(int(n), int(n // 2)) for n in rng.integers(5, 120, size=200)]
+        packs = _packs(sizes)
+        assert [i for pack in packs for i in pack] == list(range(len(sizes)))
+        for pack, following in zip(packs, packs[1:] + [[]]):
+            n = sum(sizes[i][0] for i in pack)
+            lines = sum(sizes[i][1] for i in pack)
+            assert len(pack) == 1 or \
+                (n + lines) * (n + 1) + n * lines <= _PACK_ENTRIES
+            if following:  # a pack closes only when the next value would not fit
+                n += sizes[following[0]][0]
+                lines += sizes[following[0]][1]
+                assert (n + lines) * (n + 1) + n * lines > _PACK_ENTRIES
+        assert _packs([(400, 600), (9, 3), (400, 600)]) == [[0], [1], [2]]
 
 
 class TestMain:

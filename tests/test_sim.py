@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 
 from gridfreq.certify import search_certificate
+from gridfreq.cli import load_scenario
 from gridfreq.control import ControllerGains
 from gridfreq.fixtures import fixture_path
 from gridfreq.generation import dc_gain, make_first_order, output
 from gridfreq.network import Bus, BusKind, Line, PowerNetwork, net_injection
 from gridfreq.sim import (EPSILON_V, Scenario, assemble, compute_equilibrium,
                           dissipation_check, equilibrium_system_state,
-                          integrate, lyapunov_value, state_layout)
+                          integrate, integrate_many, lyapunov_value,
+                          state_layout, transient_angle_peak)
 
 
 def _single_bus_scenario():
@@ -218,6 +220,80 @@ class TestIntegrate:
             capture_output=True, text=True)
         assert proc.returncode == 2
         assert proc.stderr == "error: non-finite value in x_0[0] at t=700.0\n"
+
+
+def _certified_variant(scn, k_d):
+    ctl = dict(scn.controllers)
+    ctl[1] = dataclasses.replace(ctl[1], k_d=k_d)
+    scn = dataclasses.replace(scn, controllers=ctl)
+    certs = {g: search_certificate(scn.generators[g], scn.controllers[g],
+                                   scn.network.bus(g).damping)
+             for g in scn.network.generator_ids}
+    scn = dataclasses.replace(scn, controllers={
+        g: dataclasses.replace(c, k_f=certs[g].k_f)
+        for g, c in scn.controllers.items()})
+    return scn, certs, compute_equilibrium(scn)
+
+
+class TestIntegrateMany:
+    @pytest.mark.parametrize("name", ["two_gen.scn", "ring9.scn"])
+    def test_one_member_is_bitwise_integrate(self, name):
+        scn = dataclasses.replace(load_scenario(fixture_path(name)), t_end=5.0)
+        certs = {g: search_certificate(scn.generators[g], scn.controllers[g],
+                                       scn.network.bus(g).damping)
+                 for g in scn.network.generator_ids}
+        eq = compute_equilibrium(scn)
+        lone = integrate(scn, certs=certs, equilibrium=eq)
+        (one,) = integrate_many([scn], certs=[certs], equilibria=[eq])
+        for field in ("times", "states", "freqs", "p_m", "marginal_cost",
+                      "lyapunov"):
+            assert np.array_equal(getattr(one, field), getattr(lone, field)), field
+
+    def test_members_match_lone_runs(self, two_gen_scenario):
+        # eight k_d values, as a sweep packs them; the block products sum
+        # in another order, so members may differ in the last digits
+        base = dataclasses.replace(two_gen_scenario, t_end=10.0)
+        runs = [_certified_variant(base, k_d)
+                for k_d in (0.43, 0.54, 0.59, 0.7, 0.74, 0.81, 0.88, 1.0)]
+        trajs = integrate_many([r[0] for r in runs], certs=[r[1] for r in runs],
+                               equilibria=[r[2] for r in runs])
+        for (scn, certs, eq), got in zip(runs, trajs):
+            lone = integrate(scn, certs=certs, equilibrium=eq)
+            assert got.layout == lone.layout
+            for field in ("states", "freqs", "p_m", "marginal_cost", "lyapunov"):
+                assert np.max(np.abs(getattr(got, field) - getattr(lone, field))) \
+                    <= 1e-12, field
+
+    def test_members_of_different_sizes(self, two_gen_scenario, ring9_scenario):
+        grid = dict(t_end=3.0, dt=0.01, disturbance_time=0.5)
+        scns = [dataclasses.replace(ring9_scenario, **grid),
+                dataclasses.replace(two_gen_scenario, **grid)]
+        x0 = [None, np.full(9, 0.01)]
+        for got, scn, start in zip(integrate_many(scns, initial_states=x0),
+                                   scns, x0):
+            lone = integrate(scn, initial_state=start)
+            assert got.lyapunov is None
+            assert np.max(np.abs(got.states - lone.states)) <= 1e-12
+
+    def test_members_need_one_time_grid(self, two_gen_scenario):
+        other = dataclasses.replace(two_gen_scenario, output_stride=5)
+        with pytest.raises(ValueError, match="one time grid"):
+            integrate_many([two_gen_scenario, other])
+
+
+class TestTransientAnglePeak:
+    def test_peak_over_lines_and_samples(self, two_gen_scenario):
+        scn = dataclasses.replace(two_gen_scenario, t_end=5.0)
+        traj = integrate(scn)
+        th = traj.states[:, :3]
+        diffs = np.abs(np.stack([th[:, 0] - th[:, 1], th[:, 0] - th[:, 2],
+                                 th[:, 1] - th[:, 2]], axis=1)).max(axis=1)
+        i = int(np.argmax(diffs))
+        assert transient_angle_peak(scn, traj) == (diffs[i], traj.times[i])
+
+    def test_no_lines(self):
+        scn = _single_bus_scenario()
+        assert transient_angle_peak(scn, integrate(scn)) == (0.0, 0.0)
 
 
 class TestEquilibrium:
