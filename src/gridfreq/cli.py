@@ -5,8 +5,9 @@ per line as whitespace-separated key=value pairs, comments with '#'.
 Outputs of a run are a CSV trajectory, a plain-text report, and two
 gnuplot scripts; all output bytes are deterministic functions of the
 scenario so golden-file comparisons work.  A sweep integrates values on
-one time grid together, in packs cut by a fixed matrix budget and never
-by the CPU count, so the same sweep command gives the same bytes on any
+one time grid together, in packs cut by a fixed matrix budget
+(sim.DENSE_ENTRIES, so every pack runs on the dense kernel) and never by
+the CPU count, so the same sweep command gives the same bytes on any
 machine; a swept value may differ from ``simulate`` with the same
 parameter in the last digits (at most 1e-12), because the block-diagonal
 products sum in another order.
@@ -72,11 +73,22 @@ def _need(rec: Dict[str, str], key: str, lineno: int, section: str) -> str:
     return rec[key]
 
 
+def _finite(text: str) -> float:
+    """text as a finite float, or a ValueError that says why it is not."""
+    try:
+        number = float(text)
+    except ValueError:
+        raise ValueError("is not a number") from None
+    if not math.isfinite(number):
+        raise ValueError("is not finite")
+    return number
+
+
 def _to_float(value: str, key: str, lineno: int) -> float:
     try:
-        return float(value)
-    except ValueError:
-        raise ScenarioError(f"line {lineno}: field {key!r} is not a number: {value!r}")
+        return _finite(value)
+    except ValueError as exc:
+        raise ScenarioError(f"line {lineno}: field {key!r} {exc}: {value!r}") from None
 
 
 def _to_int(value: str, key: str, lineno: int) -> int:
@@ -151,6 +163,8 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
                 )
             else:
                 raise ScenarioError(f"line {lineno}: unknown generator model {model!r}")
+        except ScenarioError:
+            raise
         except ValueError as exc:
             raise ScenarioError(f"line {lineno}: {exc}") from exc
         if bus in generators:
@@ -168,6 +182,8 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
                 k_d=_to_float(_need(rec, "k_d", lineno, "controllers"), "k_d", lineno),
                 q=_to_float(_need(rec, "cost", lineno, "controllers"), "cost", lineno),
             )
+        except ScenarioError:
+            raise
         except ValueError as exc:
             raise ScenarioError(f"line {lineno}: {exc}") from exc
 
@@ -186,8 +202,10 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
         raise ScenarioError("disturbance section missing required field 'time'")
 
     sim_fields: Dict[str, str] = {}
+    sim_lines: Dict[str, int] = {}
     for lineno, rec in _parse_records(sections["sim"]):
         sim_fields.update(rec)
+        sim_lines.update(dict.fromkeys(rec, lineno))
     for key in ("dt", "t_end"):
         if key not in sim_fields:
             raise ScenarioError(f"sim section missing required field {key!r}")
@@ -216,10 +234,11 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
             controllers=controllers,
             disturbance_time=disturbance_time,
             step_loads=step_loads,
-            t_end=_to_float(sim_fields["t_end"], "t_end", 0),
-            dt=_to_float(sim_fields["dt"], "dt", 0),
+            t_end=_to_float(sim_fields["t_end"], "t_end", sim_lines["t_end"]),
+            dt=_to_float(sim_fields["dt"], "dt", sim_lines["dt"]),
             output_stride=_to_int(sim_fields.get("output_stride", "10"),
-                                  "output_stride", 0),
+                                  "output_stride",
+                                  sim_lines.get("output_stride", 0)),
             name=name,
         )
     except ValueError as exc:
@@ -685,25 +704,16 @@ def _error_text(exc: Exception) -> str:
     return f"{kind}: {exc}"
 
 
-#: Largest union a sweep integrates as one pack, in entries of its kernel
-#: matrices, (N+L)(N+1) + N L for N states and L lines.  A union's step
-#: costs one numpy call per product whatever its size, until the dense
-#: block-diagonal products outgrow the per-call overhead: per member, a
-#: two_gen step falls from 15.5 us alone to 2.5-2.8 us between 2^14 and
-#: 2^16 entries and climbs to 8.5 us at 3e5; ring9 falls from 22 us to
-#: 7.4-7.9 us over the same span and climbs to 10.6 us at 1.5e5.
-_PACK_ENTRIES = 2 ** 15
-
-
 def _packs(sizes: Sequence[Tuple[int, int]]) -> List[List[int]]:
     """Cut members, given as (states, lines), into runs of consecutive
-    indices whose union stays within _PACK_ENTRIES; a member over the
-    budget alone makes a pack of one."""
+    indices whose union stays within sim.DENSE_ENTRIES, so that every pack
+    of two or more runs on the dense kernel; a member over the budget
+    alone makes a pack of one."""
     packs: List[List[int]] = []
     n = lines = 0
     for i, (dn, dl) in enumerate(sizes):
         n, lines = n + dn, lines + dl
-        if not packs or (n + lines) * (n + 1) + n * lines > _PACK_ENTRIES:
+        if not packs or sim.kernel_entries(n, lines) > sim.DENSE_ENTRIES:
             packs.append([])
             n, lines = dn, dl
         packs[-1].append(i)
@@ -733,7 +743,7 @@ def run_sweep(scn_path: str, param: str, values: Sequence[float],
     The scenario is parsed once and every value prepared in order.
     Values on one time grid (dt, t_end, output_stride, disturbance time)
     are integrated together, in packs of consecutive values that fit
-    _PACK_ENTRIES, and the packs run in parallel.  Prints
+    sim.DENSE_ENTRIES, and the packs run in parallel.  Prints
     ``param=value: exit N`` for every value, and a value's error text on
     stderr, so one failing value costs only its own result.  Returns the
     worst exit code.
@@ -781,6 +791,17 @@ def run_sweep(scn_path: str, param: str, values: Sequence[float],
 
 
 # --- entry point -----------------------------------------------------------
+
+def _sweep_values(text: str) -> List[float]:
+    """The numbers of a comma-separated --values list, all finite."""
+    values = []
+    for item in filter(str.strip, text.split(",")):
+        try:
+            values.append(_finite(item))
+        except ValueError as exc:
+            raise ValueError(f"--values: {item.strip()!r} {exc}") from None
+    return values
+
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("scenario", help="path to a .scn scenario file")
@@ -865,7 +886,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0 if eq.security_ok else 1
 
         if args.command == "sweep":
-            values = [float(v) for v in args.values.split(",") if v.strip()]
+            values = _sweep_values(args.values)
             if not values:
                 print("sweep needs at least one value", file=sys.stderr)
                 return 2

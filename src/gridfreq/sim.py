@@ -18,7 +18,12 @@ it drives.  assemble() builds these once per scenario; the integrator,
 the derived series, the equilibrium and the Lyapunov function all read
 them.  Integration is classical fixed-step RK4.  Scenarios on one time
 grid can be integrated together (integrate_many): uncoupled loops side
-by side are one loop with block-diagonal J, E and S.
+by side are one loop with block-diagonal J, E and S.  The slope runs on
+one of two kernels, chosen by the loop's size alone: a dense one, four
+numpy calls on the full matrices, for loops up to DENSE_ENTRIES matrix
+entries (the shipped fixtures and every sweep pack), and a sparse one, a
+gather and a bincount over the nonzeros, for larger networks, whose
+matrices are almost all zeros.
 """
 
 from __future__ import annotations
@@ -62,6 +67,9 @@ class Scenario:
     name: str = field(default="", compare=False)
 
     def __post_init__(self):
+        for name in ("dt", "t_end", "disturbance_time"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.dt > 0.0:
             raise ValueError("dt must be positive")
         if not self.disturbance_time < self.t_end:
@@ -271,6 +279,25 @@ def integrate(scn: Scenario, *, initial_state: Optional[np.ndarray] = None,
                           equilibria=[equilibrium])[0]
 
 
+#: Largest closed loop, in entries of its dense kernel matrices (see
+#: kernel_entries), that integrate_many runs on the dense kernel; a larger
+#: one runs on the sparse kernel.  A sweep cuts its packs to fit it, so a
+#: pack never lands on the sparse side.  A dense union's step costs one
+#: numpy call per product whatever its size, until the products outgrow
+#: the per-call overhead: per member, a two_gen step falls from 15.5 us
+#: alone to 2.5-2.8 us between 2^14 and 2^16 entries and climbs to 8.5 us
+#: at 3e5; ring9 falls from 22 us to 7.4-7.9 us over the same span and
+#: climbs to 10.6 us at 1.5e5.  The sparse kernel overtakes the dense one
+#: between 1e4 and 3.5e4 entries (unions of fixture copies, per RK4 step).
+DENSE_ENTRIES = 2 ** 15
+
+
+def kernel_entries(states: int, lines: int) -> int:
+    """Entries of the dense kernel matrices of a closed loop with this many
+    states and lines: m = [J | c; E], (N+L) x (N+1), and S, N x L."""
+    return (states + lines) * (states + 1) + states * lines
+
+
 def _block_diag(blocks: Sequence[np.ndarray]) -> np.ndarray:
     if len(blocks) == 1:
         return blocks[0]
@@ -281,6 +308,98 @@ def _block_diag(blocks: Sequence[np.ndarray]) -> np.ndarray:
         out[r:r + b.shape[0], c:c + b.shape[1]] = b
         r, c = r + b.shape[0], c + b.shape[1]
     return out
+
+
+def _dense_kernel(loops: Sequence[ClosedLoop]):
+    """The slope of the stacked loops from dense matrices, four numpy
+    calls per evaluation: slope(z, out) writes x' into out for z = [x, 1],
+    and load_on() switches the step load on.
+
+    With z = [x, 1] the product m @ z is [J x + c, E x]: the constant 1
+    carries c, whose column of m stays zero until load_on().
+    """
+    incidence = _block_diag([loop.incidence for loop in loops])
+    n_lines, n = incidence.shape
+    m = np.zeros((n + n_lines, n + 1))
+    m[:n, :n] = _block_diag([loop.jac for loop in loops])
+    m[n:, :n] = incidence
+    load = np.concatenate([loop.load for loop in loops])
+    spread = _block_diag([loop.spread for loop in loops])
+    y = np.empty(n + n_lines)
+    lin, flow = y[:n], y[n:]
+
+    # positional out arguments: the keyword form costs as much again
+    def slope(z, out):
+        m.dot(z, y)
+        np.sin(flow, flow)
+        spread.dot(flow, out)
+        np.add(out, lin, out)
+
+    def load_on():
+        m[:n, n] = load
+
+    return slope, load_on
+
+
+def _stacked_nonzeros(blocks: Sequence[np.ndarray], row_offsets, col_offsets):
+    """Rows, columns and values of the nonzero entries of the matrix that
+    holds each block at its row and column offset, in row-major order
+    within each block."""
+    rows, cols, vals = [], [], []
+    for b, r0, c0 in zip(blocks, row_offsets, col_offsets):
+        r, c = np.nonzero(b)
+        rows.append(r + r0)
+        cols.append(c + c0)
+        vals.append(b[r, c])
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def _sparse_kernel(loops: Sequence[ClosedLoop]):
+    """The same slope and load switch as _dense_kernel, from the fixed
+    nonzero pattern of [J | c; E] and S: one gather, E x as
+    z[from] - z[to], and one np.bincount that sums J x + c and
+    S sin(E x) row by row.
+
+    The pattern's c entries hold zero until load_on() writes the loads
+    into them.  No dense matrix outlives the call.
+    """
+    offsets = np.cumsum([0] + [loop.layout.size for loop in loops])
+    first_lines = np.cumsum([0] + [len(loop.incidence) for loop in loops])
+    n, n_lines = int(offsets[-1]), int(first_lines[-1])
+    jac_rows, jac_cols, jac_vals = _stacked_nonzeros(
+        [loop.jac for loop in loops], offsets, offsets)
+    spread_rows, spread_cols, spread_vals = _stacked_nonzeros(
+        [loop.spread for loop in loops], offsets, first_lines)
+    _, ends, sign = _stacked_nonzeros([loop.incidence for loop in loops],
+                                      first_lines, offsets)
+    load = np.concatenate([loop.load for loop in loops])
+    load_rows = np.flatnonzero(load)
+    # the terms are [J | c | S]; every c entry reads the constant z[n] = 1
+    rows = np.concatenate([jac_rows, load_rows, spread_rows])
+    vals = np.concatenate([jac_vals, np.zeros(len(load_rows)), spread_vals])
+    load_slots = slice(len(jac_rows), len(jac_rows) + len(load_rows))
+    # buf is [z at each line's from-bus | z at its to-bus | J and c terms |
+    # S terms]: one take fills the first three parts from z, and the last
+    # two are the weights that bincount sums
+    gather = np.concatenate([ends[sign > 0], ends[sign < 0], jac_cols,
+                             np.full(len(load_rows), n)])
+    buf = np.empty(len(gather) + len(spread_cols))
+    gathered, spread_terms = buf[:len(gather)], buf[len(gather):]
+    head, tail, terms = buf[:n_lines], buf[n_lines:2 * n_lines], buf[2 * n_lines:]
+    flow = np.empty(n_lines)
+
+    def slope(z, out):
+        z.take(gather, None, gathered, "clip")
+        np.subtract(head, tail, flow)
+        np.sin(flow, flow)
+        flow.take(spread_cols, None, spread_terms, "clip")
+        np.multiply(terms, vals, terms)
+        out[:] = np.bincount(rows, terms, n)
+
+    def load_on():
+        vals[load_slots] = load[load_rows]
+
+    return slope, load_on
 
 
 def integrate_many(scns: Sequence[Scenario], *,
@@ -296,7 +415,9 @@ def integrate_many(scns: Sequence[Scenario], *,
     optional sequences hold one entry per scenario.  A single scenario
     runs on its own matrices and is bitwise what integrate() gives; in a
     union the block products sum in another order, so a member may differ
-    from its lone run in the last digits.  A non-finite sample raises
+    from its lone run in the last digits.  The union runs on the dense
+    kernel while kernel_entries() stays within DENSE_ENTRIES and on the
+    sparse kernel above it; the two differ in the last digits too.  A non-finite sample raises
     ArithmeticError; in a union it may have spread to every member.
     """
     loops = [assemble(s) for s in scns]
@@ -324,17 +445,12 @@ def integrate_many(scns: Sequence[Scenario], *,
     states = np.empty((len(recorded), n))
     load_step = int(np.searchsorted(loops[0].loaded(np.arange(nsteps) * dt), True))
 
-    # Preallocated buffers keep a slope evaluation to four numpy calls.  With
-    # z = [x, 1] the product m @ z is [J x + c, E x]: the constant 1 carries
-    # c.  Row 0 of v is [x, 1] and rows 1-4 the stage slopes [k, 0], so each
+    # Row 0 of v is [x, 1] and rows 1-4 the stage slopes [k, 0], so each
     # stage input, and the step itself, is one product of RK4 weights with v.
-    incidence = _block_diag([loop.incidence for loop in loops])
-    n_lines = len(incidence)
-    m = np.zeros((n + n_lines, n + 1))
-    m[:n, :n] = _block_diag([loop.jac for loop in loops])
-    m[n:, :n] = incidence
-    load = np.concatenate([loop.load for loop in loops])
-    spread = _block_diag([loop.spread for loop in loops])
+    n_lines = sum(len(loop.incidence) for loop in loops)
+    kernel = (_dense_kernel if kernel_entries(n, n_lines) <= DENSE_ENTRIES
+              else _sparse_kernel)
+    slope, load_on = kernel(loops)
     v = np.zeros((5, n + 1))
     x = v[0]
     offsets = np.cumsum([0] + sizes)
@@ -343,20 +459,11 @@ def integrate_many(scns: Sequence[Scenario], *,
             x[lo:hi] = x0
     x[n] = 1.0
     k1, *later = (v[i, :n] for i in range(1, 5))
-    y = np.empty(n + n_lines)
-    lin, flow = y[:n], y[n:]
     z = np.empty(n + 1)
     stages = [np.array([1.0, dt / 2.0, 0.0, 0.0, 0.0]),
               np.array([1.0, 0.0, dt / 2.0, 0.0, 0.0]),
               np.array([1.0, 0.0, 0.0, dt, 0.0])]
     combine = np.array([1.0, dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0])
-
-    # positional out arguments: the keyword form costs as much again
-    def slope(z, out):
-        m.dot(z, y)
-        np.sin(flow, flow)
-        spread.dot(flow, out)
-        np.add(out, lin, out)
 
     states[0] = x[:n]
     j = 1
@@ -365,7 +472,7 @@ def integrate_many(scns: Sequence[Scenario], *,
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(nsteps):
             if k == load_step:
-                m[:n, n] = load
+                load_on()
             slope(x, k1)
             for weights, out in zip(stages, later):
                 weights.dot(v, z)

@@ -2,12 +2,13 @@ import dataclasses
 import math
 import re
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
 
 from gridfreq import sim
-from gridfreq.cli import (_PACK_ENTRIES, MARGINAL_TOL, RunFlags, ScenarioError,
+from gridfreq.cli import (MARGINAL_TOL, RunFlags, ScenarioError,
                           _packs, apply_param, emit_plots, load_scenario, main,
                           parse_scenario_text, run, run_sweep,
                           serialize_scenario, write_trajectory_csv)
@@ -88,6 +89,17 @@ class TestParsing:
         broken = MINIMAL.replace("tau=0.5", "tau=half")
         with pytest.raises(ScenarioError, match="is not a number"):
             parse_scenario_text(broken)
+
+    @pytest.mark.parametrize("old, new, where", [
+        ("cost=1.0", "cost=inf", "line 13: field 'cost'"),
+        ("tau=0.5", "tau=nan", "line 10: field 'tau'"),
+        ("time=1.0", "time=-inf", "line 18: field 'time'"),
+        ("t_end=5.0", "t_end=inf", "line 22: field 't_end'"),
+        ("dt=0.001", "dt=1e400", "line 22: field 'dt'"),
+    ])
+    def test_non_finite_field_names_line_and_field(self, old, new, where):
+        with pytest.raises(ScenarioError, match=f"^{re.escape(where)} is not finite"):
+            parse_scenario_text(MINIMAL.replace(old, new))
 
     def test_duplicate_key_in_record(self):
         broken = MINIMAL.replace("from=0 to=1", "from=0 to=1 to=0")
@@ -392,11 +404,11 @@ class TestSweep:
             n = sum(sizes[i][0] for i in pack)
             lines = sum(sizes[i][1] for i in pack)
             assert len(pack) == 1 or \
-                (n + lines) * (n + 1) + n * lines <= _PACK_ENTRIES
+                (n + lines) * (n + 1) + n * lines <= sim.DENSE_ENTRIES
             if following:  # a pack closes only when the next value would not fit
                 n += sizes[following[0]][0]
                 lines += sizes[following[0]][1]
-                assert (n + lines) * (n + 1) + n * lines > _PACK_ENTRIES
+                assert (n + lines) * (n + 1) + n * lines > sim.DENSE_ENTRIES
         assert _packs([(400, 600), (9, 3), (400, 600)]) == [[0], [1], [2]]
 
 
@@ -461,6 +473,38 @@ class TestMain:
         code = main(["sweep", str(fixture_path("two_gen.scn")),
                      "--param", "sim.dt", "--values", ","])
         assert code == 2
+
+    @pytest.mark.parametrize("args, message", [
+        (["simulate", "--dt", "inf"], "error: dt must be finite, got inf"),
+        (["simulate", "--t-end", "nan"], "error: t_end must be finite, got nan"),
+        (["sweep", "--param", "sim.dt", "--values", "0.01,inf"],
+         "error: --values: 'inf' is not finite"),
+        (["sweep", "--param", "controllers.1.k_d", "--values", "0.6,abc"],
+         "error: --values: 'abc' is not a number"),
+    ])
+    def test_non_finite_option_is_exit_2(self, args, message, tmp_path, capsys):
+        argv = args[:1] + [str(fixture_path("two_gen.scn"))] + args[1:]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", message + "\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("old, new", [("cost=2.0", "cost=inf"),
+                                          ("time=1.0", "time=-inf"),
+                                          ("t_end=30.0", "t_end=inf")])
+    def test_non_finite_scenario_field_is_exit_2(self, old, new, tmp_path,
+                                                 capsys):
+        text = fixture_path("two_gen.scn").read_text(encoding="utf-8")
+        bad = tmp_path / "bad.scn"
+        bad.write_text(text.replace(old, new, 1), encoding="utf-8")
+        assert main(["simulate", str(bad)]) == 2
+        captured = capsys.readouterr()
+        field, _, value = new.partition("=")
+        assert captured.out == ""
+        assert re.fullmatch(rf"scenario error: line \d+: field '{field}' is not "
+                            rf"finite: '{re.escape(value)}'\n", captured.err)
 
     def test_marginal_tolerance_is_strict(self):
         assert MARGINAL_TOL == 1e-3

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from gridfreq import cli, sim
 from gridfreq.certify import search_certificate
 from gridfreq.cli import load_scenario
 from gridfreq.control import ControllerGains
@@ -16,6 +17,7 @@ from gridfreq.sim import (EPSILON_V, Scenario, assemble, compute_equilibrium,
                           dissipation_check, equilibrium_system_state,
                           integrate, integrate_many, lyapunov_value,
                           state_layout, transient_angle_peak)
+from meshes import ring_with_chords
 
 
 def _single_bus_scenario():
@@ -38,6 +40,12 @@ class TestScenarioValidation:
             dataclasses.replace(scn, disturbance_time=3.0)
         with pytest.raises(ValueError):
             dataclasses.replace(scn, output_stride=0)
+
+    @pytest.mark.parametrize("field", ["dt", "t_end", "disturbance_time"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_timing(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            dataclasses.replace(_single_bus_scenario(), **{field: value})
 
     def test_requires_full_generator_coverage(self):
         scn = _single_bus_scenario()
@@ -279,6 +287,74 @@ class TestIntegrateMany:
         other = dataclasses.replace(two_gen_scenario, output_stride=5)
         with pytest.raises(ValueError, match="one time grid"):
             integrate_many([two_gen_scenario, other])
+
+
+def _kernel_size(scns):
+    return sim.kernel_entries(sum(state_layout(s).size for s in scns),
+                              sum(len(s.network.lines) for s in scns))
+
+
+@pytest.fixture(scope="module")
+def mesh():
+    scn = ring_with_chords(seed=5)
+    assert _kernel_size([scn]) > sim.DENSE_ENTRIES  # 83 906 entries
+    return scn
+
+
+class TestSparseKernel:
+    @pytest.mark.parametrize("with_two_gen", [False, True])
+    def test_slope_matches_derivative(self, mesh, two_gen_scenario,
+                                      with_two_gen):
+        scns = [mesh, two_gen_scenario] if with_two_gen else [mesh]
+        loops = [assemble(s) for s in scns]
+        slope, load_on = sim._sparse_kernel(loops)
+        rng = np.random.default_rng(11)
+        xs = [rng.normal(scale=0.5, size=(3, loop.layout.size)) for loop in loops]
+        for t, switch in ((0.0, False), (5.0, True)):
+            if switch:
+                load_on()
+            for i in range(3):
+                want = np.concatenate([loop.derivative(x[i], t)
+                                       for loop, x in zip(loops, xs)])
+                got = np.empty(len(want))
+                slope(np.concatenate([x[i] for x in xs] + [[1.0]]), got)
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_short_run_matches_rk4_reference(self, mesh):
+        # across the load step, against RK4 written out over the public
+        # right-hand side, with the load switched per step as the kernel does
+        scn = dataclasses.replace(mesh, dt=0.01, t_end=0.3,
+                                  disturbance_time=0.1, output_stride=1)
+        loop = assemble(scn)
+        x = np.random.default_rng(23).normal(scale=0.2, size=loop.layout.size)
+        want = [x]
+        h = scn.dt
+        for k in range(30):
+            t = k * h
+            k1 = loop.derivative(x, t)
+            k2 = loop.derivative(x + h / 2 * k1, t)
+            k3 = loop.derivative(x + h / 2 * k2, t)
+            k4 = loop.derivative(x + h * k3, t)
+            x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            want.append(x)
+        got = integrate(scn, initial_state=want[0]).states
+        assert np.max(np.abs(got - np.array(want))) <= 1e-12
+
+    def test_kernel_follows_the_budget(self, two_gen_scenario, monkeypatch):
+        # a sweep's largest two_gen pack stays dense; one member more does not
+        used = []
+        for name in ("_dense_kernel", "_sparse_kernel"):
+            real = getattr(sim, name)
+            monkeypatch.setattr(sim, name, lambda loops, real=real, name=name:
+                                used.append(name) or real(loops))
+        scn = dataclasses.replace(two_gen_scenario, disturbance_time=0.01,
+                                  t_end=0.02)
+        size = len(cli._packs([(9, 3)] * 40)[0])
+        assert _kernel_size([scn] * size) <= sim.DENSE_ENTRIES \
+            < _kernel_size([scn] * (size + 1))
+        for members in (1, size, size + 1):
+            integrate_many([scn] * members)
+        assert used == ["_dense_kernel", "_dense_kernel", "_sparse_kernel"]
 
 
 class TestTransientAnglePeak:
