@@ -830,19 +830,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     sweep.add_argument("--values", required=True,
                        help="comma-separated list of values")
     args = parser.parse_args(argv)
-
-    try:
-        scn = load_scenario(args.scenario)
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 2
-
     flags = RunFlags(optimal_gains=args.optimal_gains,
                      skip_certify=args.skip_certify,
                      out_dir=args.out, seed=args.seed,
                      dt=args.dt, t_end=args.t_end)
 
+    # a ScenarioError is a ValueError: an unreadable or invalid scenario
+    # exits 2 with "scenario error: ..." like every other hard error
     try:
+        if args.command == "sweep":
+            values = _sweep_values(args.values)
+            if not values:
+                print("sweep needs at least one value", file=sys.stderr)
+                return 2
+            out = args.out if args.out is not None else "sweep_out"
+            return run_sweep(args.scenario, args.param, values, out,
+                             dataclasses.replace(flags, out_dir=None))
+
+        scn = load_scenario(args.scenario)
         if args.command == "simulate":
             report = run(scn, flags)
             sys.stdout.write(report.report_text)
@@ -884,15 +889,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"max |angle difference| = {eq.max_abs_angle_diff!r}")
             print("security constraint: " + ("pass" if eq.security_ok else "VIOLATED"))
             return 0 if eq.security_ok else 1
-
-        if args.command == "sweep":
-            values = _sweep_values(args.values)
-            if not values:
-                print("sweep needs at least one value", file=sys.stderr)
-                return 2
-            out = args.out if args.out is not None else "sweep_out"
-            return run_sweep(args.scenario, args.param, values, out,
-                             dataclasses.replace(flags, out_dir=None))
     except _HARD_ERRORS as exc:
         print(_error_text(exc), file=sys.stderr)
         return 2

@@ -18,16 +18,19 @@ it drives.  assemble() builds these once per scenario; the integrator,
 the derived series, the equilibrium and the Lyapunov function all read
 them.  Integration is classical fixed-step RK4.  Scenarios on one time
 grid can be integrated together (integrate_many): uncoupled loops side
-by side are one loop with block-diagonal J, E and S.  The slope runs on
-one of two kernels, chosen by the loop's size alone: a dense one, four
-numpy calls on the full matrices, for loops up to DENSE_ENTRIES matrix
-entries (the shipped fixtures and every sweep pack), and a sparse one, a
-gather and a bincount over the nonzeros, for larger networks, whose
-matrices are almost all zeros.
+by side are one loop with block-diagonal J, E and S.  A step runs on one
+of two kernels, chosen by the loop's size alone.  The dense one fuses the
+whole RK4 step into five matrix products and four sines over the line
+arguments; it runs loops up to DENSE_ENTRIES matrix entries (the shipped
+fixtures and every sweep pack).  The sparse one evaluates the slope four
+times with a gather and a bincount over the nonzeros; it runs larger
+networks, whose matrices are almost all zeros.  Across 1.05e5-1.2e5
+entries the two cost the same, about 35 us per step.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -137,10 +140,11 @@ class ClosedLoop:
     """The closed loop x' = J x + c(t) + S sin(E x) of one scenario.
 
     jac is J.  load is c once the step is on (c is zero before
-    load_time).  incidence is E.  spread is S: line l's flow b_l sin((E x)_l) leaves its from-bus and
-    enters its to-bus, in the frequency row of a generator bus (divided
-    by its inertia) or the angle row of a load bus (divided by its
-    damping).  pm_rows maps the state to the generator outputs p_m.
+    load_time).  incidence is E.  spread is S: line l's flow
+    b_l sin((E x)_l) leaves its from-bus and enters its to-bus, in the
+    frequency row of a generator bus (divided by its inertia) or the
+    angle row of a load bus (divided by its damping).  pm_rows maps the
+    state to the generator outputs p_m.
     """
 
     layout: StateLayout
@@ -282,20 +286,26 @@ def integrate(scn: Scenario, *, initial_state: Optional[np.ndarray] = None,
 #: Largest closed loop, in entries of its dense kernel matrices (see
 #: kernel_entries), that integrate_many runs on the dense kernel; a larger
 #: one runs on the sparse kernel.  A sweep cuts its packs to fit it, so a
-#: pack never lands on the sparse side.  A dense union's step costs one
-#: numpy call per product whatever its size, until the products outgrow
-#: the per-call overhead: per member, a two_gen step falls from 15.5 us
-#: alone to 2.5-2.8 us between 2^14 and 2^16 entries and climbs to 8.5 us
-#: at 3e5; ring9 falls from 22 us to 7.4-7.9 us over the same span and
-#: climbs to 10.6 us at 1.5e5.  The sparse kernel overtakes the dense one
-#: between 1e4 and 3.5e4 entries (unions of fixture copies, per RK4 step).
-DENSE_ENTRIES = 2 ** 15
+#: pack never lands on the sparse side.  A dense step costs nine numpy
+#: calls whatever the loop's size, until its products outgrow the per-call
+#: overhead and then the cache: the fused matrices grow as the square of
+#: the loop, while the sparse step grows with its nonzeros.  Per RK4 step
+#: on unions of fixture copies (medians of 25 interleaved rounds, 2 CPUs,
+#: python 3.11, numpy 2.4), dense against sparse: 8 two_gen copies (94 632
+#: entries) 29.5 against 34.0 us, 3 ring9 copies (104 517) 33.1 against
+#: 35.0, 9 two_gen copies (119 745) 35.9 against 34.9, 4 ring9 copies
+#: (185 732) 62.3 against 36.3.  The budget sits at that crossover.
+DENSE_ENTRIES = 110_000
 
 
 def kernel_entries(states: int, lines: int) -> int:
-    """Entries of the dense kernel matrices of a closed loop with this many
-    states and lines: m = [J | c; E], (N+L) x (N+1), and S, N x L."""
-    return (states + lines) * (states + 1) + states * lines
+    """Entries of the matrices the dense kernel holds for a closed loop
+    with N states and L lines: m = [J | c; E], (N+L) x (N+1); the three
+    stage matrices, (N+L) x (N+2L) and twice (N+L) x (2N+3L); and the
+    final one, N x (5N+5L+1) (see _dense_kernel)."""
+    u = states + lines
+    return (u * (states + 1) + u * (u + lines) + 2 * u * (2 * u + lines)
+            + states * (states + 1 + 4 * u + lines))
 
 
 def _block_diag(blocks: Sequence[np.ndarray]) -> np.ndarray:
@@ -310,35 +320,94 @@ def _block_diag(blocks: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _dense_kernel(loops: Sequence[ClosedLoop]):
-    """The slope of the stacked loops from dense matrices, four numpy
-    calls per evaluation: slope(z, out) writes x' into out for z = [x, 1],
-    and load_on() switches the step load on.
+def _dense_kernel(loops: Sequence[ClosedLoop], dt: float, x0: np.ndarray):
+    """RK4 on the stacked loops as one fused step of five dense products
+    and four in-place sines: step() advances the state from x0 by dt and
+    returns it (a view that a later step overwrites), and load_on()
+    switches the step load on.
 
-    With z = [x, 1] the product m @ z is [J x + c, E x]: the constant 1
-    carries c, whose column of m stays zero until load_on().
+    The step works in the argument space u = m [x; 1] = [J x + c; E x]
+    with m = [J | c; E], whose constant column stays zero until
+    load_on().  With phi(u) = [u_lin; sin(u_flow)] a stage slope is
+    G phi(u) for G = [I | S], so the stage arguments are
+    u_i = u_1 + a_i H phi(u_{i-1}) with H = [J; E] G and a_i = dt/2,
+    dt/2, dt, and the step is
+    x + dt/6 G (phi_1 + 2 phi_2 + 2 phi_3 + phi_4).  A buffer holds
+    [x | 1 | phi_3 | sin(u_1 flow) | u_1 | phi_2 | phi_4], so every
+    product reads one contiguous slice (phi_1 is u_1's linear part and
+    the sines of its flow part); two buffers alternate, so the final
+    product writes the next state without overwriting its input.
     """
     incidence = _block_diag([loop.incidence for loop in loops])
+    spread = _block_diag([loop.spread for loop in loops])
     n_lines, n = incidence.shape
-    m = np.zeros((n + n_lines, n + 1))
+    nu = n + n_lines
+    m = np.zeros((nu, n + 1))
     m[:n, :n] = _block_diag([loop.jac for loop in loops])
     m[n:, :n] = incidence
     load = np.concatenate([loop.load for loop in loops])
-    spread = _block_diag([loop.spread for loop in loops])
-    y = np.empty(n + n_lines)
-    lin, flow = y[:n], y[n:]
+    g = np.hstack([np.eye(n), spread])
+    hg = m[:, :n] @ g  # H
+    eye = np.eye(nu)
 
-    # positional out arguments: the keyword form costs as much again
-    def slope(z, out):
-        m.dot(z, y)
-        np.sin(flow, flow)
-        spread.dot(flow, out)
-        np.add(out, lin, out)
+    # buffer offsets of phi_3, sin(u_1 flow), u_1, phi_2 and phi_4
+    p3 = n + 1
+    s1 = p3 + nu
+    u1 = s1 + n_lines
+    p2 = u1 + nu
+    p4 = p2 + nu
+    # u_2 = u_1 + dt/2 H phi_1, from [sin(u_1 flow) | u_1]
+    stage2 = np.hstack([dt / 2 * hg[:, n:], eye])
+    stage2[:, n_lines:n_lines + n] += dt / 2 * hg[:, :n]
+    # u_3 = u_1 + dt/2 H phi_2, from [sin(u_1 flow) | u_1 | phi_2]
+    stage3 = np.hstack([np.zeros((nu, n_lines)), eye, dt / 2 * hg])
+    # u_4 = u_1 + dt H phi_3, from [phi_3 | sin(u_1 flow) | u_1]
+    stage4 = np.hstack([dt * hg, np.zeros((nu, n_lines)), eye])
+    # x + dt/6 G (phi_1 + 2 phi_2 + 2 phi_3 + phi_4), from the whole buffer
+    final = np.zeros((n, p4 + nu))
+    final[:, :n] = np.eye(n)
+    final[:, p3:s1] = dt / 3 * g
+    final[:, s1:u1] = dt / 6 * spread
+    final[:, u1:u1 + n] = dt / 6 * np.eye(n)
+    final[:, p2:p4] = dt / 3 * g
+    final[:, p4:] = dt / 6 * g
+
+    bufs = np.zeros((2, p4 + nu))
+    bufs[:, n] = 1.0
+    bufs[0, :n] = x0
+
+    def fused(b, out):
+        """One RK4 step from buffer b into out."""
+        z, s, u = b[:p3], b[s1:u1], b[u1:p2]
+        phi2, phi3, phi4 = b[p2:p4], b[p3:s1], b[p4:]
+        into2, into3, into4 = b[s1:p2], b[s1:p4], b[p3:p2]
+        flow1, flow2, flow3, flow4 = u[n:], phi2[n:], phi3[n:], phi4[n:]
+
+        # positional out arguments: the keyword form costs as much again
+        def step():
+            m.dot(z, u)
+            np.sin(flow1, s)
+            stage2.dot(into2, phi2)
+            np.sin(flow2, flow2)
+            stage3.dot(into3, phi3)
+            np.sin(flow3, flow3)
+            stage4.dot(into4, phi4)
+            np.sin(flow4, flow4)
+            final.dot(b, out)
+            return out
+
+        return step
+
+    turns = itertools.cycle([fused(bufs[0], bufs[1, :n]),
+                             fused(bufs[1], bufs[0, :n])])
+
+    def step():
+        return next(turns)()
 
     def load_on():
         m[:n, n] = load
 
-    return slope, load_on
+    return step, load_on
 
 
 def _stacked_nonzeros(blocks: Sequence[np.ndarray], row_offsets, col_offsets):
@@ -354,11 +423,12 @@ def _stacked_nonzeros(blocks: Sequence[np.ndarray], row_offsets, col_offsets):
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
-def _sparse_kernel(loops: Sequence[ClosedLoop]):
-    """The same slope and load switch as _dense_kernel, from the fixed
-    nonzero pattern of [J | c; E] and S: one gather, E x as
-    z[from] - z[to], and one np.bincount that sums J x + c and
-    S sin(E x) row by row.
+def _sparse_slope(loops: Sequence[ClosedLoop]):
+    """The slope of the stacked loops from the fixed nonzero pattern of
+    [J | c; E] and S: slope(z, out) writes x' into out for z = [x, 1],
+    with one gather, E x as z[from] - z[to], and one np.bincount that
+    sums J x + c and S sin(E x) row by row; load_on() switches the step
+    load on.
 
     The pattern's c entries hold zero until load_on() writes the loads
     into them.  No dense matrix outlives the call.
@@ -402,6 +472,37 @@ def _sparse_kernel(loops: Sequence[ClosedLoop]):
     return slope, load_on
 
 
+def _sparse_kernel(loops: Sequence[ClosedLoop], dt: float, x0: np.ndarray):
+    """The same step and load switch as _dense_kernel, as four evaluations
+    of _sparse_slope: step() returns the new state (a view that the next
+    step overwrites)."""
+    slope, load_on = _sparse_slope(loops)
+    n = len(x0)
+    # Row 0 of v is [x, 1] and rows 1-4 the stage slopes [k, 0], so each
+    # stage input, and the step itself, is one product of RK4 weights with v.
+    v = np.zeros((5, n + 1))
+    x = v[0]
+    x[:n], x[n] = x0, 1.0
+    state = x[:n]
+    k1, *later = (v[i, :n] for i in range(1, 5))
+    z = np.empty(n + 1)
+    stages = [np.array([1.0, dt / 2.0, 0.0, 0.0, 0.0]),
+              np.array([1.0, 0.0, dt / 2.0, 0.0, 0.0]),
+              np.array([1.0, 0.0, 0.0, dt, 0.0])]
+    combine = np.array([1.0, dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0])
+
+    def step():
+        slope(x, k1)
+        for weights, out in zip(stages, later):
+            weights.dot(v, z)
+            slope(z, out)
+        combine.dot(v, z)
+        x[:] = z
+        return state
+
+    return step, load_on
+
+
 def integrate_many(scns: Sequence[Scenario], *,
                    initial_states: Optional[Sequence[Optional[np.ndarray]]] = None,
                    certs: Optional[Sequence[Optional[Mapping[int, Certificate]]]] = None,
@@ -414,11 +515,12 @@ def integrate_many(scns: Sequence[Scenario], *,
     kernel advances them all with one numpy call per product.  The
     optional sequences hold one entry per scenario.  A single scenario
     runs on its own matrices and is bitwise what integrate() gives; in a
-    union the block products sum in another order, so a member may differ
-    from its lone run in the last digits.  The union runs on the dense
-    kernel while kernel_entries() stays within DENSE_ENTRIES and on the
-    sparse kernel above it; the two differ in the last digits too.  A non-finite sample raises
-    ArithmeticError; in a union it may have spread to every member.
+    union the block products sum in another order, so a member may
+    differ from its lone run in the last digits.  The union runs on the
+    dense kernel while kernel_entries() stays within DENSE_ENTRIES and on
+    the sparse kernel above it; the two differ in the last digits too.
+    A non-finite sample raises ArithmeticError; in a union it may have
+    spread to every member.
     """
     loops = [assemble(s) for s in scns]
     scn = scns[0]
@@ -445,27 +547,16 @@ def integrate_many(scns: Sequence[Scenario], *,
     states = np.empty((len(recorded), n))
     load_step = int(np.searchsorted(loops[0].loaded(np.arange(nsteps) * dt), True))
 
-    # Row 0 of v is [x, 1] and rows 1-4 the stage slopes [k, 0], so each
-    # stage input, and the step itself, is one product of RK4 weights with v.
     n_lines = sum(len(loop.incidence) for loop in loops)
     kernel = (_dense_kernel if kernel_entries(n, n_lines) <= DENSE_ENTRIES
               else _sparse_kernel)
-    slope, load_on = kernel(loops)
-    v = np.zeros((5, n + 1))
-    x = v[0]
     offsets = np.cumsum([0] + sizes)
+    states[0] = 0.0
     for lo, hi, x0 in zip(offsets, offsets[1:], initial_states):
         if x0 is not None:
-            x[lo:hi] = x0
-    x[n] = 1.0
-    k1, *later = (v[i, :n] for i in range(1, 5))
-    z = np.empty(n + 1)
-    stages = [np.array([1.0, dt / 2.0, 0.0, 0.0, 0.0]),
-              np.array([1.0, 0.0, dt / 2.0, 0.0, 0.0]),
-              np.array([1.0, 0.0, 0.0, dt, 0.0])]
-    combine = np.array([1.0, dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0])
+            states[0, lo:hi] = x0
+    step, load_on = kernel(loops, dt, states[0])
 
-    states[0] = x[:n]
     j = 1
     # a diverging state runs to inf/nan: the run stops at the first such
     # sample, and the check after the loop names it
@@ -473,16 +564,11 @@ def integrate_many(scns: Sequence[Scenario], *,
         for k in range(nsteps):
             if k == load_step:
                 load_on()
-            slope(x, k1)
-            for weights, out in zip(stages, later):
-                weights.dot(v, z)
-                slope(z, out)
-            combine.dot(v, z)
-            x[:] = z
+            x = step()
             if k + 1 == recorded[j]:
-                states[j] = z[:n]
+                states[j] = x
                 j += 1
-                if not np.isfinite(z).all():
+                if not np.isfinite(x).all():
                     break
     bad = np.argwhere(~np.isfinite(states[:j]))
     if len(bad):

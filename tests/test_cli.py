@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gridfreq import sim
+from gridfreq import cli, sim
 from gridfreq.cli import (MARGINAL_TOL, RunFlags, ScenarioError,
                           _packs, apply_param, emit_plots, load_scenario, main,
                           parse_scenario_text, run, run_sweep,
@@ -404,12 +404,19 @@ class TestSweep:
             n = sum(sizes[i][0] for i in pack)
             lines = sum(sizes[i][1] for i in pack)
             assert len(pack) == 1 or \
-                (n + lines) * (n + 1) + n * lines <= sim.DENSE_ENTRIES
+                sim.kernel_entries(n, lines) <= sim.DENSE_ENTRIES
             if following:  # a pack closes only when the next value would not fit
                 n += sizes[following[0]][0]
                 lines += sizes[following[0]][1]
-                assert (n + lines) * (n + 1) + n * lines > sim.DENSE_ENTRIES
+                assert sim.kernel_entries(n, lines) > sim.DENSE_ENTRIES
         assert _packs([(400, 600), (9, 3), (400, 600)]) == [[0], [1], [2]]
+
+    def test_benchmark_sweep_is_one_pack(self):
+        # the eight two_gen k_d values the benchmark sweeps integrate as one
+        # block-diagonal loop
+        scn = load_scenario(fixture_path("two_gen.scn"))
+        size = (sim.state_layout(scn).size, len(scn.network.lines))
+        assert _packs([size] * 8) == [list(range(8))]
 
 
 class TestMain:
@@ -468,6 +475,30 @@ class TestMain:
         out = capsys.readouterr().out
         assert "bus 0: theta=0.0" in out
         assert "security constraint: pass" in out
+
+    @pytest.mark.parametrize("content", [None, "nonsense\n"])
+    def test_bad_sweep_scenario_is_exit_2(self, content, tmp_path, capsys):
+        path = tmp_path / "bad.scn"
+        if content is not None:
+            path.write_text(content)
+        code = main(["sweep", str(path), "--param", "controllers.1.k_d",
+                     "--values", "0.6", "--out", str(tmp_path / "out")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("scenario error: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+    def test_sweep_parses_its_scenario_once(self, tmp_path, monkeypatch, capsys):
+        parsed = []
+        real = cli.parse_scenario_text
+        monkeypatch.setattr(cli, "parse_scenario_text", lambda *a, **k:
+                            parsed.append(a) or real(*a, **k))
+        code = main(["sweep", str(fixture_path("two_gen.scn")), "--skip-certify",
+                     "--param", "controllers.1.k_d", "--values", "0.6,0.8",
+                     "--t-end", "3", "--out", str(tmp_path)])
+        assert code == 1  # too short a horizon to settle
+        assert len(parsed) == 1
+        assert capsys.readouterr().out.count(": exit 1\n") == 2
 
     def test_sweep_requires_values(self, capsys):
         code = main(["sweep", str(fixture_path("two_gen.scn")),

@@ -294,10 +294,77 @@ def _kernel_size(scns):
                               sum(len(s.network.lines) for s in scns))
 
 
+def _rk4_reference(scns, starts, steps):
+    """The recorded states of RK4 written out over the public right-hand
+    side of each member, with the load switched per step as the kernels
+    do."""
+    loops = [assemble(s) for s in scns]
+    cuts = np.cumsum([loop.layout.size for loop in loops])[:-1]
+
+    def slope(x, t):
+        return np.concatenate([loop.derivative(part, t)
+                               for loop, part in zip(loops, np.split(x, cuts))])
+
+    x = np.concatenate(starts)
+    want = [x]
+    h = scns[0].dt
+    for k in range(steps):
+        t = k * h
+        k1 = slope(x, t)
+        k2 = slope(x + h / 2 * k1, t)
+        k3 = slope(x + h / 2 * k2, t)
+        k4 = slope(x + h * k3, t)
+        x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        want.append(x)
+    return np.array(want)
+
+
+class TestDenseKernel:
+    @pytest.mark.parametrize("with_two_gen", [False, True])
+    def test_short_run_matches_rk4_reference(self, ring9_scenario,
+                                             two_gen_scenario, with_two_gen):
+        # the fused step across the load step, alone and in a union of
+        # members of different sizes, from a non-zero state
+        members = ([ring9_scenario, two_gen_scenario] if with_two_gen
+                   else [ring9_scenario])
+        scns = [dataclasses.replace(s, dt=0.01, t_end=0.5, disturbance_time=0.1,
+                                    output_stride=1) for s in members]
+        assert _kernel_size(scns) <= sim.DENSE_ENTRIES
+        rng = np.random.default_rng(29)
+        starts = [rng.normal(scale=0.2, size=state_layout(s).size) for s in scns]
+        got = np.hstack([t.states for t in
+                         integrate_many(scns, initial_states=starts)])
+        assert np.max(np.abs(got - _rk4_reference(scns, starts, 50))) <= 1e-12
+
+    def test_step_makes_nine_numpy_calls(self, ring9_scenario, monkeypatch):
+        step, load_on = sim._dense_kernel([assemble(ring9_scenario)], 0.01,
+                                          np.full(23, 0.1))
+        load_on()
+        calls = []
+        for name, ufunc in list(vars(np).items()):
+            if isinstance(ufunc, np.ufunc):
+                monkeypatch.setattr(np, name, lambda *a, f=ufunc:
+                                    calls.append(f.__name__) or f(*a))
+
+        def profile(frame, event, arg):
+            # numpy functions written in C, and ndarray methods
+            if event == "c_call" and (
+                    isinstance(getattr(arg, "__self__", None), np.ndarray)
+                    or (getattr(arg, "__module__", None) or "").startswith("numpy")):
+                calls.append(arg.__name__)
+
+        sys.setprofile(profile)
+        try:
+            step()
+        finally:
+            sys.setprofile(None)
+        assert sorted(calls) == ["dot"] * 5 + ["sin"] * 4
+
+
 @pytest.fixture(scope="module")
 def mesh():
     scn = ring_with_chords(seed=5)
-    assert _kernel_size([scn]) > sim.DENSE_ENTRIES  # 83 906 entries
+    assert _kernel_size([scn]) > sim.DENSE_ENTRIES  # 982 253 entries
     return scn
 
 
@@ -307,7 +374,7 @@ class TestSparseKernel:
                                       with_two_gen):
         scns = [mesh, two_gen_scenario] if with_two_gen else [mesh]
         loops = [assemble(s) for s in scns]
-        slope, load_on = sim._sparse_kernel(loops)
+        slope, load_on = sim._sparse_slope(loops)
         rng = np.random.default_rng(11)
         xs = [rng.normal(scale=0.5, size=(3, loop.layout.size)) for loop in loops]
         for t, switch in ((0.0, False), (5.0, True)):
@@ -325,28 +392,18 @@ class TestSparseKernel:
         # right-hand side, with the load switched per step as the kernel does
         scn = dataclasses.replace(mesh, dt=0.01, t_end=0.3,
                                   disturbance_time=0.1, output_stride=1)
-        loop = assemble(scn)
-        x = np.random.default_rng(23).normal(scale=0.2, size=loop.layout.size)
-        want = [x]
-        h = scn.dt
-        for k in range(30):
-            t = k * h
-            k1 = loop.derivative(x, t)
-            k2 = loop.derivative(x + h / 2 * k1, t)
-            k3 = loop.derivative(x + h / 2 * k2, t)
-            k4 = loop.derivative(x + h * k3, t)
-            x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            want.append(x)
-        got = integrate(scn, initial_state=want[0]).states
-        assert np.max(np.abs(got - np.array(want))) <= 1e-12
+        x = np.random.default_rng(23).normal(scale=0.2,
+                                             size=state_layout(scn).size)
+        got = integrate(scn, initial_state=x).states
+        assert np.max(np.abs(got - _rk4_reference([scn], [x], 30))) <= 1e-12
 
     def test_kernel_follows_the_budget(self, two_gen_scenario, monkeypatch):
         # a sweep's largest two_gen pack stays dense; one member more does not
         used = []
         for name in ("_dense_kernel", "_sparse_kernel"):
             real = getattr(sim, name)
-            monkeypatch.setattr(sim, name, lambda loops, real=real, name=name:
-                                used.append(name) or real(loops))
+            monkeypatch.setattr(sim, name, lambda *args, real=real, name=name:
+                                used.append(name) or real(*args))
         scn = dataclasses.replace(two_gen_scenario, disturbance_time=0.01,
                                   t_end=0.02)
         size = len(cli._packs([(9, 3)] * 40)[0])
