@@ -12,8 +12,10 @@ lambda_hat).
 
 For the two worked generator models there are exact diagonal certificates
 with closed-form feasibility thresholds on the bus damping; for anything
-else a deterministic diagonal search runs.  Eigenvalues of the symmetric
-matrices come from numpy.linalg.eigvalsh.
+else a deterministic diagonal search runs.  A first-order lag is feasible
+only at its analytic point, so for a lag the search ends there, and no
+certificate means infeasible by the closed form.  Eigenvalues of the
+symmetric matrices come from numpy.linalg.eigvalsh.
 """
 
 from __future__ import annotations
@@ -252,6 +254,19 @@ def first_order_min_damping(k_gain: float, k_c: float, k_d: float) -> float:
     return k_gain * (k_c - k_d) ** 2 / (4.0 * k_c)
 
 
+def first_order_shortfall(gen: LtiGenerator, params: ControllerGains,
+                          lambda_bus: float) -> Optional[Tuple[float, float]]:
+    """(threshold, lambda_hat) when gen is a first-order lag whose
+    closed-form threshold lies above the lambda_hat that search_certificate
+    uses at this bus damping, else None.  This is why the search finds no
+    certificate for such a lag."""
+    if first_order_params(gen) is None:
+        return None
+    threshold = first_order_min_damping(dc_gain(gen), params.k_c, params.k_d)
+    lambda_hat = lambda_bus * (1.0 - LAMBDA_SHAVE)
+    return (threshold, lambda_hat) if threshold > lambda_hat else None
+
+
 def second_order_certificate(tau_a: float, tau_p: float, k_gain: float,
                              k_c: float, k_d: float,
                              lambda_hat: float = 0.0) -> Certificate:
@@ -283,8 +298,10 @@ def first_order_certificate(tau: float, k_gain: float, k_c: float,
     return Certificate(p_matrix=p, k_f=k_gain * k_c, lambda_hat=lambda_hat)
 
 
-def _golden_min(f, lo: float, hi: float, iters: int = 32) -> float:
-    """Golden-section minimizer; returns the best argument found."""
+def _golden_min(f, lo: float, hi: float,
+                iters: int = 32) -> Tuple[float, float]:
+    """Golden-section minimizer; returns the best argument found and its
+    value."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv_phi * (b - a)
@@ -299,7 +316,7 @@ def _golden_min(f, lo: float, hi: float, iters: int = 32) -> float:
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
             fd = f(d)
-    return c if fc < fd else d
+    return (c, fc) if fc < fd else (d, fd)
 
 
 def search_certificate(gen: LtiGenerator, params: ControllerGains,
@@ -307,11 +324,14 @@ def search_certificate(gen: LtiGenerator, params: ControllerGains,
     """Deterministic search for a diagonal-P certificate.
 
     Tries the exact analytic certificates first when the block matches one
-    of the worked model structures, then a log-spaced grid over diagonal P
-    with a handful of k_f candidates, then cyclic coordinate descent on
-    (log diag P, k_f) minimizing the max eigenvalue.  Returns None when no
-    diagonal certificate is found; that is a statement about this search
-    family, not infeasibility of the condition.
+    of the worked model structures.  A first-order lag is certifiable only
+    at its analytic point, so for a lag None means the condition is
+    infeasible: lambda_hat is below first_order_min_damping (to within
+    TOL_PSD).  Any other block then goes through a log-spaced grid over
+    diagonal P with a handful of k_f candidates, then cyclic coordinate
+    descent on (log diag P, k_f) minimizing the max eigenvalue; there None
+    is a statement about this search family, not infeasibility of the
+    condition.
     """
     if not lambda_bus > 0.0:
         return None
@@ -349,6 +369,10 @@ def search_certificate(gen: LtiGenerator, params: ControllerGains,
             cert = finish(diag, kf)
             if cert is not None:
                 return cert
+    if fo is not None:
+        # The analytic point is the lag's only feasible one; a search
+        # beyond it could only find tolerance artifacts.
+        return None
 
     # Coarse grid over diagonal P, with extra k_f points around the default.
     base_kf = default_kf(k_gain, params.k_c, params.k_d)
@@ -357,59 +381,54 @@ def search_certificate(gen: LtiGenerator, params: ControllerGains,
         if kf not in kf_candidates:
             kf_candidates.append(kf)
     grid = [10.0 ** (-3.0 + 0.5 * i) for i in range(13)]  # 1e-3 .. 1e3
-    diag_candidates: List[Tuple[float, ...]] = []
-    if n == 1:
-        diag_candidates = [(g,) for g in grid]
-    elif n == 2:
+    if n == 2:
         diag_candidates = [(g1, g2) for g1 in grid for g2 in grid]
     else:
         diag_candidates = [(g,) * n for g in grid]
 
     matrices = _diagonal_secondary(gen, params, lambda_hat)
 
-    def max_eigs(pairs) -> np.ndarray:
-        rows = np.array([[*diag, kf, 1.0] for diag, kf in pairs])
-        return np.linalg.eigvalsh(matrices(rows))[:, -1]
-
-    def max_eig(diag: Sequence[float], k_f: float) -> float:
-        return float(max_eigs([(diag, k_f)])[0])
-
     # The whole grid in one batch: the first passing candidate in loop
     # order wins, else the descent starts from the first minimum.
     pairs = [(diag, kf) for diag in analytic_diags + diag_candidates
              for kf in kf_candidates]
-    vals = max_eigs(pairs)
+    rows = np.array([[*diag, kf, 1.0] for diag, kf in pairs])
+    vals = np.linalg.eigvalsh(matrices(rows))[:, -1]
     passing = np.flatnonzero(vals <= TOL_PSD)
     if len(passing):
         return finish(*pairs[passing[0]])
 
-    # Coordinate descent from the best grid point.
+    # Coordinate descent from the best grid point.  Every evaluation
+    # rewrites one entry of the row [diag P, k_f, 1] in place.
     best = int(np.argmin(vals))
     diag, kf = pairs[best]
     logd = [math.log10(v) for v in diag]
     val = float(vals[best])
+    row = np.empty((1, n + 2))
+    row[0, :n] = [10.0 ** v for v in logd]
+    row[0, n:] = kf, 1.0
+
+    def top_eig(j: int, x: float) -> float:
+        row[0, j] = x
+        return float(np.linalg.eigvalsh(matrices(row))[0, -1])
+
     for _ in range(200):
         improved = False
         for i in range(n):
-            def f_logp(x, i=i):
-                d = list(logd)
-                d[i] = x
-                return max_eig([10.0 ** v for v in d], kf)
-            xi = _golden_min(f_logp, logd[i] - 1.0, logd[i] + 1.0)
-            vi = f_logp(xi)
+            xi, vi = _golden_min(lambda x, i=i: top_eig(i, 10.0 ** x),
+                                 logd[i] - 1.0, logd[i] + 1.0)
             if vi < val - 1e-15:
                 logd[i] = xi
                 val = vi
                 improved = True
+            row[0, i] = 10.0 ** logd[i]
 
-        def f_kf(x):
-            return max_eig([10.0 ** v for v in logd], x)
-        xk = _golden_min(f_kf, kf * 0.25, kf * 4.0)
-        vk = f_kf(xk)
+        xk, vk = _golden_min(lambda x: top_eig(n, x), kf * 0.25, kf * 4.0)
         if vk < val - 1e-15:
             kf = xk
             val = vk
             improved = True
+        row[0, n] = kf
         if val <= TOL_PSD:
             return finish([10.0 ** v for v in logd], kf)
         if not improved:

@@ -435,6 +435,22 @@ def run(scn: Scenario, flags: RunFlags) -> RunReport:
     return _conclude(prep, traj)
 
 
+def _certify_bus(scn: Scenario, g: int) -> Tuple[Optional[Certificate], str]:
+    """The certificate search at generator bus g and its report line; a
+    lag's missing certificate names the closed-form threshold it misses."""
+    gen, params = scn.generators[g], scn.controllers[g]
+    lam = scn.network.bus(g).damping
+    cert = search_certificate(gen, params, lam)
+    if cert is not None:
+        return cert, (f"gen {g}: found k_f={cert.k_f!r} "
+                      f"lambda_hat={cert.lambda_hat!r} margin={cert.margin!r}")
+    line = f"gen {g}: no diagonal certificate found"
+    shortfall = certify.first_order_shortfall(gen, params, lam)
+    if shortfall is not None:
+        line += " (first-order threshold %r > lambda_hat %r)" % shortfall
+    return None, line
+
+
 def _prepare(scn: Scenario, flags: RunFlags) -> _Prepared:
     """Validation, --optimal-gains, certification, k_f adoption,
     equilibrium and dispatch: everything a run does before integrating."""
@@ -481,16 +497,12 @@ def _prepare(scn: Scenario, flags: RunFlags) -> _Prepared:
         certs = {}
         missing = []
         for g in sorted(scn.network.generator_ids):
-            lam = scn.network.bus(g).damping
-            cert = search_certificate(scn.generators[g], scn.controllers[g], lam)
+            cert, line = _certify_bus(scn, g)
+            lines.append(line)
             if cert is None:
                 missing.append(g)
-                lines.append(f"gen {g}: no diagonal certificate found")
             else:
                 certs[g] = cert
-                lines.append(f"gen {g}: found k_f={cert.k_f!r} "
-                             f"lambda_hat={cert.lambda_hat!r} "
-                             f"margin={cert.margin!r}")
         if missing:
             checks["certification"] = (
                 "fail", "no diagonal certificate found for generator bus(es) "
@@ -858,14 +870,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 scn = with_optimal_gains(scn)
             all_found = True
             for g in sorted(scn.network.generator_ids):
-                lam = scn.network.bus(g).damping
-                cert = search_certificate(scn.generators[g], scn.controllers[g], lam)
-                if cert is None:
-                    print(f"gen {g}: no diagonal certificate found")
-                    all_found = False
-                else:
-                    print(f"gen {g}: found k_f={cert.k_f!r} "
-                          f"lambda_hat={cert.lambda_hat!r} margin={cert.margin!r}")
+                cert, line = _certify_bus(scn, g)
+                print(line)
+                all_found = all_found and cert is not None
             return 0 if all_found else 1
 
         if args.command == "dispatch":

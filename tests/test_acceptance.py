@@ -154,13 +154,17 @@ def test_06_dc_gain_consistency():
         dt = t_slow / 100.0
         steps = 10000  # 100x the slowest time constant
         b = np.array(gen.b_vector) * u
+        # One RK4 step of x' = A x + b is x+ = Phi x + Psi b exactly, with
+        # Phi = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24 and
+        # Psi = h (I + hA/2 + (hA)^2/6 + (hA)^3/24).
+        ha = dt * a
+        ha2 = ha @ ha
+        ha3 = ha2 @ ha
+        phi = np.eye(n) + ha + ha2 / 2 + ha3 / 6 + ha3 @ ha / 24
+        psi_b = dt * (b + ha @ b / 2 + ha2 @ b / 6 + ha3 @ b / 24)
         x = np.zeros(n)
         for _ in range(steps):
-            k1 = a @ x + b
-            k2 = a @ (x + dt / 2 * k1) + b
-            k3 = a @ (x + dt / 2 * k2) + b
-            k4 = a @ (x + dt * k3) + b
-            x = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            x = phi @ x + psi_b
         worst = max(worst, abs(output(gen, x, u) - dc_gain(gen) * u))
     _report(6, "dc-gain step-response consistency", worst < 1e-6,
             f"worst terminal mismatch = {worst:.3e} over 20 random blocks")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gridfreq import certify
 from gridfreq.certify import (Certificate, LAMBDA_SHAVE, SymmetricMatrix,
                               TOL_PSD, _diagonal_secondary,
                               check_primary_lmi, check_secondary_lmi,
@@ -410,6 +411,11 @@ class TestSearchPaths:
                      [1.0 / t_a, 0.0], [0.0, 1.0 - f], f)
         self._assert_certifies(gen, _params(k_f=1.0, k_c=1.0, k_d=1.0), 1.0)
 
+
+class TestFirstOrderVerdicts:
+    """A lag is certifiable only at its analytic point, so its verdict is
+    the closed-form threshold and the search never goes past it."""
+
     def test_lag_below_threshold_not_found(self):
         gen = make_first_order(0.45, 1.0)
         params = _params(k_f=2.0, k_c=1.0, k_d=3.0)
@@ -417,3 +423,41 @@ class TestSearchPaths:
         lam = 0.9 * threshold
         assert lam * (1.0 - LAMBDA_SHAVE) < threshold
         assert search_certificate(gen, params, lam) is None
+
+    def test_verdicts_follow_closed_form(self, monkeypatch):
+        built = []
+
+        def spy(*args):
+            built.append(args)
+            return _diagonal_secondary(*args)
+        monkeypatch.setattr(certify, "_diagonal_secondary", spy)
+        # The ranges of test_found_certificates_imply_droop_condition.
+        # TOL_PSD is absolute, so a threshold near 0 (k_c close to k_d)
+        # would hide a relative shortfall of 1e-5 inside the tolerance;
+        # such lags are skipped.
+        rng = np.random.default_rng(20261018)
+        lags = 0
+        while lags < 40:
+            k_gain = float(10.0 ** rng.uniform(-1, 1))
+            k_c = float(10.0 ** rng.uniform(-1, 1))
+            k_d = float(10.0 ** rng.uniform(-1, 1))
+            tau = float(10.0 ** rng.uniform(-1.3, 0.7))
+            k_f = float(10.0 ** rng.uniform(-1, 1))
+            threshold = first_order_min_damping(k_gain, k_c, k_d)
+            if threshold < 1e-2:
+                continue
+            lags += 1
+            gen = make_first_order(tau, k_gain)
+            params = _params(k_c=k_c, k_d=k_d, k_f=k_f)
+            for ratio in (1.0 - 1e-3, 1.0 - 1e-5, 1.0 + 1e-6, 1.0 + 1e-3):
+                lam = ratio * threshold / (1.0 - LAMBDA_SHAVE)
+                lambda_hat = lam * (1.0 - LAMBDA_SHAVE)
+                cert = search_certificate(gen, params, lam)
+                assert (cert is not None) == (lambda_hat >= threshold), \
+                    (tau, k_gain, params, ratio)
+        assert built == []
+        # the spy does see a block outside the worked shapes
+        cascade = _block([[-1.0 / 0.3, 0.0], [1.0 / 1.1, -1.0 / 1.1]],
+                         [1.0 / 0.3, 0.0], [0.0, 0.8], 0.2)
+        assert search_certificate(cascade, _params(), 1.0) is not None
+        assert len(built) == 1

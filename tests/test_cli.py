@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gridfreq import cli, sim
+from gridfreq import certify, cli, sim
 from gridfreq.cli import (MARGINAL_TOL, RunFlags, ScenarioError,
                           _packs, apply_param, emit_plots, load_scenario, main,
                           parse_scenario_text, run, run_sweep,
@@ -448,6 +448,23 @@ class TestMain:
         out = capsys.readouterr().out
         assert "no diagonal certificate found" in out
         assert "gen 1: found" in out
+
+    def test_missing_lag_certificate_names_its_threshold(self, tmp_path,
+                                                         capsys):
+        scn = apply_param(load_scenario(fixture_path("two_gen.scn")),
+                          "controllers.1.k_d", 2.0)
+        # K = 1.25, k_c = 0.4: threshold K (k_c - k_d)^2 / (4 k_c)
+        threshold = certify.first_order_min_damping(1.25, 0.4, 2.0)
+        lambda_hat = 1.2 * (1.0 - certify.LAMBDA_SHAVE)
+        want = (f"gen 1: no diagonal certificate found (first-order "
+                f"threshold {threshold!r} > lambda_hat {lambda_hat!r})")
+        report = run(scn, RunFlags(t_end=2.0))
+        assert want in report.report_text.splitlines()
+        assert report.checks["certification"][0] == "fail"
+        path = tmp_path / "kd2.scn"
+        path.write_text(serialize_scenario(scn))
+        assert main(["certify", str(path)]) == 1
+        assert capsys.readouterr().out.splitlines()[1] == want
 
     def test_certify_success(self, capsys):
         assert main(["certify", str(fixture_path("two_gen.scn"))]) == 0
