@@ -13,12 +13,10 @@ from .certify import (Certificate, SymmetricMatrix, check_primary_lmi,
                       primary_lmi_matrix, search_certificate,
                       second_order_certificate, second_order_min_damping,
                       secondary_lmi_matrix, sym_eigenvalues)
-from .control import (ControllerGains, command_derivative, control_input,
-                      default_kf, droop_input, optimal_kc)
-from .dispatch import (DispatchProblem, check_optimality, marginal_costs,
-                       solve_dispatch)
-from .generation import (LtiGenerator, dc_gain, derivative, is_hurwitz,
-                         make_first_order, make_second_order, output)
+from .control import ControllerGains, default_kf, optimal_kc
+from .dispatch import DispatchProblem, marginal_costs, solve_dispatch
+from .generation import (LtiGenerator, dc_gain, is_hurwitz, make_first_order,
+                         make_second_order, output)
 from .network import (Bus, BusKind, CommEdge, Line, PowerNetwork, line_power,
                       net_injection, validate)
 from .sim import (Equilibrium, Scenario, Trajectory, compute_equilibrium,
@@ -30,10 +28,8 @@ __all__ = [
     "Bus", "BusKind", "Certificate", "CommEdge", "ControllerGains",
     "DispatchProblem", "Equilibrium", "Line", "LtiGenerator", "PowerNetwork",
     "Scenario", "SymmetricMatrix", "Trajectory",
-    "check_optimality", "check_primary_lmi", "check_secondary_lmi",
-    "command_derivative", "compute_equilibrium",
-    "control_input", "dc_gain", "default_kf", "derivative",
-    "dissipation_check", "droop_input", "first_order_certificate",
+    "check_primary_lmi", "check_secondary_lmi", "compute_equilibrium",
+    "dc_gain", "default_kf", "dissipation_check", "first_order_certificate",
     "first_order_min_damping", "integrate", "is_hurwitz",
     "is_positive_definite", "line_power",
     "lyapunov_value", "make_first_order", "make_second_order",

@@ -2,9 +2,16 @@
 
 The scenario format is a flat text file: [section] headers, one record
 per line as whitespace-separated key=value pairs, comments with '#'.
-Outputs of a run are a CSV trajectory, a plain-text report, and two
-gnuplot scripts; all output bytes are deterministic functions of the
-scenario so golden-file comparisons work.  A sweep integrates values on
+One table, _MODELS, names each generator model's builder, shape
+recogniser and record fields; parsing, serialization and apply_param
+all read it, so a new model is one row.
+
+A run goes through stages (certification, k_f adoption, equilibrium,
+dispatch), each returning its report lines and its check if it has one;
+the certify, dispatch and equilibrium subcommands print one stage's
+lines.  Outputs of a run are a CSV trajectory, a plain-text report, and
+two gnuplot scripts; all output bytes are deterministic functions of
+the scenario so golden-file comparisons work.  A sweep integrates values on
 one time grid together, in packs cut by a fixed matrix budget
 (sim.DENSE_ENTRIES, so every pack runs on the dense kernel) and never by
 the CPU count, so the same sweep command gives the same bytes on any
@@ -17,12 +24,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import math
 import multiprocessing
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,8 +50,38 @@ _SECTIONS = ("buses", "lines", "generators", "controllers", "comm",
              "disturbance", "sim")
 
 
+#: [generators] model name -> (builder, shape recogniser, the record's
+#: fields in builder order); the recogniser returns the builder's
+#: arguments for a block of the model's exact shape, else None.
+_MODELS = {
+    "first_order": (make_first_order, first_order_params, ("tau", "gain")),
+    "second_order": (make_second_order, second_order_params,
+                     ("tau_a", "tau_p", "gain")),
+}
+
+#: [controllers] record key -> ControllerGains attribute, in record order.
+_CONTROLLER_FIELDS = {"gamma": "gamma", "k_f": "k_f", "k_c": "k_c",
+                      "k_d": "k_d", "cost": "q"}
+
+
 class ScenarioError(ValueError):
     """Raised for unparseable or invalid scenario files."""
+
+
+def _model_of(scn: Scenario, bus: int) -> Tuple[str, tuple]:
+    """The _MODELS name of the generator at bus and builder arguments that
+    rebuild it exactly.  The recogniser's arguments come out of divisions
+    and miss that in about one block in a hundred; one of their float
+    neighbours then hits it."""
+    gen = scn.generators[bus]
+    for model, (build, params_of, _) in _MODELS.items():
+        params = params_of(gen)
+        if params is not None:
+            near = [(p, math.nextafter(p, 0.0), math.nextafter(p, math.inf))
+                    for p in params]
+            return model, next((c for c in itertools.product(*near)
+                                if build(*c) == gen), params)
+    raise ValueError(f"generator at bus {bus} does not match a serializable model")
 
 
 # --- parsing ---------------------------------------------------------------
@@ -149,22 +187,13 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
     for lineno, rec in _parse_records(sections["generators"]):
         bus = _to_int(_need(rec, "bus", lineno, "generators"), "bus", lineno)
         model = _need(rec, "model", lineno, "generators")
+        if model not in _MODELS:
+            raise ScenarioError(f"line {lineno}: unknown generator model {model!r}")
+        build, _, fields = _MODELS[model]
+        params = [_to_float(_need(rec, key, lineno, "generators"), key, lineno)
+                  for key in fields]
         try:
-            if model == "first_order":
-                gen = make_first_order(
-                    tau=_to_float(_need(rec, "tau", lineno, "generators"), "tau", lineno),
-                    k=_to_float(_need(rec, "gain", lineno, "generators"), "gain", lineno),
-                )
-            elif model == "second_order":
-                gen = make_second_order(
-                    tau_a=_to_float(_need(rec, "tau_a", lineno, "generators"), "tau_a", lineno),
-                    tau_p=_to_float(_need(rec, "tau_p", lineno, "generators"), "tau_p", lineno),
-                    k=_to_float(_need(rec, "gain", lineno, "generators"), "gain", lineno),
-                )
-            else:
-                raise ScenarioError(f"line {lineno}: unknown generator model {model!r}")
-        except ScenarioError:
-            raise
+            gen = build(*params)
         except ValueError as exc:
             raise ScenarioError(f"line {lineno}: {exc}") from exc
         if bus in generators:
@@ -174,16 +203,10 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
     controllers: Dict[int, ControllerGains] = {}
     for lineno, rec in _parse_records(sections["controllers"]):
         bus = _to_int(_need(rec, "bus", lineno, "controllers"), "bus", lineno)
+        gains = {attr: _to_float(_need(rec, key, lineno, "controllers"), key, lineno)
+                 for key, attr in _CONTROLLER_FIELDS.items()}
         try:
-            controllers[bus] = ControllerGains(
-                gamma=_to_float(_need(rec, "gamma", lineno, "controllers"), "gamma", lineno),
-                k_f=_to_float(_need(rec, "k_f", lineno, "controllers"), "k_f", lineno),
-                k_c=_to_float(_need(rec, "k_c", lineno, "controllers"), "k_c", lineno),
-                k_d=_to_float(_need(rec, "k_d", lineno, "controllers"), "k_d", lineno),
-                q=_to_float(_need(rec, "cost", lineno, "controllers"), "cost", lineno),
-            )
-        except ScenarioError:
-            raise
+            controllers[bus] = ControllerGains(**gains)
         except ValueError as exc:
             raise ScenarioError(f"line {lineno}: {exc}") from exc
 
@@ -269,22 +292,14 @@ def serialize_scenario(scn: Scenario) -> str:
         out.append(f"from={ln.from_bus} to={ln.to_bus} susceptance={ln.susceptance!r}")
     out.append("[generators]")
     for bus in sorted(scn.generators):
-        gen = scn.generators[bus]
-        fo = first_order_params(gen)
-        so = second_order_params(gen)
-        if fo is not None:
-            out.append(f"bus={bus} model=first_order tau={fo[0]!r} gain={fo[1]!r}")
-        elif so is not None:
-            out.append(f"bus={bus} model=second_order tau_a={so[0]!r} "
-                       f"tau_p={so[1]!r} gain={so[2]!r}")
-        else:
-            raise ValueError(
-                f"generator at bus {bus} does not match a serializable model")
+        model, params = _model_of(scn, bus)
+        out.append(f"bus={bus} model={model} " + " ".join(
+            f"{key}={v!r}" for key, v in zip(_MODELS[model][2], params)))
     out.append("[controllers]")
     for bus in sorted(scn.controllers):
         c = scn.controllers[bus]
-        out.append(f"bus={bus} gamma={c.gamma!r} k_f={c.k_f!r} k_c={c.k_c!r} "
-                   f"k_d={c.k_d!r} cost={c.q!r}")
+        out.append(f"bus={bus} " + " ".join(
+            f"{key}={getattr(c, attr)!r}" for key, attr in _CONTROLLER_FIELDS.items()))
     out.append("[comm]")
     for e in scn.network.comm:
         out.append(f"a={e.a} b={e.b} weight={e.weight!r}")
@@ -381,10 +396,14 @@ class RunFlags:
     t_end: Optional[float] = None
 
 
+#: A check's status ("pass", "fail" or "skipped") and its detail.
+Check = Tuple[str, str]
+
+
 @dataclass
 class RunReport:
     scenario: str
-    checks: Dict[str, Tuple[str, str]]  # name -> (status, detail)
+    checks: Dict[str, Check]  # name -> (status, detail)
     report_text: str
     outputs: List[Path]
     exit_code: int
@@ -412,7 +431,7 @@ class _Prepared:
 
     scn: Scenario
     flags: RunFlags
-    checks: Dict[str, Tuple[str, str]]
+    checks: Dict[str, Check]
     lines: List[str]
     certs: Optional[Dict[int, Certificate]] = None
     eq: Optional[sim.Equilibrium] = None
@@ -435,6 +454,11 @@ def run(scn: Scenario, flags: RunFlags) -> RunReport:
     return _conclude(prep, traj)
 
 
+def _passes(ok: bool, detail: str) -> Check:
+    """A gating check: pass, or fail with detail."""
+    return ("pass", "") if ok else ("fail", detail)
+
+
 def _certify_bus(scn: Scenario, g: int) -> Tuple[Optional[Certificate], str]:
     """The certificate search at generator bus g and its report line; a
     lag's missing certificate names the closed-form threshold it misses."""
@@ -451,10 +475,69 @@ def _certify_bus(scn: Scenario, g: int) -> Tuple[Optional[Certificate], str]:
     return None, line
 
 
+def _certification(scn: Scenario, skip: bool
+                   ) -> Tuple[Optional[Dict[int, Certificate]], Check, List[str]]:
+    """Stage: the certificates (None unless every generator bus has one),
+    the certification check and one report line per generator bus."""
+    gens = sorted(scn.network.generator_ids)
+    if skip:
+        return None, ("skipped", ""), [f"gen {g}: skipped" for g in gens]
+    certs: Dict[int, Certificate] = {}
+    lines = []
+    for g in gens:
+        cert, line = _certify_bus(scn, g)
+        lines.append(line)
+        if cert is not None:
+            certs[g] = cert
+    missing = [str(g) for g in gens if g not in certs]
+    if missing:
+        return None, ("fail", "no diagonal certificate found for generator "
+                      "bus(es) " + ", ".join(missing)), lines
+    return certs, ("pass", ""), lines
+
+
+def _adopt_kf(scn: Scenario, certs: Optional[Dict[int, Certificate]]
+              ) -> Tuple[Scenario, List[str]]:
+    """Stage: the scenario with each controller's k_f set to its
+    certificate's, since the Lyapunov argument holds for the certified
+    gains only, and a report line per changed gain."""
+    if certs is None:
+        return scn, []
+    lines = [f"gen {g}: adopting certified k_f={certs[g].k_f!r}"
+             for g, prm in scn.controllers.items() if certs[g].k_f != prm.k_f]
+    if lines:
+        scn = dataclasses.replace(scn, controllers={
+            g: dataclasses.replace(prm, k_f=certs[g].k_f)
+            for g, prm in scn.controllers.items()})
+    return scn, lines
+
+
+def _equilibrium(scn: Scenario) -> Tuple[sim.Equilibrium, Check, List[str]]:
+    """Stage: the post-step equilibrium, the security check and the
+    report lines."""
+    eq = sim.compute_equilibrium(scn)
+    spread = f"max |angle difference| = {eq.max_abs_angle_diff!r}"
+    return eq, _passes(eq.security_ok, spread), [
+        f"nu = {eq.nu!r}", spread, "security constraint: " + (
+            "pass" if eq.security_ok else "VIOLATED (some |eta*| >= pi/2)")]
+
+
+def _dispatch(scn: Scenario) -> Tuple[float, List[str]]:
+    """Stage: the optimal dispatch price nu and the report lines."""
+    prob = DispatchProblem(
+        costs={g: scn.controllers[g].q for g in scn.network.generator_ids},
+        total_load=sum(scn.step_loads.values()))
+    allocation, nu = solve_dispatch(prob)
+    mc = marginal_costs(allocation, prob.costs)
+    return nu, [f"nu = {nu!r}"] + [
+        f"gen {g}: p={allocation[g]!r} marginal={mc[g]!r}" for g in sorted(allocation)]
+
+
 def _prepare(scn: Scenario, flags: RunFlags) -> _Prepared:
-    """Validation, --optimal-gains, certification, k_f adoption,
-    equilibrium and dispatch: everything a run does before integrating."""
-    checks: Dict[str, Tuple[str, str]] = {}
+    """Validation, --optimal-gains and the stages: certification, k_f
+    adoption, equilibrium and dispatch; everything a run does before
+    integrating."""
+    checks: Dict[str, Check] = {}
     lines: List[str] = []
 
     if flags.dt is not None or flags.t_end is not None:
@@ -464,8 +547,7 @@ def _prepare(scn: Scenario, flags: RunFlags) -> _Prepared:
             t_end=flags.t_end if flags.t_end is not None else scn.t_end)
 
     problems = validate(scn.network)
-    checks["validation"] = ("pass", "") if not problems else \
-        ("fail", "; ".join(problems))
+    checks["validation"] = _passes(not problems, "; ".join(problems))
 
     lines.append(f"scenario: {scn.name}")
     n_gen = len(scn.network.generator_ids)
@@ -476,75 +558,22 @@ def _prepare(scn: Scenario, flags: RunFlags) -> _Prepared:
     lines.append(f"flags: optimal-gains={'yes' if flags.optimal_gains else 'no'} "
                  f"skip-certify={'yes' if flags.skip_certify else 'no'}")
 
+    def section(name: str, body: List[str]) -> None:
+        lines.extend(["", f"[{name}]", *body])
+
     if problems:
-        lines.append("")
-        lines.append("[validation]")
-        for p in problems:
-            lines.append(f"problem: {p}")
+        section("validation", [f"problem: {p}" for p in problems])
         return _Prepared(scn, flags, checks, lines)
 
     if flags.optimal_gains:
         scn = with_optimal_gains(scn)
-
-    certs: Optional[Dict[int, Certificate]] = None
-    lines.append("")
-    lines.append("[certificates]")
-    if flags.skip_certify:
-        checks["certification"] = ("skipped", "")
-        for g in sorted(scn.network.generator_ids):
-            lines.append(f"gen {g}: skipped")
-    else:
-        certs = {}
-        missing = []
-        for g in sorted(scn.network.generator_ids):
-            cert, line = _certify_bus(scn, g)
-            lines.append(line)
-            if cert is None:
-                missing.append(g)
-            else:
-                certs[g] = cert
-        if missing:
-            checks["certification"] = (
-                "fail", "no diagonal certificate found for generator bus(es) "
-                + ", ".join(str(g) for g in missing))
-            certs = None
-        else:
-            checks["certification"] = ("pass", "")
-            # The Lyapunov argument holds for the certified gains, so the
-            # simulated k_f must match the certificate.
-            adopted = {}
-            for g, prm in scn.controllers.items():
-                if certs[g].k_f != prm.k_f:
-                    adopted[g] = certs[g].k_f
-            if adopted:
-                new_controllers = dict(scn.controllers)
-                for g, kf in adopted.items():
-                    new_controllers[g] = dataclasses.replace(
-                        new_controllers[g], k_f=kf)
-                    lines.append(f"gen {g}: adopting certified k_f={kf!r}")
-                scn = dataclasses.replace(scn, controllers=new_controllers)
-
-    eq = sim.compute_equilibrium(scn)
-    lines.append("")
-    lines.append("[equilibrium]")
-    lines.append(f"nu = {eq.nu!r}")
-    lines.append(f"max |angle difference| = {eq.max_abs_angle_diff!r}")
-    lines.append("security constraint: " + ("pass" if eq.security_ok else
-                                            "VIOLATED (some |eta*| >= pi/2)"))
-    checks["security"] = ("pass", "") if eq.security_ok else \
-        ("fail", f"max |angle difference| = {eq.max_abs_angle_diff!r}")
-
-    prob = DispatchProblem(
-        costs={g: scn.controllers[g].q for g in scn.network.generator_ids},
-        total_load=sum(scn.step_loads.values()))
-    allocation, nu_opt = solve_dispatch(prob)
-    mc_opt = marginal_costs(allocation, prob.costs)
-    lines.append("")
-    lines.append("[dispatch]")
-    lines.append(f"nu = {nu_opt!r}")
-    for g in sorted(allocation):
-        lines.append(f"gen {g}: p={allocation[g]!r} marginal={mc_opt[g]!r}")
-
+    certs, checks["certification"], body = _certification(scn, flags.skip_certify)
+    scn, adopted = _adopt_kf(scn, certs)
+    section("certificates", body + adopted)
+    eq, checks["security"], body = _equilibrium(scn)
+    section("equilibrium", body)
+    nu_opt, body = _dispatch(scn)
+    section("dispatch", body)
     return _Prepared(scn, flags, checks, lines, certs, eq, nu_opt)
 
 
@@ -559,14 +588,12 @@ def _conclude(prep: _Prepared, traj: Optional[Trajectory]) -> RunReport:
     lines.append(f"t_end = {scn.t_end!r} dt = {scn.dt!r} samples = {len(traj.times)}")
     peak, at = sim.transient_angle_peak(scn, traj)
     secure = peak < math.pi / 2.0
-    checks["transient-security"] = ("pass", "") if secure else \
-        ("fail", f"max transient |angle difference| = {peak!r} at t={at!r}")
-    lines.append(f"max transient |angle difference| = {peak!r} at t={at!r} -> "
-                 + ("pass" if secure else "VIOLATED (>= pi/2)"))
+    excursion = f"max transient |angle difference| = {peak!r} at t={at!r}"
+    checks["transient-security"] = _passes(secure, excursion)
+    lines.append(excursion + " -> " + ("pass" if secure else "VIOLATED (>= pi/2)"))
     final_omega = float(np.max(np.abs(traj.freqs[-1])))
     settled = final_omega < SETTLING_TOL
-    checks["settling"] = ("pass", "") if settled else \
-        ("fail", f"final max |omega| = {final_omega!r}")
+    checks["settling"] = _passes(settled, f"final max |omega| = {final_omega!r}")
     lines.append(f"final max |omega| = {final_omega!r} -> settling "
                  + ("pass" if settled else "FAIL"))
     finals = zip(traj.layout.gen_ids, traj.p_m[-1].tolist(),
@@ -576,8 +603,7 @@ def _conclude(prep: _Prepared, traj: Optional[Trajectory]) -> RunReport:
     if certs is not None:
         jump = sim.dissipation_check(scn, certs, eq, traj)
         ok = jump <= sim.EPSILON_V
-        checks["dissipation"] = ("pass", "") if ok else \
-            ("fail", f"max V jump = {jump!r}")
+        checks["dissipation"] = _passes(ok, f"max V jump = {jump!r}")
         lines.append(f"dissipation: max V jump = {jump!r} "
                      f"(tolerance {sim.EPSILON_V!r}) -> "
                      + ("pass" if ok else "EXCEEDED"))
@@ -590,8 +616,8 @@ def _conclude(prep: _Prepared, traj: Optional[Trajectory]) -> RunReport:
         spread = max(finals) - min(finals)
         rel = max(abs(v - nu_opt) for v in finals) / max(abs(nu_opt), 1e-12)
         ok = spread <= MARGINAL_TOL and rel <= MARGINAL_TOL
-        checks["dispatch-optimality"] = ("pass", "") if ok else (
-            "fail", f"marginal spread {spread!r}, relative offset {rel!r}")
+        checks["dispatch-optimality"] = _passes(
+            ok, f"marginal spread {spread!r}, relative offset {rel!r}")
         lines.append(f"marginal-cost spread = {spread!r}, "
                      f"relative offset from dispatch nu = {rel!r}")
     else:
@@ -631,79 +657,66 @@ def _finish(scn: Scenario, flags: RunFlags, checks, lines,
 
 # --- parameter sweep -------------------------------------------------------
 
+#: The scenario attribute behind each two-part sweep path.
+_SCALARS = {"sim.dt": "dt", "sim.t_end": "t_end",
+            "disturbance.time": "disturbance_time"}
+
+
 def apply_param(scn: Scenario, path: str, value: float) -> Scenario:
     """Set one scalar parameter addressed by a dotted path.
 
-    Supported paths: sim.dt, sim.t_end, disturbance.time,
-    disturbance.<bus>.delta, buses.<id>.damping, buses.<id>.inertia,
-    lines.<index>.susceptance, comm.<index>.weight,
-    controllers.<bus>.{gamma,k_f,k_c,k_d,cost},
-    generators.<bus>.{tau,gain,tau_a,tau_p}.
+    The paths are exactly: sim.dt, sim.t_end, disturbance.time,
+    disturbance.<bus>.delta, buses.<bus>.damping,
+    buses.<generator bus>.inertia, lines.<index>.susceptance,
+    comm.<index>.weight, controllers.<generator bus>.<key> for every
+    [controllers] key but bus, and generators.<generator bus>.<field>
+    for every field of its model's _MODELS row.  <bus> is the id of a
+    bus of the network, <index> counts that section's records from 0.
+    Any other path raises ScenarioError; a value out of the parameter's
+    range raises the ValueError of the record it would build.
     """
+    if path in _SCALARS:
+        return dataclasses.replace(scn, **{_SCALARS[path]: value})
+    net = scn.network
+    bus_ids = [b.id for b in net.buses]
+    keys = {"disturbance": ("bus", bus_ids), "buses": ("bus", bus_ids),
+            "lines": ("line", range(len(net.lines))),
+            "comm": ("comm edge", range(len(net.comm))),
+            "controllers": ("generator bus", scn.controllers),
+            "generators": ("generator bus", scn.generators)}
     parts = path.split(".")
-    try:
-        if parts == ["sim", "dt"]:
-            return dataclasses.replace(scn, dt=value)
-        if parts == ["sim", "t_end"]:
-            return dataclasses.replace(scn, t_end=value)
-        if parts == ["disturbance", "time"]:
-            return dataclasses.replace(scn, disturbance_time=value)
-        if len(parts) == 3 and parts[0] == "disturbance" and parts[2] == "delta":
-            loads = dict(scn.step_loads)
-            loads[int(parts[1])] = value
-            return dataclasses.replace(scn, step_loads=loads)
-        if len(parts) == 3 and parts[0] == "buses":
-            bid = int(parts[1])
-            buses = [dataclasses.replace(b, **{parts[2]: value})
-                     if b.id == bid else b for b in scn.network.buses]
-            net = PowerNetwork(buses=buses, lines=scn.network.lines,
-                               comm=scn.network.comm)
-            return dataclasses.replace(scn, network=net)
-        if len(parts) == 3 and parts[0] == "lines" and parts[2] == "susceptance":
-            idx = int(parts[1])
-            lines = list(scn.network.lines)
-            lines[idx] = dataclasses.replace(lines[idx], susceptance=value)
-            net = PowerNetwork(buses=scn.network.buses, lines=lines,
-                               comm=scn.network.comm)
-            return dataclasses.replace(scn, network=net)
-        if len(parts) == 3 and parts[0] == "comm" and parts[2] == "weight":
-            idx = int(parts[1])
-            comm = list(scn.network.comm)
-            comm[idx] = dataclasses.replace(comm[idx], weight=value)
-            net = PowerNetwork(buses=scn.network.buses, lines=scn.network.lines,
-                               comm=comm)
-            return dataclasses.replace(scn, network=net)
-        if len(parts) == 3 and parts[0] == "controllers":
-            bid = int(parts[1])
-            fieldname = {"cost": "q"}.get(parts[2], parts[2])
-            ctl = dict(scn.controllers)
-            ctl[bid] = dataclasses.replace(ctl[bid], **{fieldname: value})
-            return dataclasses.replace(scn, controllers=ctl)
-        if len(parts) == 3 and parts[0] == "generators":
-            bid = int(parts[1])
-            gen = scn.generators[bid]
-            fo = first_order_params(gen)
-            so = second_order_params(gen)
-            gens = dict(scn.generators)
-            if fo is not None and parts[2] in ("tau", "gain"):
-                tau, k = fo
-                tau, k = (value, k) if parts[2] == "tau" else (tau, value)
-                gens[bid] = make_first_order(tau, k)
-            elif so is not None and parts[2] in ("tau_a", "tau_p", "gain"):
-                tau_a, tau_p, k = so
-                if parts[2] == "tau_a":
-                    tau_a = value
-                elif parts[2] == "tau_p":
-                    tau_p = value
-                else:
-                    k = value
-                gens[bid] = make_second_order(tau_a, tau_p, k)
-            else:
-                raise KeyError(path)
-            return dataclasses.replace(scn, generators=gens)
-    except (KeyError, IndexError, TypeError) as exc:
-        raise ScenarioError(f"cannot apply parameter path {path!r}: {exc}") from exc
-    raise ScenarioError(f"unknown parameter path {path!r}")
+    if len(parts) != 3 or parts[0] not in keys:
+        raise ScenarioError(f"unknown parameter path {path!r}")
+    section, key, field = parts
+    noun, valid = keys[section]
+    if not (key.isdecimal() and int(key) in valid):
+        raise ScenarioError(f"cannot apply parameter path {path!r}: no {noun} {key}")
+    i = int(key)
+    if section == "disturbance" and field == "delta":
+        return dataclasses.replace(scn, step_loads={**scn.step_loads, i: value})
+    if section == "buses" and (field == "damping" or
+                               field == "inertia" and i in scn.generators):
+        buses = [dataclasses.replace(b, **{field: value}) if b.id == i else b
+                 for b in net.buses]
+        return dataclasses.replace(scn, network=dataclasses.replace(net, buses=buses))
+    if (section, field) in (("lines", "susceptance"), ("comm", "weight")):
+        records = list(getattr(net, section))
+        records[i] = dataclasses.replace(records[i], **{field: value})
+        return dataclasses.replace(
+            scn, network=dataclasses.replace(net, **{section: records}))
+    if section == "controllers" and field in _CONTROLLER_FIELDS:
+        gains = dataclasses.replace(scn.controllers[i],
+                                    **{_CONTROLLER_FIELDS[field]: value})
+        return dataclasses.replace(scn, controllers={**scn.controllers, i: gains})
+    if section == "generators":
+        model, params = _model_of(scn, i)
+        build, _, fields = _MODELS[model]
+        if field in fields:
+            params = [value if f == field else v for f, v in zip(fields, params)]
+            return dataclasses.replace(
+                scn, generators={**scn.generators, i: build(*params)})
+    raise ScenarioError(f"cannot apply parameter path {path!r}: "
+                        f"{field!r} is not settable")
 
 
 #: Errors that end a run with exit code 2: an unreadable or invalid
@@ -815,41 +828,61 @@ def _sweep_values(text: str) -> List[float]:
     return values
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("scenario", help="path to a .scn scenario file")
-    p.add_argument("--optimal-gains", action="store_true",
-                   help="recompute k_c = 1/(q*K) for every generator")
-    p.add_argument("--skip-certify", action="store_true",
-                   help="skip the certificate search")
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--seed", type=int, default=None,
-                   help="recorded for test harnesses; the run is deterministic")
-    p.add_argument("--dt", type=float, default=None, help="override time step")
-    p.add_argument("--t-end", type=float, default=None, help="override horizon")
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="gridfreq",
         description="Distributed secondary frequency control workbench")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "certify", "dispatch", "equilibrium"):
-        _add_common(subs.add_parser(name))
-    sweep = subs.add_parser("sweep")
-    _add_common(sweep)
+    # each subcommand takes the flags it reads: dispatch none, certify and
+    # equilibrium --optimal-gains, simulate and sweep every run flag
+    for name in ("simulate", "certify", "dispatch", "equilibrium", "sweep"):
+        p = subs.add_parser(name)
+        p.add_argument("scenario", help="path to a .scn scenario file")
+        if name != "dispatch":
+            p.add_argument("--optimal-gains", action="store_true",
+                           help="recompute k_c = 1/(q*K) for every generator")
+        if name in ("simulate", "sweep"):
+            p.add_argument("--skip-certify", action="store_true",
+                           help="skip the certificate search")
+            p.add_argument("--out", default=None, help="output directory")
+            p.add_argument("--seed", type=int, default=None,
+                           help="recorded for test harnesses; the run is deterministic")
+            p.add_argument("--dt", type=float, default=None, help="override time step")
+            p.add_argument("--t-end", type=float, default=None, help="override horizon")
+    sweep = subs.choices["sweep"]
     sweep.add_argument("--param", required=True,
                        help="dotted parameter path, e.g. sim.dt")
     sweep.add_argument("--values", required=True,
                        help="comma-separated list of values")
     args = parser.parse_args(argv)
-    flags = RunFlags(optimal_gains=args.optimal_gains,
-                     skip_certify=args.skip_certify,
-                     out_dir=args.out, seed=args.seed,
-                     dt=args.dt, t_end=args.t_end)
 
     # a ScenarioError is a ValueError: an unreadable or invalid scenario
     # exits 2 with "scenario error: ..." like every other hard error
     try:
+        if args.command not in ("simulate", "sweep"):
+            # one stage of the run: its report lines, and exit 1 when its
+            # check fails
+            scn = load_scenario(args.scenario)
+            if getattr(args, "optimal_gains", False):
+                scn = with_optimal_gains(scn)
+            status = "pass"
+            if args.command == "certify":
+                _, (status, _), lines = _certification(scn, skip=False)
+            elif args.command == "dispatch":
+                _, lines = _dispatch(scn)
+            else:
+                eq, (status, _), lines = _equilibrium(scn)
+                lines[1:1] = [f"bus {bid}: theta={eq.angles_star[bid]!r}"
+                              for bid in sorted(eq.angles_star)] + [
+                             f"line {a}-{b}: flow={flow!r}"
+                             for (a, b), flow in sorted(eq.flows_star.items())]
+            sys.stdout.write("".join(line + "\n" for line in lines))
+            return 1 if status == "fail" else 0
+
+        flags = RunFlags(optimal_gains=args.optimal_gains,
+                         skip_certify=args.skip_certify,
+                         out_dir=args.out, seed=args.seed,
+                         dt=args.dt, t_end=args.t_end)
         if args.command == "sweep":
             values = _sweep_values(args.values)
             if not values:
@@ -858,48 +891,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             out = args.out if args.out is not None else "sweep_out"
             return run_sweep(args.scenario, args.param, values, out,
                              dataclasses.replace(flags, out_dir=None))
-
-        scn = load_scenario(args.scenario)
-        if args.command == "simulate":
-            report = run(scn, flags)
-            sys.stdout.write(report.report_text)
-            return report.exit_code
-
-        if args.command == "certify":
-            if flags.optimal_gains:
-                scn = with_optimal_gains(scn)
-            all_found = True
-            for g in sorted(scn.network.generator_ids):
-                cert, line = _certify_bus(scn, g)
-                print(line)
-                all_found = all_found and cert is not None
-            return 0 if all_found else 1
-
-        if args.command == "dispatch":
-            prob = DispatchProblem(
-                costs={g: scn.controllers[g].q for g in scn.network.generator_ids},
-                total_load=sum(scn.step_loads.values()))
-            allocation, nu = solve_dispatch(prob)
-            mc = marginal_costs(allocation, prob.costs)
-            print(f"nu = {nu!r}")
-            for g in sorted(allocation):
-                print(f"gen {g}: p={allocation[g]!r} marginal={mc[g]!r}")
-            return 0
-
-        if args.command == "equilibrium":
-            eq = sim.compute_equilibrium(scn)
-            print(f"nu = {eq.nu!r}")
-            for bid in sorted(eq.angles_star):
-                print(f"bus {bid}: theta={eq.angles_star[bid]!r}")
-            for (a, b), flow in sorted(eq.flows_star.items()):
-                print(f"line {a}-{b}: flow={flow!r}")
-            print(f"max |angle difference| = {eq.max_abs_angle_diff!r}")
-            print("security constraint: " + ("pass" if eq.security_ok else "VIOLATED"))
-            return 0 if eq.security_ok else 1
+        report = run(load_scenario(args.scenario), flags)
+        sys.stdout.write(report.report_text)
+        return report.exit_code
     except _HARD_ERRORS as exc:
         print(_error_text(exc), file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ controller itself is stateless; the command lives in the simulator state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Tuple
 
 
 @dataclass(frozen=True)
@@ -33,36 +32,6 @@ class ControllerGains:
         for name in ("gamma", "k_f", "k_c", "k_d", "q"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
-
-
-def control_input(params: ControllerGains, p_c: float, omega: float) -> float:
-    """Generation input u = k_c * p_c - k_d * omega."""
-    return params.k_c * p_c - params.k_d * omega
-
-
-def droop_input(k_d: float, omega: float) -> float:
-    """Primary-only generation input u = -k_d * omega."""
-    if not k_d > 0.0:
-        raise ValueError("k_d must be strictly positive")
-    return -k_d * omega
-
-
-def command_derivative(params: ControllerGains, p_m: float, u: float,
-                       k_gain: float, omega: float, own_pc: float,
-                       neighbor_terms: Iterable[Tuple[float, float]]) -> float:
-    """Rate of change of the local power command.
-
-    gamma * pc' = (p_m - K*u) - k_f*omega + sum_ij alpha_ij*(pc_i - pc_j).
-
-    The first bracket vanishes once the generation block has settled, the
-    frequency term drives the command until frequency is restored, and the
-    averaging sum synchronizes commands across the communication graph.
-    ``neighbor_terms`` is an iterable of (weight, neighbor_command) pairs.
-    """
-    acc = p_m - k_gain * u - params.k_f * omega
-    for weight, neighbor_pc in neighbor_terms:
-        acc += weight * (neighbor_pc - own_pc)
-    return acc / params.gamma
 
 
 def optimal_kc(q: float, k_gain: float) -> float:

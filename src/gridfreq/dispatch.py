@@ -42,19 +42,3 @@ def marginal_costs(allocation: Mapping[int, float],
     if set(allocation) != set(costs):
         raise ValueError("allocation and costs must cover the same generators")
     return {gid: costs[gid] * allocation[gid] for gid in allocation}
-
-
-def check_optimality(allocation: Mapping[int, float], prob: DispatchProblem,
-                     tol: float) -> bool:
-    """KKT verification at tolerance ``tol``.
-
-    True iff all marginals agree with their mean within tol and the
-    allocation balances the load within tol.
-    """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    mc = marginal_costs(allocation, prob.costs)
-    mean = sum(mc.values()) / len(mc)
-    if any(abs(v - mean) > tol for v in mc.values()):
-        return False
-    return abs(sum(allocation.values()) - prob.total_load) <= tol

@@ -71,20 +71,6 @@ def is_hurwitz(a_matrix) -> bool:
     return bool(np.all(eigs.real < -TOL_HURWITZ))
 
 
-def derivative(gen: LtiGenerator, state: Sequence[float], u: float) -> Tuple[float, ...]:
-    """State derivative A*state + B*u."""
-    if len(state) != gen.order:
-        raise ValueError(f"state length {len(state)} does not match order {gen.order}")
-    out = []
-    for i in range(gen.order):
-        row = gen.a_matrix[i]
-        acc = gen.b_vector[i] * u
-        for j in range(gen.order):
-            acc += row[j] * state[j]
-        out.append(acc)
-    return tuple(out)
-
-
 def output(gen: LtiGenerator, state: Sequence[float], u: float) -> float:
     """Mechanical power C*state + D*u."""
     if len(state) != gen.order:

@@ -13,6 +13,7 @@ from gridfreq.cli import (MARGINAL_TOL, RunFlags, ScenarioError,
                           parse_scenario_text, run, run_sweep,
                           serialize_scenario, write_trajectory_csv)
 from gridfreq.fixtures import fixture_path
+from gridfreq.generation import first_order_params, second_order_params
 from gridfreq.network import PowerNetwork
 from gridfreq.sim import integrate
 
@@ -300,10 +301,8 @@ class TestApplyParam:
         scn = apply_param(two_gen_scenario, "controllers.0.k_d", 0.5)
         assert scn.controllers[0].k_d == 0.5
         scn = apply_param(two_gen_scenario, "generators.0.tau", 0.8)
-        from gridfreq.generation import first_order_params
         assert first_order_params(scn.generators[0]) == pytest.approx((0.8, 1.0))
         scn = apply_param(ring9_scenario, "generators.1.tau_p", 0.9)
-        from gridfreq.generation import second_order_params
         assert second_order_params(scn.generators[1])[1] == pytest.approx(0.9)
 
     def test_bad_paths(self, two_gen_scenario):
@@ -313,6 +312,70 @@ class TestApplyParam:
             apply_param(two_gen_scenario, "lines.9.susceptance", 1.0)
         with pytest.raises(ScenarioError, match="cannot apply"):
             apply_param(two_gen_scenario, "generators.0.tau_p", 1.0)
+        # no such bus, line or controller gain, a bus key the format does
+        # not let a sweep set, and a load bus, which has no inertia
+        for path in ("disturbance.9.delta", "buses.9.damping",
+                     "lines.-1.susceptance", "buses.2.kind", "buses.0.id",
+                     "disturbance.x.delta", "buses.2.inertia",
+                     "controllers.0.q", "comm.1.weight"):
+            with pytest.raises(ScenarioError,
+                               match=f"^cannot apply parameter path {path!r}: "):
+                apply_param(two_gen_scenario, path, 1.0)
+
+    @pytest.mark.parametrize("name", ["two_gen.scn", "ring9.scn"])
+    def test_every_settable_path_round_trips(self, name):
+        scn = load_scenario(fixture_path(name))
+        rng = np.random.default_rng(5)
+        for path, read in _settable(scn):
+            values = rng.uniform(0.3, 3.0, size=3)
+            if path == "sim.dt":
+                values = values * 1e-3
+            elif path == "sim.t_end":
+                values = values + scn.disturbance_time
+            elif path == "disturbance.time":
+                values = values * scn.t_end / 4.0
+            for v in values.tolist():
+                new = apply_param(scn, path, v)
+                again = parse_scenario_text(serialize_scenario(new))
+                assert again == new, (path, v)
+                if path.startswith("generators."):
+                    assert read(again) == pytest.approx(v, rel=1e-12), path
+                else:
+                    assert read(again) == v, path
+
+    def test_generator_serializes_to_its_exact_block(self, two_gen_scenario):
+        # the lag recovered from this block's matrices, tau = -1/a, rebuilds
+        # a block one float away; the serialized value must rebuild it exactly
+        scn = apply_param(two_gen_scenario, "generators.1.tau", 1.891515249195032)
+        assert parse_scenario_text(serialize_scenario(scn)) == scn
+
+
+def _settable(scn):
+    """Every path apply_param documents for scn, with a reader of its value."""
+    net = scn.network
+    yield "sim.dt", lambda s: s.dt
+    yield "sim.t_end", lambda s: s.t_end
+    yield "disturbance.time", lambda s: s.disturbance_time
+    for b in net.buses:
+        yield f"disturbance.{b.id}.delta", lambda s, i=b.id: s.step_loads[i]
+        yield f"buses.{b.id}.damping", lambda s, i=b.id: s.network.bus(i).damping
+    for i in range(len(net.lines)):
+        yield f"lines.{i}.susceptance", lambda s, i=i: s.network.lines[i].susceptance
+    for i in range(len(net.comm)):
+        yield f"comm.{i}.weight", lambda s, i=i: s.network.comm[i].weight
+    for g in net.generator_ids:
+        yield f"buses.{g}.inertia", lambda s, g=g: s.network.bus(g).inertia
+        for key, attr in (("gamma", "gamma"), ("k_f", "k_f"), ("k_c", "k_c"),
+                          ("k_d", "k_d"), ("cost", "q")):
+            yield (f"controllers.{g}.{key}",
+                   lambda s, g=g, attr=attr: getattr(s.controllers[g], attr))
+        if first_order_params(scn.generators[g]) is not None:
+            recover, fields = first_order_params, ("tau", "gain")
+        else:
+            recover, fields = second_order_params, ("tau_a", "tau_p", "gain")
+        for j, field in enumerate(fields):
+            yield (f"generators.{g}.{field}",
+                   lambda s, g=g, j=j, recover=recover: recover(s.generators[g])[j])
 
 
 class TestSweep:
@@ -380,6 +443,18 @@ class TestSweep:
                 assert (swept / f).read_bytes() == (lone / f).read_bytes(), f
         assert captured.out.splitlines() == [
             want[0], "controllers.1.gamma=1e-06: exit 2", want[1]]
+
+    def test_bad_path_is_exit_2_without_traceback(self, tmp_path, capsys):
+        code = main(["sweep", str(fixture_path("two_gen.scn")),
+                     "--param", "disturbance.9.delta", "--values", "0.1,0.2",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == ["disturbance.9.delta=0.1: exit 2",
+                                             "disturbance.9.delta=0.2: exit 2"]
+        assert captured.err.splitlines() == [
+            f"disturbance.9.delta={v}: scenario error: cannot apply parameter "
+            "path 'disturbance.9.delta': no bus 9" for v in ("0.1", "0.2")]
 
     def test_time_step_sweep_matches_simulate(self, tmp_path, capsys):
         # values on different grids integrate apart, each as simulate would
@@ -492,6 +567,54 @@ class TestMain:
         out = capsys.readouterr().out
         assert "bus 0: theta=0.0" in out
         assert "security constraint: pass" in out
+
+    def test_equilibrium_takes_optimal_gains(self, tmp_path, capsys):
+        scn = apply_param(load_scenario(fixture_path("two_gen.scn")),
+                          "controllers.1.k_c", 0.3)
+        path = tmp_path / "kc.scn"
+        path.write_text(serialize_scenario(scn))
+        assert main(["equilibrium", str(path), "--optimal-gains"]) == 0
+        nu = capsys.readouterr().out.splitlines()[0]
+        main(["simulate", str(path), "--optimal-gains", "--t-end", "1.01"])
+        report = capsys.readouterr().out
+        assert nu == report.split("[equilibrium]\n")[1].splitlines()[0]
+        assert nu == "nu = 0.26666666666666666"
+
+    @pytest.mark.parametrize("name", ["two_gen.scn", "ring9.scn"])
+    @pytest.mark.parametrize("optimal", [False, True])
+    def test_stage_subcommands_print_the_run_sections(self, name, optimal,
+                                                      capsys):
+        path = str(fixture_path(name))
+        flag = ["--optimal-gains"] if optimal else []
+        main(["simulate", path, *flag, "--t-end", "1.01"])
+        sections = {}
+        for block in capsys.readouterr().out.split("\n\n"):
+            head, *body = block.splitlines()
+            sections[head] = body
+        assert main(["certify", path, *flag]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            line for line in sections["[certificates]"] if "adopting" not in line]
+        assert main(["dispatch", path]) == 0
+        assert capsys.readouterr().out.splitlines() == sections["[dispatch]"]
+        assert main(["equilibrium", path, *flag]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        detail = [line for line in lines if line.startswith(("bus ", "line "))]
+        net = load_scenario(path).network
+        assert len(detail) == len(net.buses) + len(net.lines)
+        assert [line for line in lines if line not in detail] == \
+            sections["[equilibrium]"]
+
+    @pytest.mark.parametrize("argv", [["certify", "--out", "x"],
+                                      ["dispatch", "--optimal-gains"],
+                                      ["equilibrium", "--skip-certify"]])
+    def test_stage_subcommands_take_only_their_flags(self, argv, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(argv[:1] + [str(fixture_path("two_gen.scn"))] + argv[1:])
+        assert stop.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: gridfreq ")
+        assert err.endswith("error: unrecognized arguments: "
+                            + " ".join(argv[1:]) + "\n")
 
     @pytest.mark.parametrize("content", [None, "nonsense\n"])
     def test_bad_sweep_scenario_is_exit_2(self, content, tmp_path, capsys):

@@ -2,9 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gridfreq.control import (ControllerGains, command_derivative,
-                              control_input, default_kf, droop_input,
-                              optimal_kc)
+from gridfreq.control import ControllerGains, default_kf, optimal_kc
 
 
 def _gains(**over):
@@ -22,44 +20,12 @@ def test_gains_require_positive_entries():
         _gains(q=0.0)
 
 
-def test_control_input_examples():
-    g = _gains(k_c=0.5, k_d=0.3)
-    assert control_input(g, 1.0, 1.0) == pytest.approx(0.2)
-    assert control_input(g, 0.4, -0.2) == pytest.approx(0.26)
-    assert droop_input(0.7, 0.2) == pytest.approx(-0.14)
-
-
-def test_command_derivative_example():
-    g = _gains(gamma=2.0, k_f=0.5)
-    # p_m=0.6, u=0.3 with K=1, omega=0.1, consensus pulls toward neighbor
-    rate = command_derivative(g, 0.6, 0.3, 1.0, 0.1,
-                              own_pc=0.2, neighbor_terms=[(1.0, 0.4)])
-    assert rate == pytest.approx((0.6 - 0.3 - 0.05 + 0.2) / 2.0)
-
-
-def test_command_derivative_no_neighbors():
-    g = _gains()
-    rate = command_derivative(g, 0.5, 0.5, 1.0, 0.0, own_pc=0.3,
-                              neighbor_terms=[])
-    assert rate == 0.0
-
-
-def test_synchronized_commands_are_consensus_fixed_point():
-    # identical commands: every consensus term vanishes exactly
-    g = _gains(gamma=0.7, k_f=0.9, k_c=0.8, k_d=0.6)
-    u = control_input(g, 0.5, 0.0)
-    rate = command_derivative(g, u * 1.0, u, 1.0, 0.0, own_pc=0.5,
-                              neighbor_terms=[(2.0, 0.5), (1.0, 0.5)])
-    assert rate == 0.0
-
-
 def test_optimal_kc_identity():
-    # with k_c = 1/(qK) the scaled command equals the marginal cost q*p
+    # with k_c = 1/(qK) a settled block delivers p = K k_c p_c, whose
+    # marginal cost q p is the command p_c itself
     for q, k_gain in [(1.0, 1.0), (2.0, 1.25), (0.5, 3.0)]:
-        k_c = optimal_kc(q, k_gain)
-        g = _gains(k_c=k_c, q=q)
         p_c = 0.37
-        assert q * k_gain * control_input(g, p_c, 0.0) == pytest.approx(p_c)
+        assert q * k_gain * optimal_kc(q, k_gain) * p_c == pytest.approx(p_c)
 
 
 def test_optimal_kc_examples():
@@ -74,14 +40,6 @@ def test_optimal_kc_examples():
 def test_default_kf_examples():
     assert default_kf(1.0, 1.0, 1.0) == 1.0
     assert default_kf(2.0, 0.5, 0.3) == pytest.approx(0.8)
-
-
-@given(st.floats(0.1, 10.0), st.floats(0.1, 10.0),
-       st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
-def test_control_input_is_affine_in_each_argument(k_c, k_d, p_c, omega):
-    g = _gains(k_c=k_c, k_d=k_d)
-    assert control_input(g, p_c, omega) == pytest.approx(
-        k_c * p_c - k_d * omega, rel=1e-12, abs=1e-12)
 
 
 @given(st.floats(0.1, 5.0), st.floats(0.1, 5.0), st.floats(0.1, 5.0))

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gridfreq.dispatch import (DispatchProblem, check_optimality,
-                               marginal_costs, solve_dispatch)
+from gridfreq.dispatch import DispatchProblem, marginal_costs, solve_dispatch
 
 
 def _cost(allocation, costs):
@@ -77,19 +76,6 @@ def test_balanced_perturbations_never_cheaper():
             continue
         perturbed = {g: allocation[g] + d for g, d in zip(gids, delta)}
         assert _cost(perturbed, prob.costs) > base
-
-
-def test_check_optimality_cases():
-    prob = DispatchProblem(costs={0: 1.0, 1: 2.0}, total_load=3.0)
-    allocation, _ = solve_dispatch(prob)
-    assert check_optimality(allocation, prob, 1e-9)
-    skew = {0: allocation[0] + 0.1, 1: allocation[1] - 0.1}
-    assert not check_optimality(skew, prob, 1e-3)  # marginals split
-    assert check_optimality(skew, prob, 1.0)
-    unbalanced = {0: allocation[0], 1: allocation[1] + 0.5}
-    assert not check_optimality(unbalanced, prob, 1e-3)
-    with pytest.raises(ValueError):
-        check_optimality(allocation, prob, 0.0)
 
 
 @given(st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.floats(-5.0, 5.0),

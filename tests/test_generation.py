@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from gridfreq.generation import (LtiGenerator, dc_gain, derivative,
-                                 equilibrium_state, first_order_params,
-                                 is_hurwitz, make_first_order,
-                                 make_second_order, output,
+from gridfreq.generation import (LtiGenerator, dc_gain, equilibrium_state,
+                                 first_order_params, is_hurwitz,
+                                 make_first_order, make_second_order, output,
                                  second_order_params)
 
 
@@ -42,18 +39,8 @@ def test_constructors_reject_nonpositive_parameters():
         make_second_order(1.0, 0.0, 1.0)
 
 
-def test_derivative_examples():
-    gen = make_first_order(1.0, 1.0)
-    assert derivative(gen, [0.0], 0.0) == (0.0,)
-    assert derivative(gen, [1.0], 0.0) == (-1.0,)
-    gen2 = make_second_order(2.0, 4.0, 1.0)
-    assert derivative(gen2, [1.0, 0.0], 0.0) == pytest.approx((-0.5, 0.25))
-
-
-def test_derivative_dimension_mismatch():
+def test_output_dimension_mismatch():
     gen = make_second_order(1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        derivative(gen, [1.0], 0.0)
     with pytest.raises(ValueError):
         output(gen, [1.0, 2.0, 3.0], 0.0)
 
@@ -78,7 +65,8 @@ def test_dc_gain_examples():
 def test_equilibrium_state_reaches_dc_gain():
     gen = make_second_order(0.7, 1.3, 2.0)
     xs = equilibrium_state(gen, 0.5)
-    assert derivative(gen, xs, 0.5) == pytest.approx((0.0, 0.0), abs=1e-15)
+    rate = np.array(gen.a_matrix) @ xs + np.array(gen.b_vector) * 0.5
+    assert rate == pytest.approx((0.0, 0.0), abs=1e-15)
     assert output(gen, xs, 0.5) == pytest.approx(dc_gain(gen) * 0.5)
 
 
@@ -120,16 +108,6 @@ def test_structure_recovery_round_trip():
     assert second_order_params(gen2) == pytest.approx((0.35, 1.2, 1.1))
     assert first_order_params(gen2) is None
     assert second_order_params(gen) is None
-
-
-@given(st.floats(0.1, 10.0), st.floats(0.1, 10.0),
-       st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
-       st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
-def test_derivative_is_linear(tau, k, x1, x2, u1, u2):
-    gen = make_first_order(tau, k)
-    lhs = derivative(gen, [x1 + x2], u1 + u2)[0]
-    rhs = derivative(gen, [x1], u1)[0] + derivative(gen, [x2], u2)[0]
-    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
 def _rk4_step_response(gen: LtiGenerator, u: float, t_end: float, dt: float) -> float:
