@@ -11,9 +11,8 @@ dispatch), each returning its report lines and its check if it has one;
 the certify, dispatch and equilibrium subcommands print one stage's
 lines.  Outputs of a run are a CSV trajectory, a plain-text report, and
 two gnuplot scripts; all output bytes are deterministic functions of
-the scenario so golden-file comparisons work.  A sweep integrates values on
-one time grid together, in packs cut by a fixed matrix budget
-(sim.DENSE_ENTRIES, so every pack runs on the dense kernel) and never by
+the scenario so golden-file comparisons work.  A sweep integrates its
+values in the packs sim.packs cuts from the scenarios alone, never from
 the CPU count, so the same sweep command gives the same bytes on any
 machine; a swept value may differ from ``simulate`` with the same
 parameter in the last digits (at most 1e-12), because the block-diagonal
@@ -205,6 +204,8 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
         bus = _to_int(_need(rec, "bus", lineno, "controllers"), "bus", lineno)
         gains = {attr: _to_float(_need(rec, key, lineno, "controllers"), key, lineno)
                  for key, attr in _CONTROLLER_FIELDS.items()}
+        if bus in controllers:
+            raise ScenarioError(f"line {lineno}: duplicate controller for bus {bus}")
         try:
             controllers[bus] = ControllerGains(**gains)
         except ValueError as exc:
@@ -216,9 +217,13 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
         if "time" in rec:
             if len(rec) != 1:
                 raise ScenarioError(f"line {lineno}: time= must be on its own line")
+            if disturbance_time is not None:
+                raise ScenarioError(f"line {lineno}: duplicate time= line")
             disturbance_time = _to_float(rec["time"], "time", lineno)
         else:
             bus = _to_int(_need(rec, "bus", lineno, "disturbance"), "bus", lineno)
+            if bus in step_loads:
+                raise ScenarioError(f"line {lineno}: duplicate step load for bus {bus}")
             step_loads[bus] = _to_float(_need(rec, "delta", lineno, "disturbance"),
                                         "delta", lineno)
     if disturbance_time is None:
@@ -227,8 +232,10 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
     sim_fields: Dict[str, str] = {}
     sim_lines: Dict[str, int] = {}
     for lineno, rec in _parse_records(sections["sim"]):
-        sim_fields.update(rec)
-        sim_lines.update(dict.fromkeys(rec, lineno))
+        for key, value in rec.items():
+            if key in sim_fields:
+                raise ScenarioError(f"line {lineno}: duplicate key {key!r}")
+            sim_fields[key], sim_lines[key] = value, lineno
     for key in ("dt", "t_end"):
         if key not in sim_fields:
             raise ScenarioError(f"sim section missing required field {key!r}")
@@ -642,15 +649,18 @@ def _finish(scn: Scenario, flags: RunFlags, checks, lines,
     outputs: List[Path] = []
     if flags.out_dir is not None:
         outdir = Path(flags.out_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        report_path = outdir / "report.txt"
-        report_path.write_text(report_text, encoding="utf-8")
-        outputs.append(report_path)
-        if traj is not None:
-            csv_path = outdir / "trajectory.csv"
-            write_trajectory_csv(traj, csv_path)
-            outputs.append(csv_path)
-            outputs.extend(emit_plots(traj, outdir))
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+            report_path = outdir / "report.txt"
+            report_path.write_text(report_text, encoding="utf-8")
+            outputs.append(report_path)
+            if traj is not None:
+                csv_path = outdir / "trajectory.csv"
+                write_trajectory_csv(traj, csv_path)
+                outputs.append(csv_path)
+                outputs.extend(emit_plots(traj, outdir))
+        except OSError as exc:
+            raise RuntimeError(f"cannot write outputs: {exc}") from exc
     return RunReport(scenario=scn.name, checks=checks, report_text=report_text,
                      outputs=outputs, exit_code=exit_code)
 
@@ -720,29 +730,14 @@ def apply_param(scn: Scenario, path: str, value: float) -> Scenario:
 
 
 #: Errors that end a run with exit code 2: an unreadable or invalid
-#: scenario or parameter, a diverging integration, an equilibrium failure.
+#: scenario or parameter, a diverging integration, an equilibrium failure,
+#: an unwritable output directory.
 _HARD_ERRORS = (RuntimeError, ArithmeticError, ValueError)
 
 
 def _error_text(exc: Exception) -> str:
     kind = "scenario error" if isinstance(exc, ScenarioError) else "error"
     return f"{kind}: {exc}"
-
-
-def _packs(sizes: Sequence[Tuple[int, int]]) -> List[List[int]]:
-    """Cut members, given as (states, lines), into runs of consecutive
-    indices whose union stays within sim.DENSE_ENTRIES, so that every pack
-    of two or more runs on the dense kernel; a member over the budget
-    alone makes a pack of one."""
-    packs: List[List[int]] = []
-    n = lines = 0
-    for i, (dn, dl) in enumerate(sizes):
-        n, lines = n + dn, lines + dl
-        if not packs or sim.kernel_entries(n, lines) > sim.DENSE_ENTRIES:
-            packs.append([])
-            n, lines = dn, dl
-        packs[-1].append(i)
-    return packs
 
 
 def _run_pack(pack: Sequence[_Prepared]) -> List[Tuple[int, str]]:
@@ -758,7 +753,16 @@ def _run_pack(pack: Sequence[_Prepared]) -> List[Tuple[int, str]]:
         if len(pack) > 1 and isinstance(exc, ArithmeticError):
             return [r for p in pack for r in _run_pack([p])]
         return [(2, _error_text(exc))] * len(pack)
-    return [(_conclude(p, traj).exit_code, "") for p, traj in zip(pack, trajs)]
+    return [_concluded(p, traj) for p, traj in zip(pack, trajs)]
+
+
+def _concluded(prep: _Prepared, traj: Optional[Trajectory]) -> Tuple[int, str]:
+    """_conclude's exit code and no error text, or exit 2 and the text of
+    its hard error (an unwritable output directory)."""
+    try:
+        return _conclude(prep, traj).exit_code, ""
+    except _HARD_ERRORS as exc:
+        return 2, _error_text(exc)
 
 
 def run_sweep(scn_path: str, param: str, values: Sequence[float],
@@ -766,14 +770,16 @@ def run_sweep(scn_path: str, param: str, values: Sequence[float],
     """Run one isolated simulation per parameter value.
 
     The scenario is parsed once and every value prepared in order.
-    Values on one time grid (dt, t_end, output_stride, disturbance time)
-    are integrated together, in packs of consecutive values that fit
-    sim.DENSE_ENTRIES, and the packs run in parallel.  Prints
+    --dt and --t-end override the scenario file and the swept path
+    overrides them.  The prepared values are integrated in the packs
+    sim.packs cuts, and the packs run in parallel.  Prints
     ``param=value: exit N`` for every value, and a value's error text on
     stderr, so one failing value costs only its own result.  Returns the
     worst exit code.
     """
     scn = load_scenario(scn_path)
+    if param in ("sim.dt", "sim.t_end"):
+        flags = dataclasses.replace(flags, **{_SCALARS[param]: None})
     results: Dict[int, Tuple[int, str]] = {}
     prepared: Dict[int, _Prepared] = {}
     for i, v in enumerate(values):
@@ -787,15 +793,9 @@ def run_sweep(scn_path: str, param: str, values: Sequence[float],
                 prepared[i] = prep
         except _HARD_ERRORS as exc:
             results[i] = (2, _error_text(exc))
-    grids: Dict[tuple, List[int]] = {}
-    for i, prep in prepared.items():
-        s = prep.scn
-        grids.setdefault((s.dt, s.t_end, s.output_stride, s.disturbance_time),
-                         []).append(i)
-    packs = [[members[k] for k in pack] for members in grids.values()
-             for pack in _packs([(sim.state_layout(prepared[i].scn).size,
-                                  len(prepared[i].scn.network.lines))
-                                 for i in members])]
+    order = list(prepared)
+    packs = [[order[k] for k in pack]
+             for pack in sim.packs([prepared[i].scn for i in order])]
     jobs = [[prepared[i] for i in pack] for pack in packs]
     workers = min(len(jobs), multiprocessing.cpu_count())
     if workers > 1:

@@ -18,14 +18,16 @@ it drives.  assemble() builds these once per scenario; the integrator,
 the derived series, the equilibrium and the Lyapunov function all read
 them.  Integration is classical fixed-step RK4.  Scenarios on one time
 grid can be integrated together (integrate_many): uncoupled loops side
-by side are one loop with block-diagonal J, E and S.  A step runs on one
-of two kernels, chosen by the loop's size alone.  The dense one fuses the
-whole RK4 step into five matrix products and four sines over the line
-arguments; it runs loops up to DENSE_ENTRIES matrix entries (the shipped
-fixtures and every sweep pack).  The sparse one evaluates the slope four
-times with a gather and a bincount over the nonzeros; it runs larger
-networks, whose matrices are almost all zeros.  Across 1.05e5-1.2e5
-entries the two cost the same, about 35 us per step.
+by side are one loop with block-diagonal J, E and S, which
+integrate_many stacks once and hands to a kernel; packs() cuts a sweep's
+scenarios into such unions.  A step runs on one of two kernels, chosen
+by the union's size alone.  The dense one fuses the whole RK4 step into
+five matrix products and four sines over the line arguments; it runs
+loops up to DENSE_ENTRIES matrix entries (the shipped fixtures and every
+pack of two or more).  The sparse one evaluates the slope four times
+with a gather and a bincount over the nonzeros; it runs larger networks,
+whose matrices are almost all zeros.  Across 1.05e5-1.2e5 entries the
+two cost the same, about 35 us per step.
 """
 
 from __future__ import annotations
@@ -285,7 +287,7 @@ def integrate(scn: Scenario, *, initial_state: Optional[np.ndarray] = None,
 
 #: Largest closed loop, in entries of its dense kernel matrices (see
 #: kernel_entries), that integrate_many runs on the dense kernel; a larger
-#: one runs on the sparse kernel.  A sweep cuts its packs to fit it, so a
+#: one runs on the sparse kernel.  packs() cuts unions to fit it, so a
 #: pack never lands on the sparse side.  A dense step costs nine numpy
 #: calls whatever the loop's size, until its products outgrow the per-call
 #: overhead and then the cache: the fused matrices grow as the square of
@@ -308,6 +310,27 @@ def kernel_entries(states: int, lines: int) -> int:
             + states * (states + 1 + 4 * u + lines))
 
 
+def _grid(scn: Scenario) -> tuple:
+    """The time grid: scenarios that share it integrate together."""
+    return (scn.dt, scn.t_end, scn.output_stride, scn.disturbance_time)
+
+
+def packs(scns: Sequence[Scenario]) -> List[List[int]]:
+    """The indices of scns cut into unions for integrate_many: runs of
+    scenarios on one time grid, in order, within DENSE_ENTRIES (a scenario
+    over it alone makes a pack of one), grid after grid.  The scenarios
+    alone decide the cut, so it is the same on any machine."""
+    sizes = [(state_layout(s).size, len(s.network.lines)) for s in scns]
+    grids: Dict[tuple, List[List[int]]] = {}
+    for i, s in enumerate(scns):
+        cut = grids.setdefault(_grid(s), [[]])
+        n, lines = map(sum, zip(*[sizes[k] for k in cut[-1] + [i]]))
+        if cut[-1] and kernel_entries(n, lines) > DENSE_ENTRIES:
+            cut.append([])
+        cut[-1].append(i)
+    return [pack for cut in grids.values() for pack in cut]
+
+
 def _block_diag(blocks: Sequence[np.ndarray]) -> np.ndarray:
     if len(blocks) == 1:
         return blocks[0]
@@ -320,11 +343,11 @@ def _block_diag(blocks: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _dense_kernel(loops: Sequence[ClosedLoop], dt: float, x0: np.ndarray):
-    """RK4 on the stacked loops as one fused step of five dense products
-    and four in-place sines: step() advances the state from x0 by dt and
-    returns it (a view that a later step overwrites), and load_on()
-    switches the step load on.
+def _dense_kernel(jac, load, incidence, spread, dt: float, x0: np.ndarray):
+    """RK4 on the closed loop x' = J x + c + S sin(E x) as one fused step
+    of five dense products and four in-place sines: step() advances the
+    state from x0 by dt and returns it (a view that a later step
+    overwrites), and load_on() switches the step load c on.
 
     The step works in the argument space u = m [x; 1] = [J x + c; E x]
     with m = [J | c; E], whose constant column stays zero until
@@ -338,14 +361,11 @@ def _dense_kernel(loops: Sequence[ClosedLoop], dt: float, x0: np.ndarray):
     the sines of its flow part); two buffers alternate, so the final
     product writes the next state without overwriting its input.
     """
-    incidence = _block_diag([loop.incidence for loop in loops])
-    spread = _block_diag([loop.spread for loop in loops])
     n_lines, n = incidence.shape
     nu = n + n_lines
     m = np.zeros((nu, n + 1))
-    m[:n, :n] = _block_diag([loop.jac for loop in loops])
+    m[:n, :n] = jac
     m[n:, :n] = incidence
-    load = np.concatenate([loop.load for loop in loops])
     g = np.hstack([np.eye(n), spread])
     hg = m[:, :n] @ g  # H
     eye = np.eye(nu)
@@ -410,48 +430,30 @@ def _dense_kernel(loops: Sequence[ClosedLoop], dt: float, x0: np.ndarray):
     return step, load_on
 
 
-def _stacked_nonzeros(blocks: Sequence[np.ndarray], row_offsets, col_offsets):
-    """Rows, columns and values of the nonzero entries of the matrix that
-    holds each block at its row and column offset, in row-major order
-    within each block."""
-    rows, cols, vals = [], [], []
-    for b, r0, c0 in zip(blocks, row_offsets, col_offsets):
-        r, c = np.nonzero(b)
-        rows.append(r + r0)
-        cols.append(c + c0)
-        vals.append(b[r, c])
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-
-
-def _sparse_slope(loops: Sequence[ClosedLoop]):
-    """The slope of the stacked loops from the fixed nonzero pattern of
+def _sparse_slope(jac, load, incidence, spread):
+    """The slope of the closed loop from the fixed nonzero pattern of
     [J | c; E] and S: slope(z, out) writes x' into out for z = [x, 1],
     with one gather, E x as z[from] - z[to], and one np.bincount that
     sums J x + c and S sin(E x) row by row; load_on() switches the step
     load on.
 
     The pattern's c entries hold zero until load_on() writes the loads
-    into them.  No dense matrix outlives the call.
+    into them.
     """
-    offsets = np.cumsum([0] + [loop.layout.size for loop in loops])
-    first_lines = np.cumsum([0] + [len(loop.incidence) for loop in loops])
-    n, n_lines = int(offsets[-1]), int(first_lines[-1])
-    jac_rows, jac_cols, jac_vals = _stacked_nonzeros(
-        [loop.jac for loop in loops], offsets, offsets)
-    spread_rows, spread_cols, spread_vals = _stacked_nonzeros(
-        [loop.spread for loop in loops], offsets, first_lines)
-    _, ends, sign = _stacked_nonzeros([loop.incidence for loop in loops],
-                                      first_lines, offsets)
-    load = np.concatenate([loop.load for loop in loops])
+    n_lines, n = incidence.shape
+    jac_rows, jac_cols = np.nonzero(jac)
+    spread_rows, spread_cols = np.nonzero(spread)
     load_rows = np.flatnonzero(load)
     # the terms are [J | c | S]; every c entry reads the constant z[n] = 1
     rows = np.concatenate([jac_rows, load_rows, spread_rows])
-    vals = np.concatenate([jac_vals, np.zeros(len(load_rows)), spread_vals])
+    vals = np.concatenate([jac[jac_rows, jac_cols], np.zeros(len(load_rows)),
+                           spread[spread_rows, spread_cols]])
     load_slots = slice(len(jac_rows), len(jac_rows) + len(load_rows))
     # buf is [z at each line's from-bus | z at its to-bus | J and c terms |
     # S terms]: one take fills the first three parts from z, and the last
     # two are the weights that bincount sums
-    gather = np.concatenate([ends[sign > 0], ends[sign < 0], jac_cols,
+    gather = np.concatenate([np.nonzero(incidence > 0)[1],
+                             np.nonzero(incidence < 0)[1], jac_cols,
                              np.full(len(load_rows), n)])
     buf = np.empty(len(gather) + len(spread_cols))
     gathered, spread_terms = buf[:len(gather)], buf[len(gather):]
@@ -472,11 +474,11 @@ def _sparse_slope(loops: Sequence[ClosedLoop]):
     return slope, load_on
 
 
-def _sparse_kernel(loops: Sequence[ClosedLoop], dt: float, x0: np.ndarray):
+def _sparse_kernel(jac, load, incidence, spread, dt: float, x0: np.ndarray):
     """The same step and load switch as _dense_kernel, as four evaluations
     of _sparse_slope: step() returns the new state (a view that the next
     step overwrites)."""
-    slope, load_on = _sparse_slope(loops)
+    slope, load_on = _sparse_slope(jac, load, incidence, spread)
     n = len(x0)
     # Row 0 of v is [x, 1] and rows 1-4 the stage slopes [k, 0], so each
     # stage input, and the step itself, is one product of RK4 weights with v.
@@ -519,22 +521,25 @@ def integrate_many(scns: Sequence[Scenario], *,
     differ from its lone run in the last digits.  The union runs on the
     dense kernel while kernel_entries() stays within DENSE_ENTRIES and on
     the sparse kernel above it; the two differ in the last digits too.
+    The union is stacked densely, so one above the budget is held dense
+    while the sparse kernel reads its nonzeros; packs() never forms one.
     A non-finite sample raises ArithmeticError; in a union it may have
     spread to every member.
     """
-    loops = [assemble(s) for s in scns]
     scn = scns[0]
-    grid = (scn.dt, scn.t_end, scn.output_stride, scn.disturbance_time)
-    if any((s.dt, s.t_end, s.output_stride, s.disturbance_time) != grid
-           for s in scns):
+    if any(_grid(s) != _grid(scn) for s in scns):
         raise ValueError("integrate_many needs one time grid: dt, t_end, "
                          "output_stride and disturbance_time must agree")
+    loops = [assemble(s) for s in scns]
     nones = [None] * len(scns)
     initial_states = initial_states or nones
     certs = certs or nones
     equilibria = equilibria or nones
-    sizes = [loop.layout.size for loop in loops]
-    n = sum(sizes)
+    jac = _block_diag([loop.jac for loop in loops])
+    load = np.concatenate([loop.load for loop in loops])
+    incidence = _block_diag([loop.incidence for loop in loops])
+    spread = _block_diag([loop.spread for loop in loops])
+    n_lines, n = incidence.shape
     dt = scn.dt
     nsteps = int(round(scn.t_end / dt))
     if abs(nsteps * dt - scn.t_end) > 1e-9 * max(1.0, abs(scn.t_end)):
@@ -547,15 +552,15 @@ def integrate_many(scns: Sequence[Scenario], *,
     states = np.empty((len(recorded), n))
     load_step = int(np.searchsorted(loops[0].loaded(np.arange(nsteps) * dt), True))
 
-    n_lines = sum(len(loop.incidence) for loop in loops)
     kernel = (_dense_kernel if kernel_entries(n, n_lines) <= DENSE_ENTRIES
               else _sparse_kernel)
-    offsets = np.cumsum([0] + sizes)
+    members = np.split(states, np.cumsum([loop.layout.size for loop in loops])[:-1],
+                       axis=1)
     states[0] = 0.0
-    for lo, hi, x0 in zip(offsets, offsets[1:], initial_states):
+    for own, x0 in zip(members, initial_states):
         if x0 is not None:
-            states[0, lo:hi] = x0
-    step, load_on = kernel(loops, dt, states[0])
+            own[0] = x0
+    step, load_on = kernel(jac, load, incidence, spread, dt, states[0])
 
     j = 1
     # a diverging state runs to inf/nan: the run stops at the first such
@@ -577,17 +582,13 @@ def integrate_many(scns: Sequence[Scenario], *,
         i, col = bad[0]
         if i > 0:
             col = int(np.argmax(np.abs(states[i - 1])))
-        member = int(np.searchsorted(offsets, col, side="right")) - 1
-        label = loops[member].layout.labels[col - offsets[member]]
-        if len(loops) > 1:
-            label += f" of member {member}"
-        raise ArithmeticError(f"non-finite value in {label} at t={float(times[i])}")
+        labels = [f"{label} of member {m}" if len(loops) > 1 else label
+                  for m, loop in enumerate(loops) for label in loop.layout.labels]
+        raise ArithmeticError(f"non-finite value in {labels[col]} at t={float(times[i])}")
 
     out = []
-    for loop, s, lo, hi, cert, eq in zip(loops, scns, offsets, offsets[1:],
-                                         certs, equilibria):
+    for loop, s, own, cert, eq in zip(loops, scns, members, certs, equilibria):
         lay = loop.layout
-        own = states[:, lo:hi]
         p_m = own @ loop.pm_rows.T
         cost = np.array([s.controllers[g].q for g in lay.gen_ids])
         with_v = cert is not None and eq is not None

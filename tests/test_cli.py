@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import multiprocessing
 import re
 import textwrap
 import warnings
@@ -8,10 +9,10 @@ import numpy as np
 import pytest
 
 from gridfreq import certify, cli, sim
-from gridfreq.cli import (MARGINAL_TOL, RunFlags, ScenarioError,
-                          _packs, apply_param, emit_plots, load_scenario, main,
-                          parse_scenario_text, run, run_sweep,
-                          serialize_scenario, write_trajectory_csv)
+from gridfreq.cli import (MARGINAL_TOL, RunFlags, ScenarioError, apply_param,
+                          emit_plots, load_scenario, main, parse_scenario_text,
+                          run, run_sweep, serialize_scenario,
+                          write_trajectory_csv)
 from gridfreq.fixtures import fixture_path
 from gridfreq.generation import first_order_params, second_order_params
 from gridfreq.network import PowerNetwork
@@ -100,6 +101,18 @@ class TestParsing:
     ])
     def test_non_finite_field_names_line_and_field(self, old, new, where):
         with pytest.raises(ScenarioError, match=f"^{re.escape(where)} is not finite"):
+            parse_scenario_text(MINIMAL.replace(old, new))
+
+    @pytest.mark.parametrize("old, new, where", [
+        ("cost=1.0\n", "cost=1.0\nbus=0 gamma=1.0 k_f=1.0 k_c=1.0 k_d=1.0 cost=9.0\n",
+         "line 14: duplicate controller for bus 0"),
+        ("delta=0.2\n", "delta=0.2\nbus=1 delta=0.1\n",
+         "line 20: duplicate step load for bus 1"),
+        ("time=1.0\n", "time=1.0\ntime=2.0\n", "line 19: duplicate time= line"),
+        ("t_end=5.0\n", "t_end=5.0\ndt=0.002\n", "line 23: duplicate key 'dt'"),
+    ], ids=["controller", "step-load", "time", "sim-key"])
+    def test_repeated_record_rejected(self, old, new, where):
+        with pytest.raises(ScenarioError, match=f"^{re.escape(where)}$"):
             parse_scenario_text(MINIMAL.replace(old, new))
 
     def test_duplicate_key_in_record(self):
@@ -470,28 +483,64 @@ class TestSweep:
                       "marginal_cost.gnu"):
                 assert (swept / f).read_bytes() == (lone / f).read_bytes(), f
 
-    def test_packs_stay_within_the_budget(self):
-        rng = np.random.default_rng(3)
-        sizes = [(int(n), int(n // 2)) for n in rng.integers(5, 120, size=200)]
-        packs = _packs(sizes)
-        assert [i for pack in packs for i in pack] == list(range(len(sizes)))
-        for pack, following in zip(packs, packs[1:] + [[]]):
-            n = sum(sizes[i][0] for i in pack)
-            lines = sum(sizes[i][1] for i in pack)
-            assert len(pack) == 1 or \
-                sim.kernel_entries(n, lines) <= sim.DENSE_ENTRIES
-            if following:  # a pack closes only when the next value would not fit
-                n += sizes[following[0]][0]
-                lines += sizes[following[0]][1]
-                assert sim.kernel_entries(n, lines) > sim.DENSE_ENTRIES
-        assert _packs([(400, 600), (9, 3), (400, 600)]) == [[0], [1], [2]]
+    @pytest.mark.parametrize("flags, param, values", [
+        (["--t-end", "4"], "sim.t_end", ["3.0", "5.0"]),
+        (["--t-end", "4", "--dt", "0.005"], "sim.dt", ["0.002", "0.004"]),
+    ])
+    def test_swept_value_overrides_its_flag(self, flags, param, values,
+                                            tmp_path, capsys):
+        main(["sweep", str(fixture_path("two_gen.scn")), "--skip-certify",
+              *flags, "--param", param, "--values", ",".join(values),
+              "--out", str(tmp_path)])
+        name = param.split(".")[1]
+        for v in values:
+            report = (tmp_path / f"sim_{name}={v}" / "report.txt").read_text()
+            line = next(x for x in report.splitlines() if x.startswith("t_end = "))
+            assert f"{name} = {v} " in line
 
-    def test_benchmark_sweep_is_one_pack(self):
-        # the eight two_gen k_d values the benchmark sweeps integrate as one
-        # block-diagonal loop
-        scn = load_scenario(fixture_path("two_gen.scn"))
-        size = (sim.state_layout(scn).size, len(scn.network.lines))
-        assert _packs([size] * 8) == [list(range(8))]
+    def test_unwritable_value_dir_costs_only_that_value(self, tmp_path, capsys):
+        (tmp_path / "controllers_1_k_d=0.8").write_text("")
+        code = main(["sweep", str(fixture_path("two_gen.scn")), "--skip-certify",
+                     "--t-end", "3", "--param", "controllers.1.k_d",
+                     "--values", "0.6,0.8", "--out", str(tmp_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == ["controllers.1.k_d=0.6: exit 1",
+                                             "controllers.1.k_d=0.8: exit 2"]
+        assert captured.err.startswith(
+            "controllers.1.k_d=0.8: error: cannot write outputs: ")
+        assert captured.err.count("\n") == 1
+        assert (tmp_path / "controllers_1_k_d=0.6" / "trajectory.csv").exists()
+
+    def test_bytes_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch,
+                                                  capsys):
+        # nine values on one grid are two packs: the pool runs them side by
+        # side, one CPU one after the other
+        fixture = fixture_path("two_gen.scn")
+        scn = load_scenario(fixture)
+        path, values = "controllers.1.k_d", [0.4 + 0.1 * i for i in range(9)]
+        assert len(sim.packs([apply_param(scn, path, v) for v in values])) == 2
+        printed = []
+        for cpus in ("pool", "serial"):
+            if cpus == "serial":
+                monkeypatch.setattr(multiprocessing, "cpu_count", lambda: 1)
+            run_sweep(str(fixture), path, values, str(tmp_path / cpus),
+                      RunFlags(t_end=2.0))
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        files = sorted(p.relative_to(tmp_path / "pool")
+                       for p in (tmp_path / "pool").rglob("*") if p.is_file())
+        assert len(files) == 4 * len(values)
+        for f in files:
+            assert (tmp_path / "pool" / f).read_bytes() == \
+                (tmp_path / "serial" / f).read_bytes(), f
+        for v in values:
+            lone = tmp_path / f"lone{v!r}"
+            run(apply_param(scn, path, v), RunFlags(t_end=2.0, out_dir=str(lone)))
+            a, b = (np.genfromtxt(d / "trajectory.csv", delimiter=",",
+                                  skip_header=1)
+                    for d in (tmp_path / "pool" / f"controllers_1_k_d={v!r}", lone))
+            assert np.max(np.abs(a - b)) <= 1e-12
 
 
 class TestMain:
@@ -504,6 +553,17 @@ class TestMain:
         bad.write_text("nonsense\n")
         assert main(["simulate", str(bad)]) == 2
         assert "scenario error" in capsys.readouterr().err
+
+    def test_unwritable_out_is_exit_2(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["simulate", str(fixture_path("two_gen.scn")), "--skip-certify",
+                     "--t-end", "1.01", "--out", str(blocker / "x")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write outputs: ")
+        assert captured.err.count("\n") == 1
 
     def test_simulate_success(self, tmp_path, capsys):
         code = main(["simulate", str(fixture_path("two_gen.scn")),

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from gridfreq import cli, sim
+from gridfreq import sim
 from gridfreq.certify import search_certificate
 from gridfreq.cli import load_scenario
 from gridfreq.control import ControllerGains
@@ -337,8 +337,9 @@ class TestDenseKernel:
         assert np.max(np.abs(got - _rk4_reference(scns, starts, 50))) <= 1e-12
 
     def test_step_makes_nine_numpy_calls(self, ring9_scenario, monkeypatch):
-        step, load_on = sim._dense_kernel([assemble(ring9_scenario)], 0.01,
-                                          np.full(23, 0.1))
+        loop = assemble(ring9_scenario)
+        step, load_on = sim._dense_kernel(loop.jac, loop.load, loop.incidence,
+                                          loop.spread, 0.01, np.full(23, 0.1))
         load_on()
         calls = []
         for name, ufunc in list(vars(np).items()):
@@ -374,7 +375,11 @@ class TestSparseKernel:
                                       with_two_gen):
         scns = [mesh, two_gen_scenario] if with_two_gen else [mesh]
         loops = [assemble(s) for s in scns]
-        slope, load_on = sim._sparse_slope(loops)
+        slope, load_on = sim._sparse_slope(
+            sim._block_diag([loop.jac for loop in loops]),
+            np.concatenate([loop.load for loop in loops]),
+            sim._block_diag([loop.incidence for loop in loops]),
+            sim._block_diag([loop.spread for loop in loops]))
         rng = np.random.default_rng(11)
         xs = [rng.normal(scale=0.5, size=(3, loop.layout.size)) for loop in loops]
         for t, switch in ((0.0, False), (5.0, True)):
@@ -406,12 +411,48 @@ class TestSparseKernel:
                                 used.append(name) or real(*args))
         scn = dataclasses.replace(two_gen_scenario, disturbance_time=0.01,
                                   t_end=0.02)
-        size = len(cli._packs([(9, 3)] * 40)[0])
+        size = len(sim.packs([scn] * 40)[0])
         assert _kernel_size([scn] * size) <= sim.DENSE_ENTRIES \
             < _kernel_size([scn] * (size + 1))
         for members in (1, size, size + 1):
             integrate_many([scn] * members)
         assert used == ["_dense_kernel", "_dense_kernel", "_sparse_kernel"]
+
+
+class TestPacks:
+    def test_packs_stay_within_the_budget(self, mesh, two_gen_scenario):
+        rng = np.random.default_rng(3)
+        scns = []
+        for _ in range(200):
+            buses = int(rng.integers(3, 40))
+            scns.append(ring_with_chords(
+                seed=int(rng.integers(1000)), buses=buses,
+                generators=int(rng.integers(2, buses // 3 + 3)), chords=0))
+        sizes = [(state_layout(s).size, len(s.network.lines)) for s in scns]
+        packs = sim.packs(scns)
+        assert [i for pack in packs for i in pack] == list(range(len(sizes)))
+        for pack, following in zip(packs, packs[1:] + [[]]):
+            n = sum(sizes[i][0] for i in pack)
+            lines = sum(sizes[i][1] for i in pack)
+            assert len(pack) == 1 or \
+                sim.kernel_entries(n, lines) <= sim.DENSE_ENTRIES
+            if following:  # a pack closes only when the next value would not fit
+                n += sizes[following[0]][0]
+                lines += sizes[following[0]][1]
+                assert sim.kernel_entries(n, lines) > sim.DENSE_ENTRIES
+        small = dataclasses.replace(two_gen_scenario, dt=mesh.dt, t_end=mesh.t_end,
+                                    disturbance_time=mesh.disturbance_time)
+        assert sim.packs([mesh, small, mesh]) == [[0], [1], [2]]
+
+    def test_benchmark_sweep_is_one_pack(self, two_gen_scenario):
+        # the eight two_gen k_d values the benchmark sweeps integrate as one
+        # block-diagonal loop
+        assert sim.packs([two_gen_scenario] * 8) == [list(range(8))]
+
+    def test_packs_hold_one_time_grid(self, two_gen_scenario):
+        other = dataclasses.replace(two_gen_scenario, output_stride=5)
+        assert sim.packs([two_gen_scenario, other, two_gen_scenario, other]) \
+            == [[0, 2], [1, 3]]
 
 
 class TestTransientAnglePeak:
