@@ -16,9 +16,8 @@ from .certify import (Certificate, SymmetricMatrix, check_primary_lmi,
 from .control import ControllerGains, default_kf, optimal_kc
 from .dispatch import DispatchProblem, marginal_costs, solve_dispatch
 from .generation import (LtiGenerator, dc_gain, is_hurwitz, make_first_order,
-                         make_second_order, output)
-from .network import (Bus, BusKind, CommEdge, Line, PowerNetwork, line_power,
-                      net_injection, validate)
+                         make_second_order)
+from .network import Bus, BusKind, CommEdge, Line, PowerNetwork, validate
 from .sim import (Equilibrium, Scenario, Trajectory, compute_equilibrium,
                   dissipation_check, integrate, lyapunov_value)
 
@@ -31,9 +30,8 @@ __all__ = [
     "check_primary_lmi", "check_secondary_lmi", "compute_equilibrium",
     "dc_gain", "default_kf", "dissipation_check", "first_order_certificate",
     "first_order_min_damping", "integrate", "is_hurwitz",
-    "is_positive_definite", "line_power",
-    "lyapunov_value", "make_first_order", "make_second_order",
-    "marginal_costs", "net_injection", "optimal_kc", "output",
+    "is_positive_definite", "lyapunov_value", "make_first_order",
+    "make_second_order", "marginal_costs", "optimal_kc",
     "primary_lmi_matrix", "search_certificate", "second_order_certificate",
     "second_order_min_damping", "secondary_lmi_matrix", "solve_dispatch",
     "sym_eigenvalues", "validate",

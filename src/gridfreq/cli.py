@@ -541,9 +541,11 @@ def _dispatch(scn: Scenario) -> Tuple[float, List[str]]:
 
 
 def _prepare(scn: Scenario, flags: RunFlags) -> _Prepared:
-    """Validation, --optimal-gains and the stages: certification, k_f
-    adoption, equilibrium and dispatch; everything a run does before
-    integrating."""
+    """The time overrides, the output directory, validation,
+    --optimal-gains and the stages: certification, k_f adoption,
+    equilibrium and dispatch; everything a run does before integrating.
+    The output directory is made before any stage, so an unwritable one
+    fails the run before it spends time."""
     checks: Dict[str, Check] = {}
     lines: List[str] = []
 
@@ -552,6 +554,11 @@ def _prepare(scn: Scenario, flags: RunFlags) -> _Prepared:
             scn,
             dt=flags.dt if flags.dt is not None else scn.dt,
             t_end=flags.t_end if flags.t_end is not None else scn.t_end)
+    if flags.out_dir is not None:
+        try:
+            Path(flags.out_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise RuntimeError(f"cannot write outputs: {exc}") from exc
 
     problems = validate(scn.network)
     checks["validation"] = _passes(not problems, "; ".join(problems))
@@ -650,7 +657,6 @@ def _finish(scn: Scenario, flags: RunFlags, checks, lines,
     if flags.out_dir is not None:
         outdir = Path(flags.out_dir)
         try:
-            outdir.mkdir(parents=True, exist_ok=True)
             report_path = outdir / "report.txt"
             report_path.write_text(report_text, encoding="utf-8")
             outputs.append(report_path)
@@ -775,8 +781,12 @@ def run_sweep(scn_path: str, param: str, values: Sequence[float],
     sim.packs cuts, and the packs run in parallel.  Prints
     ``param=value: exit N`` for every value, and a value's error text on
     stderr, so one failing value costs only its own result.  Returns the
-    worst exit code.
+    worst exit code.  A repeated value would run twice into one
+    directory, so it raises ValueError before any value runs.
     """
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ValueError(f"--values: {v!r} is repeated")
     scn = load_scenario(scn_path)
     if param in ("sim.dt", "sim.t_end"):
         flags = dataclasses.replace(flags, **{_SCALARS[param]: None})

@@ -9,7 +9,7 @@ are built here with their DC gain forced to a requested value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -69,16 +69,6 @@ def is_hurwitz(a_matrix) -> bool:
         raise ValueError(f"matrix order {m.shape[0]} exceeds supported maximum {MAX_ORDER}")
     eigs = np.linalg.eigvals(m)
     return bool(np.all(eigs.real < -TOL_HURWITZ))
-
-
-def output(gen: LtiGenerator, state: Sequence[float], u: float) -> float:
-    """Mechanical power C*state + D*u."""
-    if len(state) != gen.order:
-        raise ValueError(f"state length {len(state)} does not match order {gen.order}")
-    acc = gen.d_scalar * u
-    for j in range(gen.order):
-        acc += gen.c_vector[j] * state[j]
-    return acc
 
 
 def dc_gain(gen: LtiGenerator) -> float:

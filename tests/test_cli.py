@@ -287,6 +287,41 @@ class TestRun:
         assert csv_a == csv_b
 
 
+    def test_benchmark_entry_points(self, two_gen_scenario, monkeypatch):
+        # the benchmark wraps these module attributes and reads the
+        # scenario integrate is called with and the equilibrium it uses
+        for module, names in [(cli, ("run", "run_sweep", "search_certificate",
+                                     "write_trajectory_csv")),
+                              (sim, ("integrate", "compute_equilibrium",
+                                     "dissipation_check"))]:
+            for name in names:
+                assert callable(getattr(module, name)), name
+        calls = {}
+
+        def recording(name):
+            real = getattr(sim, name)
+
+            def wrapper(*args, **kwargs):
+                result = real(*args, **kwargs)
+                calls.setdefault(name, []).append((args, result))
+                return result
+
+            monkeypatch.setattr(sim, name, wrapper)
+
+        recording("integrate")
+        recording("compute_equilibrium")
+        report = run(two_gen_scenario, RunFlags())
+        assert report.exit_code == 0
+        [(args, traj)], [(eq_args, eq)] = (calls["integrate"],
+                                           calls["compute_equilibrium"])
+        assert len(args) == len(eq_args) == 1
+        scn = args[0]
+        assert eq_args[0] is scn
+        assert scn.name == two_gen_scenario.name
+        assert traj.lyapunov is not None  # integrate got the equilibrium
+        assert f"nu = {eq.nu!r}" in report.report_text
+
+
 class TestApplyParam:
     def test_sim_and_disturbance_paths(self, two_gen_scenario):
         scn = apply_param(two_gen_scenario, "sim.dt", 0.002)
@@ -565,6 +600,21 @@ class TestMain:
         assert captured.err.startswith("error: cannot write outputs: ")
         assert captured.err.count("\n") == 1
 
+    def test_unwritable_out_fails_before_any_stage(self, tmp_path, monkeypatch,
+                                                   capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        reached = []
+        for module, name in [(cli, "search_certificate"),
+                             (sim, "compute_equilibrium"), (sim, "integrate")]:
+            monkeypatch.setattr(module, name,
+                                lambda *a, name=name, **k: reached.append(name))
+        code = main(["simulate", str(fixture_path("ring9.scn")),
+                     "--out", str(blocker / "x")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: cannot write outputs: ")
+        assert reached == []
+
     def test_simulate_success(self, tmp_path, capsys):
         code = main(["simulate", str(fixture_path("two_gen.scn")),
                      "--skip-certify", "--out", str(tmp_path / "out")])
@@ -699,6 +749,20 @@ class TestMain:
         assert code == 1  # too short a horizon to settle
         assert len(parsed) == 1
         assert capsys.readouterr().out.count(": exit 1\n") == 2
+
+    def test_repeated_sweep_value_is_exit_2_before_any_run(self, tmp_path,
+                                                           monkeypatch, capsys):
+        prepared = []
+        monkeypatch.setattr(cli, "_prepare", lambda *a: prepared.append(a))
+        code = main(["sweep", str(fixture_path("two_gen.scn")), "--skip-certify",
+                     "--t-end", "2", "--param", "controllers.1.k_d",
+                     "--values", "0.6,0.8,0.6", "--out", str(tmp_path / "s")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --values: 0.6 is repeated\n"
+        assert prepared == []
+        assert not (tmp_path / "s").exists()
 
     def test_sweep_requires_values(self, capsys):
         code = main(["sweep", str(fixture_path("two_gen.scn")),

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+from gridfreq.control import ControllerGains
 from gridfreq.generation import (LtiGenerator, dc_gain, equilibrium_state,
                                  first_order_params, is_hurwitz,
-                                 make_first_order, make_second_order, output,
+                                 make_first_order, make_second_order,
                                  second_order_params)
+from gridfreq.network import Bus, BusKind, PowerNetwork
+from gridfreq.sim import Scenario, assemble
+from reference import output
 
 
 def test_first_order_construction():
@@ -39,18 +43,28 @@ def test_constructors_reject_nonpositive_parameters():
         make_second_order(1.0, 0.0, 1.0)
 
 
-def test_output_dimension_mismatch():
-    gen = make_second_order(1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        output(gen, [1.0, 2.0, 3.0], 0.0)
+def _closed_loop_output(gen, state, u):
+    """p_m as the closed loop reads it (its pm_rows), for the block on a
+    single bus with internal state ``state``, zero frequency and the
+    command that makes the input u (k_c = 1)."""
+    net = PowerNetwork(buses=[Bus(0, BusKind.GENERATOR, inertia=1.0,
+                                  damping=1.0)], lines=[], comm=[])
+    gains = ControllerGains(gamma=1.0, k_f=1.0, k_c=1.0, k_d=1.0, q=1.0)
+    loop = assemble(Scenario(network=net, generators={0: gen},
+                             controllers={0: gains}, disturbance_time=0.0,
+                             step_loads={}, t_end=1.0, dt=0.1))
+    x = np.zeros(loop.layout.size)
+    x[loop.layout.x[0]] = state
+    x[loop.layout.pc] = u
+    return float(loop.pm_rows[0] @ x)
 
 
 def test_output_examples():
     gen = make_second_order(1.0, 1.0, 1.0)
-    assert output(gen, [0.3, 0.9], 5.0) == 0.9
+    assert _closed_loop_output(gen, [0.3, 0.9], 5.0) == 0.9
     direct = LtiGenerator(a_matrix=((-1.0,),), b_vector=(1.0,),
                           c_vector=(0.0,), d_scalar=0.5, order=1)
-    assert output(direct, [0.0], 2.0) == 1.0
+    assert _closed_loop_output(direct, [0.0], 2.0) == 1.0
 
 
 def test_dc_gain_examples():

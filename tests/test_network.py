@@ -1,20 +1,60 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridfreq.control import ControllerGains
+from gridfreq.generation import make_first_order
 from gridfreq.network import (Bus, BusKind, CommEdge, Line, PowerNetwork,
-                              line_power, net_injection, validate)
+                              validate)
+from gridfreq.sim import Scenario, assemble
+from meshes import ring_with_chords
 
 
-def _two_bus(comm=True):
+def _two_bus(comm=True, susceptance=1.0):
     return PowerNetwork(
         buses=[Bus(0, BusKind.GENERATOR, inertia=1.0, damping=0.5),
                Bus(1, BusKind.GENERATOR, inertia=1.0, damping=0.5)],
-        lines=[Line(0, 1, 1.0)],
+        lines=[Line(0, 1, susceptance)],
         comm=[CommEdge(0, 1, 1.0)] if comm else [],
     )
+
+
+def _line_terms(scn, angles):
+    """The net line power into each bus at the angles, read off the closed
+    loop's S sin(E x): the line term in the row each bus drives (a
+    generator's frequency row, a load bus's angle row) times the divisor
+    of that row (the inertia or the damping)."""
+    loop = assemble(scn)
+    lay = loop.layout
+    x = np.zeros(lay.size)
+    x[:lay.n_bus] = angles
+    terms = loop.spread @ np.sin(loop.incidence @ x)
+    rows = np.arange(lay.n_bus)
+    divisor = np.array([scn.network.bus(b).damping for b in rows])
+    for i, g in enumerate(lay.gen_ids):
+        rows[g], divisor[g] = lay.omega.start + i, scn.network.bus(g).inertia
+    return terms[rows] * divisor
+
+
+def _inflow(net, angles):
+    """_line_terms on the network with a first-order lag at every
+    generator bus."""
+    gens = net.generator_ids
+    gains = ControllerGains(gamma=1.0, k_f=1.0, k_c=1.0, k_d=1.0, q=1.0)
+    scn = Scenario(network=net,
+                   generators={g: make_first_order(1.0, 1.0) for g in gens},
+                   controllers={g: gains for g in gens},
+                   disturbance_time=0.0, step_loads={}, t_end=1.0, dt=0.1)
+    return _line_terms(scn, angles)
+
+
+def _line_power(eta, susceptance):
+    """The power a single line carries into its to-bus when its from-bus
+    leads by eta."""
+    return _inflow(_two_bus(susceptance=susceptance), [eta, 0.0])[1]
 
 
 class TestValidate:
@@ -71,61 +111,54 @@ class TestValidate:
 
 
 class TestLinePower:
+    """The closed loop's line term b sin(eta)."""
+
     def test_zero_angle(self):
-        assert line_power(0.0, 1.0) == 0.0
+        assert _line_power(0.0, 1.0) == 0.0
 
     def test_quarter_turn_transfers_full_capacity(self):
-        assert line_power(math.pi / 2, 2.0) == pytest.approx(2.0)
+        assert _line_power(math.pi / 2, 2.0) == pytest.approx(2.0)
 
     def test_odd_symmetry_example(self):
-        assert line_power(-math.pi / 6, 1.0) == pytest.approx(-0.5)
+        assert _line_power(-math.pi / 6, 1.0) == pytest.approx(-0.5)
 
     @given(st.floats(-10.0, 10.0), st.floats(0.01, 100.0))
     def test_odd_in_angle(self, eta, b):
-        assert line_power(-eta, b) == pytest.approx(-line_power(eta, b), abs=1e-12)
+        assert _line_power(-eta, b) == pytest.approx(-_line_power(eta, b),
+                                                     abs=1e-12)
 
     @given(st.floats(-10.0, 10.0), st.floats(0.01, 100.0))
     def test_two_pi_periodic(self, eta, b):
-        assert line_power(eta + 2 * math.pi, b) == pytest.approx(
-            line_power(eta, b), abs=1e-9 * b)
+        assert _line_power(eta + 2 * math.pi, b) == pytest.approx(
+            _line_power(eta, b), abs=1e-9 * b)
 
 
 class TestNetInjection:
+    """The net line power into each bus, as the closed loop's S sin(E x)
+    carries it."""
+
     def test_equal_angles_inject_nothing(self):
-        net = _two_bus()
-        angles = {0: 0.3, 1: 0.3}
-        assert net_injection(net, 0, angles) == 0.0
-        assert net_injection(net, 1, angles) == 0.0
+        assert list(_inflow(_two_bus(), [0.3, 0.3])) == [0.0, 0.0]
 
     def test_two_bus_reference_value(self):
-        net = _two_bus()
-        angles = {0: 0.0, 1: -math.asin(0.1)}
         # bus 0 exports 0.1 toward the lagging bus
-        assert net_injection(net, 0, angles) == pytest.approx(-0.1, abs=1e-15)
-        assert net_injection(net, 1, angles) == pytest.approx(0.1, abs=1e-15)
+        inflow = _inflow(_two_bus(), [0.0, -math.asin(0.1)])
+        assert inflow == pytest.approx([-0.1, 0.1], abs=1e-15)
 
-    def test_unknown_bus_rejected(self):
-        net = _two_bus()
-        with pytest.raises(KeyError):
-            net_injection(net, 7, {0: 0.0, 1: 0.0})
-
-    @given(st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
-    def test_triangle_conserves_power(self, thetas):
-        net = PowerNetwork(
-            buses=[Bus(0, BusKind.GENERATOR, inertia=1.0, damping=0.1),
-                   Bus(1, BusKind.GENERATOR, inertia=1.0, damping=0.1),
-                   Bus(2, BusKind.LOAD, damping=1.0)],
-            lines=[Line(0, 1, 1.5), Line(1, 2, 2.5), Line(2, 0, 0.5)],
-            comm=[CommEdge(0, 1, 1.0)],
-        )
-        angles = dict(enumerate(thetas))
-        total = sum(net_injection(net, b, angles) for b in range(3))
-        assert total == pytest.approx(0.0, abs=1e-12)
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_meshes_conserve_power(self, seed):
+        # lossless lines: whatever the angles, what leaves one bus enters
+        # another, so the inflows sum to zero over the buses
+        scn = ring_with_chords(seed, buses=30, generators=8, chords=10)
+        angles = np.random.default_rng(seed).uniform(-math.pi, math.pi, 30)
+        inflow = _line_terms(scn, angles)
+        scale = sum(ln.susceptance for ln in scn.network.lines)
+        assert abs(inflow.sum()) <= 1e-13 * scale
 
     def test_orientation_flip_changes_nothing(self):
         net = _two_bus()
         flipped = PowerNetwork(buses=net.buses, lines=[Line(1, 0, 1.0)],
                                comm=net.comm)
-        angles = {0: 0.4, 1: -0.2}
-        for b in (0, 1):
-            assert net_injection(net, b, angles) == net_injection(flipped, b, angles)
+        angles = [0.4, -0.2]
+        assert list(_inflow(net, angles)) == list(_inflow(flipped, angles))

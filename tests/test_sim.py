@@ -11,13 +11,14 @@ from gridfreq.certify import search_certificate
 from gridfreq.cli import load_scenario
 from gridfreq.control import ControllerGains
 from gridfreq.fixtures import fixture_path
-from gridfreq.generation import dc_gain, make_first_order, output
-from gridfreq.network import Bus, BusKind, Line, PowerNetwork, net_injection
+from gridfreq.generation import dc_gain, make_first_order
+from gridfreq.network import Bus, BusKind, Line, PowerNetwork
 from gridfreq.sim import (EPSILON_V, Scenario, assemble, compute_equilibrium,
                           dissipation_check, equilibrium_system_state,
                           integrate, integrate_many, lyapunov_value,
                           state_layout, transient_angle_peak)
 from meshes import ring_with_chords
+from reference import net_injection, output
 
 
 def _single_bus_scenario():
@@ -203,12 +204,17 @@ class TestIntegrate:
             assert np.array_equal(traj.marginal_cost[:, i], q * traj.p_m[:, i])
 
     def test_equilibrium_is_a_fixed_point(self, two_gen_scenario):
-        scn = dataclasses.replace(two_gen_scenario, disturbance_time=0.0,
-                                  t_end=10.0)
-        eq = compute_equilibrium(scn)
-        start = equilibrium_system_state(scn, eq)
-        traj = integrate(scn, initial_state=start)
-        assert np.max(np.abs(traj.states[-1] - start)) <= 1e-10
+        # two_gen, and meshes that mix first- and second-order generators
+        cases = [two_gen_scenario] + [
+            ring_with_chords(seed, buses=20, generators=6, chords=6)
+            for seed in (3, 4, 5)]
+        for base in cases:
+            scn = dataclasses.replace(base, disturbance_time=0.0, t_end=10.0)
+            eq = compute_equilibrium(scn)
+            start = equilibrium_system_state(scn, eq)
+            traj = integrate(scn, initial_state=start)
+            drift = np.max(np.abs(traj.states[-1] - start))
+            assert drift <= 1e-10, (scn.name, drift)
 
     def test_unstable_step_size_reports_offending_variable(self, two_gen_scenario):
         # x_0[0] is the largest slot (3.5e284) at t=600, the last finite
@@ -472,22 +478,25 @@ class TestTransientAnglePeak:
 
 class TestEquilibrium:
     def test_two_gen_values(self, two_gen_scenario):
-        eq = compute_equilibrium(two_gen_scenario)
+        scn = two_gen_scenario
+        eq = compute_equilibrium(scn)
         assert eq.nu == pytest.approx(0.4 / 1.5)
         assert eq.angles_star[0] == 0.0  # reference bus pinned
-        assert eq.p_m_star[0] == pytest.approx(1.0 * eq.nu)
-        assert eq.p_m_star[1] == pytest.approx(0.5 * eq.nu)
-        assert sum(eq.p_m_star.values()) == pytest.approx(0.4)
+        p_m = assemble(scn).pm_rows @ equilibrium_system_state(scn, eq)
+        assert p_m == pytest.approx([1.0 * eq.nu, 0.5 * eq.nu])
+        assert sum(p_m) == pytest.approx(0.4)
         assert eq.security_ok
         assert eq.max_abs_angle_diff < 0.06
 
     def test_flow_balance_at_each_bus(self, ring9_scenario):
         scn = ring9_scenario
         eq = compute_equilibrium(scn)
+        p_m = assemble(scn).pm_rows @ equilibrium_system_state(scn, eq)
+        outputs = dict(zip(sorted(scn.network.generator_ids), p_m))
         for b in scn.network.buses:
             inj = net_injection(scn.network, b.id, eq.angles_star)
             load = scn.step_loads.get(b.id, 0.0)
-            gen_out = eq.p_m_star.get(b.id, 0.0)
+            gen_out = outputs.get(b.id, 0.0)
             assert gen_out - load + inj == pytest.approx(0.0, abs=1e-10)
 
     def test_flows_match_angle_differences(self, two_gen_scenario):
