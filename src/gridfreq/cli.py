@@ -25,7 +25,6 @@ import argparse
 import dataclasses
 import itertools
 import math
-import multiprocessing
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -784,6 +783,10 @@ def run_sweep(scn_path: str, param: str, values: Sequence[float],
     worst exit code.  A repeated value would run twice into one
     directory, so it raises ValueError before any value runs.
     """
+    # only a sweep runs a pool: importing multiprocessing here spares
+    # every other command its import
+    import multiprocessing
+
     for i, v in enumerate(values):
         if v in values[:i]:
             raise ValueError(f"--values: {v!r} is repeated")

@@ -159,6 +159,7 @@ def validate(net: PowerNetwork) -> List[str]:
         seen_pairs.add(key)
 
     gen_set = set(gens)
+    seen_edges = set()
     for e in net.comm:
         if e.a not in gen_set or e.b not in gen_set:
             problems.append(f"communication edge {e.a}-{e.b} must join generator buses")
@@ -166,6 +167,10 @@ def validate(net: PowerNetwork) -> List[str]:
             problems.append(f"communication edge {e.a}-{e.b} is a self-loop")
         if not e.weight > 0.0:
             problems.append(f"communication edge {e.a}-{e.b} weight must be positive")
+        key = frozenset((e.a, e.b))
+        if key in seen_edges:
+            problems.append(f"communication edge {e.a}-{e.b} duplicates an existing edge")
+        seen_edges.add(key)
 
     if not _connected(ids, [(ln.from_bus, ln.to_bus) for ln in net.lines]):
         problems.append("power graph is not connected")

@@ -21,18 +21,27 @@ grid can be integrated together (integrate_many): uncoupled loops side
 by side are one loop with block-diagonal J, E and S, which
 integrate_many stacks once and hands to a kernel; packs() cuts a sweep's
 scenarios into such unions.  A step runs on one of two kernels, chosen
-by the union's size alone.  The dense one fuses the whole RK4 step into
-five matrix products and four sines over the line arguments; it runs
-loops up to DENSE_ENTRIES matrix entries (the shipped fixtures and every
-pack of two or more).  The sparse one evaluates the slope four times
-with a gather and a bincount over the nonzeros; it runs larger networks,
-whose matrices are almost all zeros.  Across 1.05e5-1.2e5 entries the
-two cost the same, about 35 us per step.
+by the union's size alone, and advances a block of steps per call: one
+call runs from the load step or a recorded sample to the next.  The
+dense one fuses the whole RK4 step into five matrix products and four
+sines over the line arguments; it runs loops up to DENSE_ENTRIES matrix
+entries (the shipped fixtures and every pack of two or more).  The
+sparse one evaluates the slope four times with a gather and a bincount
+over the nonzeros; it runs larger networks, whose matrices are almost
+all zeros.  Around 1.2e5 entries the two cost the same, about 32 us per
+step.
+
+A run stays on one core.  The series derived from the recorded states
+(bus frequencies, p_m, the Lyapunov value, the transient angle peak) are
+summed over the nonzeros of the matrices they read, because a dense
+product over all samples wakes the BLAS thread pool, which then spins on
+a second core for a while after the call returns.  The one exception is
+compute_equilibrium on a network of about 100 buses or more, whose
+Newton steps build the Jacobian and solve with dense products.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -127,14 +136,22 @@ def state_layout(scn: Scenario) -> StateLayout:
     return StateLayout(n_bus=n_bus, gen_ids=gens, x=tuple(x), labels=tuple(labels))
 
 
+def _line_ends(net: PowerNetwork) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each line's from-bus, its to-bus and its susceptance."""
+    return (np.array([ln.from_bus for ln in net.lines], dtype=int),
+            np.array([ln.to_bus for ln in net.lines], dtype=int),
+            np.array([ln.susceptance for ln in net.lines]))
+
+
 def _lines(net: PowerNetwork, size: int) -> Tuple[np.ndarray, np.ndarray]:
     """Line incidence E (+1 at the from-bus angle, -1 at the to-bus angle,
     over ``size`` state columns) and the line susceptances."""
+    frm, to, b = _line_ends(net)
     rows = np.arange(len(net.lines))
     e = np.zeros((len(net.lines), size))
-    e[rows, np.array([ln.from_bus for ln in net.lines], dtype=int)] = 1.0
-    e[rows, np.array([ln.to_bus for ln in net.lines], dtype=int)] = -1.0
-    return e, np.array([ln.susceptance for ln in net.lines])
+    e[rows, frm] = 1.0
+    e[rows, to] = -1.0
+    return e, b
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,12 +177,6 @@ class ClosedLoop:
     def loaded(self, t):
         """Whether the step load is on at time t (a scalar or an array)."""
         return np.asarray(t) >= self.load_time - _TIME_EPS
-
-    def derivative(self, x: np.ndarray, t) -> np.ndarray:
-        """x' for one state at time t, or for a (samples, states) array at
-        the sample times t."""
-        return (x @ self.jac.T + np.multiply.outer(self.loaded(t), self.load)
-                + np.sin(x @ self.incidence.T) @ self.spread.T)
 
 
 def assemble(scn: Scenario) -> ClosedLoop:
@@ -291,11 +302,13 @@ def integrate(scn: Scenario, *, initial_state: Optional[np.ndarray] = None,
 #: calls whatever the loop's size, until its products outgrow the per-call
 #: overhead and then the cache: the fused matrices grow as the square of
 #: the loop, while the sparse step grows with its nonzeros.  Per RK4 step
-#: on unions of fixture copies (medians of 25 interleaved rounds, 2 CPUs,
-#: python 3.11, numpy 2.4), dense against sparse: 8 two_gen copies (94 632
-#: entries) 29.5 against 34.0 us, 3 ring9 copies (104 517) 33.1 against
-#: 35.0, 9 two_gen copies (119 745) 35.9 against 34.9, 4 ring9 copies
-#: (185 732) 62.3 against 36.3.  The budget sits at that crossover.
+#: on unions of fixture copies (medians of 25 interleaved rounds, two
+#: runs, 2 CPUs, python 3.11, numpy 2.4), dense against sparse: 8 two_gen
+#: copies (94 632 entries) 24.6-24.8 against 28.2-29.2 us, 3 ring9 copies
+#: (104 517) 28.3-28.4 against 24.3-32.1, 9 two_gen copies (119 745)
+#: 31.4-32.3 against 32.5-33.3, 4 ring9 copies (185 732) 44.6-47.5
+#: against 34.0-34.4.  The budget sits at that crossover; moving it would
+#: cut sweeps into other packs.
 DENSE_ENTRIES = 110_000
 
 
@@ -344,9 +357,11 @@ def _block_diag(blocks: Sequence[np.ndarray]) -> np.ndarray:
 
 def _dense_kernel(jac, load, incidence, spread, dt: float, x0: np.ndarray):
     """RK4 on the closed loop x' = J x + c + S sin(E x) as one fused step
-    of five dense products and four in-place sines: step() advances the
-    state from x0 by dt and returns it (a view that a later step
-    overwrites), and load_on() switches the step load c on.
+    of five dense products and four in-place sines: advance(count) runs
+    count steps of dt from where the last call left the state (x0 at
+    first) and returns the state (a view that a later call overwrites),
+    and load_on() switches the step load c on.  The numpy callables are
+    bound once, when the kernel is built.
 
     The step works in the argument space u = m [x; 1] = [J x + c; E x]
     with m = [J | c; E], whose constant column stays zero until
@@ -395,113 +410,121 @@ def _dense_kernel(jac, load, incidence, spread, dt: float, x0: np.ndarray):
     bufs[:, n] = 1.0
     bufs[0, :n] = x0
 
-    def fused(b, out):
-        """One RK4 step from buffer b into out."""
-        z, s, u = b[:p3], b[s1:u1], b[u1:p2]
-        phi2, phi3, phi4 = b[p2:p4], b[p3:s1], b[p4:]
-        into2, into3, into4 = b[s1:p2], b[s1:p4], b[p3:p2]
-        flow1, flow2, flow3, flow4 = u[n:], phi2[n:], phi3[n:], phi4[n:]
+    def views(b, out):
+        """The slices one RK4 step reads and writes, from buffer b into
+        out, in the order advance() unpacks them."""
+        u, phi2, phi3, phi4 = b[u1:p2], b[p2:p4], b[p3:s1], b[p4:]
+        return (b[:p3], u, u[n:], b[s1:u1], b[s1:p2], phi2, phi2[n:],
+                b[s1:p4], phi3, phi3[n:], b[p3:p2], phi4, phi4[n:], b, out)
 
+    turns = (views(bufs[0], bufs[1, :n]), views(bufs[1], bufs[0, :n]))
+    turn = 0  # the buffer that holds the state
+    sin = np.sin
+    m_dot, dot2, dot3, dot4, final_dot = (m.dot, stage2.dot, stage3.dot,
+                                          stage4.dot, final.dot)
+
+    def advance(count):
+        nonlocal turn
         # positional out arguments: the keyword form costs as much again
-        def step():
-            m.dot(z, u)
-            np.sin(flow1, s)
-            stage2.dot(into2, phi2)
-            np.sin(flow2, flow2)
-            stage3.dot(into3, phi3)
-            np.sin(flow3, flow3)
-            stage4.dot(into4, phi4)
-            np.sin(flow4, flow4)
-            final.dot(b, out)
-            return out
-
-        return step
-
-    turns = itertools.cycle([fused(bufs[0], bufs[1, :n]),
-                             fused(bufs[1], bufs[0, :n])])
-
-    def step():
-        return next(turns)()
+        for _ in range(count):
+            (z, u, flow1, s, into2, phi2, flow2, into3, phi3, flow3, into4,
+             phi4, flow4, b, out) = turns[turn]
+            m_dot(z, u)
+            sin(flow1, s)
+            dot2(into2, phi2)
+            sin(flow2, flow2)
+            dot3(into3, phi3)
+            sin(flow3, flow3)
+            dot4(into4, phi4)
+            sin(flow4, flow4)
+            final_dot(b, out)
+            turn ^= 1
+        return bufs[turn, :n]
 
     def load_on():
         m[:n, n] = load
 
-    return step, load_on
+    return advance, load_on
 
 
 def _sparse_slope(jac, load, incidence, spread):
-    """The slope of the closed loop from the fixed nonzero pattern of
-    [J | c; E] and S: slope(z, out) writes x' into out for z = [x, 1],
-    with one gather, E x as z[from] - z[to], and one np.bincount that
-    sums J x + c and S sin(E x) row by row; load_on() switches the step
-    load on.
+    """The slope of the closed loop from the fixed nonzero pattern of J
+    and S: slope(x, out) writes x' into out, with one gather, E x as
+    x[from] - x[to], one sine per line, one np.bincount that sums J x and
+    S sin(E x) row by row, and c added to its result; load_on() switches
+    the step load on.
 
-    The pattern's c entries hold zero until load_on() writes the loads
-    into them.
+    Each line's flow enters S at its two ends' rows: the terms hold S's
+    entries as [from-end rows | to-end rows] line by line, so the sines
+    fill the first half and one copy fills the second.
     """
     n_lines, n = incidence.shape
     jac_rows, jac_cols = np.nonzero(jac)
-    spread_rows, spread_cols = np.nonzero(spread)
-    load_rows = np.flatnonzero(load)
-    # the terms are [J | c | S]; every c entry reads the constant z[n] = 1
-    rows = np.concatenate([jac_rows, load_rows, spread_rows])
-    vals = np.concatenate([jac[jac_rows, jac_cols], np.zeros(len(load_rows)),
-                           spread[spread_rows, spread_cols]])
-    load_slots = slice(len(jac_rows), len(jac_rows) + len(load_rows))
-    # buf is [z at each line's from-bus | z at its to-bus | J and c terms |
-    # S terms]: one take fills the first three parts from z, and the last
-    # two are the weights that bincount sums
-    gather = np.concatenate([np.nonzero(incidence > 0)[1],
-                             np.nonzero(incidence < 0)[1], jac_cols,
-                             np.full(len(load_rows), n)])
-    buf = np.empty(len(gather) + len(spread_cols))
-    gathered, spread_terms = buf[:len(gather)], buf[len(gather):]
-    head, tail, terms = buf[:n_lines], buf[n_lines:2 * n_lines], buf[2 * n_lines:]
-    flow = np.empty(n_lines)
+    # the from end's row holds -b/d and the to end's +b/d (b, d > 0)
+    rows = np.concatenate([jac_rows, spread.argmin(axis=0), spread.argmax(axis=0)])
+    vals = np.concatenate([jac[jac_rows, jac_cols], spread.min(axis=0),
+                           spread.max(axis=0)])
+    # buf is [x at each line's from-bus | x at its to-bus | J terms |
+    # sines | their copy]: one take fills the first three parts from x,
+    # and the last three are the weights that bincount sums
+    gather = np.concatenate([incidence.argmax(axis=1), incidence.argmin(axis=1),
+                             jac_cols])
+    nj = len(jac_cols)
+    buf = np.empty(len(gather) + 2 * n_lines)
+    gathered, terms = buf[:len(gather)], buf[2 * n_lines:]
+    head, tail = buf[:n_lines], buf[n_lines:2 * n_lines]
+    flow, copy = terms[nj:nj + n_lines], terms[nj + n_lines:]
+    c = np.zeros(n)
+    take, subtract, sin, copyto, multiply, bincount, add = (
+        np.ndarray.take, np.subtract, np.sin, np.copyto, np.multiply,
+        np.bincount, np.add)
 
-    def slope(z, out):
-        z.take(gather, None, gathered, "clip")
-        np.subtract(head, tail, flow)
-        np.sin(flow, flow)
-        flow.take(spread_cols, None, spread_terms, "clip")
-        np.multiply(terms, vals, terms)
-        out[:] = np.bincount(rows, terms, n)
+    def slope(x, out):
+        take(x, gather, None, gathered, "clip")
+        subtract(head, tail, flow)
+        sin(flow, flow)
+        copyto(copy, flow)
+        multiply(terms, vals, terms)
+        add(bincount(rows, terms, n), c, out)
 
     def load_on():
-        vals[load_slots] = load[load_rows]
+        c[:] = load
 
     return slope, load_on
 
 
 def _sparse_kernel(jac, load, incidence, spread, dt: float, x0: np.ndarray):
-    """The same step and load switch as _dense_kernel, as four evaluations
-    of _sparse_slope: step() returns the new state (a view that the next
-    step overwrites)."""
+    """The same advance(count) and load switch as _dense_kernel, each step
+    four evaluations of _sparse_slope."""
     slope, load_on = _sparse_slope(jac, load, incidence, spread)
     n = len(x0)
-    # Row 0 of v is [x, 1] and rows 1-4 the stage slopes [k, 0], so each
-    # stage input, and the step itself, is one product of RK4 weights with v.
-    v = np.zeros((5, n + 1))
-    x = v[0]
-    x[:n], x[n] = x0, 1.0
-    state = x[:n]
-    k1, *later = (v[i, :n] for i in range(1, 5))
-    z = np.empty(n + 1)
-    stages = [np.array([1.0, dt / 2.0, 0.0, 0.0, 0.0]),
-              np.array([1.0, 0.0, dt / 2.0, 0.0, 0.0]),
-              np.array([1.0, 0.0, 0.0, dt, 0.0])]
-    combine = np.array([1.0, dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0])
+    # Row 0 of v is x and rows 1-4 the stage slopes, so each stage input,
+    # and the step itself, is one product of RK4 weights with v.
+    v = np.zeros((5, n))
+    x, k1, k2, k3, k4 = v
+    x[:] = x0
+    z = np.empty(n)
+    dot2, dot3, dot4, combine = (
+        np.array(w).dot for w in ([1.0, dt / 2.0, 0.0, 0.0, 0.0],
+                                  [1.0, 0.0, dt / 2.0, 0.0, 0.0],
+                                  [1.0, 0.0, 0.0, dt, 0.0],
+                                  [1.0, dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0]))
+    copyto = np.copyto
 
-    def step():
-        slope(x, k1)
-        for weights, out in zip(stages, later):
-            weights.dot(v, z)
-            slope(z, out)
-        combine.dot(v, z)
-        x[:] = z
-        return state
+    def advance(count):
+        for _ in range(count):
+            slope(x, k1)
+            dot2(v, z)
+            slope(z, k2)
+            dot3(v, z)
+            slope(z, k3)
+            dot4(v, z)
+            slope(z, k4)
+            combine(v, z)
+            copyto(x, z)
+        return x
 
-    return step, load_on
+    return advance, load_on
 
 
 def integrate_many(scns: Sequence[Scenario], *,
@@ -559,17 +582,20 @@ def integrate_many(scns: Sequence[Scenario], *,
     for own, x0 in zip(members, initial_states):
         if x0 is not None:
             own[0] = x0
-    step, load_on = kernel(jac, load, incidence, spread, dt, states[0])
+    advance, load_on = kernel(jac, load, incidence, spread, dt, states[0])
 
-    j = 1
+    done, j = 0, 1
     # a diverging state runs to inf/nan: the run stops at the first such
     # sample, and the check after the loop names it
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(nsteps):
-            if k == load_step:
+        for stop in sorted({load_step, *recorded[1:]}):
+            x = advance(stop - done)
+            done = stop
+            if done == load_step:
                 load_on()
-            x = step()
-            if k + 1 == recorded[j]:
+            # a run of no steps stops only at the load step, and records
+            # nothing after its start
+            if j < len(recorded) and done == recorded[j]:
                 states[j] = x
                 j += 1
                 if not np.isfinite(x).all():
@@ -588,23 +614,38 @@ def integrate_many(scns: Sequence[Scenario], *,
     out = []
     for loop, s, own, cert, eq in zip(loops, scns, members, certs, equilibria):
         lay = loop.layout
-        p_m = own @ loop.pm_rows.T
+        n_bus = lay.n_bus
+        p_m = _add_product(np.zeros((len(times), len(lay.gen_ids))),
+                           loop.pm_rows, own)
+        # the bus rows of x' = J x + c + S sin(E x) are the bus frequencies
+        frm, to, _ = _line_ends(s.network)
+        freqs = np.multiply.outer(loop.loaded(times), loop.load[:n_bus])
+        _add_product(freqs, loop.jac[:n_bus], own)
+        _add_product(freqs, loop.spread[:n_bus], np.sin(own[:, frm] - own[:, to]))
         cost = np.array([s.controllers[g].q for g in lay.gen_ids])
         with_v = cert is not None and eq is not None
         out.append(Trajectory(
-            layout=lay, times=times, states=own,
-            freqs=loop.derivative(own, times)[:, :lay.n_bus].copy(),
+            layout=lay, times=times, states=own, freqs=freqs,
             p_m=p_m, marginal_cost=p_m * cost,
             lyapunov=lyapunov_value(s, cert, eq, own) if with_v else None))
+    return out
+
+
+def _add_product(out: np.ndarray, mat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """out += x @ mat.T for the (samples, columns) array x, summed over
+    mat's nonzeros alone, and returns out.  A dense product of this size
+    wakes the BLAS thread pool, which then spins on a second core."""
+    rows, cols = np.nonzero(mat)
+    np.add.at(out, (slice(None), rows), x[:, cols] * mat[rows, cols])
     return out
 
 
 def transient_angle_peak(scn: Scenario, traj: Trajectory) -> Tuple[float, float]:
     """Largest |theta_i - theta_k| over the lines and the recorded samples,
     and the first sample time where it occurs."""
-    e, _ = _lines(scn.network, traj.layout.n_bus)
-    peak = np.max(np.abs(traj.states[:, :traj.layout.n_bus] @ e.T), axis=1,
-                  initial=0.0)
+    frm, to, _ = _line_ends(scn.network)
+    x = traj.states
+    peak = np.max(np.abs(x[:, frm] - x[:, to]), axis=1, initial=0.0)
     i = int(np.argmax(peak))
     return float(peak[i]), float(traj.times[i])
 
@@ -713,16 +754,20 @@ def lyapunov_value(scn: Scenario, certs: Mapping[int, Certificate],
         weights[om, om] = scn.network.bus(g).inertia
         weights[xs, xs] = certs[g].p_matrix.to_array()
         weights[pc, pc] = scn.controllers[g].gamma
-    e, b = _lines(scn.network, lay.size)
+    # sums over the weights' nonzeros and the line ends, not dense
+    # products, which would wake the BLAS thread pool on a sample series
+    rows, cols = np.nonzero(weights)
+    frm, to, b = _line_ends(scn.network)
     x_star = equilibrium_system_state(scn, eq)
     d = state - x_star
-    eta_s = x_star @ e.T
-    delta = state @ e.T - eta_s
+    eta_s = x_star[frm] - x_star[to]
+    delta = state[..., frm] - state[..., to] - eta_s
     # cos(eta_s) - cos(eta_s + delta) written as a product of sines, so that
     # rounding cannot leave a first-order term behind when delta is tiny
     potential = (2.0 * np.sin(eta_s + delta / 2.0) * np.sin(delta / 2.0)
-                 - np.sin(eta_s) * delta) @ b
-    return 0.5 * np.sum((d @ weights) * d, axis=-1) + potential
+                 - np.sin(eta_s) * delta) * b
+    return (0.5 * np.sum(d[..., rows] * weights[rows, cols] * d[..., cols], axis=-1)
+            + np.sum(potential, axis=-1))
 
 
 def dissipation_check(scn: Scenario, certs: Mapping[int, Certificate],

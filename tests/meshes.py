@@ -6,9 +6,10 @@ order, so generators and loads interleave along it, and chords join buses
 at least three ring hops apart.  The generators alternate first-order
 lags and second-order turbine-governor cascades; the communication graph
 is a ring over the generators plus a chord from every second one to the
-one seven places on.  Gains are cost-optimal (k_c = 1/(q K)) with k_d
-below k_c, which keeps every closed-form damping threshold under the
-generator damping, so every generator certifies analytically.
+one seven places on, each pair joined once.  Gains are cost-optimal
+(k_c = 1/(q K)) with k_d below k_c, which keeps every closed-form damping
+threshold under the generator damping, so every generator certifies
+analytically.
 """
 
 import numpy as np
@@ -45,10 +46,17 @@ def ring_with_chords(seed: int, buses: int = 100, generators: int = 25,
             joined.add(frozenset((a, b)))
             lines.append(Line(a, b, u(2.0, 4.0)))
 
-    comm = [CommEdge(g, (g + 1) % generators, u(1.5, 3.0))
-            for g in range(generators)]
-    comm += [CommEdge(g, (g + 7) % generators, u(1.5, 3.0))
-             for g in range(0, generators, 2)]
+    # an edge that repeats a pair or joins a generator to itself draws its
+    # weight but is left out: the ring meets itself with one or two
+    # generators, and a chord wraps onto the ring with 2, 3, 4, 6 or 8 (7
+    # is +-1 modulo these) and onto its own generator with 7
+    comm, linked = [], set()
+    for a, b in ([(g, (g + 1) % generators) for g in range(generators)]
+                 + [(g, (g + 7) % generators) for g in range(0, generators, 2)]):
+        weight = u(1.5, 3.0)
+        if a != b and frozenset((a, b)) not in linked:
+            linked.add(frozenset((a, b)))
+            comm.append(CommEdge(a, b, weight))
 
     gens, controllers = {}, {}
     for g in range(generators):

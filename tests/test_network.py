@@ -93,6 +93,20 @@ class TestValidate:
                            comm=net.comm)
         assert any("duplicates" in p for p in validate(bad))
 
+    @pytest.mark.parametrize("again", [CommEdge(0, 1, 2.0), CommEdge(1, 0, 2.0)])
+    def test_duplicate_comm_edge_reported(self, again):
+        net = _two_bus()
+        bad = PowerNetwork(buses=net.buses, lines=net.lines,
+                           comm=[CommEdge(0, 1, 1.0), again])
+        assert validate(bad) == [f"communication edge {again.a}-{again.b} "
+                                 "duplicates an existing edge"]
+
+    @pytest.mark.parametrize("generators", range(1, 13))
+    def test_meshes_are_valid(self, generators):
+        # few generators wrap the comm ring and its chords onto one another
+        scn = ring_with_chords(3, buses=40, generators=generators, chords=6)
+        assert validate(scn.network) == []
+
     def test_generators_must_precede_loads(self):
         net = PowerNetwork(
             buses=[Bus(0, BusKind.LOAD, damping=1.0),

@@ -18,7 +18,8 @@ from gridfreq.sim import (EPSILON_V, Scenario, assemble, compute_equilibrium,
                           integrate, integrate_many, lyapunov_value,
                           state_layout, transient_angle_peak)
 from meshes import ring_with_chords
-from reference import net_injection, output
+from reference import (angle_peak, derivative, lyapunov, net_injection, output,
+                       series)
 
 
 def _single_bus_scenario():
@@ -81,7 +82,7 @@ class TestClosedLoopDerivative:
 
     def test_single_bus_hand_values(self):
         loop = assemble(_single_bus_scenario())
-        d = loop.derivative(self.STATE, 0.0)  # before the load step
+        d = derivative(loop, self.STATE, 0.0)  # before the load step
         assert d == pytest.approx([0.3, 0.025, 1.12, -0.415])
 
     def test_load_bus_hand_value(self, two_gen_scenario):
@@ -90,14 +91,14 @@ class TestClosedLoopDerivative:
         loop = assemble(two_gen_scenario)
         x = np.zeros(loop.layout.size)
         x[:3] = [0.1, 0.05, 0.0]
-        assert loop.derivative(x, 0.5)[2] == pytest.approx(0.832292143986147,
-                                                           rel=1e-12)
-        assert loop.derivative(x, 2.0)[2] == pytest.approx(0.3878476995417026,
-                                                           rel=1e-12)
+        assert derivative(loop, x, 0.5)[2] == pytest.approx(0.832292143986147,
+                                                            rel=1e-12)
+        assert derivative(loop, x, 2.0)[2] == pytest.approx(0.3878476995417026,
+                                                            rel=1e-12)
 
     def test_load_step_only_after_disturbance_time(self):
         loop = assemble(_single_bus_scenario())
-        before, at, after = (loop.derivative(self.STATE, t)[1]
+        before, at, after = (derivative(loop, self.STATE, t)[1]
                              for t in (0.5, 1.0, 1.5))
         assert at == after
         assert after == pytest.approx(before - 0.1 / 2.0)
@@ -105,8 +106,8 @@ class TestClosedLoopDerivative:
     def test_vanishes_at_equilibrium(self, two_gen_scenario):
         scn = two_gen_scenario
         eq = compute_equilibrium(scn)
-        d = assemble(scn).derivative(equilibrium_system_state(scn, eq),
-                                     scn.disturbance_time + 1.0)
+        d = derivative(assemble(scn), equilibrium_system_state(scn, eq),
+                       scn.disturbance_time + 1.0)
         assert d == pytest.approx(np.zeros(len(d)), abs=1e-11)
 
     def test_line_orientation_flip_is_invisible(self, two_gen_scenario):
@@ -120,8 +121,8 @@ class TestClosedLoopDerivative:
             scn, network=PowerNetwork(net.buses, flipped_lines, net.comm))
         # angles, frequencies, internal states, commands
         x = np.array([0.11, -0.07, 0.02, 0.01, -0.03, 0.4, 0.1, 0.2, 0.3])
-        d1 = assemble(scn).derivative(x, 2.0)
-        d2 = assemble(flipped).derivative(x, 2.0)
+        d1 = derivative(assemble(scn), x, 2.0)
+        d2 = derivative(assemble(flipped), x, 2.0)
         assert np.array_equal(d1, d2)
 
     def test_aggregate_command_rate_ignores_communication(self, ring9_scenario):
@@ -131,7 +132,7 @@ class TestClosedLoopDerivative:
         loop = assemble(scn)
         lay = loop.layout
         x = np.random.default_rng(5).normal(scale=0.3, size=lay.size)
-        d = loop.derivative(x, 2.0)
+        d = derivative(loop, x, 2.0)
         lhs = rhs = 0.0
         for i, g in enumerate(lay.gen_ids):
             prm = scn.controllers[g]
@@ -146,7 +147,7 @@ class TestClosedLoopDerivative:
     def test_wrong_state_dimension_rejected(self):
         loop = assemble(_single_bus_scenario())
         with pytest.raises(ValueError):
-            loop.derivative(np.zeros(5), 0.0)
+            derivative(loop, np.zeros(5), 0.0)
 
 
 class TestStateLayout:
@@ -176,19 +177,28 @@ class TestIntegrate:
     @pytest.mark.parametrize("disturbance_time", [0.0, 0.005])
     def test_step_is_classical_rk4(self, ring9_scenario, disturbance_time):
         # one step of the integrator's buffered kernel against RK4 written
-        # out over the public right-hand side
+        # out over the dense right-hand side
         scn = dataclasses.replace(ring9_scenario, dt=0.01, t_end=0.01,
                                   disturbance_time=disturbance_time)
         loop = assemble(scn)
         x = np.random.default_rng(17).normal(scale=0.3, size=loop.layout.size)
         h = scn.dt
-        k1 = loop.derivative(x, 0.0)
-        k2 = loop.derivative(x + h / 2 * k1, 0.0)
-        k3 = loop.derivative(x + h / 2 * k2, 0.0)
-        k4 = loop.derivative(x + h * k3, 0.0)
+        k1 = derivative(loop, x, 0.0)
+        k2 = derivative(loop, x + h / 2 * k1, 0.0)
+        k3 = derivative(loop, x + h / 2 * k2, 0.0)
+        k4 = derivative(loop, x + h * k3, 0.0)
         want = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         got = integrate(scn, initial_state=x).states[-1]
         assert got == pytest.approx(want, rel=1e-13, abs=1e-15)
+
+    def test_run_of_no_steps_records_its_start(self, two_gen_scenario):
+        # the load is on from the start, and the one sample is the rest state
+        scn = dataclasses.replace(two_gen_scenario, disturbance_time=-1.0,
+                                  t_end=0.0)
+        traj = integrate(scn)
+        assert list(traj.times) == [0.0]
+        assert not traj.states.any()
+        assert traj.freqs[0] == pytest.approx([0.0, 0.0, -0.4 / 0.9])
 
     def test_no_disturbance_stays_at_rest(self, two_gen_scenario):
         scn = dataclasses.replace(two_gen_scenario, step_loads={},
@@ -301,14 +311,14 @@ def _kernel_size(scns):
 
 
 def _rk4_reference(scns, starts, steps):
-    """The recorded states of RK4 written out over the public right-hand
+    """The recorded states of RK4 written out over the dense right-hand
     side of each member, with the load switched per step as the kernels
     do."""
     loops = [assemble(s) for s in scns]
     cuts = np.cumsum([loop.layout.size for loop in loops])[:-1]
 
     def slope(x, t):
-        return np.concatenate([loop.derivative(part, t)
+        return np.concatenate([derivative(loop, part, t)
                                for loop, part in zip(loops, np.split(x, cuts))])
 
     x = np.concatenate(starts)
@@ -343,29 +353,41 @@ class TestDenseKernel:
         assert np.max(np.abs(got - _rk4_reference(scns, starts, 50))) <= 1e-12
 
     def test_step_makes_nine_numpy_calls(self, ring9_scenario, monkeypatch):
-        loop = assemble(ring9_scenario)
-        step, load_on = sim._dense_kernel(loop.jac, loop.load, loop.incidence,
-                                          loop.spread, 0.01, np.full(23, 0.1))
-        load_on()
-        calls = []
-        for name, ufunc in list(vars(np).items()):
-            if isinstance(ufunc, np.ufunc):
-                monkeypatch.setattr(np, name, lambda *a, f=ufunc:
-                                    calls.append(f.__name__) or f(*a))
+        calls = _advance_calls(sim._dense_kernel, ring9_scenario, monkeypatch)
+        assert calls == ["dot"] * 5 + ["sin"] * 4
 
-        def profile(frame, event, arg):
-            # numpy functions written in C, and ndarray methods
-            if event == "c_call" and (
-                    isinstance(getattr(arg, "__self__", None), np.ndarray)
-                    or (getattr(arg, "__module__", None) or "").startswith("numpy")):
-                calls.append(arg.__name__)
 
-        sys.setprofile(profile)
-        try:
-            step()
-        finally:
-            sys.setprofile(None)
-        assert sorted(calls) == ["dot"] * 5 + ["sin"] * 4
+def _advance_calls(kernel, scn, monkeypatch):
+    """The sorted names of the numpy calls that one advance(1) of the
+    kernel makes on scn's closed loop.  Kernels bind numpy's callables
+    when they are built, so the counting wrappers go in before the build."""
+    calls = []
+    # ufuncs and numpy's C functions behind array-function dispatch, which
+    # the profiler below does not see
+    counted = (np.ufunc, type(np.copyto))
+    for name, f in list(vars(np).items()):
+        if isinstance(f, counted):
+            monkeypatch.setattr(np, name, lambda *a, f=f, **k:
+                                calls.append(f.__name__) or f(*a, **k))
+    loop = assemble(scn)
+    advance, load_on = kernel(loop.jac, loop.load, loop.incidence, loop.spread,
+                              0.01, np.full(loop.layout.size, 0.1))
+    load_on()
+    calls.clear()
+
+    def profile(frame, event, arg):
+        # numpy functions written in C, and ndarray methods
+        if event == "c_call" and (
+                isinstance(getattr(arg, "__self__", None), np.ndarray)
+                or (getattr(arg, "__module__", None) or "").startswith("numpy")):
+            calls.append(arg.__name__)
+
+    sys.setprofile(profile)
+    try:
+        advance(1)
+    finally:
+        sys.setprofile(None)
+    return sorted(calls)
 
 
 @pytest.fixture(scope="module")
@@ -392,14 +414,22 @@ class TestSparseKernel:
             if switch:
                 load_on()
             for i in range(3):
-                want = np.concatenate([loop.derivative(x[i], t)
+                want = np.concatenate([derivative(loop, x[i], t)
                                        for loop, x in zip(loops, xs)])
                 got = np.empty(len(want))
-                slope(np.concatenate([x[i] for x in xs] + [[1.0]]), got)
+                slope(np.concatenate([x[i] for x in xs]), got)
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
+    def test_step_makes_thirty_three_numpy_calls(self, mesh, monkeypatch):
+        # four slopes of seven calls, three stage inputs, the step and its
+        # copy into the state
+        calls = _advance_calls(sim._sparse_kernel, mesh, monkeypatch)
+        slope = ["add", "bincount", "copyto", "multiply", "sin", "subtract",
+                 "take"]
+        assert calls == sorted(slope * 4 + ["dot"] * 4 + ["copyto"])
+
     def test_short_run_matches_rk4_reference(self, mesh):
-        # across the load step, against RK4 written out over the public
+        # across the load step, against RK4 written out over the dense
         # right-hand side, with the load switched per step as the kernel does
         scn = dataclasses.replace(mesh, dt=0.01, t_end=0.3,
                                   disturbance_time=0.1, output_stride=1)
@@ -423,6 +453,19 @@ class TestSparseKernel:
         for members in (1, size, size + 1):
             integrate_many([scn] * members)
         assert used == ["_dense_kernel", "_dense_kernel", "_sparse_kernel"]
+
+
+@pytest.mark.parametrize("case", ["ring9_scenario", "mesh"])
+def test_blocks_of_steps_match_single_steps(case, request):
+    # integrate_many advances the kernel from event to event (the load step
+    # lands inside a block of seven); recording every step runs one step
+    # per call, and the shared samples agree bit for bit
+    scn = dataclasses.replace(request.getfixturevalue(case), dt=0.01,
+                              t_end=0.7, disturbance_time=0.1, output_stride=7)
+    x = np.random.default_rng(31).normal(scale=0.2, size=state_layout(scn).size)
+    blocks = integrate(scn, initial_state=x)
+    steps = integrate(dataclasses.replace(scn, output_stride=1), initial_state=x)
+    assert np.array_equal(blocks.states, steps.states[::7])
 
 
 class TestPacks:
@@ -459,6 +502,30 @@ class TestPacks:
         other = dataclasses.replace(two_gen_scenario, output_stride=5)
         assert sim.packs([two_gen_scenario, other, two_gen_scenario, other]) \
             == [[0, 2], [1, 3]]
+
+
+class TestSeries:
+    @pytest.mark.parametrize("case", ["two_gen_scenario", "ring9_scenario",
+                                      "mesh"])
+    def test_series_match_dense_formulas(self, case, request):
+        # integrate() sums the series over the nonzeros of J, S, the p_m
+        # rows and the Lyapunov weights; the dense products give the same
+        scn = request.getfixturevalue(case)
+        certs = {g: search_certificate(scn.generators[g], scn.controllers[g],
+                                       scn.network.bus(g).damping)
+                 for g in scn.network.generator_ids}
+        eq = compute_equilibrium(scn)
+        traj = integrate(scn, certs=certs, equilibrium=eq)
+        freqs, p_m = series(scn, traj)
+        for got, want in ((traj.freqs, freqs), (traj.p_m, p_m),
+                          (traj.lyapunov,
+                           lyapunov(scn, certs, eq, traj.states))):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        peak, at = transient_angle_peak(scn, traj)
+        want_peak, want_at = angle_peak(scn, traj)
+        assert peak == pytest.approx(want_peak, rel=1e-12, abs=0.0)
+        assert at == want_at
 
 
 class TestTransientAnglePeak:
