@@ -1,22 +1,24 @@
 """Scenario files, run orchestration, and the command-line interface.
 
 The scenario format is a flat text file: [section] headers, one record
-per line as whitespace-separated key=value pairs, comments with '#'.
-One table, _MODELS, names each generator model's builder, shape
-recogniser and record fields; parsing, serialization and apply_param
-all read it, so a new model is one row.
+per line as whitespace-separated key=value pairs, comments with '#'; a
+record holds only its section's keys.  One table, _MODELS, names each
+generator model's builder, shape recogniser and record fields; parsing,
+serialization and apply_param all read it, so a new model is one row.
 
-A run goes through stages (certification, k_f adoption, equilibrium,
-dispatch), each returning its report lines and its check if it has one;
-the certify, dispatch and equilibrium subcommands print one stage's
-lines.  Outputs of a run are a CSV trajectory, a plain-text report, and
-two gnuplot scripts; all output bytes are deterministic functions of
-the scenario so golden-file comparisons work.  A sweep integrates its
-values in the packs sim.packs cuts from the scenarios alone, never from
-the CPU count, so the same sweep command gives the same bytes on any
-machine; a swept value may differ from ``simulate`` with the same
-parameter in the last digits (at most 1e-12), because the block-diagonal
-products sum in another order.
+A Scenario is valid by construction (sim.Scenario decides validity), so
+an invalid file, override or swept value is a hard error, exit 2, before
+any stage runs.  A run goes through stages (certification, k_f
+adoption, equilibrium, dispatch), each returning its report lines and
+its check if it has one; the certify, dispatch and equilibrium
+subcommands print one stage's lines.  Outputs of a run are a CSV
+trajectory, a plain-text report, and two gnuplot scripts; all output
+bytes are deterministic functions of the scenario so golden-file
+comparisons work.  A sweep integrates its values in the packs sim.packs
+cuts from the scenarios alone, never from the CPU count, so the same
+sweep command gives the same bytes on any machine; a swept value may
+differ from ``simulate`` with the same parameter in the last digits (at
+most 1e-12), because the block-diagonal products sum in another order.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .control import ControllerGains
 from .dispatch import DispatchProblem, marginal_costs, solve_dispatch
 from .generation import (LtiGenerator, first_order_params, make_first_order,
                          make_second_order, second_order_params)
-from .network import Bus, BusKind, CommEdge, Line, PowerNetwork, validate
+from .network import Bus, BusKind, CommEdge, Line, PowerNetwork
 from .sim import Scenario, Trajectory
 
 SETTLING_TOL = 1e-4
@@ -60,6 +62,15 @@ _MODELS = {
 #: [controllers] record key -> ControllerGains attribute, in record order.
 _CONTROLLER_FIELDS = {"gamma": "gamma", "k_f": "k_f", "k_c": "k_c",
                       "k_d": "k_d", "cost": "q"}
+
+#: The keys a record of each section may hold; a [generators] record holds
+#: bus, model and the fields of its model's _MODELS row.
+_FIELDS = {"buses": ("id", "kind", "inertia", "damping"),
+           "lines": ("from", "to", "susceptance"),
+           "controllers": ("bus", *_CONTROLLER_FIELDS),
+           "comm": ("a", "b", "weight"),
+           "disturbance": ("time", "bus", "delta"),
+           "sim": ("dt", "t_end", "output_stride")}
 
 
 class ScenarioError(ValueError):
@@ -84,7 +95,8 @@ def _model_of(scn: Scenario, bus: int) -> Tuple[str, tuple]:
 
 # --- parsing ---------------------------------------------------------------
 
-def _parse_records(lines_with_numbers) -> List[Tuple[int, Dict[str, str]]]:
+def _parse_records(lines_with_numbers, section: str
+                   ) -> List[Tuple[int, Dict[str, str]]]:
     records = []
     for lineno, text in lines_with_numbers:
         rec: Dict[str, str] = {}
@@ -98,8 +110,17 @@ def _parse_records(lines_with_numbers) -> List[Tuple[int, Dict[str, str]]]:
             if key in rec:
                 raise ScenarioError(f"line {lineno}: duplicate key {key!r}")
             rec[key] = value
+        if section in _FIELDS:
+            _known_fields(rec, _FIELDS[section], lineno, section)
         records.append((lineno, rec))
     return records
+
+
+def _known_fields(rec: Dict[str, str], fields, lineno: int, section: str) -> None:
+    for key in rec:
+        if key not in fields:
+            raise ScenarioError(
+                f"line {lineno}: [{section}] record has unknown field {key!r}")
 
 
 def _need(rec: Dict[str, str], key: str, lineno: int, section: str) -> str:
@@ -152,7 +173,7 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
         sections[current].append((lineno, line))
 
     buses: List[Bus] = []
-    for lineno, rec in _parse_records(sections["buses"]):
+    for lineno, rec in _parse_records(sections["buses"], "buses"):
         kind_text = _need(rec, "kind", lineno, "buses")
         if kind_text not in ("generator", "load"):
             raise ScenarioError(f"line {lineno}: unknown bus kind {kind_text!r}")
@@ -165,7 +186,7 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
         ))
 
     lines: List[Line] = []
-    for lineno, rec in _parse_records(sections["lines"]):
+    for lineno, rec in _parse_records(sections["lines"], "lines"):
         lines.append(Line(
             from_bus=_to_int(_need(rec, "from", lineno, "lines"), "from", lineno),
             to_bus=_to_int(_need(rec, "to", lineno, "lines"), "to", lineno),
@@ -174,7 +195,7 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
         ))
 
     comm: List[CommEdge] = []
-    for lineno, rec in _parse_records(sections["comm"]):
+    for lineno, rec in _parse_records(sections["comm"], "comm"):
         comm.append(CommEdge(
             a=_to_int(_need(rec, "a", lineno, "comm"), "a", lineno),
             b=_to_int(_need(rec, "b", lineno, "comm"), "b", lineno),
@@ -182,12 +203,13 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
         ))
 
     generators: Dict[int, LtiGenerator] = {}
-    for lineno, rec in _parse_records(sections["generators"]):
+    for lineno, rec in _parse_records(sections["generators"], "generators"):
         bus = _to_int(_need(rec, "bus", lineno, "generators"), "bus", lineno)
         model = _need(rec, "model", lineno, "generators")
         if model not in _MODELS:
             raise ScenarioError(f"line {lineno}: unknown generator model {model!r}")
         build, _, fields = _MODELS[model]
+        _known_fields(rec, ("bus", "model", *fields), lineno, "generators")
         params = [_to_float(_need(rec, key, lineno, "generators"), key, lineno)
                   for key in fields]
         try:
@@ -199,7 +221,7 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
         generators[bus] = gen
 
     controllers: Dict[int, ControllerGains] = {}
-    for lineno, rec in _parse_records(sections["controllers"]):
+    for lineno, rec in _parse_records(sections["controllers"], "controllers"):
         bus = _to_int(_need(rec, "bus", lineno, "controllers"), "bus", lineno)
         gains = {attr: _to_float(_need(rec, key, lineno, "controllers"), key, lineno)
                  for key, attr in _CONTROLLER_FIELDS.items()}
@@ -212,7 +234,7 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
 
     disturbance_time: Optional[float] = None
     step_loads: Dict[int, float] = {}
-    for lineno, rec in _parse_records(sections["disturbance"]):
+    for lineno, rec in _parse_records(sections["disturbance"], "disturbance"):
         if "time" in rec:
             if len(rec) != 1:
                 raise ScenarioError(f"line {lineno}: time= must be on its own line")
@@ -230,7 +252,7 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
 
     sim_fields: Dict[str, str] = {}
     sim_lines: Dict[str, int] = {}
-    for lineno, rec in _parse_records(sections["sim"]):
+    for lineno, rec in _parse_records(sections["sim"], "sim"):
         for key, value in rec.items():
             if key in sim_fields:
                 raise ScenarioError(f"line {lineno}: duplicate key {key!r}")
@@ -239,26 +261,9 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
         if key not in sim_fields:
             raise ScenarioError(f"sim section missing required field {key!r}")
 
-    net = PowerNetwork(buses=buses, lines=lines, comm=comm)
-    problems = validate(net)
-    known = {b.id for b in buses}
-    for bus in sorted(generators):
-        if bus not in known:
-            problems.append(f"generator record references unknown bus {bus}")
-    for bus in sorted(step_loads):
-        if bus not in known:
-            problems.append(f"disturbance record references unknown bus {bus}")
-    gen_ids = set(net.generator_ids)
-    if set(generators) != gen_ids:
-        problems.append("every generator bus needs exactly one [generators] record")
-    if set(controllers) != gen_ids:
-        problems.append("every generator bus needs exactly one [controllers] record")
-    if problems:
-        raise ScenarioError("invalid scenario: " + "; ".join(sorted(problems)))
-
     try:
         return Scenario(
-            network=net,
+            network=PowerNetwork(buses=buses, lines=lines, comm=comm),
             generators=generators,
             controllers=controllers,
             disturbance_time=disturbance_time,
@@ -397,7 +402,6 @@ class RunFlags:
     optimal_gains: bool = False
     skip_certify: bool = False
     out_dir: Optional[str] = None
-    seed: Optional[int] = None
     dt: Optional[float] = None
     t_end: Optional[float] = None
 
@@ -415,7 +419,7 @@ class RunReport:
     exit_code: int
 
 
-_GATED = ("validation", "certification", "security", "transient-security",
+_GATED = ("certification", "security", "transient-security",
           "settling", "dissipation", "dispatch-optimality")
 
 
@@ -433,28 +437,26 @@ class _Prepared:
     """A run up to its integration: the scenario as it will be simulated
     (overrides, --optimal-gains and adopted k_f applied), its flags, the
     checks and report lines so far, and what integration and the checks
-    after it need.  eq is None when validation stopped the run."""
+    after it need."""
 
     scn: Scenario
     flags: RunFlags
     checks: Dict[str, Check]
     lines: List[str]
-    certs: Optional[Dict[int, Certificate]] = None
-    eq: Optional[sim.Equilibrium] = None
-    nu_opt: float = 0.0
+    certs: Optional[Dict[int, Certificate]]
+    eq: sim.Equilibrium
+    nu_opt: float
 
 
 def run(scn: Scenario, flags: RunFlags) -> RunReport:
     """Full pipeline: certify, equilibrium, integrate, check, write files.
 
-    The exit code is 1 when any gating check fails (validation,
-    certification unless skipped, the security constraint, transient
-    angle security, settling, or dissipation when certificates exist, or
-    dispatch optimality when --optimal-gains is on); hard errors raise.
+    The exit code is 1 when any gating check fails (certification unless
+    skipped, the security constraint, transient angle security, settling,
+    or dissipation when certificates exist, or dispatch optimality when
+    --optimal-gains is on); hard errors raise.
     """
     prep = _prepare(scn, flags)
-    if prep.eq is None:
-        return _conclude(prep, None)
     traj = sim.integrate(prep.scn, certs=prep.certs,
                          equilibrium=prep.eq if prep.certs else None)
     return _conclude(prep, traj)
@@ -540,11 +542,12 @@ def _dispatch(scn: Scenario) -> Tuple[float, List[str]]:
 
 
 def _prepare(scn: Scenario, flags: RunFlags) -> _Prepared:
-    """The time overrides, the output directory, validation,
-    --optimal-gains and the stages: certification, k_f adoption,
-    equilibrium and dispatch; everything a run does before integrating.
-    The output directory is made before any stage, so an unwritable one
-    fails the run before it spends time."""
+    """The time overrides, the output directory, --optimal-gains and the
+    stages: certification, k_f adoption, equilibrium and dispatch;
+    everything a run does before integrating.  An override that makes
+    the scenario invalid raises its ValueError.  The output directory is
+    made before any stage, so an unwritable one fails the run before it
+    spends time."""
     checks: Dict[str, Check] = {}
     lines: List[str] = []
 
@@ -559,24 +562,16 @@ def _prepare(scn: Scenario, flags: RunFlags) -> _Prepared:
         except OSError as exc:
             raise RuntimeError(f"cannot write outputs: {exc}") from exc
 
-    problems = validate(scn.network)
-    checks["validation"] = _passes(not problems, "; ".join(problems))
-
     lines.append(f"scenario: {scn.name}")
     n_gen = len(scn.network.generator_ids)
     lines.append(f"buses: {len(scn.network.buses)} "
                  f"(generators {n_gen}, loads {len(scn.network.load_ids)})")
     lines.append(f"lines: {len(scn.network.lines)}")
-    lines.append(f"seed: {flags.seed if flags.seed is not None else 'none'}")
     lines.append(f"flags: optimal-gains={'yes' if flags.optimal_gains else 'no'} "
                  f"skip-certify={'yes' if flags.skip_certify else 'no'}")
 
     def section(name: str, body: List[str]) -> None:
         lines.extend(["", f"[{name}]", *body])
-
-    if problems:
-        section("validation", [f"problem: {p}" for p in problems])
-        return _Prepared(scn, flags, checks, lines)
 
     if flags.optimal_gains:
         scn = with_optimal_gains(scn)
@@ -590,11 +585,9 @@ def _prepare(scn: Scenario, flags: RunFlags) -> _Prepared:
     return _Prepared(scn, flags, checks, lines, certs, eq, nu_opt)
 
 
-def _conclude(prep: _Prepared, traj: Optional[Trajectory]) -> RunReport:
+def _conclude(prep: _Prepared, traj: Trajectory) -> RunReport:
     """The checks on the trajectory, the report and the output files."""
     scn, flags, checks, lines = prep.scn, prep.flags, prep.checks, prep.lines
-    if traj is None:
-        return _finish(scn, flags, checks, lines, None)
     certs, eq, nu_opt = prep.certs, prep.eq, prep.nu_opt
     lines.append("")
     lines.append("[simulation]")
@@ -636,18 +629,12 @@ def _conclude(prep: _Prepared, traj: Optional[Trajectory]) -> RunReport:
     else:
         checks["dispatch-optimality"] = ("skipped", "")
 
-    return _finish(scn, flags, checks, lines, traj)
-
-
-def _finish(scn: Scenario, flags: RunFlags, checks, lines,
-            traj: Optional[Trajectory]) -> RunReport:
-    failed = [name for name in _GATED
-              if checks.get(name, ("skipped", ""))[0] == "fail"]
+    failed = [name for name in _GATED if checks[name][0] == "fail"]
     exit_code = 1 if failed else 0
     lines.append("")
     lines.append("[checks]")
     for name in _GATED:
-        status, detail = checks.get(name, ("skipped", ""))
+        status, detail = checks[name]
         lines.append(f"{name}: {status}" + (f" ({detail})" if detail else ""))
     lines.append(f"exit code: {exit_code}")
     report_text = "\n".join(lines) + "\n"
@@ -659,11 +646,10 @@ def _finish(scn: Scenario, flags: RunFlags, checks, lines,
             report_path = outdir / "report.txt"
             report_path.write_text(report_text, encoding="utf-8")
             outputs.append(report_path)
-            if traj is not None:
-                csv_path = outdir / "trajectory.csv"
-                write_trajectory_csv(traj, csv_path)
-                outputs.append(csv_path)
-                outputs.extend(emit_plots(traj, outdir))
+            csv_path = outdir / "trajectory.csv"
+            write_trajectory_csv(traj, csv_path)
+            outputs.append(csv_path)
+            outputs.extend(emit_plots(traj, outdir))
         except OSError as exc:
             raise RuntimeError(f"cannot write outputs: {exc}") from exc
     return RunReport(scenario=scn.name, checks=checks, report_text=report_text,
@@ -688,7 +674,8 @@ def apply_param(scn: Scenario, path: str, value: float) -> Scenario:
     for every field of its model's _MODELS row.  <bus> is the id of a
     bus of the network, <index> counts that section's records from 0.
     Any other path raises ScenarioError; a value out of the parameter's
-    range raises the ValueError of the record it would build.
+    range raises the ValueError of the record it would build, or of the
+    Scenario when the value breaks its network (invalid scenario: ...).
     """
     if path in _SCALARS:
         return dataclasses.replace(scn, **{_SCALARS[path]: value})
@@ -761,7 +748,7 @@ def _run_pack(pack: Sequence[_Prepared]) -> List[Tuple[int, str]]:
     return [_concluded(p, traj) for p, traj in zip(pack, trajs)]
 
 
-def _concluded(prep: _Prepared, traj: Optional[Trajectory]) -> Tuple[int, str]:
+def _concluded(prep: _Prepared, traj: Trajectory) -> Tuple[int, str]:
     """_conclude's exit code and no error text, or exit 2 and the text of
     its hard error (an unwritable output directory)."""
     try:
@@ -798,12 +785,8 @@ def run_sweep(scn_path: str, param: str, values: Sequence[float],
     for i, v in enumerate(values):
         sub = Path(base_out) / f"{param.replace('.', '_')}={v!r}"
         try:
-            prep = _prepare(apply_param(scn, param, v),
-                            dataclasses.replace(flags, out_dir=str(sub)))
-            if prep.eq is None:
-                results[i] = (_conclude(prep, None).exit_code, "")
-            else:
-                prepared[i] = prep
+            prepared[i] = _prepare(apply_param(scn, param, v),
+                                   dataclasses.replace(flags, out_dir=str(sub)))
         except _HARD_ERRORS as exc:
             results[i] = (2, _error_text(exc))
     order = list(prepared)
@@ -858,8 +841,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             p.add_argument("--skip-certify", action="store_true",
                            help="skip the certificate search")
             p.add_argument("--out", default=None, help="output directory")
-            p.add_argument("--seed", type=int, default=None,
-                           help="recorded for test harnesses; the run is deterministic")
             p.add_argument("--dt", type=float, default=None, help="override time step")
             p.add_argument("--t-end", type=float, default=None, help="override horizon")
     sweep = subs.choices["sweep"]
@@ -894,7 +875,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         flags = RunFlags(optimal_gains=args.optimal_gains,
                          skip_certify=args.skip_certify,
-                         out_dir=args.out, seed=args.seed,
+                         out_dir=args.out,
                          dt=args.dt, t_end=args.t_end)
         if args.command == "sweep":
             values = _sweep_values(args.values)

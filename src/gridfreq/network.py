@@ -27,7 +27,7 @@ class Bus:
         id: integer index; generators occupy the low indices.
         kind: generator or load.
         inertia: rotating mass constant, p.u.*s. Positive for generators,
-            unused (0.0 by convention) for load buses.
+            0.0 for load buses, which have no rotating mass.
         damping: frequency damping, p.u. per rad/s. Must be strictly
             positive at load buses because their frequency is recovered
             algebraically by dividing through it.
@@ -116,8 +116,9 @@ def validate(net: PowerNetwork) -> List[str]:
     """Check every structural invariant and report all violations at once.
 
     Returns a sorted list of human-readable reasons; an empty list means
-    the network is valid.  Violations are data, not exceptions, so a CLI
-    can print the full set in one pass.
+    the network is valid.  Violations are data, not exceptions, so
+    sim.Scenario, which calls this on every construction, can name the
+    full set in one error.
     """
     problems: List[str] = []
     ids = [b.id for b in net.buses]
@@ -143,6 +144,8 @@ def validate(net: PowerNetwork) -> List[str]:
         else:
             if not b.damping > 0.0:
                 problems.append(f"load bus {b.id} damping must be positive")
+            if b.inertia != 0.0:
+                problems.append(f"load bus {b.id} inertia must be zero")
 
     id_set = set(ids)
     seen_pairs = set()

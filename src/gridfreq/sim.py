@@ -52,7 +52,7 @@ from . import generation
 from .certify import Certificate
 from .control import ControllerGains
 from .generation import LtiGenerator
-from .network import PowerNetwork
+from .network import PowerNetwork, validate
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 100
@@ -68,7 +68,8 @@ _TIME_EPS = 1e-12
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything needed for one closed-loop run."""
+    """Everything needed for one closed-loop run, valid by construction:
+    __post_init__ raises ValueError naming every problem it finds."""
 
     network: PowerNetwork
     generators: Mapping[int, LtiGenerator]
@@ -81,6 +82,19 @@ class Scenario:
     name: str = field(default="", compare=False)
 
     def __post_init__(self):
+        problems = validate(self.network)
+        known = {b.id for b in self.network.buses}
+        problems += [f"generator record references unknown bus {bus}"
+                     for bus in self.generators if bus not in known]
+        problems += [f"disturbance record references unknown bus {bus}"
+                     for bus in self.step_loads if bus not in known]
+        gens = set(self.network.generator_ids)
+        if set(self.generators) != gens:
+            problems.append("every generator bus needs exactly one [generators] record")
+        if set(self.controllers) != gens:
+            problems.append("every generator bus needs exactly one [controllers] record")
+        if problems:
+            raise ValueError("invalid scenario: " + "; ".join(sorted(problems)))
         for name in ("dt", "t_end", "disturbance_time"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -90,9 +104,6 @@ class Scenario:
             raise ValueError("disturbance_time must lie before t_end")
         if self.output_stride < 1:
             raise ValueError("output_stride must be at least 1")
-        gens = set(self.network.generator_ids)
-        if set(self.generators) != gens or set(self.controllers) != gens:
-            raise ValueError("generators and controllers must cover exactly the generator buses")
 
 
 @dataclass(frozen=True)

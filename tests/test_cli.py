@@ -2,8 +2,10 @@ import dataclasses
 import math
 import multiprocessing
 import re
+import shlex
 import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from gridfreq.cli import (MARGINAL_TOL, RunFlags, ScenarioError, apply_param,
                           write_trajectory_csv)
 from gridfreq.fixtures import fixture_path
 from gridfreq.generation import first_order_params, second_order_params
-from gridfreq.network import PowerNetwork
 from gridfreq.sim import integrate
 
 MINIMAL = textwrap.dedent("""\
@@ -115,6 +116,28 @@ class TestParsing:
         with pytest.raises(ScenarioError, match=f"^{re.escape(where)}$"):
             parse_scenario_text(MINIMAL.replace(old, new))
 
+    @pytest.mark.parametrize("lineno, section, old, new, key", [
+        (3, "buses", "inertia=2.0", "inertai=2.0", "inertai"),
+        (7, "lines", "susceptance=2.0", "susceptance=2.0 length=3", "length"),
+        (10, "generators", "gain=1.0", "gain=1.0 tau_p=3", "tau_p"),
+        (13, "controllers", "cost=1.0", "cost=1.0 k_i=0.5", "k_i"),
+        (16, "comm", "[comm]\n", "[comm]\na=0 b=1 weigth=2.5\n", "weigth"),
+        (19, "disturbance", "delta=0.2", "delta=0.2 ramp=3", "ramp"),
+        (22, "sim", "t_end=5.0", "t_ned=5.0", "t_ned"),
+    ], ids=["buses", "lines", "generators", "controllers", "comm", "disturbance",
+            "sim"])
+    def test_unknown_field_rejected(self, lineno, section, old, new, key):
+        where = f"line {lineno}: [{section}] record has unknown field {key!r}"
+        with pytest.raises(ScenarioError, match=f"^{re.escape(where)}$"):
+            parse_scenario_text(MINIMAL.replace(old, new))
+
+    def test_load_bus_inertia_rejected(self):
+        # a load bus has no inertia, and serialize_scenario writes none
+        broken = MINIMAL.replace("kind=load", "kind=load inertia=7")
+        with pytest.raises(ScenarioError,
+                           match="^invalid scenario: load bus 1 inertia must be zero$"):
+            parse_scenario_text(broken)
+
     def test_duplicate_key_in_record(self):
         broken = MINIMAL.replace("from=0 to=1", "from=0 to=1 to=0")
         with pytest.raises(ScenarioError, match="duplicate key"):
@@ -200,8 +223,7 @@ class TestRun:
     def test_clean_run_passes_all_gates(self, two_gen_scenario, tmp_path):
         report = run(two_gen_scenario, RunFlags(out_dir=str(tmp_path)))
         assert report.exit_code == 0
-        for name in ("validation", "certification", "security", "settling",
-                     "dissipation"):
+        for name in ("certification", "security", "settling", "dissipation"):
             assert report.checks[name][0] == "pass", name
         assert report.checks["dispatch-optimality"][0] == "skipped"
         names = {p.name for p in report.outputs}
@@ -252,19 +274,6 @@ class TestRun:
         assert report.checks["certification"][0] == "fail"
         assert "no diagonal certificate found" in report.report_text
         assert report.exit_code == 1
-
-    def test_invalid_network_reports_and_stops(self, two_gen_scenario, tmp_path):
-        net = two_gen_scenario.network
-        buses = [dataclasses.replace(b, damping=0.0) if b.id == 2 else b
-                 for b in net.buses]
-        scn = dataclasses.replace(
-            two_gen_scenario,
-            network=PowerNetwork(buses, net.lines, net.comm))
-        report = run(scn, RunFlags(out_dir=str(tmp_path)))
-        assert report.exit_code == 1
-        assert report.checks["validation"][0] == "fail"
-        assert "damping must be positive" in report.report_text
-        assert [p.name for p in report.outputs] == ["report.txt"]
 
     def test_certified_kf_is_adopted_for_the_run(self, two_gen_scenario):
         # scenario k_f values already equal the certified ones, so force a
@@ -492,6 +501,19 @@ class TestSweep:
         assert captured.out.splitlines() == [
             want[0], "controllers.1.gamma=1e-06: exit 2", want[1]]
 
+    def test_value_that_breaks_the_network_is_exit_2(self, tmp_path, capsys):
+        code = main(["sweep", str(fixture_path("two_gen.scn")),
+                     "--param", "lines.0.susceptance", "--values", "1.0,-1",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == ["lines.0.susceptance=1.0: exit 0",
+                                             "lines.0.susceptance=-1.0: exit 2"]
+        assert captured.err == ("lines.0.susceptance=-1.0: error: invalid scenario: "
+                                "line 0-1 susceptance must be positive\n")
+        assert (tmp_path / "lines_0_susceptance=1.0" / "trajectory.csv").exists()
+        assert not (tmp_path / "lines_0_susceptance=-1.0").exists()
+
     def test_bad_path_is_exit_2_without_traceback(self, tmp_path, capsys):
         code = main(["sweep", str(fixture_path("two_gen.scn")),
                      "--param", "disturbance.9.delta", "--values", "0.1,0.2",
@@ -588,6 +610,23 @@ class TestMain:
         bad.write_text("nonsense\n")
         assert main(["simulate", str(bad)]) == 2
         assert "scenario error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: text.replace("bus=1 model=", "bus=5 model="),
+         "every generator bus needs exactly one [generators] record; "
+         "generator record references unknown bus 5"),
+        (lambda text: "".join(line for line in text.splitlines(True)
+                              if not line.startswith("bus=1 gamma=")),
+         "every generator bus needs exactly one [controllers] record"),
+    ], ids=["unknown-generator-bus", "missing-controller"])
+    def test_invalid_scenario_is_exit_2(self, edit, message, tmp_path, capsys):
+        bad = tmp_path / "bad.scn"
+        bad.write_text(edit(fixture_path("two_gen.scn").read_text(encoding="utf-8")),
+                       encoding="utf-8")
+        assert main(["simulate", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"scenario error: invalid scenario: {message}\n"
 
     def test_unwritable_out_is_exit_2(self, tmp_path, capsys):
         blocker = tmp_path / "file"
@@ -803,3 +842,29 @@ class TestMain:
 
     def test_marginal_tolerance_is_strict(self):
         assert MARGINAL_TOL == 1e-3
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _readme_commands():
+    """The words of each command in the sh block under README's "Command
+    line" heading."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split(
+        "\n## Command line\n")[1]
+    block = section.split("```sh\n")[1].split("```")[0]
+    return [shlex.split(line) for line in block.replace("\\\n", "").splitlines()]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[1])
+def test_readme_commands_exit_0(argv, tmp_path, monkeypatch):
+    # the scenario paths are relative to the repository, the outputs go
+    # to tmp_path
+    assert argv[0] == "gridfreq"
+    args = argv[1:]
+    args[1] = str(ROOT / args[1])
+    for i, word in enumerate(args[:-1]):
+        if word == "--out":
+            args[i + 1] = str(tmp_path / args[i + 1])
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 0

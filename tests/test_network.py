@@ -75,6 +75,13 @@ class TestValidate:
         problems = validate(net)
         assert any("load bus 1 damping must be positive" == p for p in problems)
 
+    def test_load_bus_takes_no_inertia(self):
+        net = PowerNetwork(
+            buses=[Bus(0, BusKind.GENERATOR, inertia=1.0, damping=0.5),
+                   Bus(1, BusKind.LOAD, inertia=7.0, damping=0.9)],
+            lines=[Line(0, 1, 1.0)], comm=[])
+        assert validate(net) == ["load bus 1 inertia must be zero"]
+
     def test_generator_needs_positive_inertia(self):
         net = PowerNetwork(
             buses=[Bus(0, BusKind.GENERATOR, inertia=0.0, damping=0.5)],

@@ -12,7 +12,7 @@ from gridfreq.cli import load_scenario
 from gridfreq.control import ControllerGains
 from gridfreq.fixtures import fixture_path
 from gridfreq.generation import dc_gain, make_first_order
-from gridfreq.network import Bus, BusKind, Line, PowerNetwork
+from gridfreq.network import Bus, BusKind, Line, PowerNetwork, validate
 from gridfreq.sim import (EPSILON_V, Scenario, assemble, compute_equilibrium,
                           dissipation_check, equilibrium_system_state,
                           integrate, integrate_many, lyapunov_value,
@@ -56,6 +56,18 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             dataclasses.replace(scn, generators={0: scn.generators[0],
                                                  1: scn.generators[0]})
+
+    def test_invalid_network_names_every_problem(self):
+        scn = _single_bus_scenario()
+        net = PowerNetwork(
+            buses=[Bus(id=0, kind=BusKind.GENERATOR, inertia=0.0, damping=0.5),
+                   Bus(id=1, kind=BusKind.LOAD, damping=0.0)],
+            lines=[Line(0, 1, -1.0)], comm=[])
+        problems = validate(net)
+        assert len(problems) == 3
+        with pytest.raises(ValueError) as err:
+            dataclasses.replace(scn, network=net)
+        assert str(err.value) == "invalid scenario: " + "; ".join(problems)
 
     def test_name_not_part_of_equality(self):
         scn = _single_bus_scenario()
