@@ -35,9 +35,10 @@ A run stays on one core.  The series derived from the recorded states
 (bus frequencies, p_m, the Lyapunov value, the transient angle peak) are
 summed over the nonzeros of the matrices they read, because a dense
 product over all samples wakes the BLAS thread pool, which then spins on
-a second core for a while after the call returns.  The one exception is
-compute_equilibrium on a network of about 100 buses or more, whose
-Newton steps build the Jacobian and solve with dense products.
+a second core for a while after the call returns.  The equilibrium's
+Newton steps solve by conjugate gradients from the line ends
+(_solve_laplacian) for the same reason: LAPACK's solvers wake that pool
+from about 100 buses.
 """
 
 from __future__ import annotations
@@ -102,8 +103,15 @@ class Scenario:
             raise ValueError("dt must be positive")
         if not self.disturbance_time < self.t_end:
             raise ValueError("disturbance_time must lie before t_end")
+        if abs(self.steps * self.dt - self.t_end) > 1e-9 * max(1.0, abs(self.t_end)):
+            raise ValueError("t_end must be an integer multiple of dt")
         if self.output_stride < 1:
             raise ValueError("output_stride must be at least 1")
+
+    @property
+    def steps(self) -> int:
+        """The number of RK4 steps from 0 to t_end."""
+        return int(round(self.t_end / self.dt))
 
 
 @dataclass(frozen=True)
@@ -574,9 +582,7 @@ def integrate_many(scns: Sequence[Scenario], *,
     spread = _block_diag([loop.spread for loop in loops])
     n_lines, n = incidence.shape
     dt = scn.dt
-    nsteps = int(round(scn.t_end / dt))
-    if abs(nsteps * dt - scn.t_end) > 1e-9 * max(1.0, abs(scn.t_end)):
-        raise ValueError("t_end must be an integer multiple of dt")
+    nsteps = scn.steps
     stride = scn.output_stride
     recorded = list(range(0, nsteps + 1, stride))
     if recorded[-1] != nsteps:
@@ -661,12 +667,60 @@ def transient_angle_peak(scn: Scenario, traj: Trajectory) -> Tuple[float, float]
     return float(peak[i]), float(traj.times[i])
 
 
+def _solve_laplacian(frm: np.ndarray, to: np.ndarray, w: np.ndarray,
+                     rhs: np.ndarray) -> np.ndarray:
+    """The Newton step s (s[0] = 0) with (L s)[1:] = rhs[1:] for the
+    weighted Laplacian L = E^T diag(w) E of the lines frm -> to, by
+    conjugate gradients preconditioned with L's diagonal (Jacobi).
+
+    L is applied from the line ends, E p as p[frm] - p[to] and E^T f as
+    two bincounts, and never built, so the solve makes no BLAS or LAPACK
+    call.  It ends once every residual entry is within NEWTON_TOL / 1000.
+    A non-positive diagonal entry or curvature (L is not positive
+    definite with bus 0 pinned) raises RuntimeError, as does a solve
+    still short of that after 10 n iterations for n buses: exact
+    arithmetic ends within n - 1, and rounding delays that on a long ring
+    of thin lines.
+    """
+    n = len(rhs)
+    diag = np.bincount(frm, w, n) + np.bincount(to, w, n)
+    if (diag[1:] > 0.0).all():
+        inv = np.zeros(n)
+        inv[1:] = 1.0 / diag[1:]
+        s = np.zeros(n)
+        r = rhs.copy()
+        r[0] = 0.0
+        z = inv * r
+        p = z
+        rz = (r * z).sum()
+        for _ in range(10 * n):
+            if np.abs(r).max() <= NEWTON_TOL * 1e-3:
+                return s
+            f = w * (p.take(frm) - p.take(to))
+            q = np.bincount(frm, f, n) - np.bincount(to, f, n)
+            q[0] = 0.0
+            curvature = (p * q).sum()
+            if not curvature > 0.0:
+                break
+            a = rz / curvature
+            s += a * p
+            r -= a * q
+            z = inv * r
+            rz, previous = (r * z).sum(), rz
+            p = z + (rz / previous) * p
+    raise RuntimeError("equilibrium Newton hit a singular Jacobian; "
+                       "try smaller loads or larger susceptances")
+
+
 def compute_equilibrium(scn: Scenario) -> Equilibrium:
     """Post-step synchronous equilibrium.
 
     nu = total load / sum_j K_j k_c_j; each generator settles at
     p_m = K k_c nu; the angles solve the lossless flow balance by damped
-    Newton iteration with bus 0 pinned as the angle reference.
+    Newton iteration with bus 0 pinned as the angle reference.  Each
+    Newton step solves the reduced weighted Laplacian by matrix-free,
+    Jacobi-preconditioned conjugate gradients over the line ends
+    (_solve_laplacian), so the solve stays on one core.
     """
     net = scn.network
     gens = sorted(net.generator_ids)
@@ -682,28 +736,23 @@ def compute_equilibrium(scn: Scenario) -> Equilibrium:
         target[g] = k_eff[g] * nu
     for bus, delta in scn.step_loads.items():
         target[bus] -= delta
-    e, b = _lines(net, nbus)
+    frm, to, b = _line_ends(net)
 
     def residual(theta: np.ndarray) -> np.ndarray:
-        return target - e.T @ (b * np.sin(e @ theta))
+        f = b * np.sin(theta[frm] - theta[to])
+        return target - np.bincount(frm, f, nbus) + np.bincount(to, f, nbus)
 
     theta = np.zeros(nbus)
     r = residual(theta)
     for _ in range(NEWTON_MAX_ITER):
         if float(np.max(np.abs(r))) < NEWTON_TOL or nbus == 1:
             break
-        jac = -(e.T * (b * np.cos(e @ theta))) @ e
-        try:
-            step = np.linalg.solve(jac[1:, 1:], r[1:])
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(
-                "equilibrium Newton hit a singular Jacobian; "
-                "try smaller loads or larger susceptances") from exc
+        # the residual's Jacobian is -L for the weights b cos(eta)
+        step = _solve_laplacian(frm, to, b * np.cos(theta[frm] - theta[to]), r)
         alpha = 1.0
         best = float(np.max(np.abs(r)))
         while alpha > 1e-6:
-            cand = theta.copy()
-            cand[1:] -= alpha * step
+            cand = theta + alpha * step
             rc = residual(cand)
             if float(np.max(np.abs(rc))) < best:
                 theta, r = cand, rc
@@ -718,7 +767,7 @@ def compute_equilibrium(scn: Scenario) -> Equilibrium:
             f"equilibrium Newton did not converge in {NEWTON_MAX_ITER} "
             "iterations; try smaller loads or larger susceptances")
 
-    eta = e @ theta
+    eta = theta[frm] - theta[to]
     flows = b * np.sin(eta)
     max_eta = float(np.max(np.abs(eta), initial=0.0))
     return Equilibrium(

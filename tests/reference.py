@@ -3,14 +3,16 @@
 The scalar ones stand apart from the closed loop that sim.assemble
 builds, so tests can check the program's matrices against them term by
 term.  The dense ones evaluate the closed loop's series as whole-matrix
-products, where the program sums over the nonzeros alone.
+products, where the program sums over the nonzeros alone, and solve the
+equilibrium's Newton steps with np.linalg.solve, where the program runs
+conjugate gradients over the line ends.
 """
 
 import math
 
 import numpy as np
 
-from gridfreq import sim
+from gridfreq import generation, sim
 
 
 def net_injection(net, bus, angles):
@@ -77,3 +79,40 @@ def lyapunov(scn, certs, eq, state):
     potential = (2.0 * np.sin(eta_s + delta / 2.0) * np.sin(delta / 2.0)
                  - np.sin(eta_s) * delta) @ b
     return 0.5 * np.sum((d @ weights) * d, axis=-1) + potential
+
+
+def equilibrium_angles(scn, nu):
+    """compute_equilibrium's angles by damped Newton with the Jacobian
+    built as a dense incidence product and solved by np.linalg.solve,
+    bus 0 pinned, to the same tolerance and line search."""
+    net = scn.network
+    nbus = len(net.buses)
+    target = np.zeros(nbus)
+    for g in net.generator_ids:
+        target[g] = (generation.dc_gain(scn.generators[g])
+                     * scn.controllers[g].k_c * nu)
+    for bus, delta in scn.step_loads.items():
+        target[bus] -= delta
+    e, b = sim._lines(net, nbus)
+
+    def residual(theta):
+        return target - e.T @ (b * np.sin(e @ theta))
+
+    theta = np.zeros(nbus)
+    r = residual(theta)
+    for _ in range(sim.NEWTON_MAX_ITER):
+        if float(np.max(np.abs(r))) < sim.NEWTON_TOL or nbus == 1:
+            return theta
+        jac = -(e.T * (b * np.cos(e @ theta))) @ e
+        step = np.linalg.solve(jac[1:, 1:], r[1:])
+        alpha = 1.0
+        while True:
+            cand = theta.copy()
+            cand[1:] -= alpha * step
+            rc = residual(cand)
+            if float(np.max(np.abs(rc))) < float(np.max(np.abs(r))):
+                theta, r = cand, rc
+                break
+            alpha /= 2.0
+            assert alpha > 1e-6, "line search stalled"
+    raise AssertionError("Newton did not converge")

@@ -18,6 +18,7 @@ from gridfreq.cli import (MARGINAL_TOL, RunFlags, ScenarioError, apply_param,
 from gridfreq.fixtures import fixture_path
 from gridfreq.generation import first_order_params, second_order_params
 from gridfreq.sim import integrate
+from meshes import ring_with_chords
 
 MINIMAL = textwrap.dedent("""\
     # one generator feeding one load
@@ -385,10 +386,12 @@ class TestApplyParam:
         rng = np.random.default_rng(5)
         for path, read in _settable(scn):
             values = rng.uniform(0.3, 3.0, size=3)
+            # a step must divide the horizon: dt is snapped to the nearest
+            # divisor of t_end, and t_end to the nearest multiple of dt
             if path == "sim.dt":
-                values = values * 1e-3
+                values = scn.t_end / np.round(scn.t_end / (values * 1e-3))
             elif path == "sim.t_end":
-                values = values + scn.disturbance_time
+                values = np.round((values + scn.disturbance_time) / scn.dt) * scn.dt
             elif path == "disturbance.time":
                 values = values * scn.t_end / 4.0
             for v in values.tolist():
@@ -653,6 +656,35 @@ class TestMain:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: cannot write outputs: ")
         assert reached == []
+
+    def test_step_that_does_not_divide_t_end_fails_before_any_stage(
+            self, tmp_path, monkeypatch, capsys):
+        reached = []
+        for module, name in [(cli, "search_certificate"),
+                             (sim, "compute_equilibrium"), (sim, "integrate")]:
+            monkeypatch.setattr(module, name,
+                                lambda *a, name=name, **k: reached.append(name))
+        code = main(["simulate", str(fixture_path("ring9.scn")), "--dt", "0.0007",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: t_end must be an integer multiple of dt\n")
+        assert reached == []
+        assert not (tmp_path / "out").exists()
+
+    def test_overloaded_mesh_is_exit_2(self, tmp_path, capsys):
+        scn = ring_with_chords(seed=3)
+        scn = dataclasses.replace(scn, step_loads={
+            b: 500.0 * delta for b, delta in scn.step_loads.items()})
+        path = tmp_path / "overloaded.scn"
+        path.write_text(serialize_scenario(scn), encoding="utf-8")
+        assert main(["simulate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: equilibrium Newton [^\n]*; "
+                            r"try smaller loads or larger susceptances\n",
+                            captured.err)
 
     def test_simulate_success(self, tmp_path, capsys):
         code = main(["simulate", str(fixture_path("two_gen.scn")),

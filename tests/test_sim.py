@@ -18,8 +18,8 @@ from gridfreq.sim import (EPSILON_V, Scenario, assemble, compute_equilibrium,
                           integrate, integrate_many, lyapunov_value,
                           state_layout, transient_angle_peak)
 from meshes import ring_with_chords
-from reference import (angle_peak, derivative, lyapunov, net_injection, output,
-                       series)
+from reference import (angle_peak, derivative, equilibrium_angles, lyapunov,
+                       net_injection, output, series)
 
 
 def _single_bus_scenario():
@@ -181,10 +181,10 @@ class TestIntegrate:
         assert traj.states.shape == (5, 9)
 
     def test_t_end_must_be_dt_multiple(self, two_gen_scenario):
-        scn = dataclasses.replace(two_gen_scenario, disturbance_time=0.5,
-                                  t_end=1.0, dt=0.3)
-        with pytest.raises(ValueError):
-            integrate(scn)
+        # the scenario itself is invalid, so no run can start on it
+        with pytest.raises(ValueError, match="^t_end must be an integer multiple of dt$"):
+            dataclasses.replace(two_gen_scenario, disturbance_time=0.5,
+                                t_end=1.0, dt=0.3)
 
     @pytest.mark.parametrize("disturbance_time", [0.0, 0.005])
     def test_step_is_classical_rk4(self, ring9_scenario, disturbance_time):
@@ -587,6 +587,45 @@ class TestEquilibrium:
 
     def test_overload_raises(self, two_gen_scenario):
         scn = dataclasses.replace(two_gen_scenario, step_loads={2: 50.0})
+        with pytest.raises(RuntimeError, match="smaller loads"):
+            compute_equilibrium(scn)
+
+    @pytest.mark.parametrize("buses", [100, 200])
+    def test_mesh_matches_dense_newton(self, buses):
+        scn = ring_with_chords(seed=buses + 1, buses=buses,
+                               generators=buses // 4, chords=3 * buses // 10)
+        eq = compute_equilibrium(scn)
+        theta = [eq.angles_star[b] for b in range(buses)]
+        assert theta == pytest.approx(equilibrium_angles(scn, eq.nu),
+                                      rel=0, abs=1e-12)
+        p_m = assemble(scn).pm_rows @ equilibrium_system_state(scn, eq)
+        outputs = dict(zip(sorted(scn.network.generator_ids), p_m))
+        for b in range(buses):
+            balance = (outputs.get(b, 0.0) - scn.step_loads.get(b, 0.0)
+                       + net_injection(scn.network, b, eq.angles_star))
+            assert abs(balance) < sim.NEWTON_TOL
+
+    def test_mesh_needs_no_lapack(self, monkeypatch):
+        # np.linalg's solvers wake the BLAS thread pool from about 100
+        # unknowns, which then spins on a second core after the call; only
+        # a generator block's DC gain (generation.dc_gain) may use them
+        scn = ring_with_chords(seed=201, buses=200, generators=50, chords=60)
+        order = max(gen.order for gen in scn.generators.values())
+
+        def guard(solver):
+            def call(a, *args, **kwargs):
+                assert len(a) <= order, f"np.linalg.{solver.__name__} on {np.shape(a)}"
+                return solver(a, *args, **kwargs)
+            return call
+
+        for name in ("solve", "cholesky", "inv", "lstsq"):
+            monkeypatch.setattr(np.linalg, name, guard(getattr(np.linalg, name)))
+        assert compute_equilibrium(scn).security_ok
+
+    def test_overloaded_mesh_raises(self):
+        scn = ring_with_chords(seed=3)
+        scn = dataclasses.replace(scn, step_loads={
+            b: 500.0 * delta for b, delta in scn.step_loads.items()})
         with pytest.raises(RuntimeError, match="smaller loads"):
             compute_equilibrium(scn)
 
