@@ -7,11 +7,9 @@ conditions, computes cost-optimal dispatch, and monitors a Lyapunov
 function along trajectories.
 """
 
-from .certify import (Certificate, SymmetricMatrix, check_primary_lmi,
-                      check_secondary_lmi, first_order_certificate,
+from .certify import (Certificate, SymmetricMatrix, check_secondary_lmi,
                       first_order_min_damping, is_positive_definite,
-                      primary_lmi_matrix, search_certificate,
-                      second_order_certificate, second_order_min_damping,
+                      search_certificate, second_order_min_damping,
                       secondary_lmi_matrix, sym_eigenvalues)
 from .control import ControllerGains, default_kf, optimal_kc
 from .dispatch import DispatchProblem, marginal_costs, solve_dispatch
@@ -27,12 +25,10 @@ __all__ = [
     "Bus", "BusKind", "Certificate", "CommEdge", "ControllerGains",
     "DispatchProblem", "Equilibrium", "Line", "LtiGenerator", "PowerNetwork",
     "Scenario", "SymmetricMatrix", "Trajectory",
-    "check_primary_lmi", "check_secondary_lmi", "compute_equilibrium",
-    "dc_gain", "default_kf", "dissipation_check", "first_order_certificate",
-    "first_order_min_damping", "integrate", "is_hurwitz",
+    "check_secondary_lmi", "compute_equilibrium", "dc_gain", "default_kf",
+    "dissipation_check", "first_order_min_damping", "integrate", "is_hurwitz",
     "is_positive_definite", "lyapunov_value", "make_first_order",
-    "make_second_order", "marginal_costs", "optimal_kc",
-    "primary_lmi_matrix", "search_certificate", "second_order_certificate",
+    "make_second_order", "marginal_costs", "optimal_kc", "search_certificate",
     "second_order_min_damping", "secondary_lmi_matrix", "solve_dispatch",
     "sym_eigenvalues", "validate",
 ]

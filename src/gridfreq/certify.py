@@ -1,14 +1,14 @@
 """Stability certificates for the closed loop.
 
-Two nested matrix conditions are checked here.  The primary condition is
-a passivity certificate for a generation block under droop feedback: a
-positive definite P and a damping allowance lambda_hat < Lambda such that
-an (n+1)-dimensional symmetric matrix is negative semidefinite.  The
-secondary condition extends that matrix by one row/column carrying the
-command-coupling gains; it is what the averaging controller needs.  The
-primary matrix is the trailing principal submatrix of the secondary one,
-so a secondary pass implies a primary pass with the same (P, k_d,
-lambda_hat).
+Two nested matrix conditions stand behind a certificate.  The primary
+condition is a passivity certificate for a generation block under droop
+feedback: a positive definite P and a damping allowance lambda_hat <
+Lambda such that an (n+1)-dimensional symmetric matrix is negative
+semidefinite.  The secondary condition extends that matrix by one
+row/column carrying the command-coupling gains; it is what the averaging
+controller needs, and the one checked here.  The primary matrix is the
+trailing principal submatrix of the secondary one, so a secondary pass
+implies a primary pass with the same (P, k_d, lambda_hat).
 
 For the two worked generator models there are exact diagonal certificates
 with closed-form feasibility thresholds on the bus damping; for anything
@@ -125,6 +125,13 @@ def is_positive_definite(m: SymmetricMatrix) -> bool:
 
 def _primary_array(gen: LtiGenerator, k_d: float, p: np.ndarray,
                    lambda_hat: float) -> np.ndarray:
+    """The (n+1)-dimensional passivity matrix for droop feedback.
+
+    Layout: leading n x n block sym(P A), coupling column
+    (k_d P B - C^T)/2, corner -lambda_hat - D k_d.  Negative
+    semidefiniteness of this matrix (with P positive definite and
+    lambda_hat < Lambda) is the primary-control stability condition.
+    """
     n = gen.order
     if p.shape != (n, n):
         raise ValueError(f"P has dim {len(p)}, generator has order {n}")
@@ -136,30 +143,6 @@ def _primary_array(gen: LtiGenerator, k_d: float, p: np.ndarray,
     m[:n, n] = m[n, :n] = (k_d * (p @ b) - c) / 2.0
     m[n, n] = -lambda_hat - gen.d_scalar * k_d
     return m
-
-
-def primary_lmi_matrix(gen: LtiGenerator, k_d: float, p: SymmetricMatrix,
-                       lambda_hat: float) -> SymmetricMatrix:
-    """The (n+1)-dimensional passivity matrix for droop feedback.
-
-    Layout: leading n x n block sym(P A), coupling column
-    (k_d P B - C^T)/2, corner -lambda_hat - D k_d.  Negative
-    semidefiniteness of this matrix (with P positive definite and
-    lambda_hat < Lambda) is the primary-control stability condition.
-    """
-    return SymmetricMatrix.from_rows(
-        _primary_array(gen, k_d, p.to_array(), lambda_hat))
-
-
-def check_primary_lmi(gen: LtiGenerator, k_d: float, cert: Certificate,
-                      lambda_bus: float) -> bool:
-    """Does the certificate witness the primary (droop) condition?"""
-    if not cert.lambda_hat < lambda_bus:
-        raise ValueError("certificate lambda_hat must be below the bus damping")
-    if not is_positive_definite(cert.p_matrix):
-        return False
-    m = primary_lmi_matrix(gen, k_d, cert.p_matrix, cert.lambda_hat)
-    return sym_eigenvalues(m)[-1] <= TOL_PSD
 
 
 def _secondary_array(gen: LtiGenerator, params: ControllerGains,
@@ -265,37 +248,6 @@ def first_order_shortfall(gen: LtiGenerator, params: ControllerGains,
     threshold = first_order_min_damping(dc_gain(gen), params.k_c, params.k_d)
     lambda_hat = lambda_bus * (1.0 - LAMBDA_SHAVE)
     return (threshold, lambda_hat) if threshold > lambda_hat else None
-
-
-def second_order_certificate(tau_a: float, tau_p: float, k_gain: float,
-                             k_c: float, k_d: float,
-                             lambda_hat: float = 0.0) -> Certificate:
-    """Analytic certificate for the turbine-governor model.
-
-    P = diag(tau_a, tau_p)/(K k_c) and k_f = K k_c.  With these choices
-    the secondary matrix is independent of the time constants, and it is
-    negative semidefinite exactly when lambda_hat reaches
-    second_order_min_damping.  lambda_hat defaults to 0; callers position
-    it below their bus damping.
-    """
-    if not (tau_a > 0.0 and tau_p > 0.0 and k_gain > 0.0 and k_c > 0.0
-            and k_d > 0.0):
-        raise ValueError("all certificate parameters must be strictly positive")
-    scale = 1.0 / (k_gain * k_c)
-    p = SymmetricMatrix.diagonal([tau_a * scale, tau_p * scale])
-    return Certificate(p_matrix=p, k_f=k_gain * k_c, lambda_hat=lambda_hat)
-
-
-def first_order_certificate(tau: float, k_gain: float, k_c: float,
-                            lambda_hat: float = 0.0) -> Certificate:
-    """Analytic certificate for the first-order lag model.
-
-    The only certifiable point: P = tau/(K k_c), k_f = K k_c.
-    """
-    if not (tau > 0.0 and k_gain > 0.0 and k_c > 0.0):
-        raise ValueError("all certificate parameters must be strictly positive")
-    p = SymmetricMatrix.diagonal([tau / (k_gain * k_c)])
-    return Certificate(p_matrix=p, k_f=k_gain * k_c, lambda_hat=lambda_hat)
 
 
 def _golden_min(f, lo: float, hi: float,

@@ -27,6 +27,7 @@ import argparse
 import dataclasses
 import itertools
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -764,11 +765,16 @@ def run_sweep(scn_path: str, param: str, values: Sequence[float],
     The scenario is parsed once and every value prepared in order.
     --dt and --t-end override the scenario file and the swept path
     overrides them.  The prepared values are integrated in the packs
-    sim.packs cuts, and the packs run in parallel.  Prints
-    ``param=value: exit N`` for every value, and a value's error text on
-    stderr, so one failing value costs only its own result.  Returns the
-    worst exit code.  A repeated value would run twice into one
-    directory, so it raises ValueError before any value runs.
+    sim.packs cuts: on each time grid the fewest unions within
+    sim.PACK_ENTRIES, with member counts that differ by at most one (eight
+    values of two_gen are two packs of four).  The packs run side by side
+    in a pool of one worker per pack, at most one per CPU this process
+    may run on (its affinity mask where the platform has one); a single
+    pack, or a single usable CPU, runs them here one after the other.
+    Prints ``param=value: exit N`` for every value, and a value's error
+    text on stderr, so one failing value costs only its own result.
+    Returns the worst exit code.  A repeated value would run twice into
+    one directory, so it raises ValueError before any value runs.
     """
     # only a sweep runs a pool: importing multiprocessing here spares
     # every other command its import
@@ -793,7 +799,9 @@ def run_sweep(scn_path: str, param: str, values: Sequence[float],
     packs = [[order[k] for k in pack]
              for pack in sim.packs([prepared[i].scn for i in order])]
     jobs = [[prepared[i] for i in pack] for pack in packs]
-    workers = min(len(jobs), multiprocessing.cpu_count())
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(len(jobs), cpus)
     if workers > 1:
         with multiprocessing.Pool(processes=workers) as pool:
             done = pool.map(_run_pack, jobs)

@@ -20,16 +20,18 @@ them.  Integration is classical fixed-step RK4.  Scenarios on one time
 grid can be integrated together (integrate_many): uncoupled loops side
 by side are one loop with block-diagonal J, E and S, which
 integrate_many stacks once and hands to a kernel; packs() cuts a sweep's
-scenarios into such unions.  A step runs on one of two kernels, chosen
-by the union's size alone, and advances a block of steps per call: one
-call runs from the load step or a recorded sample to the next.  The
-dense one fuses the whole RK4 step into five matrix products and four
-sines over the line arguments; it runs loops up to DENSE_ENTRIES matrix
-entries (the shipped fixtures and every pack of two or more).  The
-sparse one evaluates the slope four times with a gather and a bincount
-over the nonzeros; it runs larger networks, whose matrices are almost
-all zeros.  Around 1.2e5 entries the two cost the same, about 32 us per
-step.
+scenarios into such unions, each within PACK_ENTRIES, where the dense
+step costs least per member, and of balanced member counts, so that the
+packs of one sweep run side by side on the CPUs a sweep's pool has.  A
+step runs on one of two kernels, chosen by the union's size alone, and
+advances a block of steps per call: one call runs from the load step or
+a recorded sample to the next.  The dense one fuses the whole RK4 step
+into five matrix products and four sines over the line arguments; it
+runs loops up to DENSE_ENTRIES matrix entries (the shipped fixtures and
+every pack of two or more).  The sparse one evaluates the slope four
+times with a gather and a bincount over the nonzeros; it runs larger
+networks, whose matrices are almost all zeros.  Around 1.2e5 entries
+the two cost the same, about 32 us per step.
 
 A run stays on one core.  The series derived from the recorded states
 (bus frequencies, p_m, the Lyapunov value, the transient angle peak) are
@@ -316,9 +318,8 @@ def integrate(scn: Scenario, *, initial_state: Optional[np.ndarray] = None,
 
 #: Largest closed loop, in entries of its dense kernel matrices (see
 #: kernel_entries), that integrate_many runs on the dense kernel; a larger
-#: one runs on the sparse kernel.  packs() cuts unions to fit it, so a
-#: pack never lands on the sparse side.  A dense step costs nine numpy
-#: calls whatever the loop's size, until its products outgrow the per-call
+#: one runs on the sparse kernel.  A dense step costs nine numpy calls
+#: whatever the loop's size, until its products outgrow the per-call
 #: overhead and then the cache: the fused matrices grow as the square of
 #: the loop, while the sparse step grows with its nonzeros.  Per RK4 step
 #: on unions of fixture copies (medians of 25 interleaved rounds, two
@@ -326,9 +327,34 @@ def integrate(scn: Scenario, *, initial_state: Optional[np.ndarray] = None,
 #: copies (94 632 entries) 24.6-24.8 against 28.2-29.2 us, 3 ring9 copies
 #: (104 517) 28.3-28.4 against 24.3-32.1, 9 two_gen copies (119 745)
 #: 31.4-32.3 against 32.5-33.3, 4 ring9 copies (185 732) 44.6-47.5
-#: against 34.0-34.4.  The budget sits at that crossover; moving it would
-#: cut sweeps into other packs.
+#: against 34.0-34.4.  The limit sits at that crossover.
 DENSE_ENTRIES = 110_000
+
+#: Largest union, in kernel entries, that packs() forms from two or more
+#: scenarios.  Up to a few times 1e4 entries the dense step stays near
+#: the per-call floor, so a member costs less the more members share a
+#: step; beyond that the products grow with the square of the union and
+#: the cost per member rises again.  Per RK4 step of a dense union of
+#: fixture copies (best of 5 x 5 000 steps, two runs, 2 CPUs, python
+#: 3.11, numpy 2.4), in us per step and per member:
+#:
+#:   two_gen  members  entries   per step     per member
+#:            1          1 497    4.4-7.1     4.4-7.1
+#:            2          5 946    4.9-5.0     2.5
+#:            4         23 700    8.8-12.7    2.2-3.2
+#:            6         53 262   12.6-18.4    2.1-3.1
+#:            7         72 471   17.7-22.2    2.5-3.2
+#:            8         94 632   19.3-23.3    2.4-2.9
+#:            9        119 745   26.7-30.8    3.0-3.4
+#:   ring9    1         11 651    6.8-8.1     6.8-8.1
+#:            2         46 490   14.3-15.5    7.1-7.8
+#:            3        104 517   25.1-25.5    8.4-8.5
+#:
+#: 2**16 holds up to 6 two_gen members or 2 ring9 members, and the
+#: smaller packs of a sweep run side by side in its pool (cli.run_sweep).
+#: It stays within DENSE_ENTRIES, so a pack never lands on the sparse
+#: kernel.
+PACK_ENTRIES = 2 ** 16
 
 
 def kernel_entries(states: int, lines: int) -> int:
@@ -347,19 +373,41 @@ def _grid(scn: Scenario) -> tuple:
 
 
 def packs(scns: Sequence[Scenario]) -> List[List[int]]:
-    """The indices of scns cut into unions for integrate_many: runs of
-    scenarios on one time grid, in order, within DENSE_ENTRIES (a scenario
-    over it alone makes a pack of one), grid after grid.  The scenarios
-    alone decide the cut, so it is the same on any machine."""
+    """The indices of scns cut into unions for integrate_many, grid after
+    grid.  The scenarios of one time grid are cut in order, twice.  The
+    first cut closes a pack when the next scenario would take it over
+    PACK_ENTRIES (a scenario over it alone makes a pack of one), which
+    gives the fewest packs, k.  The second cut keeps that budget and also
+    closes a pack when it holds ceil(r / (k - p)) members, with p the
+    packs closed and r the scenarios not in them, so equal-size members
+    (every value of a sweep) fall into k packs whose counts differ by at
+    most one.  The scenarios alone decide the cut, so it is the same on
+    any machine."""
     sizes = [(state_layout(s).size, len(s.network.lines)) for s in scns]
-    grids: Dict[tuple, List[List[int]]] = {}
+    grids: Dict[tuple, List[int]] = {}
     for i, s in enumerate(scns):
-        cut = grids.setdefault(_grid(s), [[]])
-        n, lines = map(sum, zip(*[sizes[k] for k in cut[-1] + [i]]))
-        if cut[-1] and kernel_entries(n, lines) > DENSE_ENTRIES:
-            cut.append([])
-        cut[-1].append(i)
-    return [pack for cut in grids.values() for pack in cut]
+        grids.setdefault(_grid(s), []).append(i)
+
+    def cut(members: List[int], fewest: int = 0) -> List[List[int]]:
+        out: List[List[int]] = []
+        for k, i in enumerate(members):
+            if out:
+                n, lines = map(sum, zip(*[sizes[j] for j in out[-1] + [i]]))
+                fits = kernel_entries(n, lines) <= PACK_ENTRIES
+                if fits and fewest:
+                    # the open pack's members and those after it, shared
+                    # over the packs still to come
+                    left = len(members) - k + len(out[-1])
+                    share = -(-left // max(1, fewest - len(out) + 1))
+                    fits = len(out[-1]) < share
+                if fits:
+                    out[-1].append(i)
+                    continue
+            out.append([i])
+        return out
+
+    return [pack for members in grids.values()
+            for pack in cut(members, len(cut(members)))]
 
 
 def _block_diag(blocks: Sequence[np.ndarray]) -> np.ndarray:

@@ -5,14 +5,17 @@ builds, so tests can check the program's matrices against them term by
 term.  The dense ones evaluate the closed loop's series as whole-matrix
 products, where the program sums over the nonzeros alone, and solve the
 equilibrium's Newton steps with np.linalg.solve, where the program runs
-conjugate gradients over the line ends.
+conjugate gradients over the line ends.  The certificate ones are the
+primary (droop) condition, which the program only checks as the trailing
+block of the secondary one, and the worked models' analytic certificates,
+which search_certificate builds inline.
 """
 
 import math
 
 import numpy as np
 
-from gridfreq import generation, sim
+from gridfreq import certify, generation, sim
 
 
 def net_injection(net, bus, angles):
@@ -116,3 +119,55 @@ def equilibrium_angles(scn, nu):
             alpha /= 2.0
             assert alpha > 1e-6, "line search stalled"
     raise AssertionError("Newton did not converge")
+
+
+def primary_matrix(gen, k_d, p, lambda_hat):
+    """The primary (droop) passivity matrix for the (n, n) array P, block
+    by block: [[sym(P A), (k_d P B - C^T)/2], [its transpose,
+    -lambda_hat - D k_d]].  certify builds it as the trailing block of the
+    secondary matrix."""
+    p = np.asarray(p, dtype=float)
+    a = np.array(gen.a_matrix, dtype=float)
+    if p.shape != a.shape:
+        raise ValueError(f"P has shape {p.shape}, generator has order {gen.order}")
+    border = (k_d * p @ np.array(gen.b_vector) - np.array(gen.c_vector)) / 2.0
+    corner = -lambda_hat - gen.d_scalar * k_d
+    return np.block([[(p @ a + a.T @ p) / 2.0, border[:, None]],
+                     [border[None, :], np.array([[corner]])]])
+
+
+def check_primary(gen, k_d, cert, lambda_bus):
+    """Does the certificate witness the primary (droop) condition?  P
+    positive definite and the primary matrix negative semidefinite, to
+    certify's tolerances."""
+    if not cert.lambda_hat < lambda_bus:
+        raise ValueError("certificate lambda_hat must be below the bus damping")
+    p = cert.p_matrix.to_array()
+    if not np.linalg.eigvalsh(p)[0] > certify.TOL_PD_PER_DIM * len(p):
+        return False
+    m = primary_matrix(gen, k_d, p, cert.lambda_hat)
+    return np.linalg.eigvalsh(m)[-1] <= certify.TOL_PSD
+
+
+def second_order_certificate(tau_a, tau_p, k_gain, k_c, k_d, lambda_hat=0.0):
+    """The analytic certificate of the turbine-governor model:
+    P = diag(tau_a, tau_p)/(K k_c) and k_f = K k_c.  The secondary matrix
+    is then independent of the time constants, and negative semidefinite
+    exactly when lambda_hat reaches certify.second_order_min_damping."""
+    if not (tau_a > 0.0 and tau_p > 0.0 and k_gain > 0.0 and k_c > 0.0
+            and k_d > 0.0):
+        raise ValueError("all certificate parameters must be strictly positive")
+    scale = 1.0 / (k_gain * k_c)
+    return certify.Certificate(
+        p_matrix=certify.SymmetricMatrix.diagonal([tau_a * scale, tau_p * scale]),
+        k_f=k_gain * k_c, lambda_hat=lambda_hat)
+
+
+def first_order_certificate(tau, k_gain, k_c, lambda_hat=0.0):
+    """The analytic certificate of the first-order lag, its only
+    certifiable point: P = tau/(K k_c), k_f = K k_c."""
+    if not (tau > 0.0 and k_gain > 0.0 and k_c > 0.0):
+        raise ValueError("all certificate parameters must be strictly positive")
+    return certify.Certificate(
+        p_matrix=certify.SymmetricMatrix.diagonal([tau / (k_gain * k_c)]),
+        k_f=k_gain * k_c, lambda_hat=lambda_hat)

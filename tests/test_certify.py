@@ -7,17 +7,17 @@ from hypothesis import strategies as st
 
 from gridfreq import certify
 from gridfreq.certify import (Certificate, LAMBDA_SHAVE, SymmetricMatrix,
-                              TOL_PSD, _diagonal_secondary,
-                              check_primary_lmi, check_secondary_lmi,
-                              first_order_certificate, first_order_min_damping,
-                              is_positive_definite, primary_lmi_matrix,
-                              search_certificate, second_order_certificate,
+                              TOL_PSD, _diagonal_secondary, _primary_array,
+                              check_secondary_lmi, first_order_min_damping,
+                              is_positive_definite, search_certificate,
                               second_order_min_damping, secondary_lmi_matrix,
                               sym_eigenvalues)
 from gridfreq.control import ControllerGains
 from gridfreq.generation import (LtiGenerator, first_order_params,
                                  make_first_order, make_second_order,
                                  second_order_params)
+from reference import (check_primary, first_order_certificate, primary_matrix,
+                       second_order_certificate)
 
 
 def _params(**over):
@@ -103,20 +103,22 @@ class TestPositiveDefinite:
 class TestPrimaryMatrix:
     def test_first_order_hand_case(self):
         gen = make_first_order(1.0, 1.0)
-        m = primary_lmi_matrix(gen, 1.0, SymmetricMatrix.diagonal([2.0]), 0.0)
-        assert m.to_lists() == [[-2.0, 0.5], [0.5, 0.0]]
+        for m in (_primary_array(gen, 1.0, np.array([[2.0]]), 0.0),
+                  primary_matrix(gen, 1.0, [[2.0]], 0.0)):
+            assert m.tolist() == [[-2.0, 0.5], [0.5, 0.0]]
 
     def test_coupling_column_vanishes_without_droop_or_output(self):
         gen = dataclasses.replace(make_first_order(2.0, 1.0),
                                   c_vector=(0.0,), d_scalar=0.0)
-        m = primary_lmi_matrix(gen, 0.0, SymmetricMatrix.diagonal([3.0]), 0.7)
-        assert m.entry(0, 1) == 0.0
-        assert m.entry(1, 1) == -0.7
+        m = _primary_array(gen, 0.0, np.array([[3.0]]), 0.7)
+        assert m[0, 1] == m[1, 0] == 0.0
+        assert m[1, 1] == -0.7
 
     def test_dimension_mismatch(self):
         gen = make_first_order(1.0, 1.0)
-        with pytest.raises(ValueError):
-            primary_lmi_matrix(gen, 1.0, SymmetricMatrix.diagonal([1.0, 1.0]), 0.0)
+        for build in (_primary_array, primary_matrix):
+            with pytest.raises(ValueError):
+                build(gen, 1.0, np.eye(2), 0.0)
 
 
 class TestCheckPrimary:
@@ -124,20 +126,20 @@ class TestCheckPrimary:
         gen = make_first_order(1.0, 1.0)
         cert = Certificate(p_matrix=SymmetricMatrix.diagonal([1.0]),
                            k_f=1.0, lambda_hat=0.5)
-        assert check_primary_lmi(gen, 1.0, cert, 1.0)
+        assert check_primary(gen, 1.0, cert, 1.0)
 
     def test_lambda_hat_must_stay_below_bus_damping(self):
         gen = make_first_order(1.0, 1.0)
         cert = Certificate(p_matrix=SymmetricMatrix.diagonal([1.0]),
                            k_f=1.0, lambda_hat=1.0)
         with pytest.raises(ValueError):
-            check_primary_lmi(gen, 1.0, cert, 1.0)
+            check_primary(gen, 1.0, cert, 1.0)
 
     def test_indefinite_p_rejected(self):
         gen = make_first_order(1.0, 1.0)
         cert = Certificate(p_matrix=SymmetricMatrix.diagonal([-1.0]),
                            k_f=1.0, lambda_hat=0.5)
-        assert not check_primary_lmi(gen, 1.0, cert, 1.0)
+        assert not check_primary(gen, 1.0, cert, 1.0)
 
 
 class TestSecondaryMatrix:
@@ -159,10 +161,12 @@ class TestSecondaryMatrix:
         params = _params(k_c=0.6, k_d=0.8, k_f=0.7)
         p = SymmetricMatrix.from_upper(2, [1.5, 0.2, 0.9])
         outer = secondary_lmi_matrix(gen, params, p, 0.41)
-        inner = primary_lmi_matrix(gen, params.k_d, p, 0.41)
+        inner = _primary_array(gen, params.k_d, p.to_array(), 0.41)
         for i in range(3):
             for j in range(3):
-                assert outer.entry(i + 1, j + 1) == inner.entry(i, j)
+                assert outer.entry(i + 1, j + 1) == inner[i, j]
+        assert np.allclose(inner, primary_matrix(gen, params.k_d, p.to_array(),
+                                                 0.41), rtol=1e-15, atol=1e-15)
 
     def test_kf_override_only_touches_frequency_border(self):
         gen = make_first_order(1.0, 1.0)
@@ -318,7 +322,7 @@ class TestSearchCertificate:
             cert = search_certificate(gen, params, lam)
             assert cert is not None, (trial, gen, params, lam)
             assert check_secondary_lmi(gen, params, cert, lam)
-            assert check_primary_lmi(gen, params.k_d, cert, lam)
+            assert check_primary(gen, params.k_d, cert, lam)
             checked += 1
         assert checked >= 100
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import multiprocessing
+import os
 import re
 import shlex
 import textwrap
@@ -464,7 +465,7 @@ class TestSweep:
         assert (tmp_path / "controllers_1_k_d=0.6" / "trajectory.csv").exists()
 
     def test_swept_values_match_lone_runs(self, tmp_path, capsys):
-        # eight k_d values on one grid integrate as one pack
+        # eight k_d values on one grid integrate as two packs of four
         values = [0.43, 0.54, 0.59, 0.7, 0.74, 0.81, 0.88, 1.0]
         scn = load_scenario(fixture_path("two_gen.scn"))
         assert run_sweep(str(fixture_path("two_gen.scn")), "controllers.1.k_d",
@@ -583,7 +584,7 @@ class TestSweep:
         printed = []
         for cpus in ("pool", "serial"):
             if cpus == "serial":
-                monkeypatch.setattr(multiprocessing, "cpu_count", lambda: 1)
+                _one_usable_cpu(monkeypatch)
             run_sweep(str(fixture), path, values, str(tmp_path / cpus),
                       RunFlags(t_end=2.0))
             printed.append(capsys.readouterr().out)
@@ -601,6 +602,31 @@ class TestSweep:
                                   skip_header=1)
                     for d in (tmp_path / "pool" / f"controllers_1_k_d={v!r}", lone))
             assert np.max(np.abs(a - b)) <= 1e-12
+
+    def test_one_usable_cpu_runs_the_packs_here(self, tmp_path, monkeypatch,
+                                                capsys):
+        # the machine may have more CPUs than this process may run on
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        _one_usable_cpu(monkeypatch)
+        monkeypatch.setattr(multiprocessing, "Pool", None)
+        ran = []
+        monkeypatch.setattr(cli, "_run_pack",
+                            lambda pack, real=cli._run_pack:
+                            ran.append(len(pack)) or real(pack))
+        values = [0.4 + 0.1 * i for i in range(9)]
+        run_sweep(str(fixture_path("two_gen.scn")), "controllers.1.k_d", values,
+                  str(tmp_path), RunFlags(skip_certify=True, t_end=1.01))
+        assert ran == [5, 4]
+        assert len(capsys.readouterr().out.splitlines()) == len(values)
+
+
+def _one_usable_cpu(monkeypatch):
+    """Pin the process's affinity mask, as sched_getaffinity reports it, to
+    one CPU; on a platform without one, the CPU count to one."""
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    else:
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
 
 
 class TestMain:

@@ -451,7 +451,8 @@ class TestSparseKernel:
         assert np.max(np.abs(got - _rk4_reference([scn], [x], 30))) <= 1e-12
 
     def test_kernel_follows_the_budget(self, two_gen_scenario, monkeypatch):
-        # a sweep's largest two_gen pack stays dense; one member more does not
+        # the largest two_gen union within DENSE_ENTRIES stays dense; one
+        # member more does not
         used = []
         for name in ("_dense_kernel", "_sparse_kernel"):
             real = getattr(sim, name)
@@ -459,9 +460,9 @@ class TestSparseKernel:
                                 used.append(name) or real(*args))
         scn = dataclasses.replace(two_gen_scenario, disturbance_time=0.01,
                                   t_end=0.02)
-        size = len(sim.packs([scn] * 40)[0])
-        assert _kernel_size([scn] * size) <= sim.DENSE_ENTRIES \
-            < _kernel_size([scn] * (size + 1))
+        size = 1
+        while _kernel_size([scn] * (size + 1)) <= sim.DENSE_ENTRIES:
+            size += 1
         for members in (1, size, size + 1):
             integrate_many([scn] * members)
         assert used == ["_dense_kernel", "_dense_kernel", "_sparse_kernel"]
@@ -481,7 +482,10 @@ def test_blocks_of_steps_match_single_steps(case, request):
 
 
 class TestPacks:
-    def test_packs_stay_within_the_budget(self, mesh, two_gen_scenario):
+    def test_packs_stay_within_the_budget(self, mesh, two_gen_scenario,
+                                          ring9_scenario):
+        # a pack never lands on the sparse kernel
+        assert sim.PACK_ENTRIES <= sim.DENSE_ENTRIES
         rng = np.random.default_rng(3)
         scns = []
         for _ in range(200):
@@ -489,26 +493,33 @@ class TestPacks:
             scns.append(ring_with_chords(
                 seed=int(rng.integers(1000)), buses=buses,
                 generators=int(rng.integers(2, buses // 3 + 3)), chords=0))
-        sizes = [(state_layout(s).size, len(s.network.lines)) for s in scns]
         packs = sim.packs(scns)
-        assert [i for pack in packs for i in pack] == list(range(len(sizes)))
-        for pack, following in zip(packs, packs[1:] + [[]]):
-            n = sum(sizes[i][0] for i in pack)
-            lines = sum(sizes[i][1] for i in pack)
+        assert [i for pack in packs for i in pack] == list(range(len(scns)))
+        for pack in packs:
             assert len(pack) == 1 or \
-                sim.kernel_entries(n, lines) <= sim.DENSE_ENTRIES
-            if following:  # a pack closes only when the next value would not fit
-                n += sizes[following[0]][0]
-                lines += sizes[following[0]][1]
-                assert sim.kernel_entries(n, lines) > sim.DENSE_ENTRIES
+                _kernel_size([scns[i] for i in pack]) <= sim.PACK_ENTRIES
         small = dataclasses.replace(two_gen_scenario, dt=mesh.dt, t_end=mesh.t_end,
                                     disturbance_time=mesh.disturbance_time)
         assert sim.packs([mesh, small, mesh]) == [[0], [1], [2]]
+        # a sweep's values all have one size: they make the fewest packs
+        # within the budget, with member counts that differ by at most one
+        for scn in (two_gen_scenario, ring9_scenario,
+                    ring_with_chords(seed=4, buses=12, generators=4, chords=2)):
+            fit = 1
+            while _kernel_size([scn] * (fit + 1)) <= sim.PACK_ENTRIES:
+                fit += 1
+            for count in range(1, 3 * fit + 2):
+                packs = sim.packs([scn] * count)
+                assert [i for pack in packs for i in pack] == list(range(count))
+                assert len(packs) == -(-count // fit)
+                sizes = [len(pack) for pack in packs]
+                assert max(sizes) - min(sizes) <= 1
 
-    def test_benchmark_sweep_is_one_pack(self, two_gen_scenario):
-        # the eight two_gen k_d values the benchmark sweeps integrate as one
-        # block-diagonal loop
-        assert sim.packs([two_gen_scenario] * 8) == [list(range(8))]
+    def test_benchmark_sweep_is_two_packs_of_four(self, two_gen_scenario):
+        # the eight two_gen k_d values the benchmark sweeps integrate as two
+        # block-diagonal loops, which the sweep's pool runs side by side
+        assert sim.packs([two_gen_scenario] * 8) == [[0, 1, 2, 3], [4, 5, 6, 7]]
+        assert [len(p) for p in sim.packs([two_gen_scenario] * 9)] == [5, 4]
 
     def test_packs_hold_one_time_grid(self, two_gen_scenario):
         other = dataclasses.replace(two_gen_scenario, output_stride=5)
