@@ -15,7 +15,10 @@ with closed-form feasibility thresholds on the bus damping; for anything
 else a deterministic diagonal search runs.  A first-order lag is feasible
 only at its analytic point, so for a lag the search ends there, and no
 certificate means infeasible by the closed form.  Eigenvalues of the
-symmetric matrices come from numpy.linalg.eigvalsh.
+symmetric matrices come from one helper, _eigvalsh, which calls the LAPACK
+gufunc behind numpy.linalg.eigvalsh on the caller's array without the
+wrapper's per-call checks, so every eigenvalue, and so every certificate,
+is bitwise what numpy.linalg.eigvalsh gives.
 """
 
 from __future__ import annotations
@@ -25,6 +28,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+# The gufunc that numpy.linalg.eigvalsh(a) (UPLO="L") calls, and has since
+# numpy 1.8; its wrapper's argument checks and errstate block cost more
+# than the LAPACK call on the search's 3x3 to 8x8 matrices.
+from numpy.linalg._umath_linalg import eigvalsh_lo as _eigvalsh_lo
 
 from .control import ControllerGains, default_kf
 from .generation import (LtiGenerator, dc_gain, first_order_params,
@@ -114,9 +121,30 @@ class Certificate:
     margin: float = 0.0
 
 
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """numpy.linalg.eigvalsh(a) for a float64 symmetric matrix or a stack
+    of them: the same LAPACK call on the same lower triangle, so the same
+    floats, without the wrapper.
+
+    A non-finite eigenvalue raises LinAlgError, as a LAPACK failure does in
+    eigvalsh.  The gufunc also raises floating-point flags (invalid on a
+    LAPACK failure, divide or overflow on some non-finite input) that
+    numpy would report as RuntimeWarnings and eigvalsh suppresses, so
+    callers hold np.errstate(all="ignore"): once per search on the hot
+    path.
+    """
+    w = _eigvalsh_lo(a)
+    # A sum of squares: NaN or inf exactly when some eigenvalue is, unless
+    # it overflows, which the second test tells apart.
+    if not math.isfinite(np.vdot(w, w)) and not np.isfinite(w).all():
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return w
+
+
 def sym_eigenvalues(m: SymmetricMatrix) -> List[float]:
     """All eigenvalues, ascending."""
-    return np.linalg.eigvalsh(m.to_array()).tolist()
+    with np.errstate(all="ignore"):
+        return _eigvalsh(m.to_array()).tolist()
 
 
 def is_positive_definite(m: SymmetricMatrix) -> bool:
@@ -185,7 +213,10 @@ def _diagonal_secondary(gen: LtiGenerator, params: ControllerGains,
     M = M0 + sum_i d_i T_i + k_f E.  The templates are read off the
     assembled matrix at P = 0 and P = e_i e_i^T, k_f = 0 and 1.  Returns
     a function from a (candidates, n+2) array of rows [d_1..d_n, k_f, 1]
-    to the (candidates, n+2, n+2) stack of matrices.
+    to the (candidates, n+2, n+2) stack of matrices; its ``templates``
+    attribute is the (n+2, (n+2)**2) array of the product, so one row's
+    matrix can be written into a buffer of the caller's with
+    row.dot(templates, out).
     """
     n = gen.order
     m0 = _secondary_array(gen, params, np.zeros((n, n)), lambda_hat, 0.0)
@@ -197,6 +228,7 @@ def _diagonal_secondary(gen: LtiGenerator, params: ControllerGains,
 
     def matrices(rows: np.ndarray) -> np.ndarray:
         return (rows @ templates).reshape(-1, n + 2, n + 2)
+    matrices.templates = templates
     return matrices
 
 
@@ -283,7 +315,11 @@ def search_certificate(gen: LtiGenerator, params: ControllerGains,
     diagonal P with a handful of k_f candidates, then cyclic coordinate
     descent on (log diag P, k_f) minimizing the max eigenvalue; there None
     is a statement about this search family, not infeasibility of the
-    condition.
+    condition.  Each descent step writes its candidate matrix into one
+    preallocated buffer (row.dot with _diagonal_secondary's templates) and
+    takes its eigenvalues from _eigvalsh, the LAPACK gufunc behind
+    numpy.linalg.eigvalsh, so the certificates are bitwise those of
+    numpy.linalg.eigvalsh on freshly built matrices.
     """
     if not lambda_bus > 0.0:
         return None
@@ -339,30 +375,49 @@ def search_certificate(gen: LtiGenerator, params: ControllerGains,
         diag_candidates = [(g,) * n for g in grid]
 
     matrices = _diagonal_secondary(gen, params, lambda_hat)
+    # The floating-point flags of _eigvalsh's gufunc, quieted once per
+    # search, not at every evaluation.  This also quiets the grid's matmul,
+    # whose overflow or invalid result would make _eigvalsh raise anyway.
+    with np.errstate(all="ignore"):
+        point = _diagonal_search(matrices, analytic_diags + diag_candidates,
+                                 kf_candidates)
+    return None if point is None else finish(*point)
+
+
+def _diagonal_search(matrices, diags: Sequence[Tuple[float, ...]],
+                     kf_candidates: Sequence[float]
+                     ) -> Optional[Tuple[List[float], float]]:
+    """The grid, then the descent, over (diag P, k_f) for the matrices of
+    _diagonal_secondary: the first point whose max eigenvalue is at most
+    TOL_PSD, or None.  Callers hold np.errstate(all="ignore")."""
+    n = len(diags[0])
 
     # The whole grid in one batch: the first passing candidate in loop
     # order wins, else the descent starts from the first minimum.
-    pairs = [(diag, kf) for diag in analytic_diags + diag_candidates
-             for kf in kf_candidates]
+    pairs = [(diag, kf) for diag in diags for kf in kf_candidates]
     rows = np.array([[*diag, kf, 1.0] for diag, kf in pairs])
-    vals = np.linalg.eigvalsh(matrices(rows))[:, -1]
+    vals = _eigvalsh(matrices(rows))[:, -1]
     passing = np.flatnonzero(vals <= TOL_PSD)
     if len(passing):
-        return finish(*pairs[passing[0]])
+        return pairs[passing[0]]
 
     # Coordinate descent from the best grid point.  Every evaluation
-    # rewrites one entry of the row [diag P, k_f, 1] in place.
+    # rewrites one entry of the row [diag P, k_f, 1] in place and writes
+    # its matrix into one buffer.
     best = int(np.argmin(vals))
     diag, kf = pairs[best]
     logd = [math.log10(v) for v in diag]
     val = float(vals[best])
-    row = np.empty((1, n + 2))
-    row[0, :n] = [10.0 ** v for v in logd]
-    row[0, n:] = kf, 1.0
+    row = np.empty(n + 2)
+    row[:n] = [10.0 ** v for v in logd]
+    row[n:] = kf, 1.0
+    flat = np.empty((n + 2) ** 2)
+    candidate = flat.reshape(n + 2, n + 2)
 
     def top_eig(j: int, x: float) -> float:
-        row[0, j] = x
-        return float(np.linalg.eigvalsh(matrices(row))[0, -1])
+        row[j] = x
+        row.dot(matrices.templates, flat)
+        return float(_eigvalsh(candidate)[-1])
 
     for _ in range(200):
         improved = False
@@ -373,16 +428,16 @@ def search_certificate(gen: LtiGenerator, params: ControllerGains,
                 logd[i] = xi
                 val = vi
                 improved = True
-            row[0, i] = 10.0 ** logd[i]
+            row[i] = 10.0 ** logd[i]
 
         xk, vk = _golden_min(lambda x: top_eig(n, x), kf * 0.25, kf * 4.0)
         if vk < val - 1e-15:
             kf = xk
             val = vk
             improved = True
-        row[0, n] = kf
+        row[n] = kf
         if val <= TOL_PSD:
-            return finish([10.0 ** v for v in logd], kf)
+            return [10.0 ** v for v in logd], kf
         if not improved:
             break
     return None

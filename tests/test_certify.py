@@ -1,4 +1,7 @@
 import dataclasses
+import runpy
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from gridfreq.certify import (Certificate, LAMBDA_SHAVE, SymmetricMatrix,
                               second_order_min_damping, secondary_lmi_matrix,
                               sym_eigenvalues)
 from gridfreq.control import ControllerGains
-from gridfreq.generation import (LtiGenerator, first_order_params,
+from gridfreq.generation import (LtiGenerator, dc_gain, first_order_params,
                                  make_first_order, make_second_order,
                                  second_order_params)
 from reference import (check_primary, first_order_certificate, primary_matrix,
@@ -465,3 +468,125 @@ class TestFirstOrderVerdicts:
                          [1.0 / 0.3, 0.0], [0.0, 0.8], 0.2)
         assert search_certificate(cascade, _params(), 1.0) is not None
         assert len(built) == 1
+
+
+def _symmetric_stack(rng, count, dim):
+    a = rng.normal(size=(count, dim, dim)) * 10.0 ** rng.uniform(-3, 3)
+    return (a + np.swapaxes(a, -1, -2)) / 2.0
+
+
+class TestEigvalsh:
+    """certify._eigvalsh is numpy.linalg.eigvalsh without the wrapper."""
+
+    @pytest.mark.parametrize("dim", range(1, 13))
+    @pytest.mark.parametrize("count", [1, 20])
+    def test_bitwise_equal_to_numpy(self, dim, count):
+        rng = np.random.default_rng(dim * 100 + count)
+        stack = _symmetric_stack(rng, count, dim)
+        assert np.array_equal(certify._eigvalsh(stack),
+                              np.linalg.eigvalsh(stack))
+        for a in stack:
+            assert np.array_equal(certify._eigvalsh(a), np.linalg.eigvalsh(a))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_raises_without_warning(self, bad):
+        m = SymmetricMatrix.from_rows(np.full((4, 4), bad))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError,
+                               match="Eigenvalues did not converge"):
+                sym_eigenvalues(m)
+            with np.errstate(all="ignore"), \
+                    pytest.raises(np.linalg.LinAlgError):
+                certify._eigvalsh(m.to_array())
+
+    def test_lapack_failure_raises_without_warning(self, monkeypatch):
+        # A failing gufunc returns NaN and flags "invalid", as 0 * inf does;
+        # numpy.linalg.eigvalsh turns that into LinAlgError, no warning.
+        def failing(a):
+            return np.zeros(a.shape[:-1]) * np.inf
+        monkeypatch.setattr(certify, "_eigvalsh_lo", failing)
+        gen, params, lam = _search_cases()[0][1:]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError):
+                sym_eigenvalues(SymmetricMatrix.diagonal([1.0, 2.0]))
+            with pytest.raises(np.linalg.LinAlgError):
+                search_certificate(gen, params, lam)
+
+
+def _chain_block(rng, order):
+    """A chain of lags read out through a mix of its states plus a
+    feedthrough, DC gain k: never one of the worked shapes."""
+    t = rng.uniform(0.15, 1.5, order)
+    k = rng.uniform(0.8, 1.2)
+    f = rng.uniform(0.1, 0.3)
+    a = np.diag(-1.0 / t) + np.diag(1.0 / t[1:], -1)
+    b = np.zeros(order)
+    b[0] = k / t[0]
+    w = rng.uniform(0.2, 1.0, order)
+    return _block(a.tolist(), b.tolist(), ((1.0 - f) * w / w.sum()).tolist(),
+                  float(f * k))
+
+
+def _search_cases():
+    """(name, block, gains, bus damping): the pinned certificate cases,
+    then seeded chains of order 2-4."""
+    script = runpy.run_path(str(Path(__file__).parent / "data"
+                                / "pin_certificates.py"))
+    cases = [(c["name"], script["generator"](c["block"]),
+              script["controller"](c["gains"]), c["lambda_bus"])
+             for c in script["cases"]()]
+    rng = np.random.default_rng(20261019)
+    for i in range(24):
+        gen = _chain_block(rng, 2 + i % 3)
+        k_c = float(rng.uniform(0.8, 1.2))
+        k_d = k_c * float(rng.uniform(0.8, 1.2))
+        params = _params(k_c=k_c, k_d=k_d,
+                         k_f=dc_gain(gen) * (k_c + k_d) / 2.0)
+        cases.append((f"chain_{i}", gen, params, float(rng.uniform(0.8, 1.2))))
+    return cases
+
+
+class TestDescentParity:
+    """The descent's buffer and eigenvalue helper against fresh matrices
+    and numpy.linalg.eigvalsh."""
+
+    @pytest.mark.parametrize("order", range(1, 7))
+    def test_buffer_matches_fresh_matrix(self, order):
+        rng = np.random.default_rng(600 + order)
+        gen = _chain_block(rng, order)
+        matrices = _diagonal_secondary(gen, _params(), 0.9)
+        flat = np.empty((order + 2) ** 2)
+        for _ in range(50):
+            row = np.concatenate([10.0 ** rng.uniform(-3, 3, order),
+                                  [rng.uniform(0.05, 5.0), 1.0]])
+            row.dot(matrices.templates, flat)
+            assert np.array_equal(flat.reshape(order + 2, order + 2),
+                                  matrices(row[None, :])[0])
+
+    def test_certificates_match_numpy_eigvalsh(self, monkeypatch):
+        def run(eig):
+            shapes = []
+
+            def spy(a):
+                shapes.append(a.shape)
+                return eig(a)
+            monkeypatch.setattr(certify, "_eigvalsh", spy)
+            certs = [search_certificate(gen, params, lam)
+                     for _, gen, params, lam in cases]
+            return certs, shapes
+
+        cases = _search_cases()
+        for name, gen, _, _ in cases:
+            assert first_order_params(gen) is None, name
+            assert second_order_params(gen) is None, name
+        shipped, shipped_shapes = run(certify._eigvalsh)
+        wrapped, wrapped_shapes = run(np.linalg.eigvalsh)
+        assert shipped_shapes == wrapped_shapes
+        assert any(shape == (5, 5) for shape in shipped_shapes)  # descents ran
+        for (name, *_), got, want in zip(cases, shipped, wrapped):
+            assert (got is None) == (want is None), name
+            if got is not None:
+                assert got.p_matrix.entries == want.p_matrix.entries, name
+                assert got.k_f == want.k_f, name
