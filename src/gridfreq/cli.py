@@ -339,13 +339,15 @@ def _csv_columns(traj: Trajectory) -> List[str]:
     return cols
 
 
-def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
-    """Full-precision CSV export; the V column is blank without certificates."""
+def write_trajectory_csv(traj: Trajectory, path: Path,
+                         lyapunov: Optional[np.ndarray] = None) -> None:
+    """Full-precision CSV export; the V column holds the run's Lyapunov
+    series over traj.states, blank without one (no certificates)."""
     series = [traj.times[:, None], traj.freqs, traj.p_m, traj.commands,
               traj.marginal_cost]
-    if traj.lyapunov is not None:
-        series.append(traj.lyapunov[:, None])
-    end = "\n" if traj.lyapunov is not None else ",\n"
+    if lyapunov is not None:
+        series.append(lyapunov[:, None])
+    end = "\n" if lyapunov is not None else ",\n"
     with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(_csv_columns(traj)) + "\n")
         # row by row, so that no whole table of Python floats and strings
@@ -458,9 +460,7 @@ def run(scn: Scenario, flags: RunFlags) -> RunReport:
     --optimal-gains is on); hard errors raise.
     """
     prep = _prepare(scn, flags)
-    traj = sim.integrate(prep.scn, certs=prep.certs,
-                         equilibrium=prep.eq if prep.certs else None)
-    return _conclude(prep, traj)
+    return _conclude(prep, sim.integrate(prep.scn))
 
 
 def _passes(ok: bool, detail: str) -> Check:
@@ -587,7 +587,8 @@ def _prepare(scn: Scenario, flags: RunFlags) -> _Prepared:
 
 
 def _conclude(prep: _Prepared, traj: Trajectory) -> RunReport:
-    """The checks on the trajectory, the report and the output files."""
+    """The checks on the trajectory, the report and the output files; with
+    certificates, the one Lyapunov series the check and the CSV read."""
     scn, flags, checks, lines = prep.scn, prep.flags, prep.checks, prep.lines
     certs, eq, nu_opt = prep.certs, prep.eq, prep.nu_opt
     lines.append("")
@@ -607,8 +608,10 @@ def _conclude(prep: _Prepared, traj: Trajectory) -> RunReport:
                  traj.commands[-1].tolist(), traj.marginal_cost[-1].tolist())
     for g, pm, pc, mc in finals:
         lines.append(f"gen {g}: final pm={pm!r} pc={pc!r} mc={mc!r}")
+    lyapunov = None
     if certs is not None:
-        jump = sim.dissipation_check(scn, certs, eq, traj)
+        lyapunov = sim.lyapunov_value(scn, certs, eq, traj.states)
+        jump = sim.dissipation_check(lyapunov)
         ok = jump <= sim.EPSILON_V
         checks["dissipation"] = _passes(ok, f"max V jump = {jump!r}")
         lines.append(f"dissipation: max V jump = {jump!r} "
@@ -648,7 +651,7 @@ def _conclude(prep: _Prepared, traj: Trajectory) -> RunReport:
             report_path.write_text(report_text, encoding="utf-8")
             outputs.append(report_path)
             csv_path = outdir / "trajectory.csv"
-            write_trajectory_csv(traj, csv_path)
+            write_trajectory_csv(traj, csv_path, lyapunov)
             outputs.append(csv_path)
             outputs.extend(emit_plots(traj, outdir))
         except OSError as exc:
@@ -739,9 +742,7 @@ def _run_pack(pack: Sequence[_Prepared]) -> List[Tuple[int, str]]:
     error).  A non-finite union is integrated again one run at a time, so
     only a diverging run fails, with the message its lone run gives."""
     try:
-        trajs = sim.integrate_many(
-            [p.scn for p in pack], certs=[p.certs for p in pack],
-            equilibria=[p.eq if p.certs else None for p in pack])
+        trajs = sim.integrate_many([p.scn for p in pack])
     except _HARD_ERRORS as exc:
         if len(pack) > 1 and isinstance(exc, ArithmeticError):
             return [r for p in pack for r in _run_pack([p])]

@@ -9,6 +9,7 @@ controller itself is stateless; the command lives in the simulator state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -19,7 +20,7 @@ class ControllerGains:
     gamma scales the command integration rate, k_f the frequency feedback
     inside the command dynamics, k_c the command-to-input coupling, k_d the
     droop feedback, and q the generation cost coefficient used for
-    dispatch.  All strictly positive.
+    dispatch.  All strictly positive and finite.
     """
 
     gamma: float
@@ -32,6 +33,8 @@ class ControllerGains:
         for name in ("gamma", "k_f", "k_c", "k_d", "q"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
 
 def optimal_kc(q: float, k_gain: float) -> float:

@@ -48,6 +48,9 @@ class LtiGenerator:
             raise ValueError("a_matrix shape does not match order")
         if len(self.b_vector) != n or len(self.c_vector) != n:
             raise ValueError("b/c vector length does not match order")
+        if not np.isfinite([*np.ravel(self.a_matrix), *self.b_vector,
+                            *self.c_vector, self.d_scalar]).all():
+            raise ValueError("generator block entries must be finite")
         if not is_hurwitz([list(r) for r in self.a_matrix]):
             raise ValueError("a_matrix must be Hurwitz")
 

@@ -9,6 +9,7 @@ pure functions; the simulator owns all dynamics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Sequence, Tuple
@@ -139,11 +140,17 @@ def validate(net: PowerNetwork) -> List[str]:
         if b.kind is BusKind.GENERATOR:
             if not b.inertia > 0.0:
                 problems.append(f"generator bus {b.id} inertia must be positive")
+            elif not math.isfinite(b.inertia):
+                problems.append(f"generator bus {b.id} inertia must be finite")
             if b.damping < 0.0:
                 problems.append(f"generator bus {b.id} damping must be nonnegative")
+            elif not math.isfinite(b.damping):
+                problems.append(f"generator bus {b.id} damping must be finite")
         else:
             if not b.damping > 0.0:
                 problems.append(f"load bus {b.id} damping must be positive")
+            elif not math.isfinite(b.damping):
+                problems.append(f"load bus {b.id} damping must be finite")
             if b.inertia != 0.0:
                 problems.append(f"load bus {b.id} inertia must be zero")
 
@@ -156,6 +163,8 @@ def validate(net: PowerNetwork) -> List[str]:
             problems.append(f"line {ln.from_bus}-{ln.to_bus} references an unknown bus")
         if not ln.susceptance > 0.0:
             problems.append(f"line {ln.from_bus}-{ln.to_bus} susceptance must be positive")
+        elif not math.isfinite(ln.susceptance):
+            problems.append(f"line {ln.from_bus}-{ln.to_bus} susceptance must be finite")
         key = frozenset((ln.from_bus, ln.to_bus))
         if key in seen_pairs:
             problems.append(f"line {ln.from_bus}-{ln.to_bus} duplicates an existing line")
@@ -170,6 +179,8 @@ def validate(net: PowerNetwork) -> List[str]:
             problems.append(f"communication edge {e.a}-{e.b} is a self-loop")
         if not e.weight > 0.0:
             problems.append(f"communication edge {e.a}-{e.b} weight must be positive")
+        elif not math.isfinite(e.weight):
+            problems.append(f"communication edge {e.a}-{e.b} weight must be finite")
         key = frozenset((e.a, e.b))
         if key in seen_edges:
             problems.append(f"communication edge {e.a}-{e.b} duplicates an existing edge")

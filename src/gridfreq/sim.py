@@ -16,22 +16,24 @@ with J the linear part, c the step loads (zero before the disturbance
 time), E the line incidence and S each line's flow carried into the rows
 it drives.  assemble() builds these once per scenario; the integrator,
 the derived series, the equilibrium and the Lyapunov function all read
-them.  Integration is classical fixed-step RK4.  Scenarios on one time
-grid can be integrated together (integrate_many): uncoupled loops side
-by side are one loop with block-diagonal J, E and S, which
-integrate_many stacks once and hands to a kernel; packs() cuts a sweep's
-scenarios into such unions, each within PACK_ENTRIES, where the dense
-step costs least per member, and of balanced member counts, so that the
-packs of one sweep run side by side on the CPUs a sweep's pool has.  A
-step runs on one of two kernels, chosen by the union's size alone, and
-advances a block of steps per call: one call runs from the load step or
-a recorded sample to the next.  The dense one fuses the whole RK4 step
-into five matrix products and four sines over the line arguments; it
-runs loops up to DENSE_ENTRIES matrix entries (the shipped fixtures and
-every pack of two or more).  The sparse one evaluates the slope four
-times with a gather and a bincount over the nonzeros; it runs larger
-networks, whose matrices are almost all zeros.  Around 1.2e5 entries
-the two cost the same, about 32 us per step.
+them; the run, which holds the certificates, computes the Lyapunov
+series from a trajectory's states (lyapunov_value), not the integrator.
+Integration is classical fixed-step RK4.  Scenarios on one time grid can
+be integrated together (integrate_many): uncoupled loops side by side
+are one loop with block-diagonal J, E and S, which integrate_many stacks
+once and hands to a kernel; packs() cuts a sweep's scenarios into such
+unions, each within PACK_ENTRIES, where the dense step costs least per
+member, and of balanced member counts, so that the packs of one sweep
+run side by side on the CPUs a sweep's pool has.  A step runs on one of
+two kernels, chosen by the union's size alone, and advances a block of
+steps per call: one call runs from the load step or a recorded sample to
+the next.  The dense one fuses the whole RK4 step into five matrix
+products and four sines over the line arguments; it runs loops up to
+DENSE_ENTRIES matrix entries (the shipped fixtures and every pack of two
+or more).  The sparse one evaluates the slope four times with a gather
+and a bincount over the nonzeros; it runs larger networks, whose
+matrices are almost all zeros.  Around 1.2e5 entries the two cost the
+same, about 32 us per step.
 
 A run stays on one core.  The series derived from the recorded states
 (bus frequencies, p_m, the Lyapunov value, the transient angle peak) are
@@ -91,6 +93,9 @@ class Scenario:
                      for bus in self.generators if bus not in known]
         problems += [f"disturbance record references unknown bus {bus}"
                      for bus in self.step_loads if bus not in known]
+        problems += [f"step load at bus {bus} must be finite"
+                     for bus, delta in self.step_loads.items()
+                     if not math.isfinite(delta)]
         gens = set(self.network.generator_ids)
         if set(self.generators) != gens:
             problems.append("every generator bus needs exactly one [generators] record")
@@ -283,8 +288,8 @@ class Trajectory:
 
     freqs has one column per bus (the angle rates: generator frequency or
     algebraic load-bus frequency); p_m and marginal_cost one per
-    generator, in layout.gen_ids order.  lyapunov is None unless the run
-    had certificates and an equilibrium.
+    generator, in layout.gen_ids order.  No Lyapunov series: the run
+    computes that from states (lyapunov_value) when it has certificates.
     """
 
     layout: StateLayout
@@ -293,27 +298,24 @@ class Trajectory:
     freqs: np.ndarray
     p_m: np.ndarray
     marginal_cost: np.ndarray
-    lyapunov: Optional[np.ndarray]
 
     @property
     def commands(self) -> np.ndarray:
         return self.states[:, self.layout.pc]
 
 
-def integrate(scn: Scenario, *, initial_state: Optional[np.ndarray] = None,
-              certs: Optional[Mapping[int, Certificate]] = None,
-              equilibrium: Optional[Equilibrium] = None) -> Trajectory:
+def integrate(scn: Scenario, *, initial_state: Optional[np.ndarray] = None
+              ) -> Trajectory:
     """Fixed-step RK4 run over [0, t_end] from initial_state (default: the
     all-zero rest state).
 
     Records the state every output_stride steps (plus the initial and
-    final states), then derives the per-bus and per-generator series.  The
-    Lyapunov series is filled only when both certificates and an
-    equilibrium are supplied.  Bitwise reproducible: no randomness, fixed
-    operation order.
+    final states), then derives the per-bus and per-generator series.  It
+    computes no Lyapunov series: the run does, from the states, with
+    lyapunov_value.  Bitwise reproducible: no randomness, fixed operation
+    order.
     """
-    return integrate_many([scn], initial_states=[initial_state], certs=[certs],
-                          equilibria=[equilibrium])[0]
+    return integrate_many([scn], initial_states=[initial_state])[0]
 
 
 #: Largest closed loop, in entries of its dense kernel matrices (see
@@ -374,40 +376,26 @@ def _grid(scn: Scenario) -> tuple:
 
 def packs(scns: Sequence[Scenario]) -> List[List[int]]:
     """The indices of scns cut into unions for integrate_many, grid after
-    grid.  The scenarios of one time grid are cut in order, twice.  The
-    first cut closes a pack when the next scenario would take it over
-    PACK_ENTRIES (a scenario over it alone makes a pack of one), which
-    gives the fewest packs, k.  The second cut keeps that budget and also
-    closes a pack when it holds ceil(r / (k - p)) members, with p the
-    packs closed and r the scenarios not in them, so equal-size members
-    (every value of a sweep) fall into k packs whose counts differ by at
-    most one.  The scenarios alone decide the cut, so it is the same on
+    grid.  A pack holds at most ``fit`` members: as many copies of the
+    largest scenario (the most states and the most lines of any) as stay
+    within PACK_ENTRIES, and at least one.  Each time grid's scenarios are
+    split in order into ceil(r / fit) packs for its r scenarios, whose
+    member counts differ by at most one, the larger packs first.  A
+    sweep's values all have one size, so its packs are the fewest within
+    the budget.  The scenarios alone decide the cut, so it is the same on
     any machine."""
-    sizes = [(state_layout(s).size, len(s.network.lines)) for s in scns]
+    if not scns:
+        return []
+    n, lines = (max(sizes) for sizes in zip(*[
+        (state_layout(s).size, len(s.network.lines)) for s in scns]))
+    fit = 1
+    while kernel_entries((fit + 1) * n, (fit + 1) * lines) <= PACK_ENTRIES:
+        fit += 1
     grids: Dict[tuple, List[int]] = {}
     for i, s in enumerate(scns):
         grids.setdefault(_grid(s), []).append(i)
-
-    def cut(members: List[int], fewest: int = 0) -> List[List[int]]:
-        out: List[List[int]] = []
-        for k, i in enumerate(members):
-            if out:
-                n, lines = map(sum, zip(*[sizes[j] for j in out[-1] + [i]]))
-                fits = kernel_entries(n, lines) <= PACK_ENTRIES
-                if fits and fewest:
-                    # the open pack's members and those after it, shared
-                    # over the packs still to come
-                    left = len(members) - k + len(out[-1])
-                    share = -(-left // max(1, fewest - len(out) + 1))
-                    fits = len(out[-1]) < share
-                if fits:
-                    out[-1].append(i)
-                    continue
-            out.append([i])
-        return out
-
-    return [pack for members in grids.values()
-            for pack in cut(members, len(cut(members)))]
+    return [pack.tolist() for members in grids.values()
+            for pack in np.array_split(members, -(-len(members) // fit))]
 
 
 def _block_diag(blocks: Sequence[np.ndarray]) -> np.ndarray:
@@ -596,15 +584,14 @@ def _sparse_kernel(jac, load, incidence, spread, dt: float, x0: np.ndarray):
 
 def integrate_many(scns: Sequence[Scenario], *,
                    initial_states: Optional[Sequence[Optional[np.ndarray]]] = None,
-                   certs: Optional[Sequence[Optional[Mapping[int, Certificate]]]] = None,
-                   equilibria: Optional[Sequence[Optional[Equilibrium]]] = None,
                    ) -> List[Trajectory]:
     """integrate() for several scenarios on one time grid, as one run.
 
     Uncoupled closed loops taken together are one closed loop whose J, E
     and S are block-diagonal and whose c is the concatenation, so one RK4
-    kernel advances them all with one numpy call per product.  The
-    optional sequences hold one entry per scenario.  A single scenario
+    kernel advances them all with one numpy call per product.
+    initial_states holds one entry per scenario; like integrate(), it
+    computes no Lyapunov series.  A single scenario
     runs on its own matrices and is bitwise what integrate() gives; in a
     union the block products sum in another order, so a member may
     differ from its lone run in the last digits.  The union runs on the
@@ -620,10 +607,7 @@ def integrate_many(scns: Sequence[Scenario], *,
         raise ValueError("integrate_many needs one time grid: dt, t_end, "
                          "output_stride and disturbance_time must agree")
     loops = [assemble(s) for s in scns]
-    nones = [None] * len(scns)
-    initial_states = initial_states or nones
-    certs = certs or nones
-    equilibria = equilibria or nones
+    initial_states = initial_states or [None] * len(scns)
     jac = _block_diag([loop.jac for loop in loops])
     load = np.concatenate([loop.load for loop in loops])
     incidence = _block_diag([loop.incidence for loop in loops])
@@ -677,7 +661,7 @@ def integrate_many(scns: Sequence[Scenario], *,
         raise ArithmeticError(f"non-finite value in {labels[col]} at t={float(times[i])}")
 
     out = []
-    for loop, s, own, cert, eq in zip(loops, scns, members, certs, equilibria):
+    for loop, s, own in zip(loops, scns, members):
         lay = loop.layout
         n_bus = lay.n_bus
         p_m = _add_product(np.zeros((len(times), len(lay.gen_ids))),
@@ -688,11 +672,8 @@ def integrate_many(scns: Sequence[Scenario], *,
         _add_product(freqs, loop.jac[:n_bus], own)
         _add_product(freqs, loop.spread[:n_bus], np.sin(own[:, frm] - own[:, to]))
         cost = np.array([s.controllers[g].q for g in lay.gen_ids])
-        with_v = cert is not None and eq is not None
-        out.append(Trajectory(
-            layout=lay, times=times, states=own, freqs=freqs,
-            p_m=p_m, marginal_cost=p_m * cost,
-            lyapunov=lyapunov_value(s, cert, eq, own) if with_v else None))
+        out.append(Trajectory(layout=lay, times=times, states=own, freqs=freqs,
+                              p_m=p_m, marginal_cost=p_m * cost))
     return out
 
 
@@ -878,18 +859,13 @@ def lyapunov_value(scn: Scenario, certs: Mapping[int, Certificate],
             + np.sum(potential, axis=-1))
 
 
-def dissipation_check(scn: Scenario, certs: Mapping[int, Certificate],
-                      eq: Equilibrium, trajectory: Trajectory) -> float:
-    """Largest increase of the Lyapunov value between consecutive samples.
+def dissipation_check(values: np.ndarray) -> float:
+    """Largest increase between consecutive values of a Lyapunov series
+    (lyapunov_value over a trajectory's states), 0.0 for fewer than two.
 
-    Reads the series the run stored, or evaluates it when the run had no
-    certificates.  Theory predicts no increase at all along converging
-    trajectories; numerically anything at or below EPSILON_V counts as
-    clean.
+    Theory predicts no increase at all along converging trajectories;
+    numerically anything at or below EPSILON_V counts as clean.
     """
-    values = trajectory.lyapunov
-    if values is None:
-        values = lyapunov_value(scn, certs, eq, trajectory.states)
     if len(values) < 2:
         return 0.0
     return float(np.max(np.diff(values)))

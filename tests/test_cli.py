@@ -200,6 +200,13 @@ class TestOutputs:
         # full-precision repr round-trips through float()
         assert float(rows[2].split(",")[1]) == short_traj.freqs[1, 0]
 
+    def test_csv_v_column_holds_the_given_series(self, short_traj, tmp_path):
+        path = tmp_path / "traj.csv"
+        values = np.linspace(1.0, 0.0, len(short_traj.times))
+        write_trajectory_csv(short_traj, path, values)
+        rows = path.read_text().splitlines()[1:]
+        assert [float(row.split(",")[-1]) for row in rows] == values.tolist()
+
     def test_plots_reference_csv_columns(self, short_traj, tmp_path):
         paths = emit_plots(short_traj, tmp_path)
         assert [p.name for p in paths] == ["frequency.gnu", "marginal_cost.gnu"]
@@ -221,7 +228,31 @@ class TestOutputs:
             emit_plots(empty, tmp_path)
 
 
+def _lyapunov_calls(monkeypatch):
+    """The scenario of every sim.lyapunov_value call from here on."""
+    calls = []
+
+    def counted(scn, *args, real=sim.lyapunov_value):
+        calls.append(scn)
+        return real(scn, *args)
+
+    monkeypatch.setattr(sim, "lyapunov_value", counted)
+    return calls
+
+
 class TestRun:
+    def test_one_lyapunov_evaluation_per_run(self, two_gen_scenario, tmp_path,
+                                             monkeypatch):
+        # the dissipation check and the CSV's V column read one series
+        calls = _lyapunov_calls(monkeypatch)
+        report = run(two_gen_scenario, RunFlags(out_dir=str(tmp_path)))
+        assert report.checks["dissipation"][0] == "pass"
+        assert len(calls) == 1
+        rows = (tmp_path / "trajectory.csv").read_text().splitlines()
+        assert all(row.split(",")[-1] for row in rows[1:])
+        run(two_gen_scenario, RunFlags(skip_certify=True))
+        assert len(calls) == 1
+
     def test_clean_run_passes_all_gates(self, two_gen_scenario, tmp_path):
         report = run(two_gen_scenario, RunFlags(out_dir=str(tmp_path)))
         assert report.exit_code == 0
@@ -329,7 +360,6 @@ class TestRun:
         scn = args[0]
         assert eq_args[0] is scn
         assert scn.name == two_gen_scenario.name
-        assert traj.lyapunov is not None  # integrate got the equilibrium
         assert f"nu = {eq.nu!r}" in report.report_text
 
 
@@ -618,6 +648,17 @@ class TestSweep:
                   str(tmp_path), RunFlags(skip_certify=True, t_end=1.01))
         assert ran == [5, 4]
         assert len(capsys.readouterr().out.splitlines()) == len(values)
+
+    def test_one_lyapunov_evaluation_per_value(self, tmp_path, monkeypatch,
+                                               capsys):
+        _one_usable_cpu(monkeypatch)
+        monkeypatch.setattr(multiprocessing, "Pool", None)
+        calls = _lyapunov_calls(monkeypatch)
+        values = [0.4 + 0.1 * i for i in range(9)]
+        run_sweep(str(fixture_path("two_gen.scn")), "controllers.1.k_d", values,
+                  str(tmp_path), RunFlags(t_end=1.01))
+        assert len(capsys.readouterr().out.splitlines()) == len(values)
+        assert [scn.controllers[1].k_d for scn in calls] == values
 
 
 def _one_usable_cpu(monkeypatch):

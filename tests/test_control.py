@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,6 +20,15 @@ def test_gains_require_positive_entries():
         _gains(k_c=-1.0)
     with pytest.raises(ValueError):
         _gains(q=0.0)
+
+
+@pytest.mark.parametrize("name", ["gamma", "k_f", "k_c", "k_d", "q"])
+def test_gains_must_be_finite(name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        _gains(**{name: math.inf})
+    # NaN fails the sign test first, with its message unchanged
+    with pytest.raises(ValueError, match=f"^{name} must be strictly positive$"):
+        _gains(**{name: math.nan})
 
 
 def test_optimal_kc_identity():

@@ -43,6 +43,13 @@ def test_constructors_reject_nonpositive_parameters():
         make_second_order(1.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("build", [lambda k: make_first_order(0.5, k),
+                                   lambda k: make_second_order(0.5, 1.0, k)])
+def test_block_entries_must_be_finite(build):
+    with pytest.raises(ValueError, match="^generator block entries must be finite$"):
+        build(np.inf)
+
+
 def _closed_loop_output(gen, state, u):
     """p_m as the closed loop reads it (its pm_rows), for the block on a
     single bus with internal state ``state``, zero frequency and the

@@ -108,6 +108,42 @@ class TestValidate:
         assert validate(bad) == [f"communication edge {again.a}-{again.b} "
                                  "duplicates an existing edge"]
 
+    # a NaN that no sign test catches, or an infinity, is a problem of its
+    # own; the sign tests keep their messages
+    def test_generator_bus_inertia_must_be_finite(self):
+        net = _two_bus()
+        bad = PowerNetwork(buses=[Bus(0, BusKind.GENERATOR, inertia=math.inf,
+                                      damping=0.5), net.buses[1]],
+                           lines=net.lines, comm=net.comm)
+        assert validate(bad) == ["generator bus 0 inertia must be finite"]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_generator_bus_damping_must_be_finite(self, value):
+        net = _two_bus()
+        bad = PowerNetwork(buses=[Bus(0, BusKind.GENERATOR, inertia=1.0,
+                                      damping=value), net.buses[1]],
+                           lines=net.lines, comm=net.comm)
+        assert validate(bad) == ["generator bus 0 damping must be finite"]
+
+    def test_load_bus_damping_must_be_finite(self):
+        net = PowerNetwork(
+            buses=[Bus(0, BusKind.GENERATOR, inertia=1.0, damping=0.5),
+                   Bus(1, BusKind.LOAD, damping=math.inf)],
+            lines=[Line(0, 1, 1.0)], comm=[])
+        assert validate(net) == ["load bus 1 damping must be finite"]
+
+    def test_line_susceptance_must_be_finite(self):
+        net = _two_bus()
+        bad = PowerNetwork(buses=net.buses, lines=[Line(0, 1, math.inf)],
+                           comm=net.comm)
+        assert validate(bad) == ["line 0-1 susceptance must be finite"]
+
+    def test_comm_weight_must_be_finite(self):
+        net = _two_bus()
+        bad = PowerNetwork(buses=net.buses, lines=net.lines,
+                           comm=[CommEdge(0, 1, math.inf)])
+        assert validate(bad) == ["communication edge 0-1 weight must be finite"]
+
     @pytest.mark.parametrize("generators", range(1, 13))
     def test_meshes_are_valid(self, generators):
         # few generators wrap the comm ring and its chords onto one another

@@ -49,6 +49,12 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             dataclasses.replace(_single_bus_scenario(), **{field: value})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_step_load_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="^invalid scenario: step load at "
+                                             "bus 0 must be finite$"):
+            dataclasses.replace(_single_bus_scenario(), step_loads={0: value})
+
     def test_requires_full_generator_coverage(self):
         scn = _single_bus_scenario()
         with pytest.raises(ValueError):
@@ -238,7 +244,8 @@ class TestIntegrate:
             drift = np.max(np.abs(traj.states[-1] - start))
             assert drift <= 1e-10, (scn.name, drift)
 
-    def test_unstable_step_size_reports_offending_variable(self, two_gen_scenario):
+    def test_unstable_step_size_reports_offending_variable(self, two_gen_scenario,
+                                                           child_env):
         # x_0[0] is the largest slot (3.5e284) at t=600, the last finite
         # sample; by t=700 every slot is non-finite
         scn = dataclasses.replace(two_gen_scenario, dt=10.0, t_end=1000.0)
@@ -253,7 +260,7 @@ class TestIntegrate:
         proc = subprocess.run(
             [sys.executable, "-m", "gridfreq.cli", "simulate",
              str(fixture_path("two_gen.scn")), "--dt", "10", "--t-end", "1000"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=child_env)
         assert proc.returncode == 2
         assert proc.stderr == "error: non-finite value in x_0[0] at t=700.0\n"
 
@@ -275,14 +282,9 @@ class TestIntegrateMany:
     @pytest.mark.parametrize("name", ["two_gen.scn", "ring9.scn"])
     def test_one_member_is_bitwise_integrate(self, name):
         scn = dataclasses.replace(load_scenario(fixture_path(name)), t_end=5.0)
-        certs = {g: search_certificate(scn.generators[g], scn.controllers[g],
-                                       scn.network.bus(g).damping)
-                 for g in scn.network.generator_ids}
-        eq = compute_equilibrium(scn)
-        lone = integrate(scn, certs=certs, equilibrium=eq)
-        (one,) = integrate_many([scn], certs=[certs], equilibria=[eq])
-        for field in ("times", "states", "freqs", "p_m", "marginal_cost",
-                      "lyapunov"):
+        lone = integrate(scn)
+        (one,) = integrate_many([scn])
+        for field in ("times", "states", "freqs", "p_m", "marginal_cost"):
             assert np.array_equal(getattr(one, field), getattr(lone, field)), field
 
     def test_members_match_lone_runs(self, two_gen_scenario):
@@ -291,14 +293,16 @@ class TestIntegrateMany:
         base = dataclasses.replace(two_gen_scenario, t_end=10.0)
         runs = [_certified_variant(base, k_d)
                 for k_d in (0.43, 0.54, 0.59, 0.7, 0.74, 0.81, 0.88, 1.0)]
-        trajs = integrate_many([r[0] for r in runs], certs=[r[1] for r in runs],
-                               equilibria=[r[2] for r in runs])
+        trajs = integrate_many([r[0] for r in runs])
         for (scn, certs, eq), got in zip(runs, trajs):
-            lone = integrate(scn, certs=certs, equilibrium=eq)
+            lone = integrate(scn)
             assert got.layout == lone.layout
-            for field in ("states", "freqs", "p_m", "marginal_cost", "lyapunov"):
+            for field in ("states", "freqs", "p_m", "marginal_cost"):
                 assert np.max(np.abs(getattr(got, field) - getattr(lone, field))) \
                     <= 1e-12, field
+            assert np.max(np.abs(lyapunov_value(scn, certs, eq, got.states)
+                                 - lyapunov_value(scn, certs, eq, lone.states))) \
+                <= 1e-12
 
     def test_members_of_different_sizes(self, two_gen_scenario, ring9_scenario):
         grid = dict(t_end=3.0, dt=0.01, disturbance_time=0.5)
@@ -308,7 +312,6 @@ class TestIntegrateMany:
         for got, scn, start in zip(integrate_many(scns, initial_states=x0),
                                    scns, x0):
             lone = integrate(scn, initial_state=start)
-            assert got.lyapunov is None
             assert np.max(np.abs(got.states - lone.states)) <= 1e-12
 
     def test_members_need_one_time_grid(self, two_gen_scenario):
@@ -538,10 +541,10 @@ class TestSeries:
                                        scn.network.bus(g).damping)
                  for g in scn.network.generator_ids}
         eq = compute_equilibrium(scn)
-        traj = integrate(scn, certs=certs, equilibrium=eq)
+        traj = integrate(scn)
         freqs, p_m = series(scn, traj)
         for got, want in ((traj.freqs, freqs), (traj.p_m, p_m),
-                          (traj.lyapunov,
+                          (lyapunov_value(scn, certs, eq, traj.states),
                            lyapunov(scn, certs, eq, traj.states))):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -692,25 +695,22 @@ class TestLyapunov:
         traj = integrate(scn0, initial_state=equilibrium_system_state(scn, eq))
         # the equilibrium is a fixed point only up to rhs roundoff, so V
         # wobbles at the square of that scale rather than sitting at 0.0
-        assert dissipation_check(scn0, certs, eq, traj) <= 1e-30
+        assert dissipation_check(lyapunov_value(scn0, certs, eq, traj.states)) \
+            <= 1e-30
 
     def test_disturbed_run_dissipates(self, certified):
         scn, certs, eq = certified
         scn_fast = dataclasses.replace(scn, t_end=10.0)
-        traj = integrate(scn_fast, certs=certs, equilibrium=eq)
-        assert traj.lyapunov is not None
-        peak = dissipation_check(scn_fast, certs, eq, traj)
-        assert peak <= EPSILON_V
+        traj = integrate(scn_fast)
+        values = lyapunov_value(scn_fast, certs, eq, traj.states)
+        assert dissipation_check(values) <= EPSILON_V
         # V must actually decay once the step has landed
-        assert traj.lyapunov[-1] < traj.lyapunov[len(traj.lyapunov) // 3]
+        assert values[-1] < values[len(values) // 3]
 
     def test_series_matches_single_states(self, certified):
         scn, certs, eq = certified
         scn_fast = dataclasses.replace(scn, t_end=3.0)
-        traj = integrate(scn_fast, certs=certs, equilibrium=eq)
+        traj = integrate(scn_fast)
         one_by_one = [lyapunov_value(scn, certs, eq, x) for x in traj.states]
-        assert traj.lyapunov == pytest.approx(one_by_one, rel=1e-13, abs=1e-16)
-        # without a stored series, dissipation_check evaluates it itself
-        bare = dataclasses.replace(traj, lyapunov=None)
-        assert dissipation_check(scn, certs, eq, bare) == pytest.approx(
-            dissipation_check(scn, certs, eq, traj), rel=0, abs=1e-15)
+        assert lyapunov_value(scn, certs, eq, traj.states) == pytest.approx(
+            one_by_one, rel=1e-13, abs=1e-16)
