@@ -1,10 +1,14 @@
 """Scenario files, run orchestration, and the command-line interface.
 
 The scenario format is a flat text file: [section] headers, one record
-per line as whitespace-separated key=value pairs, comments with '#'; a
-record holds only its section's keys.  One table, _MODELS, names each
-generator model's builder, shape recogniser and record fields; parsing,
-serialization and apply_param all read it, so a new model is one row.
+per line as whitespace-separated key=value pairs, comments with '#'.
+One table, _FORMAT, gives each section's keys in serialized order with
+their attributes, types and defaults, and _MODELS each generator model's
+builder, shape recogniser and fields; parsing, serialization and
+apply_param read both, so a new key or model is one entry.  The rules
+that span keys (time= alone on its line, [sim] over several lines, load
+buses without inertia, one generator, controller and step load per bus)
+are written where they act.
 
 A Scenario is valid by construction (sim.Scenario decides validity), so
 an invalid file, override or swept value is a hard error, exit 2, before
@@ -44,11 +48,13 @@ from .generation import (LtiGenerator, first_order_params, make_first_order,
 from .network import Bus, BusKind, CommEdge, Line, PowerNetwork
 from .sim import Scenario, Trajectory
 
+#: Settling passes when max |omega| over the buses at the final sample is
+#: below this absolute bound, in rad/s.
 SETTLING_TOL = 1e-4
+#: Dispatch optimality passes when the final marginal costs spread by at
+#: most this much (absolute: max minus min) and each lies within this
+#: fraction of the dispatch nu (relative to |nu|, floored at 1e-12).
 MARGINAL_TOL = 1e-3
-
-_SECTIONS = ("buses", "lines", "generators", "controllers", "comm",
-             "disturbance", "sim")
 
 
 #: [generators] model name -> (builder, shape recogniser, the record's
@@ -60,18 +66,34 @@ _MODELS = {
                      ("tau_a", "tau_p", "gain")),
 }
 
-#: [controllers] record key -> ControllerGains attribute, in record order.
-_CONTROLLER_FIELDS = {"gamma": "gamma", "k_f": "k_f", "k_c": "k_c",
-                      "k_d": "k_d", "cost": "q"}
+#: The key types beside int and float: each text they take, and its value.
+_NAMES = {"bus kind": {kind.value: kind for kind in BusKind},
+          "generator model": {model: model for model in _MODELS}}
 
-#: The keys a record of each section may hold; a [generators] record holds
-#: bus, model and the fields of its model's _MODELS row.
-_FIELDS = {"buses": ("id", "kind", "inertia", "damping"),
-           "lines": ("from", "to", "susceptance"),
-           "controllers": ("bus", *_CONTROLLER_FIELDS),
-           "comm": ("a", "b", "weight"),
-           "disturbance": ("time", "bus", "delta"),
-           "sim": ("dt", "t_end", "output_stride")}
+#: The scenario format: each section's keys in serialized order, each
+#: mapped to (attribute, type) and, if it may be left out, its default.  A
+#: [generators] record ends with its _MODELS row's fields, required floats.
+#: time= and the [sim] keys set Scenario fields, the others their record's.
+_FORMAT = {
+    "buses": {"id": ("id", int), "kind": ("kind", "bus kind"),
+              "inertia": ("inertia", float, 0.0), "damping": ("damping", float)},
+    "lines": {"from": ("from_bus", int), "to": ("to_bus", int),
+              "susceptance": ("susceptance", float)},
+    "generators": {"bus": ("bus", int), "model": ("model", "generator model")},
+    "controllers": {"bus": ("bus", int), "gamma": ("gamma", float),
+                    "k_f": ("k_f", float), "k_c": ("k_c", float),
+                    "k_d": ("k_d", float), "cost": ("q", float)},
+    "comm": {"a": ("a", int), "b": ("b", int), "weight": ("weight", float, 1.0)},
+    "disturbance": {"time": ("disturbance_time", float), "bus": ("bus", int),
+                    "delta": ("delta", float)},
+    "sim": {"dt": ("dt", float), "t_end": ("t_end", float),
+            "output_stride": ("output_stride", int, 10)},
+}
+
+
+def _model_keys(model: str) -> dict:
+    """The _FORMAT entries of the fields of a [generators] record of model."""
+    return {f: (f, float) for f in _MODELS[model][2]}
 
 
 class ScenarioError(ValueError):
@@ -96,39 +118,31 @@ def _model_of(scn: Scenario, bus: int) -> Tuple[str, tuple]:
 
 # --- parsing ---------------------------------------------------------------
 
-def _parse_records(lines_with_numbers, section: str
-                   ) -> List[Tuple[int, Dict[str, str]]]:
-    records = []
-    for lineno, text in lines_with_numbers:
-        rec: Dict[str, str] = {}
-        for token in text.split():
-            if "=" not in token:
-                raise ScenarioError(
-                    f"line {lineno}: expected key=value tokens, got {token!r}")
-            key, _, value = token.partition("=")
-            if not key or not value:
-                raise ScenarioError(f"line {lineno}: malformed token {token!r}")
-            if key in rec:
-                raise ScenarioError(f"line {lineno}: duplicate key {key!r}")
-            rec[key] = value
-        if section in _FIELDS:
-            _known_fields(rec, _FIELDS[section], lineno, section)
-        records.append((lineno, rec))
-    return records
-
-
-def _known_fields(rec: Dict[str, str], fields, lineno: int, section: str) -> None:
+def _only(rec, keys, lineno: int, section: str) -> None:
+    """Raise unless every key of rec is one of keys."""
     for key in rec:
-        if key not in fields:
+        if key not in keys:
             raise ScenarioError(
                 f"line {lineno}: [{section}] record has unknown field {key!r}")
 
 
-def _need(rec: Dict[str, str], key: str, lineno: int, section: str) -> str:
-    if key not in rec:
-        raise ScenarioError(
-            f"line {lineno}: [{section}] record missing required field {key!r}")
-    return rec[key]
+def _tokens(text: str, lineno: int, section: str) -> Dict[str, Tuple[int, str]]:
+    """A record line's key=value tokens as key -> (line number, value), its
+    section's keys only ([generators]: its model decides)."""
+    rec: Dict[str, Tuple[int, str]] = {}
+    for token in text.split():
+        if "=" not in token:
+            raise ScenarioError(
+                f"line {lineno}: expected key=value tokens, got {token!r}")
+        key, _, value = token.partition("=")
+        if not key or not value:
+            raise ScenarioError(f"line {lineno}: malformed token {token!r}")
+        if key in rec:
+            raise ScenarioError(f"line {lineno}: duplicate key {key!r}")
+        rec[key] = (lineno, value)
+    if section != "generators":
+        _only(rec, _FORMAT[section], lineno, section)
+    return rec
 
 
 def _finite(text: str) -> float:
@@ -142,140 +156,124 @@ def _finite(text: str) -> float:
     return number
 
 
-def _to_float(value: str, key: str, lineno: int) -> float:
+def _read(type_, key: str, text: str):
+    """text as a value of type_ (int, float or a _NAMES type), or a
+    ValueError that names the fault; a float must be finite."""
+    if type_ in _NAMES:
+        if text not in _NAMES[type_]:
+            raise ValueError(f"unknown {type_} {text!r}")
+        return _NAMES[type_][text]
     try:
-        return _finite(value)
+        return int(text) if type_ is int else _finite(text)
     except ValueError as exc:
-        raise ScenarioError(f"line {lineno}: field {key!r} {exc}: {value!r}") from None
+        fault = "is not an integer" if type_ is int else exc
+        raise ValueError(f"field {key!r} {fault}: {text!r}") from None
 
 
-def _to_int(value: str, key: str, lineno: int) -> int:
+def _values(keys: dict, rec, section: str,
+            lineno: Optional[int] = None) -> Dict[str, object]:
+    """The values of keys (_FORMAT entries) by attribute, read from rec or
+    defaulted; a required key is missing from the record at lineno, or
+    with none from the section."""
+    values = {}
+    for key, (attr, type_, *default) in keys.items():
+        if key in rec:
+            at, text = rec[key]
+            try:
+                values[attr] = _read(type_, key, text)
+            except ValueError as exc:
+                raise ScenarioError(f"line {at}: {exc}") from None
+        elif default:
+            values[attr] = default[0]
+        else:
+            where = (f"{section} section" if lineno is None
+                     else f"line {lineno}: [{section}] record")
+            raise ScenarioError(f"{where} missing required field {key!r}")
+    return values
+
+
+def _one_per_bus(records: dict, bus: int, noun: str, lineno: int,
+                 build, *args, **kwargs) -> None:
+    """Store build(*args, **kwargs) as the one record of noun at bus."""
+    if bus in records:
+        raise ScenarioError(f"line {lineno}: duplicate {noun} for bus {bus}")
     try:
-        return int(value)
-    except ValueError:
-        raise ScenarioError(f"line {lineno}: field {key!r} is not an integer: {value!r}")
+        records[bus] = build(*args, **kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"line {lineno}: {exc}") from exc
 
 
 def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
     """Parse scenario text into a validated Scenario."""
-    sections: Dict[str, List[Tuple[int, str]]] = {s: [] for s in _SECTIONS}
+    sections: Dict[str, List[Tuple[int, str]]] = {s: [] for s in _FORMAT}
     current: Optional[str] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
             if current not in sections:
                 raise ScenarioError(f"line {lineno}: unknown section [{current}]")
-            continue
-        if current is None:
-            raise ScenarioError(f"line {lineno}: content before any [section]")
-        sections[current].append((lineno, line))
+        elif line:
+            if current is None:
+                raise ScenarioError(f"line {lineno}: content before any [section]")
+            sections[current].append((lineno, line))
 
-    buses: List[Bus] = []
-    for lineno, rec in _parse_records(sections["buses"], "buses"):
-        kind_text = _need(rec, "kind", lineno, "buses")
-        if kind_text not in ("generator", "load"):
-            raise ScenarioError(f"line {lineno}: unknown bus kind {kind_text!r}")
-        kind = BusKind.GENERATOR if kind_text == "generator" else BusKind.LOAD
-        buses.append(Bus(
-            id=_to_int(_need(rec, "id", lineno, "buses"), "id", lineno),
-            kind=kind,
-            inertia=_to_float(rec.get("inertia", "0.0"), "inertia", lineno),
-            damping=_to_float(_need(rec, "damping", lineno, "buses"), "damping", lineno),
-        ))
+    # a section's records are all tokenized before any is read
+    def tokens(section: str) -> List[Tuple[int, dict]]:
+        return [(n, _tokens(line, n, section)) for n, line in sections[section]]
 
-    lines: List[Line] = []
-    for lineno, rec in _parse_records(sections["lines"], "lines"):
-        lines.append(Line(
-            from_bus=_to_int(_need(rec, "from", lineno, "lines"), "from", lineno),
-            to_bus=_to_int(_need(rec, "to", lineno, "lines"), "to", lineno),
-            susceptance=_to_float(_need(rec, "susceptance", lineno, "lines"),
-                                  "susceptance", lineno),
-        ))
+    def records(section: str) -> List[Tuple[int, dict, dict]]:
+        return [(n, rec, _values(_FORMAT[section], rec, section, n))
+                for n, rec in tokens(section)]
 
-    comm: List[CommEdge] = []
-    for lineno, rec in _parse_records(sections["comm"], "comm"):
-        comm.append(CommEdge(
-            a=_to_int(_need(rec, "a", lineno, "comm"), "a", lineno),
-            b=_to_int(_need(rec, "b", lineno, "comm"), "b", lineno),
-            weight=_to_float(rec.get("weight", "1.0"), "weight", lineno),
-        ))
+    buses = [Bus(**values) for _, _, values in records("buses")]
+    lines = [Line(**values) for _, _, values in records("lines")]
+    comm = [CommEdge(**values) for _, _, values in records("comm")]
 
     generators: Dict[int, LtiGenerator] = {}
-    for lineno, rec in _parse_records(sections["generators"], "generators"):
-        bus = _to_int(_need(rec, "bus", lineno, "generators"), "bus", lineno)
-        model = _need(rec, "model", lineno, "generators")
-        if model not in _MODELS:
-            raise ScenarioError(f"line {lineno}: unknown generator model {model!r}")
-        build, _, fields = _MODELS[model]
-        _known_fields(rec, ("bus", "model", *fields), lineno, "generators")
-        params = [_to_float(_need(rec, key, lineno, "generators"), key, lineno)
-                  for key in fields]
-        try:
-            gen = build(*params)
-        except ValueError as exc:
-            raise ScenarioError(f"line {lineno}: {exc}") from exc
-        if bus in generators:
-            raise ScenarioError(f"line {lineno}: duplicate generator for bus {bus}")
-        generators[bus] = gen
+    for lineno, rec, values in records("generators"):
+        fields = _model_keys(values["model"])
+        _only(rec, {**_FORMAT["generators"], **fields}, lineno, "generators")
+        params = _values(fields, rec, "generators", lineno).values()
+        _one_per_bus(generators, values["bus"], "generator", lineno,
+                     _MODELS[values["model"]][0], *params)
 
     controllers: Dict[int, ControllerGains] = {}
-    for lineno, rec in _parse_records(sections["controllers"], "controllers"):
-        bus = _to_int(_need(rec, "bus", lineno, "controllers"), "bus", lineno)
-        gains = {attr: _to_float(_need(rec, key, lineno, "controllers"), key, lineno)
-                 for key, attr in _CONTROLLER_FIELDS.items()}
-        if bus in controllers:
-            raise ScenarioError(f"line {lineno}: duplicate controller for bus {bus}")
-        try:
-            controllers[bus] = ControllerGains(**gains)
-        except ValueError as exc:
-            raise ScenarioError(f"line {lineno}: {exc}") from exc
+    for lineno, _, values in records("controllers"):
+        _one_per_bus(controllers, values.pop("bus"), "controller", lineno,
+                     ControllerGains, **values)
 
-    disturbance_time: Optional[float] = None
+    # time= stands on its own line, every other [disturbance] record is a
+    # step load, and the [sim] keys may spread over several lines
+    step_keys = dict(_FORMAT["disturbance"])
+    time_keys = {"time": step_keys.pop("time")}
+    time: Dict[str, Tuple[int, str]] = {}
+    sim: Dict[str, Tuple[int, str]] = {}
     step_loads: Dict[int, float] = {}
-    for lineno, rec in _parse_records(sections["disturbance"], "disturbance"):
-        if "time" in rec:
-            if len(rec) != 1:
-                raise ScenarioError(f"line {lineno}: time= must be on its own line")
-            if disturbance_time is not None:
-                raise ScenarioError(f"line {lineno}: duplicate time= line")
-            disturbance_time = _to_float(rec["time"], "time", lineno)
+    for lineno, rec in tokens("disturbance"):
+        if "time" not in rec:
+            values = _values(step_keys, rec, "disturbance", lineno)
+            _one_per_bus(step_loads, values["bus"], "step load", lineno,
+                         float, values["delta"])
+        elif len(rec) != 1:
+            raise ScenarioError(f"line {lineno}: time= must be on its own line")
+        elif time:
+            raise ScenarioError(f"line {lineno}: duplicate time= line")
         else:
-            bus = _to_int(_need(rec, "bus", lineno, "disturbance"), "bus", lineno)
-            if bus in step_loads:
-                raise ScenarioError(f"line {lineno}: duplicate step load for bus {bus}")
-            step_loads[bus] = _to_float(_need(rec, "delta", lineno, "disturbance"),
-                                        "delta", lineno)
-    if disturbance_time is None:
-        raise ScenarioError("disturbance section missing required field 'time'")
-
-    sim_fields: Dict[str, str] = {}
-    sim_lines: Dict[str, int] = {}
-    for lineno, rec in _parse_records(sections["sim"], "sim"):
-        for key, value in rec.items():
-            if key in sim_fields:
+            time = rec
+    timing = _values(time_keys, time, "disturbance")
+    for lineno, rec in tokens("sim"):
+        for key in rec:
+            if key in sim:
                 raise ScenarioError(f"line {lineno}: duplicate key {key!r}")
-            sim_fields[key], sim_lines[key] = value, lineno
-    for key in ("dt", "t_end"):
-        if key not in sim_fields:
-            raise ScenarioError(f"sim section missing required field {key!r}")
+        sim.update(rec)
+    timing.update(_values(_FORMAT["sim"], sim, "sim"))
 
     try:
         return Scenario(
             network=PowerNetwork(buses=buses, lines=lines, comm=comm),
-            generators=generators,
-            controllers=controllers,
-            disturbance_time=disturbance_time,
-            step_loads=step_loads,
-            t_end=_to_float(sim_fields["t_end"], "t_end", sim_lines["t_end"]),
-            dt=_to_float(sim_fields["dt"], "dt", sim_lines["dt"]),
-            output_stride=_to_int(sim_fields.get("output_stride", "10"),
-                                  "output_stride",
-                                  sim_lines.get("output_stride", 0)),
-            name=name,
-        )
+            generators=generators, controllers=controllers,
+            step_loads=step_loads, **timing, name=name)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
 
@@ -290,39 +288,40 @@ def load_scenario(path) -> Scenario:
 
 
 def serialize_scenario(scn: Scenario) -> str:
-    """Render a Scenario back into the text format (round-trip safe)."""
+    """Render a Scenario back into the text format (round-trip safe): each
+    record's values by attribute, written in _FORMAT's order."""
+    net = scn.network
+    records = {
+        # load buses are written without inertia
+        "buses": [{attr: v for attr, v in vars(b).items()
+                   if attr != "inertia" or b.kind is BusKind.GENERATOR}
+                  for b in net.buses],
+        "lines": [vars(ln) for ln in net.lines],
+        "generators": [{"bus": bus, "model": model,
+                        **dict(zip(_MODELS[model][2], params))}
+                       for bus in sorted(scn.generators)
+                       for model, params in [_model_of(scn, bus)]],
+        "controllers": [{"bus": bus, **vars(scn.controllers[bus])}
+                        for bus in sorted(scn.controllers)],
+        "comm": [vars(e) for e in net.comm],
+        # time= and each [sim] key stand on lines of their own
+        "disturbance": [{"disturbance_time": scn.disturbance_time}] + [
+            {"bus": bus, "delta": scn.step_loads[bus]}
+            for bus in sorted(scn.step_loads)],
+        "sim": [{attr: getattr(scn, attr)} for attr, *_ in _FORMAT["sim"].values()],
+    }
     out: List[str] = []
-    out.append("[buses]")
-    for b in scn.network.buses:
-        kind = "generator" if b.kind is BusKind.GENERATOR else "load"
-        if b.kind is BusKind.GENERATOR:
-            out.append(f"id={b.id} kind={kind} inertia={b.inertia!r} damping={b.damping!r}")
-        else:
-            out.append(f"id={b.id} kind={kind} damping={b.damping!r}")
-    out.append("[lines]")
-    for ln in scn.network.lines:
-        out.append(f"from={ln.from_bus} to={ln.to_bus} susceptance={ln.susceptance!r}")
-    out.append("[generators]")
-    for bus in sorted(scn.generators):
-        model, params = _model_of(scn, bus)
-        out.append(f"bus={bus} model={model} " + " ".join(
-            f"{key}={v!r}" for key, v in zip(_MODELS[model][2], params)))
-    out.append("[controllers]")
-    for bus in sorted(scn.controllers):
-        c = scn.controllers[bus]
-        out.append(f"bus={bus} " + " ".join(
-            f"{key}={getattr(c, attr)!r}" for key, attr in _CONTROLLER_FIELDS.items()))
-    out.append("[comm]")
-    for e in scn.network.comm:
-        out.append(f"a={e.a} b={e.b} weight={e.weight!r}")
-    out.append("[disturbance]")
-    out.append(f"time={scn.disturbance_time!r}")
-    for bus in sorted(scn.step_loads):
-        out.append(f"bus={bus} delta={scn.step_loads[bus]!r}")
-    out.append("[sim]")
-    out.append(f"dt={scn.dt!r}")
-    out.append(f"t_end={scn.t_end!r}")
-    out.append(f"output_stride={scn.output_stride}")
+    for section, keys in _FORMAT.items():
+        out.append(f"[{section}]")
+        for values in records[section]:
+            if section == "generators":
+                keys = {**_FORMAT[section], **_model_keys(values["model"])}
+            # a bus kind is written by its name, any other value as its
+            # str, which for a float is its shortest round trip
+            shown = {attr: getattr(v, "value", v) for attr, v in values.items()}
+            out.append(" ".join(f"{key}={shown[attr]}"
+                                for key, (attr, *_) in keys.items()
+                                if attr in shown))
     return "\n".join(out) + "\n"
 
 
@@ -542,21 +541,22 @@ def _dispatch(scn: Scenario) -> Tuple[float, List[str]]:
         f"gen {g}: p={allocation[g]!r} marginal={mc[g]!r}" for g in sorted(allocation)]
 
 
-def _prepare(scn: Scenario, flags: RunFlags) -> _Prepared:
-    """The time overrides, the output directory, --optimal-gains and the
-    stages: certification, k_f adoption, equilibrium and dispatch;
-    everything a run does before integrating.  An override that makes
-    the scenario invalid raises its ValueError.  The output directory is
-    made before any stage, so an unwritable one fails the run before it
-    spends time."""
+def _prepare(scn: Scenario, flags: RunFlags,
+             fields: Optional[Dict[str, object]] = None) -> _Prepared:
+    """The time overrides and then a swept value's Scenario fields, both
+    in one step, the output directory, --optimal-gains and the stages:
+    certification, k_f adoption, equilibrium and dispatch; everything a
+    run does before integrating.  An invalid result raises its ValueError.
+    The output directory is made before any stage, so an unwritable one
+    fails the run before it spends time."""
     checks: Dict[str, Check] = {}
     lines: List[str] = []
 
-    if flags.dt is not None or flags.t_end is not None:
-        scn = dataclasses.replace(
-            scn,
-            dt=flags.dt if flags.dt is not None else scn.dt,
-            t_end=flags.t_end if flags.t_end is not None else scn.t_end)
+    changes = {attr: v for attr, v in (("dt", flags.dt), ("t_end", flags.t_end))
+               if v is not None}
+    changes.update(fields or {})
+    if changes:
+        scn = dataclasses.replace(scn, **changes)
     if flags.out_dir is not None:
         try:
             Path(flags.out_dir).mkdir(parents=True, exist_ok=True)
@@ -662,67 +662,63 @@ def _conclude(prep: _Prepared, traj: Trajectory) -> RunReport:
 
 # --- parameter sweep -------------------------------------------------------
 
-#: The scenario attribute behind each two-part sweep path.
-_SCALARS = {"sim.dt": "dt", "sim.t_end": "t_end",
-            "disturbance.time": "disturbance_time"}
-
-
 def apply_param(scn: Scenario, path: str, value: float) -> Scenario:
     """Set one scalar parameter addressed by a dotted path.
 
-    The paths are exactly: sim.dt, sim.t_end, disturbance.time,
-    disturbance.<bus>.delta, buses.<bus>.damping,
-    buses.<generator bus>.inertia, lines.<index>.susceptance,
-    comm.<index>.weight, controllers.<generator bus>.<key> for every
-    [controllers] key but bus, and generators.<generator bus>.<field>
-    for every field of its model's _MODELS row.  <bus> is the id of a
-    bus of the network, <index> counts that section's records from 0.
-    Any other path raises ScenarioError; a value out of the parameter's
-    range raises the ValueError of the record it would build, or of the
-    Scenario when the value breaks its network (invalid scenario: ...).
+    The paths are the float keys of _FORMAT and _MODELS: sim.dt, sim.t_end
+    and disturbance.time, and <section>.<record>.<key> for the float keys
+    of a record of [buses] (but a load bus's inertia), [lines],
+    [generators], [controllers], [comm] and the step loads of
+    [disturbance].  <record> is a bus id, or the record's index from 0
+    for [lines] and [comm].  Any other path raises ScenarioError; a value
+    out of the parameter's range raises the ValueError of the record it
+    would build, or of the Scenario when the value breaks its network
+    (invalid scenario: ...).
     """
-    if path in _SCALARS:
-        return dataclasses.replace(scn, **{_SCALARS[path]: value})
+    return dataclasses.replace(scn, **_param_fields(scn, path, value))
+
+
+def _param_fields(scn: Scenario, path: str, value: float) -> Dict[str, object]:
+    """The Scenario fields that apply_param's path at value changes."""
+    section, *where = path.split(".")
+    keys = _FORMAT.get(section, {})
+    scenario_fields = {f.name for f in dataclasses.fields(Scenario)}
+    if len(where) == 1 and where[0] in keys:
+        attr, type_, *_ = keys[where[0]]
+        if type_ is float and attr in scenario_fields:
+            return {attr: value}
     net = scn.network
-    bus_ids = [b.id for b in net.buses]
-    keys = {"disturbance": ("bus", bus_ids), "buses": ("bus", bus_ids),
-            "lines": ("line", range(len(net.lines))),
-            "comm": ("comm edge", range(len(net.comm))),
-            "controllers": ("generator bus", scn.controllers),
-            "generators": ("generator bus", scn.generators)}
-    parts = path.split(".")
-    if len(parts) != 3 or parts[0] not in keys:
+    # each record section's records by the number a path names them with
+    homes = {"buses": ("bus", {b.id: b for b in net.buses}),
+             "lines": ("line", dict(enumerate(net.lines))),
+             "comm": ("comm edge", dict(enumerate(net.comm))),
+             "generators": ("generator bus", scn.generators),
+             "controllers": ("generator bus", scn.controllers),
+             "disturbance": ("bus", dict.fromkeys(b.id for b in net.buses))}
+    if len(where) != 2 or section not in homes:
         raise ScenarioError(f"unknown parameter path {path!r}")
-    section, key, field = parts
-    noun, valid = keys[section]
-    if not (key.isdecimal() and int(key) in valid):
+    (noun, records), (key, field) = homes[section], where
+    if not (key.isdecimal() and int(key) in records):
         raise ScenarioError(f"cannot apply parameter path {path!r}: no {noun} {key}")
     i = int(key)
-    if section == "disturbance" and field == "delta":
-        return dataclasses.replace(scn, step_loads={**scn.step_loads, i: value})
-    if section == "buses" and (field == "damping" or
-                               field == "inertia" and i in scn.generators):
-        buses = [dataclasses.replace(b, **{field: value}) if b.id == i else b
-                 for b in net.buses]
-        return dataclasses.replace(scn, network=dataclasses.replace(net, buses=buses))
-    if (section, field) in (("lines", "susceptance"), ("comm", "weight")):
-        records = list(getattr(net, section))
-        records[i] = dataclasses.replace(records[i], **{field: value})
-        return dataclasses.replace(
-            scn, network=dataclasses.replace(net, **{section: records}))
-    if section == "controllers" and field in _CONTROLLER_FIELDS:
-        gains = dataclasses.replace(scn.controllers[i],
-                                    **{_CONTROLLER_FIELDS[field]: value})
-        return dataclasses.replace(scn, controllers={**scn.controllers, i: gains})
     if section == "generators":
         model, params = _model_of(scn, i)
-        build, _, fields = _MODELS[model]
-        if field in fields:
-            params = [value if f == field else v for f, v in zip(fields, params)]
-            return dataclasses.replace(
-                scn, generators={**scn.generators, i: build(*params)})
-    raise ScenarioError(f"cannot apply parameter path {path!r}: "
-                        f"{field!r} is not settable")
+        keys = _model_keys(model)
+    attr, type_, *_ = keys.get(field, (None, None))
+    if (type_ is not float or attr in scenario_fields
+            or field == "inertia" and i not in scn.generators):
+        raise ScenarioError(f"cannot apply parameter path {path!r}: "
+                            f"{field!r} is not settable")
+    if section == "generators":
+        params = [value if f == field else p for f, p in zip(keys, params)]
+        return {"generators": {**scn.generators, i: _MODELS[model][0](*params)}}
+    if section == "disturbance":
+        return {"step_loads": {**scn.step_loads, i: value}}
+    record = dataclasses.replace(records[i], **{attr: value})
+    if section == "controllers":
+        return {"controllers": {**scn.controllers, i: record}}
+    return {"network": dataclasses.replace(net, **{section: [
+        record if r is records[i] else r for r in getattr(net, section)]})}
 
 
 #: Errors that end a run with exit code 2: an unreadable or invalid
@@ -763,9 +759,9 @@ def run_sweep(scn_path: str, param: str, values: Sequence[float],
               base_out: str, flags: RunFlags) -> int:
     """Run one isolated simulation per parameter value.
 
-    The scenario is parsed once and every value prepared in order.
-    --dt and --t-end override the scenario file and the swept path
-    overrides them.  The prepared values are integrated in the packs
+    The scenario is parsed once and every value prepared in order, from
+    the file with --dt and --t-end and then the swept path applied, all
+    checked at once.  The prepared values are integrated in the packs
     sim.packs cuts: on each time grid the fewest unions within
     sim.PACK_ENTRIES, with member counts that differ by at most one (eight
     values of two_gen are two packs of four).  The packs run side by side
@@ -785,15 +781,14 @@ def run_sweep(scn_path: str, param: str, values: Sequence[float],
         if v in values[:i]:
             raise ValueError(f"--values: {v!r} is repeated")
     scn = load_scenario(scn_path)
-    if param in ("sim.dt", "sim.t_end"):
-        flags = dataclasses.replace(flags, **{_SCALARS[param]: None})
     results: Dict[int, Tuple[int, str]] = {}
     prepared: Dict[int, _Prepared] = {}
     for i, v in enumerate(values):
         sub = Path(base_out) / f"{param.replace('.', '_')}={v!r}"
         try:
-            prepared[i] = _prepare(apply_param(scn, param, v),
-                                   dataclasses.replace(flags, out_dir=str(sub)))
+            prepared[i] = _prepare(
+                scn, dataclasses.replace(flags, out_dir=str(sub)),
+                _param_fields(scn, param, v))
         except _HARD_ERRORS as exc:
             results[i] = (2, _error_text(exc))
     order = list(prepared)

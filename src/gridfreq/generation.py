@@ -8,6 +8,7 @@ are built here with their DC gain forced to a requested value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -94,10 +95,18 @@ def equilibrium_state(gen: LtiGenerator, u: float) -> Tuple[float, ...]:
     return tuple(float(v) for v in x)
 
 
+def _finite(**params: float) -> None:
+    """Raise a ValueError naming the first of params that is not finite."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+
+
 def make_first_order(tau: float, k: float) -> LtiGenerator:
     """First-order lag: tau * p_m' = -p_m + k*u."""
     if not tau > 0.0 or not k > 0.0:
         raise ValueError("tau and k must be positive")
+    _finite(tau=tau, k=k)
     return LtiGenerator(
         a_matrix=((-1.0 / tau,),),
         b_vector=(k / tau,),
@@ -115,6 +124,7 @@ def make_second_order(tau_a: float, tau_p: float, k: float) -> LtiGenerator:
     """
     if not (tau_a > 0.0 and tau_p > 0.0 and k > 0.0):
         raise ValueError("tau_a, tau_p and k must be positive")
+    _finite(tau_a=tau_a, tau_p=tau_p, k=k)
     return LtiGenerator(
         a_matrix=((-1.0 / tau_a, 0.0), (1.0 / tau_p, -1.0 / tau_p)),
         b_vector=(k / tau_a, 0.0),

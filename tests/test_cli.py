@@ -133,6 +133,47 @@ class TestParsing:
         with pytest.raises(ScenarioError, match=f"^{re.escape(where)}$"):
             parse_scenario_text(MINIMAL.replace(old, new))
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("id=0 kind", "kind", "line 3: [buses] record missing required field 'id'"),
+        ("kind=generator ", "", "line 3: [buses] record missing required field 'kind'"),
+        (" damping=1.0\nid=1", "\nid=1",
+         "line 3: [buses] record missing required field 'damping'"),
+        (" to=1", "", "line 7: [lines] record missing required field 'to'"),
+        (" susceptance=2.0", "",
+         "line 7: [lines] record missing required field 'susceptance'"),
+        ("bus=0 model", "model",
+         "line 10: [generators] record missing required field 'bus'"),
+        (" gain=1.0", "", "line 10: [generators] record missing required field 'gain'"),
+        ("bus=0 gamma", "gamma",
+         "line 13: [controllers] record missing required field 'bus'"),
+        (" cost=1.0", "", "line 13: [controllers] record missing required field 'cost'"),
+        ("[comm]\n", "[comm]\na=0 weight=1.0\n",
+         "line 16: [comm] record missing required field 'b'"),
+        ("time=1.0\n", "", "disturbance section missing required field 'time'"),
+        (" delta=0.2", "",
+         "line 19: [disturbance] record missing required field 'delta'"),
+        ("dt=0.001 ", "", "sim section missing required field 'dt'"),
+        (" t_end=5.0", "", "sim section missing required field 't_end'"),
+        ("id=1 kind", "id=1.0 kind", "line 4: field 'id' is not an integer: '1.0'"),
+        ("kind=load", "kind=storage", "line 4: unknown bus kind 'storage'"),
+        ("from=0", "from=", "line 7: malformed token 'from='"),
+        ("from=0", "from", "line 7: expected key=value tokens, got 'from'"),
+        ("time=1.0", "time=1.0 zzz=1.0",
+         "line 18: [disturbance] record has unknown field 'zzz'"),
+        (" model=first_order", "",
+         "line 10: [generators] record missing required field 'model'"),
+    ], ids=["buses-id", "buses-kind", "buses-damping", "lines-to",
+            "lines-susceptance", "generators-bus", "generators-gain",
+            "controllers-bus", "controllers-cost", "comm-b", "disturbance-time",
+            "disturbance-delta", "sim-dt", "sim-t_end", "non-integer-id",
+            "unknown-kind", "malformed-token", "token-without-equals",
+            "time-with-unknown-key", "generator-without-model"])
+    def test_parse_error_text(self, old, new, message):
+        assert old in MINIMAL
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario_text(MINIMAL.replace(old, new, 1))
+        assert str(info.value) == message
+
     def test_load_bus_inertia_rejected(self):
         # a load bus has no inertia, and serialize_scenario writes none
         broken = MINIMAL.replace("kind=load", "kind=load inertia=7")
@@ -176,6 +217,19 @@ class TestSerialize:
         text = serialize_scenario(two_gen_scenario)
         assert serialize_scenario(parse_scenario_text(text)) == text
         assert text.startswith("[buses]\n")
+
+    def test_numpy_numbers_are_written_as_numbers(self, two_gen_scenario):
+        # a library caller may build a Scenario from numpy scalars
+        net = two_gen_scenario.network
+        lines = [dataclasses.replace(ln, susceptance=np.float64(ln.susceptance))
+                 for ln in net.lines]
+        scn = dataclasses.replace(
+            two_gen_scenario, network=dataclasses.replace(net, lines=lines),
+            dt=np.float64(two_gen_scenario.dt),
+            output_stride=np.int64(two_gen_scenario.output_stride))
+        text = serialize_scenario(scn)
+        assert text == serialize_scenario(two_gen_scenario)
+        assert parse_scenario_text(text) == two_gen_scenario
 
 
 @pytest.fixture(scope="module")
@@ -574,6 +628,46 @@ class TestSweep:
                       "marginal_cost.gnu"):
                 assert (swept / f).read_bytes() == (lone / f).read_bytes(), f
 
+    @pytest.mark.parametrize("flag, param, value", [
+        (["--t-end", "7.0"], "sim.dt", "0.007"),
+        (["--dt", "0.007"], "sim.t_end", "7.0"),
+    ], ids=["step", "horizon"])
+    def test_swept_step_may_divide_only_the_flagged_horizon(
+            self, flag, param, value, tmp_path, capsys):
+        # 0.007 does not divide the file's t_end of 30: a step of 0.007 and
+        # a horizon of 7.0 fit only together, one from the flag and one
+        # from the swept value
+        fixture = str(fixture_path("two_gen.scn"))
+        assert main(["sweep", fixture, "--skip-certify", *flag, "--param", param,
+                     "--values", value, "--out", str(tmp_path / "sweep")]) != 2
+        assert capsys.readouterr().err == ""
+        lone = tmp_path / "lone"
+        main(["simulate", fixture, "--skip-certify", "--dt", "0.007",
+              "--t-end", "7.0", "--out", str(lone)])
+        swept = tmp_path / "sweep" / f"{param.replace('.', '_')}={value}"
+        for f in ("report.txt", "trajectory.csv", "frequency.gnu",
+                  "marginal_cost.gnu"):
+            assert (swept / f).read_bytes() == (lone / f).read_bytes(), f
+
+    def test_swept_time_may_lie_only_before_the_flagged_horizon(self, tmp_path,
+                                                                capsys):
+        # 40.0 lies after the file's t_end of 30 but before --t-end 60
+        fixture = fixture_path("two_gen.scn")
+        args = ["--skip-certify", "--t-end", "60"]
+        assert main(["sweep", str(fixture), *args, "--param", "disturbance.time",
+                     "--values", "40.0", "--out", str(tmp_path / "sweep")]) != 2
+        assert capsys.readouterr().err == ""
+        edited = tmp_path / "edited" / "two_gen.scn"
+        edited.parent.mkdir()
+        edited.write_text(fixture.read_text().replace("time=1.0", "time=40.0")
+                          .replace("t_end=30.0", "t_end=60.0"))
+        lone = tmp_path / "lone"
+        assert main(["simulate", str(edited), "--skip-certify",
+                     "--out", str(lone)]) != 2
+        for f in ("report.txt", "trajectory.csv"):
+            assert (tmp_path / "sweep" / "disturbance_time=40.0" / f).read_bytes() \
+                == (lone / f).read_bytes(), f
+
     @pytest.mark.parametrize("flags, param, values", [
         (["--t-end", "4"], "sim.t_end", ["3.0", "5.0"]),
         (["--t-end", "4", "--dt", "0.005"], "sim.dt", ["0.002", "0.004"]),
@@ -967,3 +1061,27 @@ def test_readme_commands_exit_0(argv, tmp_path, monkeypatch):
             args[i + 1] = str(tmp_path / args[i + 1])
     monkeypatch.chdir(tmp_path)
     assert main(args) == 0
+
+
+def test_readme_scenario_block_lists_the_format_table():
+    """README's "Scenario format" block names every section's keys, and a
+    [generators] line each model's fields, in the order of cli._FORMAT
+    and cli._MODELS."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split(
+        "\n## Scenario format\n")[1]
+    block = section.split("```\n")[1]
+    keys, models = {}, []
+    for line in block.splitlines():
+        if line.startswith("["):
+            name = line[1:line.index("]")]
+        found = re.findall(r"(\w+)=", line)
+        if name == "generators":
+            model = re.search(r"model=(\w+)", line).group(1)
+            assert found == [*cli._FORMAT[name], *cli._MODELS[model][2]], model
+            models.append(model)
+        keys.setdefault(name, []).extend(found)
+    assert list(keys) == list(cli._FORMAT)
+    assert models == list(cli._MODELS)
+    for name, table in cli._FORMAT.items():
+        if name != "generators":
+            assert keys[name] == list(table), name

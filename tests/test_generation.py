@@ -43,11 +43,28 @@ def test_constructors_reject_nonpositive_parameters():
         make_second_order(1.0, 0.0, 1.0)
 
 
-@pytest.mark.parametrize("build", [lambda k: make_first_order(0.5, k),
-                                   lambda k: make_second_order(0.5, 1.0, k)])
+@pytest.mark.parametrize("build", [
+    lambda x: LtiGenerator(((-1.0,),), (x,), (1.0,), 0.0, 1),
+    lambda x: LtiGenerator(((-1.0, 0.0), (1.0, -1.0)), (1.0, 0.0), (0.0, 1.0),
+                           x, 2)])
 def test_block_entries_must_be_finite(build):
     with pytest.raises(ValueError, match="^generator block entries must be finite$"):
         build(np.inf)
+
+
+@pytest.mark.parametrize("args, name", [
+    ((np.inf, 1.0), "tau"), ((0.5, np.inf), "k"), ((np.inf, np.inf), "tau")])
+def test_first_order_names_a_non_finite_parameter(args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        make_first_order(*args)
+
+
+@pytest.mark.parametrize("args, name", [
+    ((np.inf, 1.0, 1.0), "tau_a"), ((0.5, np.inf, 1.0), "tau_p"),
+    ((0.5, 1.0, np.inf), "k")])
+def test_second_order_names_a_non_finite_parameter(args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        make_second_order(*args)
 
 
 def _closed_loop_output(gen, state, u):
