@@ -145,10 +145,19 @@ def _tokens(text: str, lineno: int, section: str) -> Dict[str, Tuple[int, str]]:
     return rec
 
 
+def _plain(text: str, type_=float):
+    """text read by type_ (int or float) if it is a plain ASCII numeral:
+    int and float also read digit-group underscores and non-ASCII digits,
+    so '5_0.0' would read as 50.0 and '\u0663' (Arabic-Indic three) as 3."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"{text!r} is not a plain numeral")
+    return type_(text)
+
+
 def _finite(text: str) -> float:
     """text as a finite float, or a ValueError that says why it is not."""
     try:
-        number = float(text)
+        number = _plain(text)
     except ValueError:
         raise ValueError("is not a number") from None
     if not math.isfinite(number):
@@ -164,7 +173,7 @@ def _read(type_, key: str, text: str):
             raise ValueError(f"unknown {type_} {text!r}")
         return _NAMES[type_][text]
     try:
-        return int(text) if type_ is int else _finite(text)
+        return _plain(text, int) if type_ is int else _finite(text)
     except ValueError as exc:
         fault = "is not an integer" if type_ is int else exc
         raise ValueError(f"field {key!r} {fault}: {text!r}") from None
@@ -698,7 +707,7 @@ def _param_fields(scn: Scenario, path: str, value: float) -> Dict[str, object]:
     if len(where) != 2 or section not in homes:
         raise ScenarioError(f"unknown parameter path {path!r}")
     (noun, records), (key, field) = homes[section], where
-    if not (key.isdecimal() and int(key) in records):
+    if not (key.isascii() and key.isdecimal() and int(key) in records):
         raise ScenarioError(f"cannot apply parameter path {path!r}: no {noun} {key}")
     i = int(key)
     if section == "generators":
@@ -828,6 +837,15 @@ def _sweep_values(text: str) -> List[float]:
     return values
 
 
+def _flag_number(text: str) -> float:
+    """A --dt or --t-end value, read as _plain reads it; argparse reports a
+    fault as it reports any bad float."""
+    try:
+        return _plain(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="gridfreq",
@@ -845,8 +863,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             p.add_argument("--skip-certify", action="store_true",
                            help="skip the certificate search")
             p.add_argument("--out", default=None, help="output directory")
-            p.add_argument("--dt", type=float, default=None, help="override time step")
-            p.add_argument("--t-end", type=float, default=None, help="override horizon")
+            p.add_argument("--dt", type=_flag_number, default=None,
+                           help="override time step")
+            p.add_argument("--t-end", type=_flag_number, default=None,
+                           help="override horizon")
     sweep = subs.choices["sweep"]
     sweep.add_argument("--param", required=True,
                        help="dotted parameter path, e.g. sim.dt")

@@ -22,18 +22,19 @@ Integration is classical fixed-step RK4.  Scenarios on one time grid can
 be integrated together (integrate_many): uncoupled loops side by side
 are one loop with block-diagonal J, E and S, which integrate_many stacks
 once and hands to a kernel; packs() cuts a sweep's scenarios into such
-unions, each within PACK_ENTRIES, where the dense step costs least per
-member, and of balanced member counts, so that the packs of one sweep
-run side by side on the CPUs a sweep's pool has.  A step runs on one of
-two kernels, chosen by the union's size alone, and advances a block of
-steps per call: one call runs from the load step or a recorded sample to
-the next.  The dense one fuses the whole RK4 step into five matrix
-products and four sines over the line arguments; it runs loops up to
-DENSE_ENTRIES matrix entries (the shipped fixtures and every pack of two
-or more).  The sparse one evaluates the slope four times with a gather
-and a bincount over the nonzeros; it runs larger networks, whose
-matrices are almost all zeros.  Around 1.2e5 entries the two cost the
-same, about 32 us per step.
+unions, each within PACK_ENTRIES and of balanced member counts, so that
+the packs of one sweep run side by side on the CPUs a sweep's pool has.
+A step runs on one of two kernels, chosen by the union's size alone, and
+advances a block of steps per call: one call runs from the load step or
+a recorded sample to the next.  The dense one writes every RK4 stage as
+linear in x, the constant 1 and the stages' line sines, so a step is
+three products of L rows for the stage line arguments, one product for
+the state's increment and the next step's line arguments, four sines
+and one add; it runs loops up to DENSE_ENTRIES matrix entries (the
+shipped fixtures and every pack of two or more).  The sparse one
+evaluates the slope four times with a gather and a bincount over the
+nonzeros; it runs larger networks, whose matrices are almost all zeros.
+Around 1.5e5 entries the two cost the same, about 40 us per step.
 
 A run stays on one core.  The series derived from the recorded states
 (bus frequencies, p_m, the Lyapunov value, the transient angle peak) are
@@ -322,51 +323,62 @@ def integrate(scn: Scenario, *, initial_state: Optional[np.ndarray] = None
 #: kernel_entries), that integrate_many runs on the dense kernel; a larger
 #: one runs on the sparse kernel.  A dense step costs nine numpy calls
 #: whatever the loop's size, until its products outgrow the per-call
-#: overhead and then the cache: the fused matrices grow as the square of
-#: the loop, while the sparse step grows with its nonzeros.  Per RK4 step
-#: on unions of fixture copies (medians of 25 interleaved rounds, two
-#: runs, 2 CPUs, python 3.11, numpy 2.4), dense against sparse: 8 two_gen
-#: copies (94 632 entries) 24.6-24.8 against 28.2-29.2 us, 3 ring9 copies
-#: (104 517) 28.3-28.4 against 24.3-32.1, 9 two_gen copies (119 745)
-#: 31.4-32.3 against 32.5-33.3, 4 ring9 copies (185 732) 44.6-47.5
-#: against 34.0-34.4.  The limit sits at that crossover.
-DENSE_ENTRIES = 110_000
+#: overhead and then the cache: the matrices grow as the square of the
+#: loop, while the sparse step grows with its nonzeros.  Per RK4 step on
+#: unions of fixture copies (medians of 15 interleaved rounds of 2 000
+#: steps, two runs, 2 CPUs, python 3.11, numpy 2.4), dense against
+#: sparse: 18 two_gen copies (125 766 entries) 33.1-33.8 against
+#: 39.1-40.4 us, 6 ring9 copies (135 870) 35.8-36.0 against 38.6-39.0,
+#: 20 two_gen copies (155 220) 39.5-40.4 against 39.6-40.2, 7 ring9
+#: copies (184 856) 49.4-49.8 against 40.9-41.2.  The limit sits just
+#: below that crossover.
+DENSE_ENTRIES = 140_000
 
 #: Largest union, in kernel entries, that packs() forms from two or more
-#: scenarios.  Up to a few times 1e4 entries the dense step stays near
-#: the per-call floor, so a member costs less the more members share a
-#: step; beyond that the products grow with the square of the union and
-#: the cost per member rises again.  Per RK4 step of a dense union of
-#: fixture copies (best of 5 x 5 000 steps, two runs, 2 CPUs, python
-#: 3.11, numpy 2.4), in us per step and per member:
+#: scenarios.  Up to about 1.5e4 entries the dense step stays within 1.5
+#: times a lone two_gen's, so a member costs less the more members share
+#: a step; beyond that the step grows about as fast as its members, and
+#: from about 6e4 entries, with the square of the union.  Per RK4 step of
+#: a dense union of fixture copies (medians of 15 interleaved rounds of
+#: 2 000 steps, two runs, 2 CPUs, python 3.11, numpy 2.4), in us per step
+#: and per member:
 #:
 #:   two_gen  members  entries   per step     per member
-#:            1          1 497    4.4-7.1     4.4-7.1
-#:            2          5 946    4.9-5.0     2.5
-#:            4         23 700    8.8-12.7    2.2-3.2
-#:            6         53 262   12.6-18.4    2.1-3.1
-#:            7         72 471   17.7-22.2    2.5-3.2
-#:            8         94 632   19.3-23.3    2.4-2.9
-#:            9        119 745   26.7-30.8    3.0-3.4
-#:   ring9    1         11 651    6.8-8.1     6.8-8.1
-#:            2         46 490   14.3-15.5    7.1-7.8
-#:            3        104 517   25.1-25.5    8.4-8.5
+#:            1            408    7.4-7.5     7.4-7.5
+#:            2          1 590    7.8-7.9     3.9-4.0
+#:            4          6 276    9.0-9.3     2.2-2.3
+#:            5          9 780    9.8-10.1    2.0
+#:            6         14 058   10.8-11.3    1.8-1.9
+#:            7         19 110   11.7-12.0    1.7
+#:            8         24 936   13.0-13.1    1.6
+#:           10         38 910   15.4-16.0    1.5-1.6
+#:           12         55 980   18.2-19.4    1.5-1.6
+#:           16         99 408   27.4-28.0    1.7-1.8
+#:   ring9    1          3 830    7.9-8.5     7.9-8.5
+#:            2         15 186   11.2-11.3    5.6-5.7
+#:            3         34 068   12.7-14.4    4.2-4.8
+#:            4         60 476   19.7         4.9
 #:
-#: 2**16 holds up to 6 two_gen members or 2 ring9 members, and the
-#: smaller packs of a sweep run side by side in its pool (cli.run_sweep).
+#: 2**14 holds up to 6 two_gen members or 2 ring9 members, as the
+#: previous step's budget did, so sweeps pack as before, and the smaller
+#: packs of a sweep run side by side in its pool (cli.run_sweep): eight
+#: two_gen values are two packs of four, 9.0-9.3 us per step each on two
+#: CPUs, against 13.0-13.1 us as one pack of eight.  Per member, the
+#: cost is least at about 10 two_gen or 3 ring9 members; a budget there
+#: would save CPU time on one CPU but make those eight values one pack.
 #: It stays within DENSE_ENTRIES, so a pack never lands on the sparse
 #: kernel.
-PACK_ENTRIES = 2 ** 16
+PACK_ENTRIES = 2 ** 14
 
 
 def kernel_entries(states: int, lines: int) -> int:
     """Entries of the matrices the dense kernel holds for a closed loop
-    with N states and L lines: m = [J | c; E], (N+L) x (N+1); the three
-    stage matrices, (N+L) x (N+2L) and twice (N+L) x (2N+3L); and the
-    final one, N x (5N+5L+1) (see _dense_kernel)."""
-    u = states + lines
-    return (u * (states + 1) + u * (u + lines) + 2 * u * (2 * u + lines)
-            + states * (states + 1 + 4 * u + lines))
+    with N states and L lines: the three stage matrices, L x (N+1+L),
+    L x (N+1+2L) and L x (N+1+3L), and the final one, (N+L) x (N+1+4L)
+    (see _dense_kernel)."""
+    head = states + 1
+    return (lines * (3 * head + 6 * lines)
+            + (states + lines) * (head + 4 * lines))
 
 
 def _grid(scn: Scenario) -> tuple:
@@ -412,92 +424,77 @@ def _block_diag(blocks: Sequence[np.ndarray]) -> np.ndarray:
 
 def _dense_kernel(jac, load, incidence, spread, dt: float, x0: np.ndarray):
     """RK4 on the closed loop x' = J x + c + S sin(E x) as one fused step
-    of five dense products and four in-place sines: advance(count) runs
+    of four dense products, four sines and one add: advance(count) runs
     count steps of dt from where the last call left the state (x0 at
     first) and returns the state (a view that a later call overwrites),
     and load_on() switches the step load c on.  The numpy callables are
     bound once, when the kernel is built.
 
-    The step works in the argument space u = m [x; 1] = [J x + c; E x]
-    with m = [J | c; E], whose constant column stays zero until
-    load_on().  With phi(u) = [u_lin; sin(u_flow)] a stage slope is
-    G phi(u) for G = [I | S], so the stage arguments are
-    u_i = u_1 + a_i H phi(u_{i-1}) with H = [J; E] G and a_i = dt/2,
-    dt/2, dt, and the step is
-    x + dt/6 G (phi_1 + 2 phi_2 + 2 phi_3 + phi_4).  A buffer holds
-    [x | 1 | phi_3 | sin(u_1 flow) | u_1 | phi_2 | phi_4], so every
-    product reads one contiguous slice (phi_1 is u_1's linear part and
-    the sines of its flow part); two buffers alternate, so the final
-    product writes the next state without overwriting its input.
+    A buffer holds z = [x | 1 | s_1 | s_2 | s_3 | s_4], where s_i is
+    sin(E y_i), the line sines at stage i's input y_i.  Every stage
+    quantity is linear in z: with Y_1 = [I | 0 ...], the stage slope is
+    K_i = J Y_i + [0 | c | S in s_i's columns], and the next stage input
+    is Y_{i+1} = Y_1 + a_i K_i for a_i = dt/2, dt/2, dt.  Y_{i+1} reads z
+    only up to s_i, so each of the three stage products is the L rows
+    E Y_{i+1} over that prefix, followed by an in-place sine into
+    s_{i+1}.  The fourth product, from all of z, gives the increment
+    D = dt/6 (K_1 + 2 K_2 + 2 K_3 + K_4) and the next step's line
+    arguments E (Y_1 + D); the state takes the increment with one add,
+    so x's own coefficient is exactly 1 and an equilibrium stays put to
+    within the rounding of its increment, and one sine of the arguments
+    gives the next step's s_1.  Only the constant column of the four
+    matrices depends on c: it stays zero until load_on().
     """
     n_lines, n = incidence.shape
-    nu = n + n_lines
-    m = np.zeros((nu, n + 1))
-    m[:n, :n] = jac
-    m[n:, :n] = incidence
-    g = np.hstack([np.eye(n), spread])
-    hg = m[:, :n] @ g  # H
-    eye = np.eye(nu)
+    # buffer offsets: s_i starts at ends[i - 1] and ends at ends[i]
+    ends = [n + 1 + i * n_lines for i in range(5)]
+    first = np.eye(n, ends[4])  # Y_1
+    y, increment, stages = first, np.zeros_like(first), []
+    for i, (a, weight) in enumerate(((dt / 2, 1.0), (dt / 2, 2.0),
+                                     (dt, 2.0), (None, 1.0))):
+        k = jac @ y  # K_{i+1}
+        k[:, n] += load
+        k[:, ends[i]:ends[i + 1]] += spread
+        increment += weight * k
+        if a is not None:
+            y = first + a * k
+            stages.append(incidence @ y[:, :ends[i + 1]])
+    increment *= dt / 6
+    final = np.vstack([increment, incidence @ (first + increment)])
+    mats = stages + [final]
+    loaded = [mat[:, n].copy() for mat in mats]
+    for mat in mats:
+        mat[:, n] = 0.0
 
-    # buffer offsets of phi_3, sin(u_1 flow), u_1, phi_2 and phi_4
-    p3 = n + 1
-    s1 = p3 + nu
-    u1 = s1 + n_lines
-    p2 = u1 + nu
-    p4 = p2 + nu
-    # u_2 = u_1 + dt/2 H phi_1, from [sin(u_1 flow) | u_1]
-    stage2 = np.hstack([dt / 2 * hg[:, n:], eye])
-    stage2[:, n_lines:n_lines + n] += dt / 2 * hg[:, :n]
-    # u_3 = u_1 + dt/2 H phi_2, from [sin(u_1 flow) | u_1 | phi_2]
-    stage3 = np.hstack([np.zeros((nu, n_lines)), eye, dt / 2 * hg])
-    # u_4 = u_1 + dt H phi_3, from [phi_3 | sin(u_1 flow) | u_1]
-    stage4 = np.hstack([dt * hg, np.zeros((nu, n_lines)), eye])
-    # x + dt/6 G (phi_1 + 2 phi_2 + 2 phi_3 + phi_4), from the whole buffer
-    final = np.zeros((n, p4 + nu))
-    final[:, :n] = np.eye(n)
-    final[:, p3:s1] = dt / 3 * g
-    final[:, s1:u1] = dt / 6 * spread
-    final[:, u1:u1 + n] = dt / 6 * np.eye(n)
-    final[:, p2:p4] = dt / 3 * g
-    final[:, p4:] = dt / 6 * g
-
-    bufs = np.zeros((2, p4 + nu))
-    bufs[:, n] = 1.0
-    bufs[0, :n] = x0
-
-    def views(b, out):
-        """The slices one RK4 step reads and writes, from buffer b into
-        out, in the order advance() unpacks them."""
-        u, phi2, phi3, phi4 = b[u1:p2], b[p2:p4], b[p3:s1], b[p4:]
-        return (b[:p3], u, u[n:], b[s1:u1], b[s1:p2], phi2, phi2[n:],
-                b[s1:p4], phi3, phi3[n:], b[p3:p2], phi4, phi4[n:], b, out)
-
-    turns = (views(bufs[0], bufs[1, :n]), views(bufs[1], bufs[0, :n]))
-    turn = 0  # the buffer that holds the state
-    sin = np.sin
-    m_dot, dot2, dot3, dot4, final_dot = (m.dot, stage2.dot, stage3.dot,
-                                          stage4.dot, final.dot)
+    z = np.zeros(ends[4])
+    z[n] = 1.0
+    x = z[:n]
+    x[:] = x0
+    s1, s2, s3, s4 = (z[start:end] for start, end in zip(ends, ends[1:]))
+    np.sin(incidence @ x, s1)
+    into2, into3, into4 = (z[:end] for end in ends[1:4])
+    scratch = np.empty(n + n_lines)
+    step, args = scratch[:n], scratch[n:]
+    sin, add = np.sin, np.add
+    dot2, dot3, dot4, final_dot = (mat.dot for mat in mats)
 
     def advance(count):
-        nonlocal turn
         # positional out arguments: the keyword form costs as much again
         for _ in range(count):
-            (z, u, flow1, s, into2, phi2, flow2, into3, phi3, flow3, into4,
-             phi4, flow4, b, out) = turns[turn]
-            m_dot(z, u)
-            sin(flow1, s)
-            dot2(into2, phi2)
-            sin(flow2, flow2)
-            dot3(into3, phi3)
-            sin(flow3, flow3)
-            dot4(into4, phi4)
-            sin(flow4, flow4)
-            final_dot(b, out)
-            turn ^= 1
-        return bufs[turn, :n]
+            dot2(into2, s2)
+            sin(s2, s2)
+            dot3(into3, s3)
+            sin(s3, s3)
+            dot4(into4, s4)
+            sin(s4, s4)
+            final_dot(z, scratch)
+            add(x, step, x)
+            sin(args, s1)
+        return x
 
     def load_on():
-        m[:n, n] = load
+        for mat, column in zip(mats, loaded):
+            mat[:, n] = column
 
     return advance, load_on
 

@@ -95,6 +95,20 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="is not a number"):
             parse_scenario_text(broken)
 
+    @pytest.mark.parametrize("old, new, fault", [
+        # int and float alone would read these as 20.0, 10, 0.5 and 1
+        ("susceptance=2.0", "susceptance=2_0.0",
+         "line 7: field 'susceptance' is not a number: '2_0.0'"),
+        ("id=1", "id=1_0", "line 4: field 'id' is not an integer: '1_0'"),
+        ("tau=0.5", "tau=\uff10.5",
+         "line 10: field 'tau' is not a number: '\uff10.5'"),
+        ("bus=1 delta", "bus=\u0661 delta",
+         "line 19: field 'bus' is not an integer: '\u0661'"),
+    ])
+    def test_numbers_are_plain_ascii(self, old, new, fault):
+        with pytest.raises(ScenarioError, match=f"^{re.escape(fault)}$"):
+            parse_scenario_text(MINIMAL.replace(old, new))
+
     @pytest.mark.parametrize("old, new, where", [
         ("cost=1.0", "cost=inf", "line 13: field 'cost'"),
         ("tau=0.5", "tau=nan", "line 10: field 'tau'"),
@@ -460,7 +474,9 @@ class TestApplyParam:
         for path in ("disturbance.9.delta", "buses.9.damping",
                      "lines.-1.susceptance", "buses.2.kind", "buses.0.id",
                      "disturbance.x.delta", "buses.2.inertia",
-                     "controllers.0.q", "comm.1.weight"):
+                     "controllers.0.q", "comm.1.weight",
+                     # decimal digits, but not ASCII ones
+                     "controllers.\u0661.k_d", "buses.\uff12.damping"):
             with pytest.raises(ScenarioError,
                                match=f"^cannot apply parameter path {path!r}: "):
                 apply_param(two_gen_scenario, path, 1.0)
@@ -1008,6 +1024,10 @@ class TestMain:
          "error: --values: 'inf' is not finite"),
         (["sweep", "--param", "controllers.1.k_d", "--values", "0.6,abc"],
          "error: --values: 'abc' is not a number"),
+        (["sweep", "--param", "controllers.1.k_d", "--values", "0.6,0_5"],
+         "error: --values: '0_5' is not a number"),
+        (["sweep", "--param", "controllers.1.k_d", "--values", "0.6,\u0660.5"],
+         "error: --values: '\u0660.5' is not a number"),
     ])
     def test_non_finite_option_is_exit_2(self, args, message, tmp_path, capsys):
         argv = args[:1] + [str(fixture_path("two_gen.scn"))] + args[1:]
@@ -1016,6 +1036,17 @@ class TestMain:
             assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", message + "\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", ["--dt", "--t-end"])
+    def test_underscored_timing_flag_is_exit_2(self, flag, tmp_path, capsys):
+        # float alone reads '0_01' as 1.0
+        with pytest.raises(SystemExit) as exit_:
+            main(["simulate", str(fixture_path("two_gen.scn")), flag, "0_01",
+                  "--out", str(tmp_path / "out")])
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument {flag}: invalid float value: '0_01'\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("old, new", [("cost=2.0", "cost=inf"),
