@@ -34,16 +34,18 @@ and one add; it runs loops up to DENSE_ENTRIES matrix entries (the
 shipped fixtures and every pack of two or more).  The sparse one
 evaluates the slope four times with a gather and a bincount over the
 nonzeros; it runs larger networks, whose matrices are almost all zeros.
-Around 1.5e5 entries the two cost the same, about 40 us per step.
+Around 1.2e5 entries the two cost the same, about 20 us per step.
 
 A run stays on one core.  The series derived from the recorded states
 (bus frequencies, p_m, the Lyapunov value, the transient angle peak) are
 summed over the nonzeros of the matrices they read, because a dense
 product over all samples wakes the BLAS thread pool, which then spins on
-a second core for a while after the call returns.  The equilibrium's
-Newton steps solve by conjugate gradients from the line ends
-(_solve_laplacian) for the same reason: LAPACK's solvers wake that pool
-from about 100 buses.
+a second core for a while after the call returns.  The dense kernel
+builds its matrices from the nonzeros of J and E too, and steps by
+matrix-vector products, which OpenBLAS runs on one thread.  The
+equilibrium's Newton steps solve by conjugate gradients from the line
+ends (_solve_laplacian) for the same reason: LAPACK's solvers wake that
+pool from about 100 buses.
 """
 
 from __future__ import annotations
@@ -324,50 +326,50 @@ def integrate(scn: Scenario, *, initial_state: Optional[np.ndarray] = None
 #: one runs on the sparse kernel.  A dense step costs nine numpy calls
 #: whatever the loop's size, until its products outgrow the per-call
 #: overhead and then the cache: the matrices grow as the square of the
-#: loop, while the sparse step grows with its nonzeros.  Per RK4 step on
-#: unions of fixture copies (medians of 15 interleaved rounds of 2 000
-#: steps, two runs, 2 CPUs, python 3.11, numpy 2.4), dense against
-#: sparse: 18 two_gen copies (125 766 entries) 33.1-33.8 against
-#: 39.1-40.4 us, 6 ring9 copies (135 870) 35.8-36.0 against 38.6-39.0,
-#: 20 two_gen copies (155 220) 39.5-40.4 against 39.6-40.2, 7 ring9
-#: copies (184 856) 49.4-49.8 against 40.9-41.2.  The limit sits just
-#: below that crossover.
-DENSE_ENTRIES = 140_000
+#: loop, while the sparse step grows with its nonzeros.  Per RK4 step
+#: (medians of 15 interleaved rounds of 2 000 steps, two runs, 2 CPUs,
+#: python 3.11, numpy 2.4, every timed block at 1.00 CPU s per wall s),
+#: dense against sparse: 17 two_gen copies (112 200 entries) 18.6-21.8
+#: against 20.4-22.9 us, a 56-bus mesh (119 210) 19.4-22.2 against
+#: 18.6-21.9, 18 two_gen copies (125 766) 23.2-24.0 against 22.5-24.5,
+#: 6 ring9 copies (135 870) 24.4-27.2 against 21.1-26.1, 7 ring9 copies
+#: (184 856) 32.8-37.9 against 23.8-24.4.  The limit sits just below
+#: that crossover.
+DENSE_ENTRIES = 115_000
 
 #: Largest union, in kernel entries, that packs() forms from two or more
-#: scenarios.  Up to about 1.5e4 entries the dense step stays within 1.5
-#: times a lone two_gen's, so a member costs less the more members share
-#: a step; beyond that the step grows about as fast as its members, and
-#: from about 6e4 entries, with the square of the union.  Per RK4 step of
-#: a dense union of fixture copies (medians of 15 interleaved rounds of
-#: 2 000 steps, two runs, 2 CPUs, python 3.11, numpy 2.4), in us per step
-#: and per member:
+#: scenarios.  A member costs less the more members share a step, down
+#: to about 1 us at 7 or 8 two_gen members; beyond that the step grows
+#: about as fast as its members, and from about 6e4 entries faster.  Per
+#: RK4 step of a dense union of fixture copies (medians of 15 interleaved
+#: rounds of 2 000 steps, two runs, one BLAS thread, 2 CPUs, python 3.11,
+#: numpy 2.4), in us per step and per member:
 #:
 #:   two_gen  members  entries   per step     per member
-#:            1            408    7.4-7.5     7.4-7.5
-#:            2          1 590    7.8-7.9     3.9-4.0
-#:            4          6 276    9.0-9.3     2.2-2.3
-#:            5          9 780    9.8-10.1    2.0
-#:            6         14 058   10.8-11.3    1.8-1.9
-#:            7         19 110   11.7-12.0    1.7
-#:            8         24 936   13.0-13.1    1.6
-#:           10         38 910   15.4-16.0    1.5-1.6
-#:           12         55 980   18.2-19.4    1.5-1.6
-#:           16         99 408   27.4-28.0    1.7-1.8
-#:   ring9    1          3 830    7.9-8.5     7.9-8.5
-#:            2         15 186   11.2-11.3    5.6-5.7
-#:            3         34 068   12.7-14.4    4.2-4.8
-#:            4         60 476   19.7         4.9
+#:            1            408    3.4-4.7     3.4-4.7
+#:            2          1 590    3.7-4.6     1.8-2.3
+#:            4          6 276    4.5-4.8     1.1-1.2
+#:            5          9 780    5.2-5.7     1.0-1.1
+#:            6         14 058    6.0-6.5     1.0-1.1
+#:            7         19 110    6.4-7.1     0.9-1.0
+#:            8         24 936    7.3-7.9     0.9-1.0
+#:           10         38 910    9.9-11.7    1.0-1.2
+#:           12         55 980   12.7-13.0    1.1
+#:           16         99 408   18.2-19.3    1.1-1.2
+#:   ring9    1          3 830    4.4-5.4     4.4-5.4
+#:            2         15 186    6.5-6.6     3.3
+#:            3         34 068    9.1-10.0    3.0-3.3
+#:            4         60 476   13.0-15.3    3.3-3.8
 #:
 #: 2**14 holds up to 6 two_gen members or 2 ring9 members, as the
 #: previous step's budget did, so sweeps pack as before, and the smaller
 #: packs of a sweep run side by side in its pool (cli.run_sweep): eight
-#: two_gen values are two packs of four, 9.0-9.3 us per step each on two
-#: CPUs, against 13.0-13.1 us as one pack of eight.  Per member, the
-#: cost is least at about 10 two_gen or 3 ring9 members; a budget there
-#: would save CPU time on one CPU but make those eight values one pack.
-#: It stays within DENSE_ENTRIES, so a pack never lands on the sparse
-#: kernel.
+#: two_gen values are two packs of four, 4.5-4.8 us per step each on two
+#: CPUs, against 7.3-7.9 us as one pack of eight.  Per member, the cost
+#: is least at about 7 or 8 two_gen or 2 or 3 ring9 members; a budget
+#: there would save CPU time on one CPU but make those eight values one
+#: pack.  It stays within DENSE_ENTRIES, so a pack never lands on the
+#: sparse kernel.
 PACK_ENTRIES = 2 ** 14
 
 
@@ -442,36 +444,46 @@ def _dense_kernel(jac, load, incidence, spread, dt: float, x0: np.ndarray):
     arguments E (Y_1 + D); the state takes the increment with one add,
     so x's own coefficient is exactly 1 and an equilibrium stays put to
     within the rounding of its increment, and one sine of the arguments
-    gives the next step's s_1.  Only the constant column of the four
-    matrices depends on c: it stays zero until load_on().
+    gives the next step's s_1.  The 1 slot is the load switch: c enters
+    the four matrices only through its column, which is linear in c, so
+    the slot holds 0 until load_on() sets it to 1.
+
+    The products with J and E that build the matrices are summed over
+    their nonzeros (E y as y[from] - y[to]), not taken by BLAS: a matrix
+    product of this size wakes the BLAS thread pool, which then spins on
+    a second core through the first steps.  The step's own products are
+    matrix-vector products, which OpenBLAS keeps on one thread.
     """
     n_lines, n = incidence.shape
     # buffer offsets: s_i starts at ends[i - 1] and ends at ends[i]
     ends = [n + 1 + i * n_lines for i in range(5)]
+    # J's nonzeros come row by row: each row with any is one reduceat run
+    rows, cols = np.nonzero(jac)
+    terms = jac[rows, cols][:, None]
+    present, starts = np.unique(rows, return_index=True)
+    frm, to = incidence.argmax(axis=1), incidence.argmin(axis=1)
     first = np.eye(n, ends[4])  # Y_1
     y, increment, stages = first, np.zeros_like(first), []
     for i, (a, weight) in enumerate(((dt / 2, 1.0), (dt / 2, 2.0),
                                      (dt, 2.0), (None, 1.0))):
-        k = jac @ y  # K_{i+1}
+        # K_{i+1}, where Y_{i+1} reads z only up to s_i
+        k = np.zeros_like(first)
+        k[present, :ends[i]] = np.add.reduceat(terms * y[cols, :ends[i]], starts)
         k[:, n] += load
         k[:, ends[i]:ends[i + 1]] += spread
         increment += weight * k
         if a is not None:
             y = first + a * k
-            stages.append(incidence @ y[:, :ends[i + 1]])
+            stages.append(y[frm, :ends[i + 1]] - y[to, :ends[i + 1]])
     increment *= dt / 6
-    final = np.vstack([increment, incidence @ (first + increment)])
-    mats = stages + [final]
-    loaded = [mat[:, n].copy() for mat in mats]
-    for mat in mats:
-        mat[:, n] = 0.0
+    y = first + increment
+    mats = stages + [np.vstack([increment, y[frm] - y[to]])]
 
     z = np.zeros(ends[4])
-    z[n] = 1.0
     x = z[:n]
     x[:] = x0
     s1, s2, s3, s4 = (z[start:end] for start, end in zip(ends, ends[1:]))
-    np.sin(incidence @ x, s1)
+    np.sin(x[frm] - x[to], s1)
     into2, into3, into4 = (z[:end] for end in ends[1:4])
     scratch = np.empty(n + n_lines)
     step, args = scratch[:n], scratch[n:]
@@ -493,8 +505,7 @@ def _dense_kernel(jac, load, incidence, spread, dt: float, x0: np.ndarray):
         return x
 
     def load_on():
-        for mat, column in zip(mats, loaded):
-            mat[:, n] = column
+        z[n] = 1.0
 
     return advance, load_on
 

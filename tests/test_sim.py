@@ -1,7 +1,9 @@
 import dataclasses
 import math
+import resource
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -394,12 +396,32 @@ class TestDenseKernel:
         # the state takes each step's increment with one add, so x's own
         # coefficient is exactly 1: at the equilibrium the increment is
         # rounding noise below half an ulp of most slots, and the state
-        # stays within 1e-16 of x* over 40 000 steps
+        # stays within a few ulps of x* over 40 000 steps (a kernel that
+        # rounds x's coefficient drifts by about 20)
         scn = dataclasses.replace(two_gen_scenario, disturbance_time=0.0,
                                   t_end=40.0)
         start = equilibrium_system_state(scn, compute_equilibrium(scn))
         traj = integrate(scn, initial_state=start)
-        assert np.max(np.abs(traj.states - start)) <= 1e-16
+        ulp = np.spacing(np.max(np.abs(start)))
+        assert np.max(np.abs(traj.states - start)) <= 4 * ulp
+
+    def test_mid_size_run_stays_on_one_core(self):
+        # a lone 50-bus mesh runs on the dense kernel; had its matrices
+        # been built by BLAS products, the BLAS thread pool would spin on a
+        # second core through the first 0.14 s of the run
+        scn = dataclasses.replace(
+            ring_with_chords(5, buses=50, generators=12, chords=12), dt=0.001)
+        assert _kernel_size([scn]) <= sim.DENSE_ENTRIES  # 92 876 entries
+        time.sleep(0.2)  # until a pool an earlier test woke is idle
+
+        def cpu_s():
+            usage = resource.getrusage(resource.RUSAGE_SELF)
+            return usage.ru_utime + usage.ru_stime
+
+        cpu, wall = cpu_s(), time.perf_counter()
+        integrate(scn)
+        cpu, wall = cpu_s() - cpu, time.perf_counter() - wall
+        assert cpu <= 1.1 * wall
 
 
 def _advance_calls(kernel, scn, monkeypatch):
@@ -407,13 +429,26 @@ def _advance_calls(kernel, scn, monkeypatch):
     kernel makes on scn's closed loop.  Kernels bind numpy's callables
     when they are built, so the counting wrappers go in before the build."""
     calls = []
+
+    class Counted:
+        """f, counting its calls, with f's own methods (a ufunc's reduceat)."""
+
+        def __init__(self, f):
+            self.f = f
+
+        def __call__(self, *args, **kwargs):
+            calls.append(self.f.__name__)
+            return self.f(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self.f, name)
+
     # ufuncs and numpy's C functions behind array-function dispatch, which
     # the profiler below does not see
     counted = (np.ufunc, type(np.copyto))
     for name, f in list(vars(np).items()):
         if isinstance(f, counted):
-            monkeypatch.setattr(np, name, lambda *a, f=f, **k:
-                                calls.append(f.__name__) or f(*a, **k))
+            monkeypatch.setattr(np, name, Counted(f))
     loop = assemble(scn)
     advance, load_on = kernel(loop.jac, loop.load, loop.incidence, loop.spread,
                               0.01, np.full(loop.layout.size, 0.1))
