@@ -23,6 +23,7 @@ is bitwise what numpy.linalg.eigvalsh gives.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -46,6 +47,16 @@ TOL_PD_PER_DIM = 1e-12
 #: Default relative shave applied to the bus damping when picking
 #: lambda_hat inside the search: lambda_hat = Lambda * (1 - LAMBDA_SHAVE).
 LAMBDA_SHAVE = 1e-3
+
+
+@functools.lru_cache(maxsize=None)
+def _upper(dim: int) -> Tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(dim), made once per dimension; read-only, since
+    every SymmetricMatrix of that dimension shares them."""
+    upper = np.triu_indices(dim)
+    for index in upper:
+        index.flags.writeable = False
+    return upper
 
 
 @dataclass(frozen=True)
@@ -88,7 +99,7 @@ class SymmetricMatrix:
         a = np.asarray(rows, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("rows must form a square matrix")
-        return cls(dim=len(a), entries=tuple(a[np.triu_indices(len(a))].tolist()))
+        return cls(dim=len(a), entries=tuple(a[_upper(len(a))].tolist()))
 
     @classmethod
     def diagonal(cls, values: Sequence[float]) -> "SymmetricMatrix":
@@ -99,7 +110,7 @@ class SymmetricMatrix:
 
     def to_array(self) -> np.ndarray:
         a = np.zeros((self.dim, self.dim))
-        upper = np.triu_indices(self.dim)
+        upper = _upper(self.dim)
         a[upper] = self.entries
         a.T[upper] = self.entries
         return a

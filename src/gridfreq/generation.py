@@ -9,7 +9,7 @@ are built here with their DC gain forced to a requested value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple
 
 import numpy as np
@@ -33,6 +33,8 @@ class LtiGenerator:
         c_vector: length-n output row.
         d_scalar: direct feedthrough.
         order: n.
+        dc_gain: -C A^{-1} B + D, solved once when the block is made (a
+            Hurwitz A is invertible); derived, so out of repr and ==.
     """
 
     a_matrix: Tuple[Tuple[float, ...], ...]
@@ -40,6 +42,7 @@ class LtiGenerator:
     c_vector: Tuple[float, ...]
     d_scalar: float
     order: int
+    dc_gain: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.order
@@ -54,6 +57,10 @@ class LtiGenerator:
             raise ValueError("generator block entries must be finite")
         if not is_hurwitz([list(r) for r in self.a_matrix]):
             raise ValueError("a_matrix must be Hurwitz")
+        a, b, c = (np.array(v, dtype=float)
+                   for v in (self.a_matrix, self.b_vector, self.c_vector))
+        object.__setattr__(self, "dc_gain",
+                           float(-c @ np.linalg.solve(a, b) + self.d_scalar))
 
 
 def _as_square(a_matrix) -> np.ndarray:
@@ -76,15 +83,9 @@ def is_hurwitz(a_matrix) -> bool:
 
 
 def dc_gain(gen: LtiGenerator) -> float:
-    """Steady-state output per unit of constant input: -C A^{-1} B + D."""
-    a = np.array(gen.a_matrix, dtype=float)
-    b = np.array(gen.b_vector, dtype=float)
-    c = np.array(gen.c_vector, dtype=float)
-    try:
-        x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("a_matrix is singular; block is not Hurwitz") from exc
-    return float(-c @ x + gen.d_scalar)
+    """Steady-state output per unit of constant input: -C A^{-1} B + D,
+    which the block solved for once, when it was made."""
+    return gen.dc_gain
 
 
 def equilibrium_state(gen: LtiGenerator, u: float) -> Tuple[float, ...]:

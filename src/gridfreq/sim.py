@@ -26,15 +26,18 @@ unions, each within PACK_ENTRIES and of balanced member counts, so that
 the packs of one sweep run side by side on the CPUs a sweep's pool has.
 A step runs on one of two kernels, chosen by the union's size alone, and
 advances a block of steps per call: one call runs from the load step or
-a recorded sample to the next.  The dense one writes every RK4 stage as
-linear in x, the constant 1 and the stages' line sines, so a step is
-three products of L rows for the stage line arguments, one product for
-the state's increment and the next step's line arguments, four sines
-and one add; it runs loops up to DENSE_ENTRIES matrix entries (the
-shipped fixtures and every pack of two or more).  The sparse one
-evaluates the slope four times with a gather and a bincount over the
-nonzeros; it runs larger networks, whose matrices are almost all zeros.
-Around 1.2e5 entries the two cost the same, about 20 us per step.
+a recorded sample to the next.  A run from the all-zero rest state starts
+the kernel at the load step: with the load off, every earlier step leaves
+x at exactly +0.0, so those steps are skipped, not approximated.  The
+dense kernel writes every RK4 stage as linear in x, the constant 1 and
+the stages' line sines, so a step is three products of L rows for the
+stage line arguments, one product for the state's increment and the next
+step's line arguments, four sines and one add; it runs loops up to
+DENSE_ENTRIES matrix entries (the shipped fixtures and every pack of two
+or more).  The sparse one evaluates the slope four times with a gather
+and a bincount over the nonzeros; it runs larger networks, whose
+matrices are almost all zeros.  Around 1.2e5 entries the two cost the
+same, about 20 us per step.
 
 A run stays on one core.  The series derived from the recorded states
 (bus frequencies, p_m, the Lyapunov value, the transient angle peak) are
@@ -608,8 +611,13 @@ def integrate_many(scns: Sequence[Scenario], *,
     The union is stacked densely, so one above the budget is held dense
     while the sparse kernel reads its nonzeros; packs() never forms one.
     A non-finite sample raises ArithmeticError; in a union it may have
-    spread to every member.
+    spread to every member.  From the all-zero rest state (every start
+    +0.0) the kernel starts at the load step, and the samples before it
+    are the rest state: bitwise what stepping there from t = 0 gives.
+    No scenarios, no trajectories.
     """
+    if not scns:
+        return []
     scn = scns[0]
     if any(_grid(s) != _grid(scn) for s in scns):
         raise ValueError("integrate_many needs one time grid: dt, t_end, "
@@ -641,18 +649,22 @@ def integrate_many(scns: Sequence[Scenario], *,
             own[0] = x0
     advance, load_on = kernel(jac, load, incidence, spread, dt, states[0])
 
-    done, j = 0, 1
+    # each product and sine of +0.0 is +0.0, so from there the kernel
+    # starts at the load step; a -0.0 start is not at rest, since its first
+    # step turns it into +0.0
+    rest = not (states[0].any() or np.signbit(states[0]).any())
+    done, j = (load_step if rest else 0), 1
     # a diverging state runs to inf/nan: the run stops at the first such
     # sample, and the check after the loop names it
     with np.errstate(over="ignore", invalid="ignore"):
         for stop in sorted({load_step, *recorded[1:]}):
-            x = advance(stop - done)
-            done = stop
-            if done == load_step:
+            x = advance(max(stop - done, 0))
+            done = max(stop, done)
+            if stop == load_step:
                 load_on()
             # a run of no steps stops only at the load step, and records
             # nothing after its start
-            if j < len(recorded) and done == recorded[j]:
+            if j < len(recorded) and stop == recorded[j]:
                 states[j] = x
                 j += 1
                 if not np.isfinite(x).all():
@@ -843,17 +855,26 @@ def lyapunov_value(scn: Scenario, certs: Mapping[int, Certificate],
     is a scalar) or a (samples, states) array (one value per sample).
     """
     lay = state_layout(scn)
-    weights = np.zeros((lay.size, lay.size))
+    # the weights' nonzeros as (row, col, value) triplets, generator by
+    # generator: M at the frequency, P's nonzeros on the block's states and
+    # gamma at the command (M and gamma are positive by construction)
+    rows, cols, vals = [], [], []
     for i, g in enumerate(lay.gen_ids):
         if g not in certs:
             raise ValueError(f"missing certificate for generator bus {g}")
         om, pc, xs = lay.omega.start + i, lay.pc.start + i, lay.x[i]
-        weights[om, om] = scn.network.bus(g).inertia
-        weights[xs, xs] = certs[g].p_matrix.to_array()
-        weights[pc, pc] = scn.controllers[g].gamma
-    # sums over the weights' nonzeros and the line ends, not dense
+        p = certs[g].p_matrix.to_array()
+        p_rows, p_cols = np.nonzero(p)
+        rows += [om, pc, *(xs.start + p_rows).tolist()]
+        cols += [om, pc, *(xs.start + p_cols).tolist()]
+        vals += [scn.network.bus(g).inertia, scn.controllers[g].gamma,
+                 *p[p_rows, p_cols].tolist()]
+    # summed row by row, column by column, an order that fixes the sum's
+    # rounding; sums over the nonzeros and the line ends, not dense
     # products, which would wake the BLAS thread pool on a sample series
-    rows, cols = np.nonzero(weights)
+    rows, cols, vals = np.array(rows), np.array(cols), np.array(vals)
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
     frm, to, b = _line_ends(scn.network)
     x_star = equilibrium_system_state(scn, eq)
     d = state - x_star
@@ -863,7 +884,7 @@ def lyapunov_value(scn: Scenario, certs: Mapping[int, Certificate],
     # rounding cannot leave a first-order term behind when delta is tiny
     potential = (2.0 * np.sin(eta_s + delta / 2.0) * np.sin(delta / 2.0)
                  - np.sin(eta_s) * delta) * b
-    return (0.5 * np.sum(d[..., rows] * weights[rows, cols] * d[..., cols], axis=-1)
+    return (0.5 * np.sum(d[..., rows] * vals * d[..., cols], axis=-1)
             + np.sum(potential, axis=-1))
 
 

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import re
 import shlex
+import sys
 import textwrap
 import warnings
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gridfreq import certify, cli, sim
+from gridfreq import certify, cli, generation, sim
 from gridfreq.cli import (MARGINAL_TOL, RunFlags, ScenarioError, apply_param,
                           emit_plots, load_scenario, main, parse_scenario_text,
                           run, run_sweep, serialize_scenario,
@@ -429,6 +430,28 @@ class TestRun:
         assert eq_args[0] is scn
         assert scn.name == two_gen_scenario.name
         assert f"nu = {eq.nu!r}" in report.report_text
+
+
+def test_mesh_run_repeats_no_per_generator_constant(tmp_path, monkeypatch):
+    # each generator's DC gain is solved when its block is made, and the
+    # packed-triangle indices once per dimension: a --optimal-gains run of
+    # a 200-bus mesh solves only for the generator blocks' rest states
+    scn = ring_with_chords(7, buses=200, generators=50, chords=60)
+    triangles, solvers = [], []
+
+    def triu_indices(n, *args, real=np.triu_indices):
+        triangles.append(n)
+        return real(n, *args)
+
+    def solve(a, b, real=np.linalg.solve):
+        solvers.append(sys._getframe(1).f_code)
+        return real(a, b)
+
+    monkeypatch.setattr(np, "triu_indices", triu_indices)
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    assert run(scn, RunFlags(optimal_gains=True, out_dir=str(tmp_path))).outputs
+    assert len(triangles) == len(set(triangles))
+    assert solvers == [generation.equilibrium_state.__code__] * 50
 
 
 class TestApplyParam:

@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -98,6 +101,28 @@ def test_dc_gain_examples():
                        b_vector=(1.0, 1.0), c_vector=(1.0, 1.0),
                        d_scalar=0.0, order=2)
     assert dc_gain(gen) == pytest.approx(1.5)
+
+
+def test_dc_gain_is_solved_once_when_the_block_is_made(monkeypatch):
+    gen = LtiGenerator(a_matrix=((-2.0, 0.5), (0.3, -1.0)),
+                       b_vector=(1.0, 0.2), c_vector=(0.4, 1.0),
+                       d_scalar=0.1, order=2)
+    a, b, c = (np.array(v) for v in (gen.a_matrix, gen.b_vector, gen.c_vector))
+    assert gen.dc_gain == float(-c @ np.linalg.solve(a, b) + 0.1)
+    # a derived value: out of repr and ==, and kept by pickle and replace
+    assert "dc_gain" not in repr(gen)
+    twin = dataclasses.replace(gen)
+    assert twin == gen and hash(twin) == hash(gen)
+    assert twin.dc_gain == pickle.loads(pickle.dumps(gen)).dc_gain == gen.dc_gain
+    with pytest.raises(TypeError):
+        LtiGenerator(a_matrix=((-1.0,),), b_vector=(1.0,), c_vector=(1.0,),
+                     d_scalar=0.0, order=1, dc_gain=2.0)
+
+    def no_solve(*args):
+        raise AssertionError("dc_gain solved again")
+
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    assert dc_gain(gen) == gen.dc_gain
 
 
 def test_equilibrium_state_reaches_dc_gain():

@@ -321,6 +321,10 @@ class TestIntegrateMany:
         with pytest.raises(ValueError, match="one time grid"):
             integrate_many([two_gen_scenario, other])
 
+    def test_no_scenarios_is_no_run(self):
+        # as packs([]) makes no pack
+        assert integrate_many([]) == []
+
 
 def _kernel_size(scns):
     return sim.kernel_entries(sum(state_layout(s).size for s in scns),
@@ -547,6 +551,91 @@ def test_blocks_of_steps_match_single_steps(case, request):
     blocks = integrate(scn, initial_state=x)
     steps = integrate(dataclasses.replace(scn, output_stride=1), initial_state=x)
     assert np.array_equal(blocks.states, steps.states[::7])
+
+
+def _rest_cases(request):
+    """two_gen and ring9 on the dense kernel and a 200-bus mesh on the
+    sparse one, each with its load step at t = 1 s, step 1 000 of 2 000
+    (the fixtures) or step 100 of 200 (the mesh)."""
+    return [
+        (dataclasses.replace(request.getfixturevalue("two_gen_scenario"),
+                             t_end=2.0), sim._dense_kernel, 1000),
+        (dataclasses.replace(request.getfixturevalue("ring9_scenario"),
+                             t_end=2.0), sim._dense_kernel, 1000),
+        (dataclasses.replace(ring_with_chords(7, buses=200, generators=50,
+                                              chords=60), t_end=2.0),
+         sim._sparse_kernel, 100)]
+
+
+def _every_step(scn, kernel, x0):
+    """The recorded states of the kernel driven one step at a time from
+    t = 0, the load switched on before step load_step as integrate does."""
+    loop = assemble(scn)
+    advance, load_on = kernel(loop.jac, loop.load, loop.incidence,
+                              loop.spread, scn.dt, x0)
+    load_step = next(k for k in range(scn.steps + 1)
+                     if k == scn.steps or loop.loaded(k * scn.dt))
+    states = [x0]
+    for k in range(scn.steps):
+        if k == load_step:
+            load_on()
+        x = advance(1)
+        if (k + 1) % scn.output_stride == 0 or k + 1 == scn.steps:
+            states.append(x.copy())
+    return np.array(states)
+
+
+def _counted_steps(monkeypatch):
+    """The step counts of every advance() call from here on."""
+    counts = []
+    for name in ("_dense_kernel", "_sparse_kernel"):
+        def counted(*args, real=getattr(sim, name)):
+            advance, load_on = real(*args)
+
+            def counting(count):
+                counts.append(count)
+                return advance(count)
+            return counting, load_on
+        monkeypatch.setattr(sim, name, counted)
+    return counts
+
+
+class TestRestPhase:
+    def test_kernels_are_the_expected_ones(self, request):
+        for scn, kernel, _ in _rest_cases(request):
+            dense = _kernel_size([scn]) <= sim.DENSE_ENTRIES
+            assert dense == (kernel is sim._dense_kernel), scn.name
+
+    def test_skipped_steps_change_no_state(self, request):
+        # the steps before the load step leave the rest state at exactly
+        # +0.0, so starting the kernel at the load step gives the same bits
+        for scn, kernel, _ in _rest_cases(request):
+            want = _every_step(scn, kernel, np.zeros(state_layout(scn).size))
+            assert np.array_equal(integrate(scn).states, want), scn.name
+
+    def test_rest_run_starts_at_the_load_step(self, request, monkeypatch):
+        counts = _counted_steps(monkeypatch)
+        for scn, _, load_step in _rest_cases(request):
+            counts.clear()
+            traj = integrate(scn)
+            assert sum(counts) == scn.steps - load_step, scn.name
+            # the samples up to the load step hold the rest state
+            rest = load_step // scn.output_stride + 1
+            assert not traj.states[:rest].any() and traj.states[rest].any()
+
+    def test_other_runs_step_from_t_0(self, request, monkeypatch):
+        # from a nonzero start, or with the load on from t = 0, every step runs
+        counts = _counted_steps(monkeypatch)
+        for scn, kernel, _ in _rest_cases(request):
+            x0 = np.zeros(state_layout(scn).size)
+            x0[0] = 1e-3
+            counts.clear()
+            traj = integrate(scn, initial_state=x0)
+            assert sum(counts) == scn.steps, scn.name
+            assert np.array_equal(traj.states, _every_step(scn, kernel, x0))
+            counts.clear()
+            integrate(dataclasses.replace(scn, disturbance_time=0.0))
+            assert sum(counts) == scn.steps, scn.name
 
 
 class TestPacks:
