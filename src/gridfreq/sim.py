@@ -14,41 +14,40 @@ closed loop is
 
 with J the linear part, c the step loads (zero before the disturbance
 time), E the line incidence and S each line's flow carried into the rows
-it drives.  assemble() builds these once per scenario; the integrator,
-the derived series, the equilibrium and the Lyapunov function all read
-them; the run, which holds the certificates, computes the Lyapunov
-series from a trajectory's states (lyapunov_value), not the integrator.
-Integration is classical fixed-step RK4.  Scenarios on one time grid can
-be integrated together (integrate_many): uncoupled loops side by side
-are one loop with block-diagonal J, E and S, which integrate_many stacks
-once and hands to a kernel; packs() cuts a sweep's scenarios into such
-unions, each within PACK_ENTRIES and of balanced member counts, so that
-the packs of one sweep run side by side on the CPUs a sweep's pool has.
-A step runs on one of two kernels, chosen by the union's size alone, and
-advances a block of steps per call: one call runs from the load step or
-a recorded sample to the next.  A run from the all-zero rest state starts
-the kernel at the load step: with the load off, every earlier step leaves
-x at exactly +0.0, so those steps are skipped, not approximated.  The
-dense kernel writes every RK4 stage as linear in x, the constant 1 and
-the stages' line sines, so a step is three products of L rows for the
-stage line arguments, one product for the state's increment and the next
-step's line arguments, four sines and one add; it runs loops up to
-DENSE_ENTRIES matrix entries (the shipped fixtures and every pack of two
-or more).  The sparse one evaluates the slope four times with a gather
-and a bincount over the nonzeros; it runs larger networks, whose
-matrices are almost all zeros.  Around 1.2e5 entries the two cost the
-same, about 20 us per step.
+it drives.  assemble() builds these once per scenario and is the only
+code that knows their form (ClosedLoop): J and p_m's rows as their
+nonzeros, E as each line's two ends and S as each line's two rows and
+values, so a loop grows with its nonzeros, not with the square of the
+network.  The run computes the Lyapunov series from a trajectory's
+states (lyapunov_value), not the integrator.  Integration is classical
+fixed-step RK4.  Scenarios on one time grid can be integrated together
+(integrate_many): uncoupled loops side by side are one loop (_union),
+each member's indices shifted past the members before it; packs() cuts
+a sweep's scenarios into such unions, each within PACK_ENTRIES and of
+balanced member counts, so that the packs of one sweep run side by side
+on the CPUs a sweep's pool has.  A step runs on one of two kernels,
+chosen by the union's size alone, and advances a block of steps per
+call: one call runs from the load step or a recorded sample to the next.
+A run from the all-zero rest state starts the kernel at the load step:
+with the load off, every earlier step leaves x at exactly +0.0, so those
+steps are skipped, not approximated.  The dense kernel writes every RK4
+stage as linear in x, the constant 1 and the stages' line sines, so a
+step is three products of L rows for the stage line arguments, one
+product for the state's increment and the next step's line arguments,
+four sines and one add; it runs loops up to DENSE_ENTRIES matrix entries
+(the shipped fixtures and every pack of two or more).  The sparse one
+evaluates the slope four times with a gather and a bincount over the
+nonzeros; it runs larger networks.  Around 1.2e5 entries the two cost
+the same, about 20 us per step.
 
-A run stays on one core.  The series derived from the recorded states
-(bus frequencies, p_m, the Lyapunov value, the transient angle peak) are
-summed over the nonzeros of the matrices they read, because a dense
-product over all samples wakes the BLAS thread pool, which then spins on
-a second core for a while after the call returns.  The dense kernel
-builds its matrices from the nonzeros of J and E too, and steps by
-matrix-vector products, which OpenBLAS runs on one thread.  The
-equilibrium's Newton steps solve by conjugate gradients from the line
-ends (_solve_laplacian) for the same reason: LAPACK's solvers wake that
-pool from about 100 buses.
+A run stays on one core.  The derived series (bus frequencies, p_m, the
+Lyapunov value, the transient angle peak) are summed over nonzeros and
+line ends, and the dense kernel builds its matrices from them, because a
+dense matrix product wakes the BLAS thread pool, which then spins on a
+second core after the call returns; the dense step's matrix-vector
+products run on one thread.  The equilibrium's Newton steps solve by
+conjugate gradients from the line ends (_solve_laplacian), since
+LAPACK's solvers wake that pool from about 100 buses.
 """
 
 from __future__ import annotations
@@ -175,36 +174,29 @@ def _line_ends(net: PowerNetwork) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.array([ln.susceptance for ln in net.lines]))
 
 
-def _lines(net: PowerNetwork, size: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Line incidence E (+1 at the from-bus angle, -1 at the to-bus angle,
-    over ``size`` state columns) and the line susceptances."""
-    frm, to, b = _line_ends(net)
-    rows = np.arange(len(net.lines))
-    e = np.zeros((len(net.lines), size))
-    e[rows, frm] = 1.0
-    e[rows, to] = -1.0
-    return e, b
-
-
 @dataclass(frozen=True, eq=False)
 class ClosedLoop:
-    """The closed loop x' = J x + c(t) + S sin(E x) of one scenario.
+    """The closed loop x' = J x + c(t) + S sin(E x) of one scenario (with
+    no layout, of a union of loops: _union), held as its nonzeros.
 
-    jac is J.  load is c once the step is on (c is zero before
-    load_time).  incidence is E.  spread is S: line l's flow
-    b_l sin((E x)_l) leaves its from-bus and enters its to-bus, in the
-    frequency row of a generator bus (divided by its inertia) or the
-    angle row of a load bus (divided by its damping).  pm_rows maps the
-    state to the generator outputs p_m.
+    jac is J and pm_rows the map from the state to the generator outputs
+    p_m, each as (rows, cols, values) in np.nonzero's row-major order.
+    load is c once the step is on (c is zero before load_time).  ends is
+    E as each line's from-bus and to-bus: (E x)_l = x[from_l] - x[to_l].
+    spread is S as (rows, values), each (2, lines): line l's flow
+    b_l sin((E x)_l) leaves its from-bus's row rows[0, l] with -b_l/d < 0
+    and enters its to-bus's row rows[1, l] with b_l/d > 0, the frequency
+    row of a generator bus (d its inertia) or the angle row of a load bus
+    (d its damping).
     """
 
-    layout: StateLayout
-    jac: np.ndarray
+    layout: Optional[StateLayout]
+    jac: Tuple[np.ndarray, np.ndarray, np.ndarray]
     load: np.ndarray
     load_time: float
-    incidence: np.ndarray
-    spread: np.ndarray
-    pm_rows: np.ndarray
+    ends: Tuple[np.ndarray, np.ndarray]
+    spread: Tuple[np.ndarray, np.ndarray]
+    pm_rows: Tuple[np.ndarray, np.ndarray, np.ndarray]
 
     def loaded(self, t):
         """Whether the step load is on at time t (a scalar or an array)."""
@@ -258,16 +250,17 @@ def assemble(scn: Scenario) -> ClosedLoop:
         jac[[a, b], [b, a]] += e.weight
         jac[[a, b], [a, b]] -= e.weight
     jac[lay.pc] /= gamma[:, None]
+    jac_at, pm_at = np.nonzero(jac), np.nonzero(pm_rows)
 
-    incidence, susceptance = _lines(net, n)
-    spread = np.zeros((n, len(net.lines)))
-    spread[flow_row] = -(incidence[:, :n_bus].T * susceptance) / divisor[:, None]
+    frm, to, b = _line_ends(net)
     load = np.zeros(n)
     for bus, delta in scn.step_loads.items():
         load[flow_row[bus]] = -delta / divisor[bus]
-    return ClosedLoop(layout=lay, jac=jac, load=load,
-                      load_time=scn.disturbance_time, incidence=incidence,
-                      spread=spread, pm_rows=pm_rows)
+    return ClosedLoop(layout=lay, jac=(*jac_at, jac[jac_at]), load=load,
+                      load_time=scn.disturbance_time, ends=(frm, to),
+                      spread=(np.array([flow_row[frm], flow_row[to]]),
+                              np.array([-b / divisor[frm], b / divisor[to]])),
+                      pm_rows=(*pm_at, pm_rows[pm_at]))
 
 
 @dataclass(frozen=True)
@@ -415,19 +408,31 @@ def packs(scns: Sequence[Scenario]) -> List[List[int]]:
             for pack in np.array_split(members, -(-len(members) // fit))]
 
 
-def _block_diag(blocks: Sequence[np.ndarray]) -> np.ndarray:
-    if len(blocks) == 1:
-        return blocks[0]
-    out = np.zeros((sum(b.shape[0] for b in blocks),
-                    sum(b.shape[1] for b in blocks)))
-    r = c = 0
-    for b in blocks:
-        out[r:r + b.shape[0], c:c + b.shape[1]] = b
-        r, c = r + b.shape[0], c + b.shape[1]
-    return out
+def _union(loops: Sequence[ClosedLoop]) -> ClosedLoop:
+    """Uncoupled closed loops side by side as one, with no layout: each
+    member's state indices shifted by its first state (p_m's rows by its
+    first generator), then the members' arrays joined, which keeps J's
+    nonzeros row by row.  A lone loop is its own union."""
+    if len(loops) == 1:
+        return loops[0]
+    states = np.cumsum([0] + [len(loop.load) for loop in loops])
+    gens = np.cumsum([0] + [len(loop.layout.gen_ids) for loop in loops])
+    # each field's arrays, and the offsets each takes (None for values)
+    shifts = {"jac": (states, states, None), "ends": (states, states),
+              "spread": (states, None), "pm_rows": (gens, states, None)}
+
+    def joined(name):
+        members = zip(*(getattr(loop, name) for loop in loops))  # array by array
+        return tuple(np.concatenate([a if at is None else a + at[m]
+                                     for m, a in enumerate(arrays)], axis=-1)
+                     for arrays, at in zip(members, shifts[name]))
+
+    return ClosedLoop(layout=None, load=np.concatenate([loop.load for loop in loops]),
+                      load_time=loops[0].load_time,
+                      **{name: joined(name) for name in shifts})
 
 
-def _dense_kernel(jac, load, incidence, spread, dt: float, x0: np.ndarray):
+def _dense_kernel(loop: ClosedLoop, dt: float, x0: np.ndarray):
     """RK4 on the closed loop x' = J x + c + S sin(E x) as one fused step
     of four dense products, four sines and one add: advance(count) runs
     count steps of dt from where the last call left the state (x0 at
@@ -451,20 +456,18 @@ def _dense_kernel(jac, load, incidence, spread, dt: float, x0: np.ndarray):
     the four matrices only through its column, which is linear in c, so
     the slot holds 0 until load_on() sets it to 1.
 
-    The products with J and E that build the matrices are summed over
-    their nonzeros (E y as y[from] - y[to]), not taken by BLAS: a matrix
-    product of this size wakes the BLAS thread pool, which then spins on
-    a second core through the first steps.  The step's own products are
-    matrix-vector products, which OpenBLAS keeps on one thread.
+    The matrices are built from J's nonzeros and the line ends (E y as
+    y[from] - y[to]), not by BLAS matrix products, which would wake the
+    BLAS thread pool through the first steps.
     """
-    n_lines, n = incidence.shape
+    n, (frm, to), (flow_rows, flow_vals) = len(x0), loop.ends, loop.spread
+    n_lines = len(frm)
     # buffer offsets: s_i starts at ends[i - 1] and ends at ends[i]
     ends = [n + 1 + i * n_lines for i in range(5)]
     # J's nonzeros come row by row: each row with any is one reduceat run
-    rows, cols = np.nonzero(jac)
-    terms = jac[rows, cols][:, None]
+    rows, cols, vals = loop.jac
+    terms = vals[:, None]
     present, starts = np.unique(rows, return_index=True)
-    frm, to = incidence.argmax(axis=1), incidence.argmin(axis=1)
     first = np.eye(n, ends[4])  # Y_1
     y, increment, stages = first, np.zeros_like(first), []
     for i, (a, weight) in enumerate(((dt / 2, 1.0), (dt / 2, 2.0),
@@ -472,8 +475,8 @@ def _dense_kernel(jac, load, incidence, spread, dt: float, x0: np.ndarray):
         # K_{i+1}, where Y_{i+1} reads z only up to s_i
         k = np.zeros_like(first)
         k[present, :ends[i]] = np.add.reduceat(terms * y[cols, :ends[i]], starts)
-        k[:, n] += load
-        k[:, ends[i]:ends[i + 1]] += spread
+        k[:, n] += loop.load
+        k[flow_rows, ends[i] + np.arange(n_lines)] = flow_vals
         increment += weight * k
         if a is not None:
             y = first + a * k
@@ -513,9 +516,9 @@ def _dense_kernel(jac, load, incidence, spread, dt: float, x0: np.ndarray):
     return advance, load_on
 
 
-def _sparse_slope(jac, load, incidence, spread):
-    """The slope of the closed loop from the fixed nonzero pattern of J
-    and S: slope(x, out) writes x' into out, with one gather, E x as
+def _sparse_slope(loop: ClosedLoop):
+    """The slope of the closed loop from the nonzeros of J and S:
+    slope(x, out) writes x' into out, with one gather, E x as
     x[from] - x[to], one sine per line, one np.bincount that sums J x and
     S sin(E x) row by row, and c added to its result; load_on() switches
     the step load on.
@@ -524,17 +527,14 @@ def _sparse_slope(jac, load, incidence, spread):
     entries as [from-end rows | to-end rows] line by line, so the sines
     fill the first half and one copy fills the second.
     """
-    n_lines, n = incidence.shape
-    jac_rows, jac_cols = np.nonzero(jac)
-    # the from end's row holds -b/d and the to end's +b/d (b, d > 0)
-    rows = np.concatenate([jac_rows, spread.argmin(axis=0), spread.argmax(axis=0)])
-    vals = np.concatenate([jac[jac_rows, jac_cols], spread.min(axis=0),
-                           spread.max(axis=0)])
+    (jac_rows, jac_cols, jac_vals), (flow_rows, flow_vals) = loop.jac, loop.spread
+    n, n_lines = len(loop.load), flow_rows.shape[1]
+    rows = np.concatenate([jac_rows, *flow_rows])
+    vals = np.concatenate([jac_vals, *flow_vals])
     # buf is [x at each line's from-bus | x at its to-bus | J terms |
     # sines | their copy]: one take fills the first three parts from x,
     # and the last three are the weights that bincount sums
-    gather = np.concatenate([incidence.argmax(axis=1), incidence.argmin(axis=1),
-                             jac_cols])
+    gather = np.concatenate([*loop.ends, jac_cols])
     nj = len(jac_cols)
     buf = np.empty(len(gather) + 2 * n_lines)
     gathered, terms = buf[:len(gather)], buf[2 * n_lines:]
@@ -554,15 +554,15 @@ def _sparse_slope(jac, load, incidence, spread):
         add(bincount(rows, terms, n), c, out)
 
     def load_on():
-        c[:] = load
+        c[:] = loop.load
 
     return slope, load_on
 
 
-def _sparse_kernel(jac, load, incidence, spread, dt: float, x0: np.ndarray):
+def _sparse_kernel(loop: ClosedLoop, dt: float, x0: np.ndarray):
     """The same advance(count) and load switch as _dense_kernel, each step
     four evaluations of _sparse_slope."""
-    slope, load_on = _sparse_slope(jac, load, incidence, spread)
+    slope, load_on = _sparse_slope(loop)
     n = len(x0)
     # Row 0 of v is x and rows 1-4 the stage slopes, so each stage input,
     # and the step itself, is one product of RK4 weights with v.
@@ -598,18 +598,15 @@ def integrate_many(scns: Sequence[Scenario], *,
                    ) -> List[Trajectory]:
     """integrate() for several scenarios on one time grid, as one run.
 
-    Uncoupled closed loops taken together are one closed loop whose J, E
-    and S are block-diagonal and whose c is the concatenation, so one RK4
-    kernel advances them all with one numpy call per product.
+    Uncoupled closed loops taken together are one closed loop (_union),
+    so one RK4 kernel advances them all with one numpy call per product.
     initial_states holds one entry per scenario; like integrate(), it
-    computes no Lyapunov series.  A single scenario
-    runs on its own matrices and is bitwise what integrate() gives; in a
-    union the block products sum in another order, so a member may
-    differ from its lone run in the last digits.  The union runs on the
-    dense kernel while kernel_entries() stays within DENSE_ENTRIES and on
-    the sparse kernel above it; the two differ in the last digits too.
-    The union is stacked densely, so one above the budget is held dense
-    while the sparse kernel reads its nonzeros; packs() never forms one.
+    computes no Lyapunov series.  A single scenario runs on its own loop
+    and is bitwise what integrate() gives; in a union the block products
+    sum in another order, so a member may differ from its lone run in the
+    last digits.  The union runs on the dense kernel while
+    kernel_entries() stays within DENSE_ENTRIES and on the sparse kernel
+    above it; the two differ in the last digits too.
     A non-finite sample raises ArithmeticError; in a union it may have
     spread to every member.  From the all-zero rest state (every start
     +0.0) the kernel starts at the load step, and the samples before it
@@ -624,14 +621,9 @@ def integrate_many(scns: Sequence[Scenario], *,
                          "output_stride and disturbance_time must agree")
     loops = [assemble(s) for s in scns]
     initial_states = initial_states or [None] * len(scns)
-    jac = _block_diag([loop.jac for loop in loops])
-    load = np.concatenate([loop.load for loop in loops])
-    incidence = _block_diag([loop.incidence for loop in loops])
-    spread = _block_diag([loop.spread for loop in loops])
-    n_lines, n = incidence.shape
-    dt = scn.dt
-    nsteps = scn.steps
-    stride = scn.output_stride
+    union = _union(loops)
+    n = len(union.load)
+    dt, nsteps, stride = scn.dt, scn.steps, scn.output_stride
     recorded = list(range(0, nsteps + 1, stride))
     if recorded[-1] != nsteps:
         recorded.append(nsteps)
@@ -639,7 +631,7 @@ def integrate_many(scns: Sequence[Scenario], *,
     states = np.empty((len(recorded), n))
     load_step = int(np.searchsorted(loops[0].loaded(np.arange(nsteps) * dt), True))
 
-    kernel = (_dense_kernel if kernel_entries(n, n_lines) <= DENSE_ENTRIES
+    kernel = (_dense_kernel if kernel_entries(n, len(union.ends[0])) <= DENSE_ENTRIES
               else _sparse_kernel)
     members = np.split(states, np.cumsum([loop.layout.size for loop in loops])[:-1],
                        axis=1)
@@ -647,7 +639,7 @@ def integrate_many(scns: Sequence[Scenario], *,
     for own, x0 in zip(members, initial_states):
         if x0 is not None:
             own[0] = x0
-    advance, load_on = kernel(jac, load, incidence, spread, dt, states[0])
+    advance, load_on = kernel(union, dt, states[0])
 
     # each product and sine of +0.0 is +0.0, so from there the kernel
     # starts at the load step; a -0.0 start is not at rest, since its first
@@ -682,27 +674,33 @@ def integrate_many(scns: Sequence[Scenario], *,
 
     out = []
     for loop, s, own in zip(loops, scns, members):
-        lay = loop.layout
-        n_bus = lay.n_bus
+        lay, n_bus = loop.layout, loop.layout.n_bus
         p_m = _add_product(np.zeros((len(times), len(lay.gen_ids))),
                            loop.pm_rows, own)
-        # the bus rows of x' = J x + c + S sin(E x) are the bus frequencies
-        frm, to, _ = _line_ends(s.network)
+        # the bus rows of x' = J x + c + S sin(E x) are the bus frequencies:
+        # J's come first, and S's are summed row by row, line by line
+        (frm, to), (flow_rows, flow_vals) = loop.ends, loop.spread
         freqs = np.multiply.outer(loop.loaded(times), loop.load[:n_bus])
-        _add_product(freqs, loop.jac[:n_bus], own)
-        _add_product(freqs, loop.spread[:n_bus], np.sin(own[:, frm] - own[:, to]))
+        _add_product(freqs, [a[:np.searchsorted(loop.jac[0], n_bus)]
+                             for a in loop.jac], own)
+        rows, lines = flow_rows.ravel(), np.tile(np.arange(len(frm)), 2)
+        order = np.lexsort((lines, rows))
+        bus = order[rows[order] < n_bus]
+        _add_product(freqs, (rows[bus], lines[bus], flow_vals.ravel()[bus]),
+                     np.sin(own[:, frm] - own[:, to]))
         cost = np.array([s.controllers[g].q for g in lay.gen_ids])
         out.append(Trajectory(layout=lay, times=times, states=own, freqs=freqs,
                               p_m=p_m, marginal_cost=p_m * cost))
     return out
 
 
-def _add_product(out: np.ndarray, mat: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """out += x @ mat.T for the (samples, columns) array x, summed over
-    mat's nonzeros alone, and returns out.  A dense product of this size
-    wakes the BLAS thread pool, which then spins on a second core."""
-    rows, cols = np.nonzero(mat)
-    np.add.at(out, (slice(None), rows), x[:, cols] * mat[rows, cols])
+def _add_product(out: np.ndarray, mat, x: np.ndarray) -> np.ndarray:
+    """out += x @ M.T for the (samples, columns) array x and the matrix M
+    whose nonzeros mat holds as (rows, cols, values), summed in their
+    order, and returns out.  A dense product of this size wakes the BLAS
+    thread pool, which then spins on a second core."""
+    rows, cols, vals = mat
+    np.add.at(out, (slice(None), rows), x[:, cols] * vals)
     return out
 
 

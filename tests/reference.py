@@ -2,7 +2,8 @@
 
 The scalar ones stand apart from the closed loop that sim.assemble
 builds, so tests can check the program's matrices against them term by
-term.  The dense ones evaluate the closed loop's series as whole-matrix
+term.  The dense ones rebuild the closed loop's matrices from the
+nonzeros it holds (dense), evaluate its series as whole-matrix
 products, where the program sums over the nonzeros alone, and solve the
 equilibrium's Newton steps with np.linalg.solve, where the program runs
 conjugate gradients over the line ends.  The certificate ones are the
@@ -40,24 +41,53 @@ def output(gen, state, u):
     return acc
 
 
+def incidence(net, size):
+    """Line incidence E (+1 at the from-bus angle, -1 at the to-bus angle,
+    over ``size`` state columns) and the line susceptances."""
+    e = np.zeros((len(net.lines), size))
+    for row, ln in zip(e, net.lines):
+        row[ln.from_bus], row[ln.to_bus] = 1.0, -1.0
+    return e, np.array([ln.susceptance for ln in net.lines])
+
+
+def dense(loop):
+    """J, E, S and p_m's rows of a sim.ClosedLoop (or a union of loops) as
+    dense arrays, rebuilt from the nonzeros the loop holds."""
+    n = len(loop.load)
+    (frm, to), (flow_rows, flow_vals) = loop.ends, loop.spread
+    lines = np.arange(len(frm))
+    jac = np.zeros((n, n))
+    jac[loop.jac[:2]] = loop.jac[2]
+    e = np.zeros((len(frm), n))
+    e[lines, frm], e[lines, to] = 1.0, -1.0
+    s = np.zeros((n, len(frm)))
+    s[flow_rows, lines] = flow_vals
+    gens = (len(loop.layout.gen_ids) if loop.layout is not None
+            else int(loop.pm_rows[0].max(initial=-1)) + 1)
+    pm_rows = np.zeros((gens, n))
+    pm_rows[loop.pm_rows[:2]] = loop.pm_rows[2]
+    return jac, e, s, pm_rows
+
+
 def derivative(loop, x, t):
     """x' of a sim.ClosedLoop for one state at time t, or for a (samples,
     states) array at the sample times t."""
-    return (x @ loop.jac.T + np.multiply.outer(loop.loaded(t), loop.load)
-            + np.sin(x @ loop.incidence.T) @ loop.spread.T)
+    jac, e, s, _ = dense(loop)
+    return (x @ jac.T + np.multiply.outer(loop.loaded(t), loop.load)
+            + np.sin(x @ e.T) @ s.T)
 
 
 def series(scn, traj):
     """A trajectory's bus frequencies and generator outputs p_m."""
     loop = sim.assemble(scn)
     return (derivative(loop, traj.states, traj.times)[:, :loop.layout.n_bus],
-            traj.states @ loop.pm_rows.T)
+            traj.states @ dense(loop)[3].T)
 
 
 def angle_peak(scn, traj):
     """transient_angle_peak: the largest line angle difference over the
     samples, and the first time it occurs."""
-    e, _ = sim._lines(scn.network, traj.layout.n_bus)
+    e, _ = incidence(scn.network, traj.layout.n_bus)
     peak = np.max(np.abs(traj.states[:, :traj.layout.n_bus] @ e.T), axis=1,
                   initial=0.0)
     i = int(np.argmax(peak))
@@ -74,7 +104,7 @@ def lyapunov(scn, certs, eq, state):
         weights[om, om] = scn.network.bus(g).inertia
         weights[xs, xs] = certs[g].p_matrix.to_array()
         weights[pc, pc] = scn.controllers[g].gamma
-    e, b = sim._lines(scn.network, lay.size)
+    e, b = incidence(scn.network, lay.size)
     x_star = sim.equilibrium_system_state(scn, eq)
     d = state - x_star
     eta_s = x_star @ e.T
@@ -96,7 +126,7 @@ def equilibrium_angles(scn, nu):
                      * scn.controllers[g].k_c * nu)
     for bus, delta in scn.step_loads.items():
         target[bus] -= delta
-    e, b = sim._lines(net, nbus)
+    e, b = incidence(net, nbus)
 
     def residual(theta):
         return target - e.T @ (b * np.sin(e @ theta))

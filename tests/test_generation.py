@@ -11,7 +11,7 @@ from gridfreq.generation import (LtiGenerator, dc_gain, equilibrium_state,
                                  second_order_params)
 from gridfreq.network import Bus, BusKind, PowerNetwork
 from gridfreq.sim import Scenario, assemble
-from reference import output
+from reference import dense, output
 
 
 def test_first_order_construction():
@@ -71,7 +71,7 @@ def test_second_order_names_a_non_finite_parameter(args, name):
 
 
 def _closed_loop_output(gen, state, u):
-    """p_m as the closed loop reads it (its pm_rows), for the block on a
+    """p_m as the closed loop reads it (its p_m rows), for the block on a
     single bus with internal state ``state``, zero frequency and the
     command that makes the input u (k_c = 1)."""
     net = PowerNetwork(buses=[Bus(0, BusKind.GENERATOR, inertia=1.0,
@@ -83,7 +83,7 @@ def _closed_loop_output(gen, state, u):
     x = np.zeros(loop.layout.size)
     x[loop.layout.x[0]] = state
     x[loop.layout.pc] = u
-    return float(loop.pm_rows[0] @ x)
+    return float(dense(loop)[3][0] @ x)
 
 
 def test_output_examples():

@@ -11,6 +11,7 @@ from gridfreq.network import (Bus, BusKind, CommEdge, Line, PowerNetwork,
                               validate)
 from gridfreq.sim import Scenario, assemble
 from meshes import ring_with_chords
+from reference import dense
 
 
 def _two_bus(comm=True, susceptance=1.0):
@@ -31,7 +32,8 @@ def _line_terms(scn, angles):
     lay = loop.layout
     x = np.zeros(lay.size)
     x[:lay.n_bus] = angles
-    terms = loop.spread @ np.sin(loop.incidence @ x)
+    _, e, spread, _ = dense(loop)
+    terms = spread @ np.sin(e @ x)
     rows = np.arange(lay.n_bus)
     divisor = np.array([scn.network.bus(b).damping for b in rows])
     for i, g in enumerate(lay.gen_ids):

@@ -20,8 +20,8 @@ from gridfreq.sim import (EPSILON_V, Scenario, assemble, compute_equilibrium,
                           integrate, integrate_many, lyapunov_value,
                           state_layout, transient_angle_peak)
 from meshes import ring_with_chords
-from reference import (angle_peak, derivative, equilibrium_angles, lyapunov,
-                       net_injection, output, series)
+from reference import (angle_peak, dense, derivative, equilibrium_angles,
+                       lyapunov, net_injection, output, series)
 
 
 def _single_bus_scenario():
@@ -178,6 +178,84 @@ class TestStateLayout:
         assert [lay.labels[xs] for xs in lay.x] == [("x_0[0]",), ("x_1[0]",)]
         assert lay.labels[lay.pc] == ("pc_0", "pc_1")
         assert len(set(lay.labels)) == lay.size == 9
+
+
+def _three_cases(request, mesh_buses):
+    """two_gen, ring9 and a seeded ring_with_chords mesh of mesh_buses buses."""
+    return [request.getfixturevalue("two_gen_scenario"),
+            request.getfixturevalue("ring9_scenario"),
+            ring_with_chords(mesh_buses + 1, buses=mesh_buses,
+                             generators=mesh_buses // 4, chords=3 * mesh_buses // 10)]
+
+
+class TestClosedLoopForm:
+    def test_loop_holds_its_nonzeros(self, request):
+        for scn in _three_cases(request, 200):
+            loop = assemble(scn)
+            lay = loop.layout
+            for rows, cols, vals in (loop.jac, loop.pm_rows):
+                # row by row, column by column, as np.nonzero gives them
+                assert (np.diff(rows * lay.size + cols) > 0).all(), scn.name
+                assert vals.all(), scn.name
+            flow_rows, flow_vals = loop.spread
+            assert flow_rows.shape == flow_vals.shape == (2, len(scn.network.lines))
+            assert (flow_vals[0] < 0.0).all() and (flow_vals[1] > 0.0).all()
+            # bus b's angle is slot b
+            frm, to = loop.ends
+            assert list(zip(frm, to)) == [(ln.from_bus, ln.to_bus)
+                                          for ln in scn.network.lines]
+            # nothing grows as states x states, states x lines or
+            # lines x states
+            bound = 2 * max(lay.size, len(frm), len(loop.jac[0]))
+            arrays = [loop.load, *loop.jac, *loop.ends, *loop.spread, *loop.pm_rows]
+            assert max(a.size for a in arrays) <= bound, scn.name
+
+    def test_union_is_the_block_diagonal_of_its_members(self, ring9_scenario,
+                                                         two_gen_scenario):
+        members = [assemble(s) for s in (ring9_scenario, two_gen_scenario,
+                                         ring9_scenario)]
+        union = sim._union(members)
+        # J, E, S and p_m's rows
+        for got, blocks in zip(dense(union), zip(*map(dense, members))):
+            want = np.zeros(tuple(np.sum([b.shape for b in blocks], axis=0)))
+            r = c = 0
+            for b in blocks:
+                want[r:r + b.shape[0], c:c + b.shape[1]] = b
+                r, c = r + b.shape[0], c + b.shape[1]
+            assert np.array_equal(got, want)
+        assert np.array_equal(union.load,
+                              np.concatenate([m.load for m in members]))
+        rows, cols, _ = union.jac
+        assert (np.diff(rows * len(union.load) + cols) > 0).all()
+
+    def test_controller_is_distributed_and_reads_no_demand(self, request):
+        # each command row reads its own generator's frequency, block
+        # states and command and its comm neighbours' commands, nothing else
+        for scn in _three_cases(request, 40):
+            loop = assemble(scn)
+            lay = loop.layout
+            rows, cols, _ = loop.jac
+            pc = {g: lay.pc.start + i for i, g in enumerate(lay.gen_ids)}
+            for i, g in enumerate(lay.gen_ids):
+                own = {lay.omega.start + i, *range(lay.x[i].start, lay.x[i].stop),
+                       pc[g]}
+                neighbours = {pc[e.b if e.a == g else e.a] for e in scn.network.comm
+                              if g in (e.a, e.b)}
+                read = set(cols[rows == pc[g]].tolist())
+                assert read - own == neighbours, (scn.name, g)
+
+            # and no command row, of J or of c, depends on the step loads
+            def commands(s):
+                loop = assemble(s)
+                rows, cols, vals = loop.jac
+                at = rows >= loop.layout.pc.start
+                return rows[at], cols[at], vals[at], loop.load[loop.layout.pc]
+
+            want = commands(scn)
+            assert not want[3].any()
+            for loads in ({b: 3.0 * d for b, d in scn.step_loads.items()}, {}):
+                got = commands(dataclasses.replace(scn, step_loads=loads))
+                assert all(map(np.array_equal, got, want)), scn.name
 
 
 class TestIntegrate:
@@ -385,11 +463,8 @@ class TestDenseKernel:
         scns = [request.getfixturevalue(f"{name}_scenario")] * members
         loops = [assemble(s) for s in scns]
         advance, _ = sim._dense_kernel(
-            sim._block_diag([loop.jac for loop in loops]),
-            np.concatenate([loop.load for loop in loops]),
-            sim._block_diag([loop.incidence for loop in loops]),
-            sim._block_diag([loop.spread for loop in loops]),
-            0.01, np.zeros(sum(loop.layout.size for loop in loops)))
+            sim._union(loops), 0.01,
+            np.zeros(sum(loop.layout.size for loop in loops)))
         mats = [cell.cell_contents.__self__ for cell in advance.__closure__
                 if isinstance(getattr(cell.cell_contents, "__self__", None),
                               np.ndarray)]
@@ -454,8 +529,7 @@ def _advance_calls(kernel, scn, monkeypatch):
         if isinstance(f, counted):
             monkeypatch.setattr(np, name, Counted(f))
     loop = assemble(scn)
-    advance, load_on = kernel(loop.jac, loop.load, loop.incidence, loop.spread,
-                              0.01, np.full(loop.layout.size, 0.1))
+    advance, load_on = kernel(loop, 0.01, np.full(loop.layout.size, 0.1))
     load_on()
     calls.clear()
 
@@ -487,11 +561,7 @@ class TestSparseKernel:
                                       with_two_gen):
         scns = [mesh, two_gen_scenario] if with_two_gen else [mesh]
         loops = [assemble(s) for s in scns]
-        slope, load_on = sim._sparse_slope(
-            sim._block_diag([loop.jac for loop in loops]),
-            np.concatenate([loop.load for loop in loops]),
-            sim._block_diag([loop.incidence for loop in loops]),
-            sim._block_diag([loop.spread for loop in loops]))
+        slope, load_on = sim._sparse_slope(sim._union(loops))
         rng = np.random.default_rng(11)
         xs = [rng.normal(scale=0.5, size=(3, loop.layout.size)) for loop in loops]
         for t, switch in ((0.0, False), (5.0, True)):
@@ -540,6 +610,22 @@ class TestSparseKernel:
         assert used == ["_dense_kernel", "_dense_kernel", "_sparse_kernel"]
 
 
+def test_mesh_run_scans_no_matrix_after_assemble(monkeypatch):
+    # assemble takes the closed loop's nonzeros once; the kernel and the
+    # derived series read them as they are and scan no matrix for them
+    scn = dataclasses.replace(
+        ring_with_chords(7, buses=200, generators=50, chords=60), t_end=2.0)
+    callers = []
+
+    def nonzero(a, real=np.nonzero):
+        callers.append(sys._getframe(1).f_code)
+        return real(a)
+
+    monkeypatch.setattr(np, "nonzero", nonzero)
+    integrate(scn)
+    assert set(callers) == {sim.assemble.__code__}
+
+
 @pytest.mark.parametrize("case", ["ring9_scenario", "mesh"])
 def test_blocks_of_steps_match_single_steps(case, request):
     # integrate_many advances the kernel from event to event (the load step
@@ -571,8 +657,7 @@ def _every_step(scn, kernel, x0):
     """The recorded states of the kernel driven one step at a time from
     t = 0, the load switched on before step load_step as integrate does."""
     loop = assemble(scn)
-    advance, load_on = kernel(loop.jac, loop.load, loop.incidence,
-                              loop.spread, scn.dt, x0)
+    advance, load_on = kernel(loop, scn.dt, x0)
     load_step = next(k for k in range(scn.steps + 1)
                      if k == scn.steps or loop.loaded(k * scn.dt))
     states = [x0]
@@ -729,7 +814,7 @@ class TestEquilibrium:
         eq = compute_equilibrium(scn)
         assert eq.nu == pytest.approx(0.4 / 1.5)
         assert eq.angles_star[0] == 0.0  # reference bus pinned
-        p_m = assemble(scn).pm_rows @ equilibrium_system_state(scn, eq)
+        p_m = dense(assemble(scn))[3] @ equilibrium_system_state(scn, eq)
         assert p_m == pytest.approx([1.0 * eq.nu, 0.5 * eq.nu])
         assert sum(p_m) == pytest.approx(0.4)
         assert eq.security_ok
@@ -738,7 +823,7 @@ class TestEquilibrium:
     def test_flow_balance_at_each_bus(self, ring9_scenario):
         scn = ring9_scenario
         eq = compute_equilibrium(scn)
-        p_m = assemble(scn).pm_rows @ equilibrium_system_state(scn, eq)
+        p_m = dense(assemble(scn))[3] @ equilibrium_system_state(scn, eq)
         outputs = dict(zip(sorted(scn.network.generator_ids), p_m))
         for b in scn.network.buses:
             inj = net_injection(scn.network, b.id, eq.angles_star)
@@ -766,7 +851,7 @@ class TestEquilibrium:
         theta = [eq.angles_star[b] for b in range(buses)]
         assert theta == pytest.approx(equilibrium_angles(scn, eq.nu),
                                       rel=0, abs=1e-12)
-        p_m = assemble(scn).pm_rows @ equilibrium_system_state(scn, eq)
+        p_m = dense(assemble(scn))[3] @ equilibrium_system_state(scn, eq)
         outputs = dict(zip(sorted(scn.network.generator_ids), p_m))
         for b in range(buses):
             balance = (outputs.get(b, 0.0) - scn.step_loads.get(b, 0.0)
