@@ -13,7 +13,7 @@ from .certify import (Certificate, SymmetricMatrix, check_secondary_lmi,
                       secondary_lmi_matrix, sym_eigenvalues)
 from .control import ControllerGains, default_kf, optimal_kc
 from .dispatch import DispatchProblem, marginal_costs, solve_dispatch
-from .generation import (LtiGenerator, dc_gain, is_hurwitz, make_first_order,
+from .generation import (LtiGenerator, is_hurwitz, make_first_order,
                          make_second_order)
 from .network import Bus, BusKind, CommEdge, Line, PowerNetwork, validate
 from .sim import (Equilibrium, Scenario, Trajectory, compute_equilibrium,
@@ -25,7 +25,7 @@ __all__ = [
     "Bus", "BusKind", "Certificate", "CommEdge", "ControllerGains",
     "DispatchProblem", "Equilibrium", "Line", "LtiGenerator", "PowerNetwork",
     "Scenario", "SymmetricMatrix", "Trajectory",
-    "check_secondary_lmi", "compute_equilibrium", "dc_gain", "default_kf",
+    "check_secondary_lmi", "compute_equilibrium", "default_kf",
     "dissipation_check", "first_order_min_damping", "integrate", "is_hurwitz",
     "is_positive_definite", "lyapunov_value", "make_first_order",
     "make_second_order", "marginal_costs", "optimal_kc", "search_certificate",

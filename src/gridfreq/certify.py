@@ -35,8 +35,7 @@ import numpy as np
 from numpy.linalg._umath_linalg import eigvalsh_lo as _eigvalsh_lo
 
 from .control import ControllerGains, default_kf
-from .generation import (LtiGenerator, dc_gain, first_order_params,
-                         second_order_params)
+from .generation import LtiGenerator, first_order_params, second_order_params
 
 #: "<= 0" for the certificate matrices means max eigenvalue <= TOL_PSD.
 TOL_PSD = 1e-9
@@ -187,7 +186,7 @@ def _primary_array(gen: LtiGenerator, k_d: float, p: np.ndarray,
 def _secondary_array(gen: LtiGenerator, params: ControllerGains,
                      p: np.ndarray, lambda_hat: float, k_f: float) -> np.ndarray:
     n = gen.order
-    k_gain = dc_gain(gen)
+    k_gain = gen.dc_gain
     d = gen.d_scalar
     m = np.empty((n + 2, n + 2))
     m[1:, 1:] = _primary_array(gen, params.k_d, p, lambda_hat)
@@ -288,7 +287,7 @@ def first_order_shortfall(gen: LtiGenerator, params: ControllerGains,
     certificate for such a lag."""
     if first_order_params(gen) is None:
         return None
-    threshold = first_order_min_damping(dc_gain(gen), params.k_c, params.k_d)
+    threshold = first_order_min_damping(gen.dc_gain, params.k_c, params.k_d)
     lambda_hat = lambda_bus * (1.0 - LAMBDA_SHAVE)
     return (threshold, lambda_hat) if threshold > lambda_hat else None
 
@@ -336,7 +335,7 @@ def search_certificate(gen: LtiGenerator, params: ControllerGains,
         return None
     lambda_hat = lambda_bus * (1.0 - LAMBDA_SHAVE)
     margin = lambda_bus - lambda_hat
-    k_gain = dc_gain(gen)
+    k_gain = gen.dc_gain
     n = gen.order
 
     def finish(diag: Sequence[float], k_f: float) -> Optional[Certificate]:

@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import certify, control, generation, sim
+from . import certify, control, sim
 from .certify import Certificate, search_certificate
 from .control import ControllerGains
 from .dispatch import DispatchProblem, marginal_costs, solve_dispatch
@@ -438,8 +438,7 @@ def with_optimal_gains(scn: Scenario) -> Scenario:
     """The scenario with k_c = 1/(q K) at every generator (--optimal-gains)."""
     return dataclasses.replace(scn, controllers={
         g: dataclasses.replace(
-            prm, k_c=control.optimal_kc(prm.q,
-                                        generation.dc_gain(scn.generators[g])))
+            prm, k_c=control.optimal_kc(prm.q, scn.generators[g].dc_gain))
         for g, prm in scn.controllers.items()})
 
 

@@ -82,12 +82,6 @@ def is_hurwitz(a_matrix) -> bool:
     return bool(np.all(eigs.real < -TOL_HURWITZ))
 
 
-def dc_gain(gen: LtiGenerator) -> float:
-    """Steady-state output per unit of constant input: -C A^{-1} B + D,
-    which the block solved for once, when it was made."""
-    return gen.dc_gain
-
-
 def equilibrium_state(gen: LtiGenerator, u: float) -> Tuple[float, ...]:
     """The unique rest state for a constant input: solves A x + B u = 0."""
     a = np.array(gen.a_matrix, dtype=float)

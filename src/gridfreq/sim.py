@@ -16,9 +16,13 @@ with J the linear part, c the step loads (zero before the disturbance
 time), E the line incidence and S each line's flow carried into the rows
 it drives.  assemble() builds these once per scenario and is the only
 code that knows their form (ClosedLoop): J and p_m's rows as their
-nonzeros, E as each line's two ends and S as each line's two rows and
+nonzeros, written entry by entry from the equations with no matrix
+behind them, E as each line's two ends and S as each line's two rows and
 values, so a loop grows with its nonzeros, not with the square of the
-network.  The run computes the Lyapunov series from a trajectory's
+network.  One helper, _row_major, puts every set of (row, col, value)
+triplets here (J, p_m's rows, S's bus rows, the Lyapunov weights) in
+np.nonzero's row-major order, which fixes the order of every sum over
+them.  The run computes the Lyapunov series from a trajectory's
 states (lyapunov_value), not the integrator.  Integration is classical
 fixed-step RK4.  Scenarios on one time grid can be integrated together
 (integrate_many): uncoupled loops side by side are one loop (_union),
@@ -54,6 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -203,6 +208,17 @@ class ClosedLoop:
         return np.asarray(t) >= self.load_time - _TIME_EPS
 
 
+def _row_major(rows, cols, vals) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Triplets (rows, cols, values) of distinct entries with the exact
+    zeros dropped, sorted by row, then column: the order in which
+    np.nonzero finds the nonzeros of the matrix they make."""
+    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+    vals = np.asarray(vals, dtype=float)
+    at = np.flatnonzero(vals)
+    at = at[np.lexsort((cols[at], rows[at]))]
+    return rows[at], cols[at], vals[at]
+
+
 def assemble(scn: Scenario) -> ClosedLoop:
     """Read every parameter of the dynamics into J, c, E, S and p_m's rows.
 
@@ -213,14 +229,28 @@ def assemble(scn: Scenario) -> ClosedLoop:
       x_g'     = A x_g + B u,
       gamma pc' = p_m - K u - k_f omega + sum_j alpha_ij (pc_j - pc_i);
     load bus l contributes  Lambda_l theta_l' = -step + line inflow.
+
+    J is written entry by entry from these, each row over the columns
+    [omega, x_g, pc] of its own generator (K its DC gain), in this order
+    of operations:
+      angle row:      J[g, omega] = 1;
+      frequency row:  [(D (-k_d) - Lambda_g)/M, C/M, D k_c/M];
+      block row r:    [B_r (-k_d), A_r, B_r k_c];
+      command row:    [(D (-k_d) - K (-k_d) - k_f)/gamma, C/gamma,
+                       (D k_c - K k_c - alpha_1 - alpha_2 ...)/gamma],
+    then alpha_j/gamma at each comm neighbour j's command, the weights
+    taken in net.comm order.  p_m's row is [D (-k_d), C, D k_c].
     """
     net = scn.network
     lay = state_layout(scn)
     n, n_bus = lay.size, lay.n_bus
-    pc0 = lay.pc.start
-    jac = np.zeros((n, n))
-    pm_rows = np.zeros((len(lay.gen_ids), n))
-    gamma = np.empty(len(lay.gen_ids))
+    pc = {g: lay.pc.start + i for i, g in enumerate(lay.gen_ids)}
+    # each generator's comm neighbours, as (their command, weight)
+    comm: Dict[int, list] = {g: [] for g in lay.gen_ids}
+    for e in net.comm:
+        comm[e.a].append((pc[e.b], e.weight))
+        comm[e.b].append((pc[e.a], e.weight))
+    jac, pm_rows = [], []  # (row, col, value) triplets
     # The state row a bus's line inflow and step load drive, and what they
     # are divided by there: a load bus's angle row and damping; a generator
     # bus's frequency row and inertia (set in the loop below).
@@ -228,39 +258,33 @@ def assemble(scn: Scenario) -> ClosedLoop:
     divisor = np.array([b.damping for b in sorted(net.buses, key=lambda b: b.id)])
     for i, g in enumerate(lay.gen_ids):
         gen, prm, bus = scn.generators[g], scn.controllers[g], net.bus(g)
-        om, pc, xs = lay.omega.start + i, pc0 + i, lay.x[i]
-        u = np.zeros(n)
-        u[pc], u[om] = prm.k_c, -prm.k_d
-        pm = pm_rows[i]
-        pm[xs] = gen.c_vector
-        pm += gen.d_scalar * u
-        jac[g, om] = 1.0
-        jac[om] = pm
-        jac[om, om] -= bus.damping
-        jac[om] /= bus.inertia
-        jac[xs] = np.outer(gen.b_vector, u)
-        jac[xs, xs] += np.array(gen.a_matrix)
-        jac[pc] = pm - generation.dc_gain(gen) * u
-        jac[pc, om] -= prm.k_f
-        gamma[i] = prm.gamma
-        flow_row[g], divisor[g] = om, bus.inertia
-    index = {g: pc0 + i for i, g in enumerate(lay.gen_ids)}
-    for e in net.comm:
-        a, b = index[e.a], index[e.b]
-        jac[[a, b], [b, a]] += e.weight
-        jac[[a, b], [a, b]] -= e.weight
-    jac[lay.pc] /= gamma[:, None]
-    jac_at, pm_at = np.nonzero(jac), np.nonzero(pm_rows)
+        om, xs = lay.omega.start + i, lay.x[i]
+        d, k, k_c, k_d, m, gm = (gen.d_scalar, gen.dc_gain, prm.k_c, prm.k_d,
+                                 bus.inertia, prm.gamma)
+        own = [om, *range(xs.start, xs.stop), pc[g]]
+        pm_rows += zip(repeat(i), own, [d * -k_d, *gen.c_vector, d * k_c])
+        jac.append((g, om, 1.0))
+        jac += zip(repeat(om), own, [(d * -k_d - bus.damping) / m,
+                                     *(c / m for c in gen.c_vector), d * k_c / m])
+        for r, (a_row, b_r) in enumerate(zip(gen.a_matrix, gen.b_vector)):
+            jac += zip(repeat(xs.start + r), own, [b_r * -k_d, *a_row, b_r * k_c])
+        diagonal = d * k_c - k * k_c
+        for _, w in comm[g]:
+            diagonal -= w
+        jac += zip(repeat(pc[g]), own + [j for j, _ in comm[g]],
+                   [(d * -k_d - k * -k_d - prm.k_f) / gm, *(c / gm for c in gen.c_vector),
+                    diagonal / gm, *(w / gm for _, w in comm[g])])
+        flow_row[g], divisor[g] = om, m
 
     frm, to, b = _line_ends(net)
     load = np.zeros(n)
     for bus, delta in scn.step_loads.items():
         load[flow_row[bus]] = -delta / divisor[bus]
-    return ClosedLoop(layout=lay, jac=(*jac_at, jac[jac_at]), load=load,
+    return ClosedLoop(layout=lay, jac=_row_major(*zip(*jac)), load=load,
                       load_time=scn.disturbance_time, ends=(frm, to),
                       spread=(np.array([flow_row[frm], flow_row[to]]),
                               np.array([-b / divisor[frm], b / divisor[to]])),
-                      pm_rows=(*pm_at, pm_rows[pm_at]))
+                      pm_rows=_row_major(*zip(*pm_rows)))
 
 
 @dataclass(frozen=True)
@@ -593,6 +617,18 @@ def _sparse_kernel(loop: ClosedLoop, dt: float, x0: np.ndarray):
     return advance, load_on
 
 
+def _load_step(loop: ClosedLoop, dt: float, nsteps: int) -> int:
+    """The first of the steps 0 .. nsteps - 1 that starts with the load on
+    (loop.loaded(k * dt)), or nsteps if none does: the grid point nearest
+    above the load time, moved by a step while loaded() disagrees."""
+    k = math.ceil(min(max((loop.load_time - _TIME_EPS) / dt, 0.0), nsteps))
+    while k > 0 and loop.loaded((k - 1) * dt):
+        k -= 1
+    while k < nsteps and not loop.loaded(k * dt):
+        k += 1
+    return k
+
+
 def integrate_many(scns: Sequence[Scenario], *,
                    initial_states: Optional[Sequence[Optional[np.ndarray]]] = None,
                    ) -> List[Trajectory]:
@@ -629,7 +665,7 @@ def integrate_many(scns: Sequence[Scenario], *,
         recorded.append(nsteps)
     times = np.array(recorded) * dt
     states = np.empty((len(recorded), n))
-    load_step = int(np.searchsorted(loops[0].loaded(np.arange(nsteps) * dt), True))
+    load_step = _load_step(loops[0], dt, nsteps)
 
     kernel = (_dense_kernel if kernel_entries(n, len(union.ends[0])) <= DENSE_ENTRIES
               else _sparse_kernel)
@@ -683,10 +719,9 @@ def integrate_many(scns: Sequence[Scenario], *,
         freqs = np.multiply.outer(loop.loaded(times), loop.load[:n_bus])
         _add_product(freqs, [a[:np.searchsorted(loop.jac[0], n_bus)]
                              for a in loop.jac], own)
-        rows, lines = flow_rows.ravel(), np.tile(np.arange(len(frm)), 2)
-        order = np.lexsort((lines, rows))
-        bus = order[rows[order] < n_bus]
-        _add_product(freqs, (rows[bus], lines[bus], flow_vals.ravel()[bus]),
+        flows = _row_major(flow_rows.ravel(), np.tile(np.arange(len(frm)), 2),
+                           flow_vals.ravel())
+        _add_product(freqs, [a[:np.searchsorted(flows[0], n_bus)] for a in flows],
                      np.sin(own[:, frm] - own[:, to]))
         cost = np.array([s.controllers[g].q for g in lay.gen_ids])
         out.append(Trajectory(layout=lay, times=times, states=own, freqs=freqs,
@@ -771,8 +806,7 @@ def compute_equilibrium(scn: Scenario) -> Equilibrium:
     """
     net = scn.network
     gens = sorted(net.generator_ids)
-    k_eff = {g: generation.dc_gain(scn.generators[g]) * scn.controllers[g].k_c
-             for g in gens}
+    k_eff = {g: scn.generators[g].dc_gain * scn.controllers[g].k_c for g in gens}
     total_load = sum(scn.step_loads.values())
     nu = total_load / sum(k_eff.values())
 
@@ -853,26 +887,21 @@ def lyapunov_value(scn: Scenario, certs: Mapping[int, Certificate],
     is a scalar) or a (samples, states) array (one value per sample).
     """
     lay = state_layout(scn)
-    # the weights' nonzeros as (row, col, value) triplets, generator by
-    # generator: M at the frequency, P's nonzeros on the block's states and
-    # gamma at the command (M and gamma are positive by construction)
-    rows, cols, vals = [], [], []
+    # the weights as (row, col, value) triplets, generator by generator: M
+    # at the frequency, P on the block's states and gamma at the command
+    # (M and gamma are positive by construction; P's zeros are dropped)
+    weights = []
     for i, g in enumerate(lay.gen_ids):
         if g not in certs:
             raise ValueError(f"missing certificate for generator bus {g}")
-        om, pc, xs = lay.omega.start + i, lay.pc.start + i, lay.x[i]
-        p = certs[g].p_matrix.to_array()
-        p_rows, p_cols = np.nonzero(p)
-        rows += [om, pc, *(xs.start + p_rows).tolist()]
-        cols += [om, pc, *(xs.start + p_cols).tolist()]
-        vals += [scn.network.bus(g).inertia, scn.controllers[g].gamma,
-                 *p[p_rows, p_cols].tolist()]
+        om, pc, x0 = lay.omega.start + i, lay.pc.start + i, lay.x[i].start
+        weights += [(om, om, scn.network.bus(g).inertia), (pc, pc, scn.controllers[g].gamma)]
+        weights += [(x0 + r, x0 + c, v)
+                    for (r, c), v in np.ndenumerate(certs[g].p_matrix.to_array())]
     # summed row by row, column by column, an order that fixes the sum's
     # rounding; sums over the nonzeros and the line ends, not dense
     # products, which would wake the BLAS thread pool on a sample series
-    rows, cols, vals = np.array(rows), np.array(cols), np.array(vals)
-    order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
+    rows, cols, vals = _row_major(*zip(*weights))
     frm, to, b = _line_ends(scn.network)
     x_star = equilibrium_system_state(scn, eq)
     d = state - x_star

@@ -9,13 +9,16 @@ is a ring over the generators plus a chord from every second one to the
 one seven places on, each pair joined once.  Gains are cost-optimal
 (k_c = 1/(q K)) with k_d below k_c, which keeps every closed-form damping
 threshold under the generator damping, so every generator certifies
-analytically.
+analytically.  with_generic_blocks swaps some of the blocks for ones
+with feedthrough and a dense A, outside the worked shapes.
 """
+
+import dataclasses
 
 import numpy as np
 
 from gridfreq.control import ControllerGains
-from gridfreq.generation import make_first_order, make_second_order
+from gridfreq.generation import LtiGenerator, make_first_order, make_second_order
 from gridfreq.network import Bus, BusKind, CommEdge, Line, PowerNetwork
 from gridfreq.sim import Scenario
 
@@ -73,3 +76,29 @@ def ring_with_chords(seed: int, buses: int = 100, generators: int = 25,
                     generators=gens, controllers=controllers,
                     disturbance_time=1.0, step_loads=loads, t_end=10.0,
                     dt=0.01, output_stride=10, name=f"ring_with_chords_{seed}")
+
+
+def with_generic_blocks(scn: Scenario, seed: int) -> Scenario:
+    """The scenario with every third generator's block (from the first)
+    replaced by a seeded third-order block outside the worked shapes: a
+    dense A holding zero entries (Hurwitz by diagonal dominance), B and C
+    each with a zero entry and a feedthrough D of -0.3 or 0.7; and the
+    second generator bus with damping 0."""
+    rng = np.random.default_rng(seed)
+    gens = dict(scn.generators)
+    for k, g in enumerate(sorted(gens)[::3]):
+        off = rng.uniform(-0.5, 0.5, size=(3, 3)) * (rng.random((3, 3)) < 0.6)
+        np.fill_diagonal(off, 0.0)
+        a = off - np.diag(np.abs(off).sum(axis=1) + rng.uniform(0.5, 2.0, 3))
+        b, c = rng.uniform(0.2, 1.0, 3), rng.uniform(0.2, 1.0, 3)
+        b[k % 3], c[(k + 1) % 3] = 0.0, 0.0
+        gens[g] = LtiGenerator(a_matrix=tuple(map(tuple, a.tolist())),
+                               b_vector=tuple(b.tolist()),
+                               c_vector=tuple(c.tolist()),
+                               d_scalar=(-0.3, 0.7)[k % 2], order=3)
+    second = sorted(gens)[1]
+    buses = [dataclasses.replace(b, damping=0.0) if b.id == second else b
+             for b in scn.network.buses]
+    net = PowerNetwork(buses, scn.network.lines, scn.network.comm)
+    return dataclasses.replace(scn, network=net, generators=gens,
+                               name=f"{scn.name}_generic")

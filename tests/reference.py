@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from gridfreq import certify, generation, sim
+from gridfreq import certify, sim
 
 
 def net_injection(net, bus, angles):
@@ -122,8 +122,7 @@ def equilibrium_angles(scn, nu):
     nbus = len(net.buses)
     target = np.zeros(nbus)
     for g in net.generator_ids:
-        target[g] = (generation.dc_gain(scn.generators[g])
-                     * scn.controllers[g].k_c * nu)
+        target[g] = scn.generators[g].dc_gain * scn.controllers[g].k_c * nu
     for bus, delta in scn.step_loads.items():
         target[bus] -= delta
     e, b = incidence(net, nbus)

@@ -20,8 +20,7 @@ from gridfreq.cli import RunFlags, run
 from gridfreq.control import ControllerGains
 from gridfreq.dispatch import DispatchProblem, solve_dispatch
 from gridfreq.fixtures import fixture_path
-from gridfreq.generation import (LtiGenerator, dc_gain, make_first_order,
-                                 make_second_order)
+from gridfreq.generation import LtiGenerator, make_first_order, make_second_order
 from gridfreq.network import Bus, BusKind, CommEdge, Line, PowerNetwork
 from gridfreq.sim import (Scenario, compute_equilibrium, dissipation_check,
                           equilibrium_system_state, integrate, lyapunov_value)
@@ -164,7 +163,7 @@ def test_06_dc_gain_consistency():
         x = np.zeros(n)
         for _ in range(steps):
             x = phi @ x + psi_b
-        worst = max(worst, abs(output(gen, x, u) - dc_gain(gen) * u))
+        worst = max(worst, abs(output(gen, x, u) - gen.dc_gain * u))
     _report(6, "dc-gain step-response consistency", worst < 1e-6,
             f"worst terminal mismatch = {worst:.3e} over 20 random blocks")
 

@@ -16,7 +16,7 @@ from gridfreq.certify import (Certificate, LAMBDA_SHAVE, SymmetricMatrix,
                               second_order_min_damping, secondary_lmi_matrix,
                               sym_eigenvalues)
 from gridfreq.control import ControllerGains
-from gridfreq.generation import (LtiGenerator, dc_gain, first_order_params,
+from gridfreq.generation import (LtiGenerator, first_order_params,
                                  make_first_order, make_second_order,
                                  second_order_params)
 from reference import (check_primary, first_order_certificate, primary_matrix,
@@ -543,7 +543,7 @@ def _search_cases():
         k_c = float(rng.uniform(0.8, 1.2))
         k_d = k_c * float(rng.uniform(0.8, 1.2))
         params = _params(k_c=k_c, k_d=k_d,
-                         k_f=dc_gain(gen) * (k_c + k_d) / 2.0)
+                         k_f=gen.dc_gain * (k_c + k_d) / 2.0)
         cases.append((f"chain_{i}", gen, params, float(rng.uniform(0.8, 1.2))))
     return cases
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gridfreq.control import ControllerGains
-from gridfreq.generation import (LtiGenerator, dc_gain, equilibrium_state,
+from gridfreq.generation import (LtiGenerator, equilibrium_state,
                                  first_order_params, is_hurwitz,
                                  make_first_order, make_second_order,
                                  second_order_params)
@@ -95,12 +95,12 @@ def test_output_examples():
 
 
 def test_dc_gain_examples():
-    assert dc_gain(make_first_order(3.0, 2.5)) == pytest.approx(2.5)
-    assert dc_gain(make_second_order(1.0, 2.0, 0.7)) == pytest.approx(0.7)
+    assert make_first_order(3.0, 2.5).dc_gain == pytest.approx(2.5)
+    assert make_second_order(1.0, 2.0, 0.7).dc_gain == pytest.approx(0.7)
     gen = LtiGenerator(a_matrix=((-2.0, 0.0), (0.0, -1.0)),
                        b_vector=(1.0, 1.0), c_vector=(1.0, 1.0),
                        d_scalar=0.0, order=2)
-    assert dc_gain(gen) == pytest.approx(1.5)
+    assert gen.dc_gain == pytest.approx(1.5)
 
 
 def test_dc_gain_is_solved_once_when_the_block_is_made(monkeypatch):
@@ -122,7 +122,7 @@ def test_dc_gain_is_solved_once_when_the_block_is_made(monkeypatch):
         raise AssertionError("dc_gain solved again")
 
     monkeypatch.setattr(np.linalg, "solve", no_solve)
-    assert dc_gain(gen) == gen.dc_gain
+    assert pickle.loads(pickle.dumps(gen)).dc_gain == gen.dc_gain
 
 
 def test_equilibrium_state_reaches_dc_gain():
@@ -130,7 +130,7 @@ def test_equilibrium_state_reaches_dc_gain():
     xs = equilibrium_state(gen, 0.5)
     rate = np.array(gen.a_matrix) @ xs + np.array(gen.b_vector) * 0.5
     assert rate == pytest.approx((0.0, 0.0), abs=1e-15)
-    assert output(gen, xs, 0.5) == pytest.approx(dc_gain(gen) * 0.5)
+    assert output(gen, xs, 0.5) == pytest.approx(gen.dc_gain * 0.5)
 
 
 class TestIsHurwitz:
@@ -191,4 +191,4 @@ def _rk4_step_response(gen: LtiGenerator, u: float, t_end: float, dt: float) -> 
 def test_step_response_settles_at_dc_gain(tau, k):
     gen = make_first_order(tau, k)
     settled = _rk4_step_response(gen, 0.7, 20 * tau, tau / 50)
-    assert settled == pytest.approx(dc_gain(gen) * 0.7, abs=1e-7)
+    assert settled == pytest.approx(gen.dc_gain * 0.7, abs=1e-7)

@@ -4,6 +4,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,13 +14,13 @@ from gridfreq.certify import search_certificate
 from gridfreq.cli import load_scenario
 from gridfreq.control import ControllerGains
 from gridfreq.fixtures import fixture_path
-from gridfreq.generation import dc_gain, make_first_order
+from gridfreq.generation import make_first_order
 from gridfreq.network import Bus, BusKind, Line, PowerNetwork, validate
 from gridfreq.sim import (EPSILON_V, Scenario, assemble, compute_equilibrium,
                           dissipation_check, equilibrium_system_state,
                           integrate, integrate_many, lyapunov_value,
                           state_layout, transient_angle_peak)
-from meshes import ring_with_chords
+from meshes import ring_with_chords, with_generic_blocks
 from reference import (angle_peak, dense, derivative, equilibrium_angles,
                        lyapunov, net_injection, output, series)
 
@@ -161,8 +162,41 @@ class TestClosedLoopDerivative:
             lhs += prm.gamma * d[lay.pc][i]
             u = prm.k_c * pc - prm.k_d * omega
             p_m = output(gen, x[lay.x[i]], u)
-            rhs += p_m - dc_gain(gen) * u - prm.k_f * omega
+            rhs += p_m - gen.dc_gain * u - prm.k_f * omega
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("t", [0.5, 2.0])
+    def test_generic_blocks_match_the_equations(self, t):
+        # blocks with feedthrough (D != 0) and a dense A, a generator bus
+        # of damping 0: each generator's frequency, block and command rates
+        # written out from assemble's equations
+        scn = with_generic_blocks(ring_with_chords(3, buses=30, generators=8,
+                                                   chords=8), seed=4)
+        net, loop = scn.network, assemble(scn)
+        lay = loop.layout
+        x = np.random.default_rng(9).normal(scale=0.3, size=lay.size)
+        d = derivative(loop, x, t)
+        pc = dict(zip(lay.gen_ids, x[lay.pc]))
+        for i, g in enumerate(lay.gen_ids):
+            gen, prm, bus = scn.generators[g], scn.controllers[g], net.bus(g)
+            omega, xg = x[lay.omega][i], x[lay.x[i]]
+            u = prm.k_c * pc[g] - prm.k_d * omega
+            p_m = output(gen, xg, u)
+            step = scn.step_loads.get(g, 0.0) if t >= scn.disturbance_time else 0.0
+            want = {lay.omega.start + i: (p_m - step - bus.damping * omega
+                                          + net_injection(net, g, x)) / bus.inertia,
+                    lay.pc.start + i: (p_m - gen.dc_gain * u - prm.k_f * omega
+                                       + sum(e.weight * (pc[e.b if e.a == g else e.a]
+                                                         - pc[g])
+                                             for e in net.comm if g in (e.a, e.b))
+                                       ) / prm.gamma}
+            for r, (a_row, b_r) in enumerate(zip(gen.a_matrix, gen.b_vector)):
+                want[lay.x[i].start + r] = sum(a * v for a, v in zip(a_row, xg)) + b_r * u
+            for row, value in want.items():
+                assert d[row] == pytest.approx(value, rel=1e-12, abs=1e-12), \
+                    lay.labels[row]
+        assert any(gen.d_scalar for gen in scn.generators.values())
+        assert min(b.damping for b in net.buses) == 0.0
 
     def test_wrong_state_dimension_rejected(self):
         loop = assemble(_single_bus_scenario())
@@ -611,19 +645,33 @@ class TestSparseKernel:
 
 
 def test_mesh_run_scans_no_matrix_after_assemble(monkeypatch):
-    # assemble takes the closed loop's nonzeros once; the kernel and the
-    # derived series read them as they are and scan no matrix for them
+    # assemble writes the closed loop's nonzeros term by term; the kernel
+    # and the derived series read them as they are: nothing in a run
+    # scans a matrix for its nonzeros
     scn = dataclasses.replace(
         ring_with_chords(7, buses=200, generators=50, chords=60), t_end=2.0)
-    callers = []
+    scanned = []
 
     def nonzero(a, real=np.nonzero):
-        callers.append(sys._getframe(1).f_code)
+        scanned.append(np.ndim(a))
         return real(a)
 
     monkeypatch.setattr(np, "nonzero", nonzero)
     integrate(scn)
-    assert set(callers) == {sim.assemble.__code__}
+    assert all(ndim <= 1 for ndim in scanned), scanned
+
+
+def test_assemble_holds_no_matrix():
+    # 1 875 states: J over them alone would take 28 MB; the loop's
+    # nonzeros and assemble's lists of them take well under 1 MB
+    scn = ring_with_chords(1, buses=1000, generators=250, chords=300)
+    tracemalloc.start()
+    try:
+        assemble(scn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 @pytest.mark.parametrize("case", ["ring9_scenario", "mesh"])
@@ -721,6 +769,42 @@ class TestRestPhase:
             counts.clear()
             integrate(dataclasses.replace(scn, disturbance_time=0.0))
             assert sum(counts) == scn.steps, scn.name
+
+
+    @pytest.mark.parametrize("dt, load_time, want", [
+        (0.01, 0.0, 0), (0.01, -0.37, 0),                 # at or before t = 0
+        (0.01, 0.3, 30), (0.1, 0.3, 3), (0.1, 0.7, 7),    # on a grid point
+        (0.01, 0.333, 34),                                # between two
+        (0.01, 0.3 - 5e-13, 30), (0.01, 0.3 + 5e-13, 30),  # within _TIME_EPS
+        (0.01, 0.3 + 2e-12, 31),
+        (0.01, 0.99, 99), (0.01, 0.995, 100)])            # last step, none
+    def test_load_step_is_the_first_loaded_step(self, two_gen_scenario, dt,
+                                                load_time, want):
+        # found from the load time alone, bitwise where a search over every
+        # step's time finds it
+        scn = dataclasses.replace(two_gen_scenario, dt=dt, t_end=1.0,
+                                  disturbance_time=load_time)
+        loop = assemble(scn)
+        steps = np.arange(scn.steps) * dt
+        assert np.searchsorted(loop.loaded(steps), True) == want
+        assert sim._load_step(loop, dt, scn.steps) == want
+
+    @pytest.mark.parametrize("dt", [0.01, 0.1, 0.007])
+    def test_load_step_matches_a_search_over_the_steps(self, two_gen_scenario, dt):
+        # load times at, and a few ulps around, every step's time and that
+        # time +- _TIME_EPS, where the rounding of k dt and of the division
+        # can each put the grid point nearest the load time one step off
+        scn = dataclasses.replace(two_gen_scenario, dt=dt, t_end=100 * dt,
+                                  disturbance_time=0.0)
+        loop = assemble(scn)
+        steps = np.arange(scn.steps) * dt
+        for t in steps.tolist():
+            for base in (t - sim._TIME_EPS, t, t + sim._TIME_EPS):
+                for ulps in range(-3, 4):
+                    moved = dataclasses.replace(
+                        loop, load_time=base + ulps * math.ulp(base))
+                    assert sim._load_step(moved, dt, scn.steps) == \
+                        np.searchsorted(moved.loaded(steps), True)
 
 
 class TestPacks:
@@ -861,7 +945,7 @@ class TestEquilibrium:
     def test_mesh_needs_no_lapack(self, monkeypatch):
         # np.linalg's solvers wake the BLAS thread pool from about 100
         # unknowns, which then spins on a second core after the call; only
-        # a generator block's DC gain (generation.dc_gain) may use them
+        # a generator block's DC gain (LtiGenerator.dc_gain) may use them
         scn = ring_with_chords(seed=201, buses=200, generators=50, chords=60)
         order = max(gen.order for gen in scn.generators.values())
 
