@@ -617,18 +617,6 @@ def _sparse_kernel(loop: ClosedLoop, dt: float, x0: np.ndarray):
     return advance, load_on
 
 
-def _load_step(loop: ClosedLoop, dt: float, nsteps: int) -> int:
-    """The first of the steps 0 .. nsteps - 1 that starts with the load on
-    (loop.loaded(k * dt)), or nsteps if none does: the grid point nearest
-    above the load time, moved by a step while loaded() disagrees."""
-    k = math.ceil(min(max((loop.load_time - _TIME_EPS) / dt, 0.0), nsteps))
-    while k > 0 and loop.loaded((k - 1) * dt):
-        k -= 1
-    while k < nsteps and not loop.loaded(k * dt):
-        k += 1
-    return k
-
-
 def integrate_many(scns: Sequence[Scenario], *,
                    initial_states: Optional[Sequence[Optional[np.ndarray]]] = None,
                    ) -> List[Trajectory]:
@@ -665,7 +653,7 @@ def integrate_many(scns: Sequence[Scenario], *,
         recorded.append(nsteps)
     times = np.array(recorded) * dt
     states = np.empty((len(recorded), n))
-    load_step = _load_step(loops[0], dt, nsteps)
+    load_step = int(np.searchsorted(loops[0].loaded(np.arange(nsteps) * dt), True))
 
     kernel = (_dense_kernel if kernel_entries(n, len(union.ends[0])) <= DENSE_ENTRIES
               else _sparse_kernel)
