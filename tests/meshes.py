@@ -27,7 +27,13 @@ def ring_with_chords(seed: int, buses: int = 100, generators: int = 25,
                      chords: int = 30) -> Scenario:
     """A connected network of ``buses`` buses, ``generators`` of them
     generators, with a ring plus ``chords`` chords, and a small step load
-    at every load bus at t = 1 s."""
+    at every load bus at t = 1 s.  ValueError if ``chords`` exceeds the
+    buses (buses - 5) / 2 pairs of buses that lie three or more ring hops
+    apart."""
+    pairs = max(buses * (buses - 5) // 2, 0)
+    if chords > pairs:
+        raise ValueError(f"{chords} chords asked for, but a ring of {buses} "
+                         f"buses has {pairs} pairs three or more hops apart")
     rng = np.random.default_rng(seed)
 
     def u(lo, hi):

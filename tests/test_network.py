@@ -152,6 +152,17 @@ class TestValidate:
         scn = ring_with_chords(3, buses=40, generators=generators, chords=6)
         assert validate(scn.network) == []
 
+    @pytest.mark.parametrize("buses", [4, 5, 6, 9])
+    def test_meshes_take_every_chord_the_ring_has(self, buses):
+        # buses (buses - 5) / 2 pairs lie three or more ring hops apart: a
+        # mesh may join them all, and one chord more is refused, not drawn
+        # forever
+        pairs = max(buses * (buses - 5) // 2, 0)
+        scn = ring_with_chords(1, buses=buses, generators=2, chords=pairs)
+        assert len(scn.network.lines) == buses + pairs
+        with pytest.raises(ValueError, match="three or more hops"):
+            ring_with_chords(1, buses=buses, generators=2, chords=pairs + 1)
+
     def test_generators_must_precede_loads(self):
         net = PowerNetwork(
             buses=[Bus(0, BusKind.LOAD, damping=1.0),

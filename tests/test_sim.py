@@ -661,10 +661,9 @@ def test_mesh_run_scans_no_matrix_after_assemble(monkeypatch):
     assert all(ndim <= 1 for ndim in scanned), scanned
 
 
-def test_assemble_holds_no_matrix():
-    # 1 875 states: J over them alone would take 28 MB; the loop's
-    # nonzeros and assemble's lists of them take well under 1 MB
-    scn = ring_with_chords(1, buses=1000, generators=250, chords=300)
+def _traced_peak(call):
+    """call()'s result and the most memory it held at once beyond what
+    was allocated before it, in bytes, whether or not tracing is on."""
     was_tracing = tracemalloc.is_tracing()
     if was_tracing:
         tracemalloc.reset_peak()
@@ -672,12 +671,18 @@ def test_assemble_holds_no_matrix():
         tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        assemble(scn)
-        peak = tracemalloc.get_traced_memory()[1] - before
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
     finally:
         if not was_tracing:
             tracemalloc.stop()
-    assert peak < 4e6
+
+
+def test_assemble_holds_no_matrix():
+    # 1 875 states: J over them alone would take 28 MB; the loop's
+    # nonzeros and assemble's lists of them take well under 1 MB
+    scn = ring_with_chords(1, buses=1000, generators=250, chords=300)
+    assert _traced_peak(lambda: assemble(scn))[1] < 4e6
 
 
 @pytest.mark.parametrize("case", ["ring9_scenario", "mesh"])
@@ -860,6 +865,125 @@ class TestTransientAnglePeak:
     def test_no_lines(self):
         scn = _single_bus_scenario()
         assert transient_angle_peak(scn, integrate(scn)) == (0.0, 0.0)
+
+
+def _whole_array_series(scn, states, times, certs, eq):
+    """p_m, the bus frequencies, the angle peak with its time, and V of the
+    (samples, states) array states, each one expression over all the
+    samples at once, with the per-sample order of operations of integrate,
+    transient_angle_peak and lyapunov_value."""
+    loop = assemble(scn)
+    lay, n_bus = loop.layout, loop.layout.n_bus
+    (frm, to), (flow_rows, flow_vals) = loop.ends, loop.spread
+
+    def product(out, mat, x):
+        rows, cols, vals = mat
+        np.add.at(out, (slice(None), rows), x[:, cols] * vals)
+        return out
+
+    p_m = product(np.zeros((len(times), len(lay.gen_ids))), loop.pm_rows, states)
+    freqs = np.multiply.outer(loop.loaded(times), loop.load[:n_bus])
+    product(freqs, [a[:np.searchsorted(loop.jac[0], n_bus)] for a in loop.jac],
+            states)
+    flows = sim._row_major(flow_rows.ravel(), np.tile(np.arange(len(frm)), 2),
+                           flow_vals.ravel())
+    product(freqs, [a[:np.searchsorted(flows[0], n_bus)] for a in flows],
+            np.sin(states[:, frm] - states[:, to]))
+    peak = np.max(np.abs(states[:, frm] - states[:, to]), axis=1, initial=0.0)
+    i = int(np.argmax(peak))
+
+    weights = []
+    for k, g in enumerate(lay.gen_ids):
+        om, pc, x0 = lay.omega.start + k, lay.pc.start + k, lay.x[k].start
+        weights += [(om, om, scn.network.bus(g).inertia),
+                    (pc, pc, scn.controllers[g].gamma)]
+        weights += [(x0 + r, x0 + c, v)
+                    for (r, c), v in np.ndenumerate(certs[g].p_matrix.to_array())]
+    rows, cols, vals = sim._row_major(*zip(*weights))
+    b = sim._line_ends(scn.network)[2]
+    x_star = equilibrium_system_state(scn, eq)
+    d = states - x_star
+    eta_s = x_star[frm] - x_star[to]
+    delta = states[:, frm] - states[:, to] - eta_s
+    potential = (2.0 * np.sin(eta_s + delta / 2.0) * np.sin(delta / 2.0)
+                 - np.sin(eta_s) * delta) * b
+    v = (0.5 * np.sum(d[:, rows] * vals * d[:, cols], axis=-1)
+         + np.sum(potential, axis=-1))
+    return p_m, freqs, (float(peak[i]), float(times[i])), v
+
+
+def _certificates(scn):
+    return {g: search_certificate(scn.generators[g], scn.controllers[g],
+                                  scn.network.bus(g).damping)
+            for g in scn.network.generator_ids}
+
+
+class TestSampleBlocks:
+    """The series derived from the recorded states, taken SAMPLE_BLOCK
+    samples at a time, are bitwise the whole-array ones."""
+
+    @pytest.fixture(params=["ring9_scenario", "mesh", "no_lines"])
+    def case(self, request):
+        if request.param == "no_lines":
+            scn = _single_bus_scenario()
+        else:
+            scn = request.getfixturevalue(request.param)
+        return scn, _certificates(scn), compute_equilibrium(scn)
+
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1),
+                                               (2, 1)])
+    def test_series_at_block_edges(self, case, blocks, extra):
+        scn, certs, eq = case
+        samples = blocks * sim.SAMPLE_BLOCK + extra
+        # stride 1, the load step half way, from a state off rest
+        scn = dataclasses.replace(scn, dt=0.01, t_end=(samples - 1) * 0.01,
+                                  disturbance_time=(samples // 2 - 0.5) * 0.01,
+                                  output_stride=1)
+        x = np.random.default_rng(samples).normal(scale=0.2,
+                                                  size=state_layout(scn).size)
+        traj = integrate(scn, initial_state=x)
+        assert len(traj.times) == samples
+        p_m, freqs, peak, v = _whole_array_series(scn, traj.states, traj.times,
+                                                  certs, eq)
+        assert np.array_equal(traj.p_m, p_m)
+        assert np.array_equal(traj.freqs, freqs)
+        assert transient_angle_peak(scn, traj) == peak
+        assert np.array_equal(lyapunov_value(scn, certs, eq, traj.states), v)
+        if not scn.network.lines:
+            assert peak == (0.0, 0.0)
+
+    def test_blocks_tile_the_samples(self):
+        b = sim.SAMPLE_BLOCK
+        for samples in range(1, 3 * b + 3):
+            blocks = sim._sample_blocks(samples)
+            assert [i for s in blocks for i in range(samples)[s]] == \
+                list(range(samples))
+            sizes = [s.stop - s.start for s in blocks]
+            assert all(size == b for size in sizes[:-1])
+            assert 2 <= sizes[-1] <= b + 1 or samples == 1
+
+    def test_one_state_is_one_value(self, case):
+        scn, certs, eq = case
+        x = np.random.default_rng(5).normal(scale=0.2, size=state_layout(scn).size)
+        value = lyapunov_value(scn, certs, eq, x)
+        assert np.ndim(value) == 0
+        assert value == _whole_array_series(scn, x[None], np.zeros(1), certs,
+                                            eq)[3][0]
+
+
+def test_series_memory_follows_the_states():
+    # 2 001 samples of 187 states and 130 lines: the run holds the states,
+    # the bus frequencies (100 columns), p_m and the marginal cost (25
+    # each); a block of samples times the nonzeros or lines read is small
+    # beside them
+    scn = dataclasses.replace(ring_with_chords(1), t_end=20.0, output_stride=1)
+    certs, eq = _certificates(scn), compute_equilibrium(scn)
+    traj, run = _traced_peak(lambda: integrate(scn))
+    held = traj.states.nbytes
+    assert run < 2.5 * held
+    assert _traced_peak(lambda: lyapunov_value(scn, certs, eq, traj.states))[1] \
+        < 0.5 * held
+    assert _traced_peak(lambda: transient_angle_peak(scn, traj))[1] < 0.5 * held
 
 
 class TestEquilibrium:
