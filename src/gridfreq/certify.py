@@ -11,14 +11,16 @@ trailing principal submatrix of the secondary one, so a secondary pass
 implies a primary pass with the same (P, k_d, lambda_hat).
 
 For the two worked generator models there are exact diagonal certificates
-with closed-form feasibility thresholds on the bus damping; for anything
-else a deterministic diagonal search runs.  A first-order lag is feasible
-only at its analytic point, so for a lag the search ends there, and no
-certificate means infeasible by the closed form.  Eigenvalues of the
-symmetric matrices come from one helper, _eigvalsh, which calls the LAPACK
+with closed-form feasibility thresholds on the bus damping.  A first-order
+lag is feasible only at its analytic point, so for a lag the search ends
+there, and no certificate means infeasible by the closed form.  Any other
+block, and a worked cascade whose analytic certificate fails, goes to a
+log-barrier Newton solve of the matrix inequality over full symmetric P
+and k_f.  Every certificate is then checked by the eigenvalues of its
+matrices, which come from one helper, _eigvalsh: it calls the LAPACK
 gufunc behind numpy.linalg.eigvalsh on the caller's array without the
-wrapper's per-call checks, so every eigenvalue, and so every certificate,
-is bitwise what numpy.linalg.eigvalsh gives.
+wrapper's per-call checks, so every eigenvalue is bitwise what
+numpy.linalg.eigvalsh gives.
 """
 
 from __future__ import annotations
@@ -46,6 +48,33 @@ TOL_PD_PER_DIM = 1e-12
 #: Default relative shave applied to the bus damping when picking
 #: lambda_hat inside the search: lambda_hat = Lambda * (1 - LAMBDA_SHAVE).
 LAMBDA_SHAVE = 1e-3
+
+#: The box _lmi_search keeps P in, _EPS_P I <= P <= _R_P I.  The floor
+#: keeps P positive definite far above check_secondary_lmi's TOL_PD_PER_DIM
+#: test.  The ceiling bounds the feasible set, so every barrier problem has
+#: a minimiser, and keeps M's rounding (about 1e-16 times P) well below
+#: TOL_PSD.  On 1 200 seeded chain blocks of order 2 to 5 the certificates'
+#: P had eigenvalues from 0.07 to 6e5, and every verdict was the same with
+#: a ceiling of 1e4 or 1e8.
+_EPS_P = 1e-6
+_R_P = 1e6
+
+#: The floor on k_f in _lmi_search: ControllerGains and cli._adopt_kf need
+#: k_f > 0.
+_EPS_KF = 1e-6
+
+#: _lmi_search's first barrier weight.  Of 0.01, 0.1, 1 and 10 it was the
+#: fastest on perfbench's certify blocks and on seeded chain blocks, with
+#: the same verdicts.
+_MU_START = 0.1
+
+#: A centring ends once the Newton decrement is below _CENTRED, where
+#: damped Newton converges quadratically and the duality gap mu * dim is
+#: as good as exact, or after _NEWTON_STEPS steps.  On seeded chain blocks
+#: the cap was reached only where rounding keeps the decrement up: least t
+#: near 0, at mu of 1e-8 or below.
+_CENTRED = 1e-3
+_NEWTON_STEPS = 50
 
 
 @functools.lru_cache(maxsize=None)
@@ -215,33 +244,6 @@ def secondary_lmi_matrix(gen: LtiGenerator, params: ControllerGains,
         _secondary_array(gen, params, p.to_array(), lambda_hat, kf))
 
 
-def _diagonal_secondary(gen: LtiGenerator, params: ControllerGains,
-                        lambda_hat: float):
-    """The secondary matrices for diagonal P, as one product.
-
-    With P = diag(d) the matrix is affine in (d, k_f):
-    M = M0 + sum_i d_i T_i + k_f E.  The templates are read off the
-    assembled matrix at P = 0 and P = e_i e_i^T, k_f = 0 and 1.  Returns
-    a function from a (candidates, n+2) array of rows [d_1..d_n, k_f, 1]
-    to the (candidates, n+2, n+2) stack of matrices; its ``templates``
-    attribute is the (n+2, (n+2)**2) array of the product, so one row's
-    matrix can be written into a buffer of the caller's with
-    row.dot(templates, out).
-    """
-    n = gen.order
-    m0 = _secondary_array(gen, params, np.zeros((n, n)), lambda_hat, 0.0)
-    probes = [_secondary_array(gen, params, np.diag(e), lambda_hat, 0.0)
-              for e in np.eye(n)]
-    probes.append(_secondary_array(gen, params, np.zeros((n, n)),
-                                   lambda_hat, 1.0))
-    templates = np.stack([m - m0 for m in probes] + [m0]).reshape(n + 2, -1)
-
-    def matrices(rows: np.ndarray) -> np.ndarray:
-        return (rows @ templates).reshape(-1, n + 2, n + 2)
-    matrices.templates = templates
-    return matrices
-
-
 def check_secondary_lmi(gen: LtiGenerator, params: ControllerGains,
                         cert: Certificate, lambda_bus: float) -> bool:
     """Does the certificate witness the secondary (averaging) condition?"""
@@ -292,54 +294,32 @@ def first_order_shortfall(gen: LtiGenerator, params: ControllerGains,
     return (threshold, lambda_hat) if threshold > lambda_hat else None
 
 
-def _golden_min(f, lo: float, hi: float,
-                iters: int = 32) -> Tuple[float, float]:
-    """Golden-section minimizer; returns the best argument found and its
-    value."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    return (c, fc) if fc < fd else (d, fd)
-
-
 def search_certificate(gen: LtiGenerator, params: ControllerGains,
                        lambda_bus: float) -> Optional[Certificate]:
-    """Deterministic search for a diagonal-P certificate.
+    """Deterministic search for a certificate at lambda_hat = Lambda (1 -
+    LAMBDA_SHAVE).
 
     Tries the exact analytic certificates first when the block matches one
     of the worked model structures.  A first-order lag is certifiable only
     at its analytic point, so for a lag None means the condition is
     infeasible: lambda_hat is below first_order_min_damping (to within
-    TOL_PSD).  Any other block then goes through a log-spaced grid over
-    diagonal P with a handful of k_f candidates, then cyclic coordinate
-    descent on (log diag P, k_f) minimizing the max eigenvalue; there None
-    is a statement about this search family, not infeasibility of the
-    condition.  Each descent step writes its candidate matrix into one
-    preallocated buffer (row.dot with _diagonal_secondary's templates) and
-    takes its eigenvalues from _eigvalsh, the LAPACK gufunc behind
-    numpy.linalg.eigvalsh, so the certificates are bitwise those of
-    numpy.linalg.eigvalsh on freshly built matrices.
+    TOL_PSD).  Any other block, and a worked cascade below its threshold,
+    goes to _lmi_search, which minimises the secondary matrix's largest
+    eigenvalue over full symmetric P with _EPS_P I <= P <= _R_P I and over
+    k_f >= _EPS_KF.  There None means that no (P, k_f) in that box brings
+    the largest eigenvalue down to TOL_PSD / 2.  The box keeps P clear of
+    check_secondary_lmi's positive definiteness test, keeps the problem
+    bounded, and keeps k_f > 0 as ControllerGains needs.  Every
+    certificate returned has passed check_secondary_lmi.
     """
     if not lambda_bus > 0.0:
         return None
     lambda_hat = lambda_bus * (1.0 - LAMBDA_SHAVE)
     margin = lambda_bus - lambda_hat
     k_gain = gen.dc_gain
-    n = gen.order
 
-    def finish(diag: Sequence[float], k_f: float) -> Optional[Certificate]:
-        cert = Certificate(p_matrix=SymmetricMatrix.diagonal(diag), k_f=k_f,
+    def finish(p: np.ndarray, k_f: float) -> Optional[Certificate]:
+        cert = Certificate(p_matrix=SymmetricMatrix.from_rows(p), k_f=k_f,
                            lambda_hat=lambda_hat, margin=margin)
         if check_secondary_lmi(gen, params, cert, lambda_bus):
             return cert
@@ -364,7 +344,7 @@ def search_certificate(gen: LtiGenerator, params: ControllerGains,
         analytic_diags.append((tau_a * scale, tau_p * scale))
     for diag in analytic_diags:
         for kf in kf_candidates:
-            cert = finish(diag, kf)
+            cert = finish(np.diag(diag), kf)
             if cert is not None:
                 return cert
     if fo is not None:
@@ -372,82 +352,102 @@ def search_certificate(gen: LtiGenerator, params: ControllerGains,
         # beyond it could only find tolerance artifacts.
         return None
 
-    # Coarse grid over diagonal P, with extra k_f points around the default.
-    base_kf = default_kf(k_gain, params.k_c, params.k_d)
-    for mult in (0.25, 0.5, 2.0, 4.0):
-        kf = base_kf * mult
-        if kf not in kf_candidates:
-            kf_candidates.append(kf)
-    grid = [10.0 ** (-3.0 + 0.5 * i) for i in range(13)]  # 1e-3 .. 1e3
-    if n == 2:
-        diag_candidates = [(g1, g2) for g1 in grid for g2 in grid]
-    else:
-        diag_candidates = [(g,) * n for g in grid]
-
-    matrices = _diagonal_secondary(gen, params, lambda_hat)
-    # The floating-point flags of _eigvalsh's gufunc, quieted once per
-    # search, not at every evaluation.  This also quiets the grid's matmul,
-    # whose overflow or invalid result would make _eigvalsh raise anyway.
+    # The floating-point flags of _eigvalsh's gufunc, which
+    # numpy.linalg.eigvalsh would suppress, quieted for the whole solve.
     with np.errstate(all="ignore"):
-        point = _diagonal_search(matrices, analytic_diags + diag_candidates,
-                                 kf_candidates)
+        point = _lmi_search(gen, params, lambda_hat)
     return None if point is None else finish(*point)
 
 
-def _diagonal_search(matrices, diags: Sequence[Tuple[float, ...]],
-                     kf_candidates: Sequence[float]
-                     ) -> Optional[Tuple[List[float], float]]:
-    """The grid, then the descent, over (diag P, k_f) for the matrices of
-    _diagonal_secondary: the first point whose max eigenvalue is at most
-    TOL_PSD, or None.  Callers hold np.errstate(all="ignore")."""
-    n = len(diags[0])
+def _lmi_templates(gen: LtiGenerator, params: ControllerGains,
+                   lambda_hat: float) -> np.ndarray:
+    """G as a product: G(z) = (z @ templates).reshape(dim, dim) for z =
+    [P's upper triangle, k_f, t, 1], where G is the block diagonal of
+    t I - M(P, k_f), P - _EPS_P I, _R_P I - P and k_f - _EPS_KF, and M the
+    secondary matrix.  G is affine in z, so the templates are read off G
+    at the origin and at each unit point."""
+    n = gen.order
+    zero = np.zeros((n, n))
 
-    # The whole grid in one batch: the first passing candidate in loop
-    # order wins, else the descent starts from the first minimum.
-    pairs = [(diag, kf) for diag in diags for kf in kf_candidates]
-    rows = np.array([[*diag, kf, 1.0] for diag, kf in pairs])
-    vals = _eigvalsh(matrices(rows))[:, -1]
-    passing = np.flatnonzero(vals <= TOL_PSD)
-    if len(passing):
-        return pairs[passing[0]]
+    def assembled(p: np.ndarray, k_f: float, t: float) -> np.ndarray:
+        g = np.zeros((3 * n + 3, 3 * n + 3))
+        g[:n + 2, :n + 2] = t * np.eye(n + 2) - _secondary_array(
+            gen, params, p, lambda_hat, k_f)
+        g[n + 2:-n - 1, n + 2:-n - 1] = p - _EPS_P * np.eye(n)
+        g[-n - 1:-1, -n - 1:-1] = _R_P * np.eye(n) - p
+        g[-1, -1] = k_f - _EPS_KF
+        return g.ravel()
 
-    # Coordinate descent from the best grid point.  Every evaluation
-    # rewrites one entry of the row [diag P, k_f, 1] in place and writes
-    # its matrix into one buffer.
-    best = int(np.argmin(vals))
-    diag, kf = pairs[best]
-    logd = [math.log10(v) for v in diag]
-    val = float(vals[best])
-    row = np.empty(n + 2)
-    row[:n] = [10.0 ** v for v in logd]
-    row[n:] = kf, 1.0
-    flat = np.empty((n + 2) ** 2)
-    candidate = flat.reshape(n + 2, n + 2)
+    units = []
+    for i, j in zip(*_upper(n)):
+        p = zero.copy()
+        p[i, j] = p[j, i] = 1.0
+        units.append(assembled(p, 0.0, 0.0))
+    units += [assembled(zero, 1.0, 0.0), assembled(zero, 0.0, 1.0)]
+    origin = assembled(zero, 0.0, 0.0)
+    return np.stack([u - origin for u in units] + [origin])
 
-    def top_eig(j: int, x: float) -> float:
-        row[j] = x
-        row.dot(matrices.templates, flat)
-        return float(_eigvalsh(candidate)[-1])
 
-    for _ in range(200):
-        improved = False
-        for i in range(n):
-            xi, vi = _golden_min(lambda x, i=i: top_eig(i, 10.0 ** x),
-                                 logd[i] - 1.0, logd[i] + 1.0)
-            if vi < val - 1e-15:
-                logd[i] = xi
-                val = vi
-                improved = True
-            row[i] = 10.0 ** logd[i]
+def _lmi_search(gen: LtiGenerator, params: ControllerGains,
+                lambda_hat: float) -> Optional[Tuple[np.ndarray, float]]:
+    """Minimise t subject to M(P, k_f) <= t I, _EPS_P I <= P <= _R_P I and
+    k_f >= _EPS_KF over P's upper triangle, k_f and t, where M is the
+    secondary matrix: P's upper triangle as an array and k_f once t <=
+    TOL_PSD / 2, else None.
 
-        xk, vk = _golden_min(lambda x: top_eig(n, x), kf * 0.25, kf * 4.0)
-        if vk < val - 1e-15:
-            kf = xk
-            val = vk
-            improved = True
-        row[n] = kf
-        if val <= TOL_PSD:
-            return [10.0 ** v for v in logd], kf
-        if not improved:
-            break
-    return None
+    Barrier method (Boyd and Vandenberghe, Convex Optimization, 11.3):
+    damped Newton on t / mu - log det G, with G the block diagonal of
+    _lmi_templates, from P = I/(K k_c) and default_kf, with mu cut tenfold
+    after each centring.  At a centre, t exceeds the least t in the box by
+    at most mu times G's dimension (the duality gap).  So once t minus
+    that gap is above TOL_PSD / 2, or the gap is below TOL_PSD / 2 with t
+    still above it, no point of the box brings M's largest eigenvalue down
+    to TOL_PSD / 2, and the answer is None.  Callers hold
+    np.errstate(all="ignore").
+    """
+    n = gen.order
+    rows, cols = _upper(n)
+    size = len(rows)
+    dim = 3 * n + 3
+    templates = _lmi_templates(gen, params, lambda_hat)
+    slopes = templates[:-1].reshape(size + 2, dim, dim)
+
+    def whitened(z: np.ndarray) -> Optional[np.ndarray]:
+        """The slopes as L^-1 slope L^-T for G(z) = L L^T, one row each,
+        or None where G(z) is not positive definite."""
+        try:
+            root = np.linalg.inv(np.linalg.cholesky(
+                (z @ templates).reshape(dim, dim)))
+        except np.linalg.LinAlgError:
+            return None
+        return (root @ slopes @ root.T).reshape(size + 2, -1)
+
+    p = np.eye(n) / (gen.dc_gain * params.k_c)
+    k_f = default_kf(gen.dc_gain, params.k_c, params.k_d)
+    t = _eigvalsh(_secondary_array(gen, params, p, lambda_hat, k_f))[-1] + 1.0
+    z = np.concatenate([p[rows, cols], [k_f, t, 1.0]])
+    w = whitened(z)
+    mu = _MU_START
+    while True:
+        for _ in range(_NEWTON_STEPS):
+            # The barrier's gradient is -tr(W_k) and its Hessian W W^T; the
+            # objective t adds 1/mu to the last.
+            grad = -w[:, ::dim + 1].sum(axis=1)
+            grad[-1] += 1.0 / mu
+            step = np.append(np.linalg.solve(w @ w.T, -grad), 0.0)
+            decrement = math.sqrt(max(-(grad @ step[:-1]), 0.0))
+            # The damped step stays inside G's domain in exact arithmetic;
+            # it is halved where rounding takes it out.
+            step /= 1.0 + decrement
+            while (w_next := whitened(z + step)) is None:
+                step /= 2.0
+            z, w = z + step, w_next
+            if z[-2] <= TOL_PSD / 2.0:
+                p = np.zeros((n, n))
+                p[rows, cols] = z[:size]
+                return p, float(z[size])
+            if decrement < _CENTRED:
+                break
+        if z[-2] - mu * dim > TOL_PSD / 2.0 or mu * dim < TOL_PSD / 2.0:
+            return None
+        mu /= 10.0

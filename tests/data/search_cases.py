@@ -1,22 +1,14 @@
-"""Write the pinned search certificates in pinned_certificates_3667bee.json.
+"""The search cases: blocks outside the worked shapes, with their gains
+and bus damping.
 
-The references are the certificates that ``certify.search_certificate``
-returned at commit 3667bee for blocks outside the worked shapes, which
-take the grid and the coordinate descent: the reheat governor and the
-feedthrough cascade of tests/test_certify.py::TestSearchPaths, plus
-seeded reheat and cascade blocks built here.  Each record holds the block,
-its gains, the bus damping and the certificate's P entries and k_f (or
-null when none was found).  To regenerate them:
-
-    mkdir OLD && git archive 3667bee src | tar -x -C OLD
-    PYTHONPATH=OLD/src python3 tests/data/pin_certificates.py \
-        > tests/data/pinned_certificates_3667bee.json
+The reheat governor and the feedthrough cascade of
+tests/test_certify.py::TestSearchPaths, plus seeded reheat and cascade
+blocks built here.  pin_verdicts.py pins the search's verdicts on them at
+several bus dampings, and tests/test_certify.py searches them.
 """
 
-import json
 import random
 
-from gridfreq.certify import search_certificate
 from gridfreq.control import ControllerGains
 from gridfreq.generation import LtiGenerator
 
@@ -44,6 +36,7 @@ def cases() -> list:
                 gains=unit, lambda_bus=1.0),
            dict(name="search_paths_cascade", block=cascade(0.3, 1.1, 0.2, 1.0),
                 gains=unit, lambda_bus=1.0)]
+    # The seed of the script's first name, which fixes the seeded blocks.
     rng = random.Random("pin_certificates")
     u = rng.uniform
     for i in range(SEEDED):
@@ -73,17 +66,3 @@ def generator(block: dict) -> LtiGenerator:
 
 def controller(gains: dict) -> ControllerGains:
     return ControllerGains(gamma=1.0, q=1.0, **gains)
-
-
-def certificate(case: dict):
-    """The search's certificate for one case: P entries and k_f, or None."""
-    cert = search_certificate(generator(case["block"]),
-                              controller(case["gains"]), case["lambda_bus"])
-    if cert is None:
-        return None
-    return {"p": cert.p_matrix.to_lists(), "k_f": cert.k_f}
-
-
-if __name__ == "__main__":
-    print(json.dumps([dict(case, certificate=certificate(case))
-                      for case in cases()], indent=1))

@@ -8,8 +8,9 @@ products, where the program sums over the nonzeros alone, and solve the
 equilibrium's Newton steps with np.linalg.solve, where the program runs
 conjugate gradients over the line ends.  The certificate ones are the
 primary (droop) condition, which the program only checks as the trailing
-block of the secondary one, and the worked models' analytic certificates,
-which search_certificate builds inline.
+block of the secondary one, the secondary condition, assembled from its
+definition, and the worked models' analytic certificates, which
+search_certificate builds inline.
 """
 
 import math
@@ -176,6 +177,39 @@ def check_primary(gen, k_d, cert, lambda_bus):
         return False
     m = primary_matrix(gen, k_d, p, cert.lambda_hat)
     return np.linalg.eigvalsh(m)[-1] <= certify.TOL_PSD
+
+
+def secondary_matrix(gen, params, p, k_f, lambda_hat):
+    """The (n+2)-dimensional secondary (averaging) matrix for the (n, n)
+    array P, written out from its definition: corner (D - K) k_c, border
+    (k_c B^T P + C)/2 and (k_f - k_d K + D k_d - D k_c)/2, then the
+    primary block, with K = D - C A^-1 B solved here."""
+    a = np.array(gen.a_matrix)
+    b = np.array(gen.b_vector)
+    c = np.array(gen.c_vector)
+    d, k_c, k_d = gen.d_scalar, params.k_c, params.k_d
+    n = len(b)
+    k = d - c @ np.linalg.solve(a, b)
+    m = np.zeros((n + 2, n + 2))
+    m[0, 0] = (d - k) * k_c
+    m[0, 1:n + 1] = m[1:n + 1, 0] = (k_c * (b @ p) + c) / 2.0
+    m[0, n + 1] = m[n + 1, 0] = (k_f - k_d * k + d * k_d - d * k_c) / 2.0
+    m[1:n + 1, 1:n + 1] = (p @ a + a.T @ p) / 2.0
+    m[1:n + 1, n + 1] = m[n + 1, 1:n + 1] = (k_d * (p @ b) - c) / 2.0
+    m[n + 1, n + 1] = -lambda_hat - d * k_d
+    return m
+
+
+def check_secondary(gen, params, cert, lambda_bus):
+    """Does the certificate witness the secondary condition?  lambda_hat
+    below the bus damping, k_f > 0, P positive definite and the secondary
+    matrix negative semidefinite, to certify's tolerance."""
+    p = cert.p_matrix.to_array()
+    return (cert.lambda_hat < lambda_bus and cert.k_f > 0.0
+            and np.linalg.eigvalsh(p)[0] > 0.0
+            and np.linalg.eigvalsh(secondary_matrix(
+                gen, params, p, cert.k_f, cert.lambda_hat))[-1]
+            <= certify.TOL_PSD)
 
 
 def second_order_certificate(tau_a, tau_p, k_gain, k_c, k_d, lambda_hat=0.0):

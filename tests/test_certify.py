@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from gridfreq import certify
 from gridfreq.certify import (Certificate, LAMBDA_SHAVE, SymmetricMatrix,
-                              TOL_PSD, _diagonal_secondary, _primary_array,
-                              check_secondary_lmi, first_order_min_damping,
+                              _primary_array, check_secondary_lmi,
+                              first_order_min_damping,
                               is_positive_definite, search_certificate,
                               second_order_min_damping, secondary_lmi_matrix,
                               sym_eigenvalues)
@@ -19,8 +19,9 @@ from gridfreq.control import ControllerGains
 from gridfreq.generation import (LtiGenerator, first_order_params,
                                  make_first_order, make_second_order,
                                  second_order_params)
-from reference import (check_primary, first_order_certificate, primary_matrix,
-                       second_order_certificate)
+from reference import (check_primary, check_secondary, first_order_certificate,
+                       primary_matrix, second_order_certificate,
+                       secondary_matrix)
 
 
 def _params(**over):
@@ -290,12 +291,15 @@ class TestSearchCertificate:
         assert search_certificate(gen, _params(), 0.0) is None
 
     def test_deterministic(self):
-        gen = make_second_order(0.35, 1.2, 1.2)
-        params = _params(k_c=0.6, k_d=0.8, k_f=0.9)
-        a = search_certificate(gen, params, 0.6)
-        b = search_certificate(gen, params, 0.6)
-        assert a == b
-        assert a is not None
+        # an analytic certificate, then one of the LMI solve (off-diagonal P)
+        for gen, params, lam in ((make_second_order(0.35, 1.2, 1.2),
+                                  _params(k_c=0.6, k_d=0.8, k_f=0.9), 0.6),
+                                 (_reheat(), _params(), 0.3)):
+            a = search_certificate(gen, params, lam)
+            b = search_certificate(gen, params, lam)
+            assert a == b
+            assert a is not None
+        assert a.p_matrix.entry(0, 1) != 0.0
 
     def test_found_certificates_imply_droop_condition(self):
         """Secondary feasibility must always carry the droop-only check.
@@ -336,7 +340,9 @@ def _block(a, b, c, d):
 
 
 class TestDiagonalEvaluator:
-    """The search's affine templates against the assembled matrix."""
+    """The solver's block-diagonal barrier matrix G, evaluated from its
+    templates, against the secondary matrix assembled from its definition
+    and the box around P and k_f."""
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_templates_match_assembled_matrix(self, order):
@@ -350,66 +356,97 @@ class TestDiagonalEvaluator:
         params = _params(k_c=float(rng.uniform(0.3, 2.0)),
                          k_d=float(rng.uniform(0.3, 2.0)))
         lambda_hat = float(rng.uniform(0.1, 2.0))
-        matrices = _diagonal_secondary(gen, params, lambda_hat)
-        count = 20
-        diags = 10.0 ** rng.uniform(-3.0, 3.0, size=(count, order))
-        kfs = rng.uniform(0.05, 5.0, count)
-        rows = np.column_stack([diags, kfs, np.ones(count)])
-        batched = matrices(rows)
-        batched_top = np.linalg.eigvalsh(batched)[:, -1]
-        assert batched.shape == (count, order + 2, order + 2)
-        for i in range(count):
-            want = secondary_lmi_matrix(
-                gen, params, SymmetricMatrix.diagonal(diags[i].tolist()),
-                lambda_hat, k_f=float(kfs[i])).to_array()
-            single = matrices(rows[i:i + 1])[0]
-            scale = np.abs(want).max()
-            assert np.abs(single - want).max() <= 1e-14 * scale
-            assert np.abs(batched[i] - want).max() <= 1e-14 * scale
-            top = np.linalg.eigvalsh(single)[-1]
-            assert batched_top[i] == pytest.approx(top, rel=1e-14,
-                                                   abs=1e-14 * scale)
+        templates = certify._lmi_templates(gen, params, lambda_hat)
+        rows, cols = np.triu_indices(order)
+        dim = 3 * order + 3
+        assert templates.shape == (len(rows) + 3, dim * dim)
+        top, low, high = (slice(0, order + 2), slice(order + 2, 2 * order + 2),
+                          slice(2 * order + 2, dim - 1))
+        for _ in range(20):
+            s = rng.normal(size=(order, order)) * 10.0 ** rng.uniform(-3, 3)
+            p = s + s.T
+            k_f, t = float(rng.uniform(0.05, 5.0)), float(rng.normal())
+            z = np.concatenate([p[rows, cols], [k_f, t, 1.0]])
+            got = (z @ templates).reshape(dim, dim)
+            want = np.zeros((dim, dim))
+            want[top, top] = (t * np.eye(order + 2)
+                              - secondary_matrix(gen, params, p, k_f, lambda_hat))
+            want[low, low] = p - certify._EPS_P * np.eye(order)
+            want[high, high] = certify._R_P * np.eye(order) - p
+            want[-1, -1] = k_f - certify._EPS_KF
+            # rounding of the product, entry by entry
+            bound = 1e-13 * (np.abs(z) @ np.abs(templates)).reshape(dim, dim)
+            assert np.all(np.abs(got - want) <= bound)
 
 
-def _assembled_secondary(gen, params, p, k_f, lambda_hat):
-    """The secondary matrix written out from its definition in numpy."""
-    a = np.array(gen.a_matrix)
-    b = np.array(gen.b_vector)
-    c = np.array(gen.c_vector)
-    d, k_c, k_d = gen.d_scalar, params.k_c, params.k_d
-    n = len(b)
-    k = d - c @ np.linalg.solve(a, b)
-    m = np.zeros((n + 2, n + 2))
-    m[0, 0] = (d - k) * k_c
-    m[0, 1:n + 1] = m[1:n + 1, 0] = (k_c * (b @ p) + c) / 2.0
-    m[0, n + 1] = m[n + 1, 0] = (k_f - k_d * k + d * k_d - d * k_c) / 2.0
-    m[1:n + 1, 1:n + 1] = (p @ a + a.T @ p) / 2.0
-    m[1:n + 1, n + 1] = m[n + 1, 1:n + 1] = (k_d * (p @ b) - c) / 2.0
-    m[n + 1, n + 1] = -lambda_hat - d * k_d
-    return m
+def _reheat():
+    """Governor lag -> steam chest -> reheater, p_m = F x_ch + (1 - F) x_rh."""
+    t_g, t_ch, t_rh, f_hp = 0.2, 0.3, 6.0, 0.3
+    return _block([[-1.0 / t_g, 0.0, 0.0], [1.0 / t_ch, -1.0 / t_ch, 0.0],
+                   [0.0, 1.0 / t_rh, -1.0 / t_rh]],
+                  [1.0 / t_g, 0.0, 0.0], [0.0, f_hp, 1.0 - f_hp], 0.0)
+
+
+def _solver_spy(monkeypatch):
+    """The argument tuples of every _lmi_search call from here on."""
+    solved = []
+    solve = certify._lmi_search
+
+    def spy(*args):
+        solved.append(args)
+        return solve(*args)
+    monkeypatch.setattr(certify, "_lmi_search", spy)
+    return solved
 
 
 class TestSearchPaths:
-    """Blocks outside the worked shapes take the grid and the descent."""
+    """Blocks outside the worked shapes, and worked blocks whose analytic
+    certificate fails, go to the LMI solve."""
 
     def _assert_certifies(self, gen, params, lam):
         assert first_order_params(gen) is None
         assert second_order_params(gen) is None
         cert = search_certificate(gen, params, lam)
         assert cert is not None
-        p = cert.p_matrix.to_array()
-        assert cert.lambda_hat < lam
-        assert np.linalg.eigvalsh(p)[0] > 0.0
-        m = _assembled_secondary(gen, params, p, cert.k_f, cert.lambda_hat)
-        assert np.linalg.eigvalsh(m)[-1] <= TOL_PSD
+        assert check_secondary(gen, params, cert, lam)
 
     def test_reheat_governor(self):
-        # governor lag -> steam chest -> reheater, p_m = F x_ch + (1 - F) x_rh
-        t_g, t_ch, t_rh, f_hp = 0.2, 0.3, 6.0, 0.3
-        gen = _block([[-1.0 / t_g, 0.0, 0.0], [1.0 / t_ch, -1.0 / t_ch, 0.0],
-                      [0.0, 1.0 / t_rh, -1.0 / t_rh]],
-                     [1.0 / t_g, 0.0, 0.0], [0.0, f_hp, 1.0 - f_hp], 0.0)
-        self._assert_certifies(gen, _params(k_f=1.0, k_c=1.0, k_d=1.0), 1.0)
+        self._assert_certifies(_reheat(), _params(k_f=1.0, k_c=1.0, k_d=1.0),
+                               1.0)
+
+    def test_reheat_at_hundredth_damping_not_found(self):
+        assert search_certificate(_reheat(), _params(), 0.01) is None
+
+    @pytest.mark.parametrize("share", [0.9, 0.75])
+    def test_worked_block_below_threshold_certifies_off_diagonal(self, share):
+        # the analytic (diagonal) certificate needs the whole threshold
+        gen = make_second_order(0.3, 1.1, 1.0)
+        params = _params()
+        threshold = second_order_min_damping(1.0, 1.0, 1.0)
+        lam = share * threshold / (1.0 - LAMBDA_SHAVE)
+        cert = search_certificate(gen, params, lam)
+        assert cert is not None
+        assert cert.p_matrix.entry(0, 1) != 0.0
+        assert check_secondary(gen, params, cert, lam)
+
+    def test_worked_block_at_half_threshold_not_found(self):
+        gen = make_second_order(0.3, 1.1, 1.0)
+        threshold = second_order_min_damping(1.0, 1.0, 1.0)
+        lam = 0.5 * threshold / (1.0 - LAMBDA_SHAVE)
+        assert search_certificate(gen, _params(), lam) is None
+
+    def test_order_one_feedthrough_reaches_solver(self, monkeypatch):
+        # a lag plus feedthrough, p_m = 0.8 x + 0.2 u: not the lag's shape
+        gen = _block([[-2.0]], [2.0], [0.8], 0.2)
+        solved = _solver_spy(monkeypatch)
+        self._assert_certifies(gen, _params(), 1.0)
+        assert len(solved) == 1
+
+    def test_search_cases_certify(self):
+        for name, gen, params, lam in _search_cases():
+            cert = search_certificate(gen, params, lam)
+            assert cert is not None, name
+            assert check_secondary(gen, params, cert, lam), name
 
     def test_cascade_with_feedthrough(self):
         # two-lag cascade, p_m = (1 - f) x_2 + f K u
@@ -432,12 +469,7 @@ class TestFirstOrderVerdicts:
         assert search_certificate(gen, params, lam) is None
 
     def test_verdicts_follow_closed_form(self, monkeypatch):
-        built = []
-
-        def spy(*args):
-            built.append(args)
-            return _diagonal_secondary(*args)
-        monkeypatch.setattr(certify, "_diagonal_secondary", spy)
+        solved = _solver_spy(monkeypatch)
         # The ranges of test_found_certificates_imply_droop_condition.
         # TOL_PSD is absolute, so a threshold near 0 (k_c close to k_d)
         # would hide a relative shortfall of 1e-5 inside the tolerance;
@@ -462,12 +494,12 @@ class TestFirstOrderVerdicts:
                 cert = search_certificate(gen, params, lam)
                 assert (cert is not None) == (lambda_hat >= threshold), \
                     (tau, k_gain, params, ratio)
-        assert built == []
+        assert solved == []
         # the spy does see a block outside the worked shapes
         cascade = _block([[-1.0 / 0.3, 0.0], [1.0 / 1.1, -1.0 / 1.1]],
                          [1.0 / 0.3, 0.0], [0.0, 0.8], 0.2)
         assert search_certificate(cascade, _params(), 1.0) is not None
-        assert len(built) == 1
+        assert len(solved) == 1
 
 
 def _symmetric_stack(rng, count, dim):
@@ -530,10 +562,10 @@ def _chain_block(rng, order):
 
 
 def _search_cases():
-    """(name, block, gains, bus damping): the pinned certificate cases,
-    then seeded chains of order 2-4."""
+    """(name, block, gains, bus damping): the cases of
+    tests/data/search_cases.py, then seeded chains of order 2-4."""
     script = runpy.run_path(str(Path(__file__).parent / "data"
-                                / "pin_certificates.py"))
+                                / "search_cases.py"))
     cases = [(c["name"], script["generator"](c["block"]),
               script["controller"](c["gains"]), c["lambda_bus"])
              for c in script["cases"]()]
@@ -546,47 +578,3 @@ def _search_cases():
                          k_f=gen.dc_gain * (k_c + k_d) / 2.0)
         cases.append((f"chain_{i}", gen, params, float(rng.uniform(0.8, 1.2))))
     return cases
-
-
-class TestDescentParity:
-    """The descent's buffer and eigenvalue helper against fresh matrices
-    and numpy.linalg.eigvalsh."""
-
-    @pytest.mark.parametrize("order", range(1, 7))
-    def test_buffer_matches_fresh_matrix(self, order):
-        rng = np.random.default_rng(600 + order)
-        gen = _chain_block(rng, order)
-        matrices = _diagonal_secondary(gen, _params(), 0.9)
-        flat = np.empty((order + 2) ** 2)
-        for _ in range(50):
-            row = np.concatenate([10.0 ** rng.uniform(-3, 3, order),
-                                  [rng.uniform(0.05, 5.0), 1.0]])
-            row.dot(matrices.templates, flat)
-            assert np.array_equal(flat.reshape(order + 2, order + 2),
-                                  matrices(row[None, :])[0])
-
-    def test_certificates_match_numpy_eigvalsh(self, monkeypatch):
-        def run(eig):
-            shapes = []
-
-            def spy(a):
-                shapes.append(a.shape)
-                return eig(a)
-            monkeypatch.setattr(certify, "_eigvalsh", spy)
-            certs = [search_certificate(gen, params, lam)
-                     for _, gen, params, lam in cases]
-            return certs, shapes
-
-        cases = _search_cases()
-        for name, gen, _, _ in cases:
-            assert first_order_params(gen) is None, name
-            assert second_order_params(gen) is None, name
-        shipped, shipped_shapes = run(certify._eigvalsh)
-        wrapped, wrapped_shapes = run(np.linalg.eigvalsh)
-        assert shipped_shapes == wrapped_shapes
-        assert any(shape == (5, 5) for shape in shipped_shapes)  # descents ran
-        for (name, *_), got, want in zip(cases, shipped, wrapped):
-            assert (got is None) == (want is None), name
-            if got is not None:
-                assert got.p_matrix.entries == want.p_matrix.entries, name
-                assert got.k_f == want.k_f, name
