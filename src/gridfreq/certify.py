@@ -10,13 +10,17 @@ controller needs, and the one checked here.  The primary matrix is the
 trailing principal submatrix of the secondary one, so a secondary pass
 implies a primary pass with the same (P, k_d, lambda_hat).
 
+The secondary condition fixes part of its own answer.  With x_s = -A^-1
+B k_c, the block's steady state under a unit command, and v = [1, x_s, 0],
+v^T M v = 0 for every P and k_f, so a negative semidefinite M has M v = 0:
+k_f = K k_c and A^T P x_s = -C^T.  The search works on that face alone.
 For the two worked generator models there are exact diagonal certificates
-with closed-form feasibility thresholds on the bus damping.  A first-order
-lag is feasible only at its analytic point, so for a lag the search ends
-there, and no certificate means infeasible by the closed form.  Any other
-block, and a worked cascade whose analytic certificate fails, goes to a
-log-barrier Newton solve of the matrix inequality over full symmetric P
-and k_f.  Every certificate is then checked by the eigenvalues of its
+on it, with closed-form feasibility thresholds on the bus damping, and
+they are tried first.  An order-1 face is a single point, so an order-1
+block is decided by one check there: for a first-order lag no certificate
+means infeasible by the closed form.  A higher-order block goes to a
+log-barrier Newton solve of the matrix inequality over the face's P.
+Every certificate is then checked by the eigenvalues of its full
 matrices, which come from one helper, _eigvalsh: it calls the LAPACK
 gufunc behind numpy.linalg.eigvalsh on the caller's array without the
 wrapper's per-call checks, so every eigenvalue is bitwise what
@@ -36,7 +40,7 @@ import numpy as np
 # than the LAPACK call on the search's 3x3 to 8x8 matrices.
 from numpy.linalg._umath_linalg import eigvalsh_lo as _eigvalsh_lo
 
-from .control import ControllerGains, default_kf
+from .control import ControllerGains
 from .generation import LtiGenerator, first_order_params, second_order_params
 
 #: "<= 0" for the certificate matrices means max eigenvalue <= TOL_PSD.
@@ -49,30 +53,27 @@ TOL_PD_PER_DIM = 1e-12
 #: lambda_hat inside the search: lambda_hat = Lambda * (1 - LAMBDA_SHAVE).
 LAMBDA_SHAVE = 1e-3
 
-#: The box _lmi_search keeps P in, _EPS_P I <= P <= _R_P I.  The floor
+#: The box _face_search keeps P in, _EPS_P I <= P <= _R_P I.  The floor
 #: keeps P positive definite far above check_secondary_lmi's TOL_PD_PER_DIM
 #: test.  The ceiling bounds the feasible set, so every barrier problem has
 #: a minimiser, and keeps M's rounding (about 1e-16 times P) well below
-#: TOL_PSD.  On 1 200 seeded chain blocks of order 2 to 5 the certificates'
-#: P had eigenvalues from 0.07 to 6e5, and every verdict was the same with
-#: a ceiling of 1e4 or 1e8.
+#: TOL_PSD.  On the 360 cases of tests/data/pinned_verdicts_*.json the
+#: certificates' P had eigenvalues from 0.026 to 3.4e3, and every verdict
+#: was the same with a ceiling of 1e4 or 1e8.
 _EPS_P = 1e-6
 _R_P = 1e6
 
-#: The floor on k_f in _lmi_search: ControllerGains and cli._adopt_kf need
-#: k_f > 0.
-_EPS_KF = 1e-6
-
-#: _lmi_search's first barrier weight.  Of 0.01, 0.1, 1 and 10 it was the
-#: fastest on perfbench's certify blocks and on seeded chain blocks, with
-#: the same verdicts.
-_MU_START = 0.1
+#: _face_search's first barrier weight.  On 1 500 seeded chain blocks
+#: (orders 2 to 6, five bus damping scales) 1e-4 to 10 gave the same
+#: verdicts; 1e-3 and 1e-4 took 1.7 s against 4.5 s at 0.1, and at 1e-3
+#: the certificates' P had a median condition number of 3.4 against 43.
+_MU_START = 1e-3
 
 #: A centring ends once the Newton decrement is below _CENTRED, where
 #: damped Newton converges quadratically and the duality gap mu * dim is
-#: as good as exact, or after _NEWTON_STEPS steps.  On seeded chain blocks
-#: the cap was reached only where rounding keeps the decrement up: least t
-#: near 0, at mu of 1e-8 or below.
+#: as good as exact, or after _NEWTON_STEPS steps.  On those chain blocks
+#: 15 of 1 562 centrings reached the cap, and a cap of 1 000 gave the same
+#: verdicts.
 _CENTRED = 1e-3
 _NEWTON_STEPS = 50
 
@@ -236,8 +237,8 @@ def secondary_lmi_matrix(gen: LtiGenerator, params: ControllerGains,
     Row/column 0 carries the command coupling: corner -K k_c + D k_c and
     border r = [(k_c B^T P + C)/2, (k_f - k_d K + D k_d - D k_c)/2].  The
     trailing (n+1) block is exactly the primary matrix (same floats, same
-    construction).  ``k_f`` overrides params.k_f when given, since the
-    certifier treats it as a free variable.
+    construction).  ``k_f`` overrides params.k_f when given; a
+    certificate's k_f is always K k_c, which may differ from params.k_f.
     """
     kf = params.k_f if k_f is None else k_f
     return SymmetricMatrix.from_rows(
@@ -297,120 +298,129 @@ def first_order_shortfall(gen: LtiGenerator, params: ControllerGains,
 def search_certificate(gen: LtiGenerator, params: ControllerGains,
                        lambda_bus: float) -> Optional[Certificate]:
     """Deterministic search for a certificate at lambda_hat = Lambda (1 -
-    LAMBDA_SHAVE).
+    LAMBDA_SHAVE), on the face of the secondary condition.
 
-    Tries the exact analytic certificates first when the block matches one
-    of the worked model structures.  A first-order lag is certifiable only
-    at its analytic point, so for a lag None means the condition is
-    infeasible: lambda_hat is below first_order_min_damping (to within
-    TOL_PSD).  Any other block, and a worked cascade below its threshold,
-    goes to _lmi_search, which minimises the secondary matrix's largest
-    eigenvalue over full symmetric P with _EPS_P I <= P <= _R_P I and over
-    k_f >= _EPS_KF.  There None means that no (P, k_f) in that box brings
-    the largest eigenvalue down to TOL_PSD / 2.  The box keeps P clear of
-    check_secondary_lmi's positive definiteness test, keeps the problem
-    bounded, and keeps k_f > 0 as ControllerGains needs.  Every
-    certificate returned has passed check_secondary_lmi.
+    With x_s = -A^-1 B k_c, the block's steady state under a unit
+    command, and v = [1, x_s, 0], v^T M v = 0 for every P and k_f, so M
+    <= 0 forces M v = 0: k_f = K k_c and A^T P x_s = -C^T.  Every
+    certificate has that k_f, and its P is sought on that face (facial
+    reduction; Borwein and Wolkowicz, J. Austral. Math. Soc. A 30(3),
+    1981).  The worked shapes' analytic certificates lie on the face and
+    are tried first.  With w = -A^-T C^T, the face holds a positive
+    definite P only if w^T x_s > 0, and then P0 = w w^T / (w^T x_s) + c (I
+    - x^ x^T), with x^ = x_s / |x_s| and c = w^T x_s / |x_s|^2, is one.
+    For order 1 P0 is the face's only point, so the verdict is the check
+    at P0: for a first-order lag None means lambda_hat is below
+    first_order_min_damping (to within TOL_PSD).  For a higher order
+    _face_search minimises U^T M U's largest eigenvalue over the face's
+    P with _EPS_P I <= P <= _R_P I, where the columns of U span v's
+    complement.  There None means that no such P brings it down to
+    TOL_PSD / 2.  The box keeps P clear of check_secondary_lmi's positive
+    definiteness test and keeps the problem bounded.  Every certificate
+    returned has passed check_secondary_lmi on the full matrix.
     """
     if not lambda_bus > 0.0:
         return None
     lambda_hat = lambda_bus * (1.0 - LAMBDA_SHAVE)
     margin = lambda_bus - lambda_hat
     k_gain = gen.dc_gain
+    k_f = k_gain * params.k_c
 
-    def finish(p: np.ndarray, k_f: float) -> Optional[Certificate]:
+    def finish(p: np.ndarray) -> Optional[Certificate]:
         cert = Certificate(p_matrix=SymmetricMatrix.from_rows(p), k_f=k_f,
                            lambda_hat=lambda_hat, margin=margin)
         if check_secondary_lmi(gen, params, cert, lambda_bus):
             return cert
         return None
 
-    kf_candidates = []
-    for kf in (params.k_f, k_gain * params.k_c,
-               default_kf(k_gain, params.k_c, params.k_d)):
-        if kf > 0.0 and kf not in kf_candidates:
-            kf_candidates.append(kf)
-
-    # Exact analytic candidates for the worked model structures.
-    analytic_diags: List[Tuple[float, ...]] = []
-    fo = first_order_params(gen)
-    if fo is not None:
-        tau, _k = fo
-        analytic_diags.append((tau / (k_gain * params.k_c),))
-    so = second_order_params(gen)
-    if so is not None:
-        tau_a, tau_p, _k = so
+    # The worked shapes' analytic certificates, which lie on the face.
+    analytic = None
+    if (fo := first_order_params(gen)) is not None:
+        analytic = [fo[0] / (k_gain * params.k_c)]
+    elif (so := second_order_params(gen)) is not None:
         scale = 1.0 / (k_gain * params.k_c)
-        analytic_diags.append((tau_a * scale, tau_p * scale))
-    for diag in analytic_diags:
-        for kf in kf_candidates:
-            cert = finish(np.diag(diag), kf)
-            if cert is not None:
-                return cert
-    if fo is not None:
-        # The analytic point is the lag's only feasible one; a search
-        # beyond it could only find tolerance artifacts.
-        return None
+        analytic = [so[0] * scale, so[1] * scale]
+    if analytic is not None and (cert := finish(np.diag(analytic))) is not None:
+        return cert
 
+    a = np.array(gen.a_matrix, dtype=float)
+    x_s = -params.k_c * np.linalg.solve(a, np.array(gen.b_vector, dtype=float))
+    w = -np.linalg.solve(a.T, np.array(gen.c_vector, dtype=float))
+    if not w @ x_s > 0.0:
+        return None
+    xx = x_s @ x_s
+    p0 = (np.outer(w, w) / (w @ x_s)
+          + (w @ x_s) / xx * (np.eye(gen.order) - np.outer(x_s, x_s) / xx))
+    if gen.order == 1:
+        return finish(p0)
     # The floating-point flags of _eigvalsh's gufunc, which
     # numpy.linalg.eigvalsh would suppress, quieted for the whole solve.
     with np.errstate(all="ignore"):
-        point = _lmi_search(gen, params, lambda_hat)
-    return None if point is None else finish(*point)
+        p = _face_search(gen, params, lambda_hat, x_s, p0)
+    return None if p is None else finish(p)
 
 
-def _lmi_templates(gen: LtiGenerator, params: ControllerGains,
-                   lambda_hat: float) -> np.ndarray:
-    """G as a product: G(z) = (z @ templates).reshape(dim, dim) for z =
-    [P's upper triangle, k_f, t, 1], where G is the block diagonal of
-    t I - M(P, k_f), P - _EPS_P I, _R_P I - P and k_f - _EPS_KF, and M the
-    secondary matrix.  G is affine in z, so the templates are read off G
-    at the origin and at each unit point."""
+def _complement(x: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of the vectors orthogonal to x, as columns."""
+    return np.linalg.qr(x[:, None], mode="complete")[0][:, 1:]
+
+
+def _face_templates(gen: LtiGenerator, params: ControllerGains,
+                    lambda_hat: float, x_s: np.ndarray, p0: np.ndarray
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """(templates, basis): G as a product, G(z) = (z @ templates).reshape(
+    dim, dim) for z = [y, t, 1], and the symmetric N_i with N_i x_s = 0
+    that P = p0 + sum y_i N_i spans the face with.  G is the block
+    diagonal of t I - U^T M(P) U, P - _EPS_P I and _R_P I - P, where M is
+    the secondary matrix at k_f = K k_c and U = _complement(v) for v =
+    [1, x_s, 0].  G is affine in z, so the templates are read off G at
+    the origin and at each unit point, from P = 0 for the slopes and from
+    P = p0 for the constant."""
     n = gen.order
-    zero = np.zeros((n, n))
+    k_f = gen.dc_gain * params.k_c
+    u = _complement(np.concatenate([[1.0], x_s, [0.0]]))
+    q = _complement(x_s)
+    basis = np.array([np.outer(q[:, i], q[:, j]) + np.outer(q[:, j], q[:, i])
+                      for i, j in zip(*_upper(n - 1))])
 
-    def assembled(p: np.ndarray, k_f: float, t: float) -> np.ndarray:
-        g = np.zeros((3 * n + 3, 3 * n + 3))
-        g[:n + 2, :n + 2] = t * np.eye(n + 2) - _secondary_array(
-            gen, params, p, lambda_hat, k_f)
-        g[n + 2:-n - 1, n + 2:-n - 1] = p - _EPS_P * np.eye(n)
-        g[-n - 1:-1, -n - 1:-1] = _R_P * np.eye(n) - p
-        g[-1, -1] = k_f - _EPS_KF
+    def assembled(p: np.ndarray, t: float) -> np.ndarray:
+        g = np.zeros((3 * n + 1, 3 * n + 1))
+        g[:n + 1, :n + 1] = t * np.eye(n + 1) - u.T @ _secondary_array(
+            gen, params, p, lambda_hat, k_f) @ u
+        g[n + 1:2 * n + 1, n + 1:2 * n + 1] = p - _EPS_P * np.eye(n)
+        g[2 * n + 1:, 2 * n + 1:] = _R_P * np.eye(n) - p
         return g.ravel()
 
-    units = []
-    for i, j in zip(*_upper(n)):
-        p = zero.copy()
-        p[i, j] = p[j, i] = 1.0
-        units.append(assembled(p, 0.0, 0.0))
-    units += [assembled(zero, 1.0, 0.0), assembled(zero, 0.0, 1.0)]
-    origin = assembled(zero, 0.0, 0.0)
-    return np.stack([u - origin for u in units] + [origin])
+    zero = np.zeros((n, n))
+    origin = assembled(zero, 0.0)
+    units = [assembled(nb, 0.0) for nb in basis] + [assembled(zero, 1.0)]
+    return (np.stack([unit - origin for unit in units] + [assembled(p0, 0.0)]),
+            basis)
 
 
-def _lmi_search(gen: LtiGenerator, params: ControllerGains,
-                lambda_hat: float) -> Optional[Tuple[np.ndarray, float]]:
-    """Minimise t subject to M(P, k_f) <= t I, _EPS_P I <= P <= _R_P I and
-    k_f >= _EPS_KF over P's upper triangle, k_f and t, where M is the
-    secondary matrix: P's upper triangle as an array and k_f once t <=
-    TOL_PSD / 2, else None.
+def _face_search(gen: LtiGenerator, params: ControllerGains,
+                 lambda_hat: float, x_s: np.ndarray, p0: np.ndarray
+                 ) -> Optional[np.ndarray]:
+    """Minimise t subject to U^T M(P) U <= t I and _EPS_P I <= P <= _R_P I
+    over the face's P = p0 + sum y_i N_i and t, with U, M and N_i those of
+    _face_templates: P as an array once t <= TOL_PSD / 2, else None.
+    None too when p0 lies outside the box.
 
     Barrier method (Boyd and Vandenberghe, Convex Optimization, 11.3):
     damped Newton on t / mu - log det G, with G the block diagonal of
-    _lmi_templates, from P = I/(K k_c) and default_kf, with mu cut tenfold
-    after each centring.  At a centre, t exceeds the least t in the box by
-    at most mu times G's dimension (the duality gap).  So once t minus
-    that gap is above TOL_PSD / 2, or the gap is below TOL_PSD / 2 with t
-    still above it, no point of the box brings M's largest eigenvalue down
-    to TOL_PSD / 2, and the answer is None.  Callers hold
+    _face_templates, from p0, with mu cut tenfold after each centring.
+    At a centre, t exceeds the least t in the box by at most mu times G's
+    dimension (the duality gap).  So once t minus that gap is above
+    TOL_PSD / 2, or the gap is below TOL_PSD / 2 with t still above it,
+    no point of the box brings U^T M U's largest eigenvalue down to
+    TOL_PSD / 2, and the answer is None.  Callers hold
     np.errstate(all="ignore").
     """
     n = gen.order
-    rows, cols = _upper(n)
-    size = len(rows)
-    dim = 3 * n + 3
-    templates = _lmi_templates(gen, params, lambda_hat)
-    slopes = templates[:-1].reshape(size + 2, dim, dim)
+    dim = 3 * n + 1
+    templates, basis = _face_templates(gen, params, lambda_hat, x_s, p0)
+    size = len(basis)
+    slopes = templates[:-1].reshape(size + 1, dim, dim)
 
     def whitened(z: np.ndarray) -> Optional[np.ndarray]:
         """The slopes as L^-1 slope L^-T for G(z) = L L^T, one row each,
@@ -420,13 +430,13 @@ def _lmi_search(gen: LtiGenerator, params: ControllerGains,
                 (z @ templates).reshape(dim, dim)))
         except np.linalg.LinAlgError:
             return None
-        return (root @ slopes @ root.T).reshape(size + 2, -1)
+        return (root @ slopes @ root.T).reshape(size + 1, -1)
 
-    p = np.eye(n) / (gen.dc_gain * params.k_c)
-    k_f = default_kf(gen.dc_gain, params.k_c, params.k_d)
-    t = _eigvalsh(_secondary_array(gen, params, p, lambda_hat, k_f))[-1] + 1.0
-    z = np.concatenate([p[rows, cols], [k_f, t, 1.0]])
+    t = 1.0 - _eigvalsh(templates[-1].reshape(dim, dim)[:n + 1, :n + 1])[0]
+    z = np.concatenate([np.zeros(size), [t, 1.0]])
     w = whitened(z)
+    if w is None:
+        return None
     mu = _MU_START
     while True:
         for _ in range(_NEWTON_STEPS):
@@ -443,9 +453,7 @@ def _lmi_search(gen: LtiGenerator, params: ControllerGains,
                 step /= 2.0
             z, w = z + step, w_next
             if z[-2] <= TOL_PSD / 2.0:
-                p = np.zeros((n, n))
-                p[rows, cols] = z[:size]
-                return p, float(z[size])
+                return p0 + np.tensordot(z[:size], basis, axes=1)
             if decrement < _CENTRED:
                 break
         if z[-2] - mu * dim > TOL_PSD / 2.0 or mu * dim < TOL_PSD / 2.0:

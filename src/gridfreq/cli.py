@@ -484,7 +484,7 @@ def _certify_bus(scn: Scenario, g: int) -> Tuple[Optional[Certificate], str]:
     if cert is not None:
         return cert, (f"gen {g}: found k_f={cert.k_f!r} "
                       f"lambda_hat={cert.lambda_hat!r} margin={cert.margin!r}")
-    # "diagonal" though the search is over full P: perfbench's report
+    # "diagonal" though P need not be diagonal: perfbench's report
     # parser (checks._CERT_LINE) reads this wording.
     line = f"gen {g}: no diagonal certificate found"
     shortfall = certify.first_order_shortfall(gen, params, lam)

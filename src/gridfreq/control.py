@@ -46,15 +46,3 @@ def optimal_kc(q: float, k_gain: float) -> float:
     if not q > 0.0 or not k_gain > 0.0:
         raise ValueError("q and k_gain must be strictly positive")
     return 1.0 / (q * k_gain)
-
-
-def default_kf(k_gain: float, k_c: float, k_d: float) -> float:
-    """Default frequency-feedback gain K*(k_c + k_d)/2.
-
-    A reasonable center for the certificate search grid; the certifier is
-    free to return a different k_f (and for first-order blocks it must:
-    only k_f = K*k_c is certifiable there).
-    """
-    if not (k_gain > 0.0 and k_c > 0.0 and k_d > 0.0):
-        raise ValueError("k_gain, k_c and k_d must be strictly positive")
-    return k_gain * (k_c + k_d) / 2.0

@@ -79,6 +79,9 @@ class PowerNetwork:
         object.__setattr__(self, "buses", tuple(buses))
         object.__setattr__(self, "lines", tuple(lines))
         object.__setattr__(self, "comm", tuple(comm))
+        # bus(id)'s index, outside the fields; the first bus of an id wins.
+        object.__setattr__(self, "_by_id",
+                           {b.id: b for b in reversed(self.buses)})
 
     @property
     def generator_ids(self) -> List[int]:
@@ -89,10 +92,10 @@ class PowerNetwork:
         return [b.id for b in self.buses if b.kind is BusKind.LOAD]
 
     def bus(self, bus_id: int) -> Bus:
-        for b in self.buses:
-            if b.id == bus_id:
-                return b
-        raise KeyError(f"no bus with id {bus_id}")
+        try:
+            return self._by_id[bus_id]
+        except KeyError:
+            raise KeyError(f"no bus with id {bus_id}") from None
 
 
 def _connected(node_ids: Sequence[int], edges: Sequence[Tuple[int, int]]) -> bool:

@@ -15,7 +15,9 @@ from gridfreq.certify import (Certificate, LAMBDA_SHAVE, SymmetricMatrix,
                               is_positive_definite, search_certificate,
                               second_order_min_damping, secondary_lmi_matrix,
                               sym_eigenvalues)
+from gridfreq.cli import load_scenario, with_optimal_gains
 from gridfreq.control import ControllerGains
+from gridfreq.fixtures import fixture_path
 from gridfreq.generation import (LtiGenerator, first_order_params,
                                  make_first_order, make_second_order,
                                  second_order_params)
@@ -339,12 +341,13 @@ def _block(a, b, c, d):
                         c_vector=tuple(c), d_scalar=d, order=len(b))
 
 
-class TestDiagonalEvaluator:
-    """The solver's block-diagonal barrier matrix G, evaluated from its
-    templates, against the secondary matrix assembled from its definition
-    and the box around P and k_f."""
+class TestFaceTemplates:
+    """The face solve's block-diagonal barrier matrix G, evaluated from its
+    templates, against G assembled from its definition: t I - U^T M U, P -
+    _EPS_P I and _R_P I - P, with P = p0 + sum y_i N_i, M the secondary
+    matrix at k_f = K k_c and U an orthonormal basis of v's complement."""
 
-    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("order", [2, 3, 4])
     def test_templates_match_assembled_matrix(self, order):
         rng = np.random.default_rng(300 + order)
         # lower triangular with a negative diagonal: Hurwitz by construction
@@ -356,27 +359,142 @@ class TestDiagonalEvaluator:
         params = _params(k_c=float(rng.uniform(0.3, 2.0)),
                          k_d=float(rng.uniform(0.3, 2.0)))
         lambda_hat = float(rng.uniform(0.1, 2.0))
-        templates = certify._lmi_templates(gen, params, lambda_hat)
-        rows, cols = np.triu_indices(order)
-        dim = 3 * order + 3
-        assert templates.shape == (len(rows) + 3, dim * dim)
-        top, low, high = (slice(0, order + 2), slice(order + 2, 2 * order + 2),
-                          slice(2 * order + 2, dim - 1))
+        x_s, v = _face_vectors(gen, params)
+        p0 = _symmetric_stack(rng, 1, order)[0]
+        templates, basis = certify._face_templates(gen, params, lambda_hat,
+                                                   x_s, p0)
+        size = order * (order - 1) // 2
+        dim = 3 * order + 1
+        assert templates.shape == (size + 2, dim * dim)
+        # the N_i: symmetric, independent, and each keeps P x_s fixed
+        assert basis.shape == (size, order, order)
+        assert np.array_equal(basis, np.swapaxes(basis, 1, 2))
+        assert np.linalg.matrix_rank(basis.reshape(size, -1)) == size
+        assert np.abs(basis @ x_s).max() <= 1e-14 * np.abs(x_s).max()
+        u = certify._complement(v)
+        assert np.allclose(u.T @ u, np.eye(order + 1), rtol=0, atol=1e-15)
+        assert np.abs(u.T @ v).max() <= 1e-14 * np.abs(v).max()
+        top, low, high = (slice(0, order + 1), slice(order + 1, 2 * order + 1),
+                          slice(2 * order + 1, dim))
         for _ in range(20):
-            s = rng.normal(size=(order, order)) * 10.0 ** rng.uniform(-3, 3)
-            p = s + s.T
-            k_f, t = float(rng.uniform(0.05, 5.0)), float(rng.normal())
-            z = np.concatenate([p[rows, cols], [k_f, t, 1.0]])
+            y = rng.normal(size=size) * 10.0 ** rng.uniform(-3, 3)
+            t = float(rng.normal())
+            z = np.concatenate([y, [t, 1.0]])
+            p = p0 + np.einsum("i,ijk->jk", y, basis)
             got = (z @ templates).reshape(dim, dim)
+            m = secondary_matrix(gen, params, p, gen.dc_gain * params.k_c,
+                                 lambda_hat)
             want = np.zeros((dim, dim))
-            want[top, top] = (t * np.eye(order + 2)
-                              - secondary_matrix(gen, params, p, k_f, lambda_hat))
+            want[top, top] = t * np.eye(order + 1) - u.T @ m @ u
             want[low, low] = p - certify._EPS_P * np.eye(order)
             want[high, high] = certify._R_P * np.eye(order) - p
-            want[-1, -1] = k_f - certify._EPS_KF
-            # rounding of the product, entry by entry
+            # rounding of the product and of U^T M U, entry by entry; each
+            # slope of _R_P I - P is read off beside _R_P, so it carries
+            # _R_P's rounding
             bound = 1e-13 * (np.abs(z) @ np.abs(templates)).reshape(dim, dim)
+            bound[top, top] += 1e-13 * (np.abs(u.T) @ np.abs(m) @ np.abs(u))
+            bound[high, high] += 1e-15 * np.abs(y).sum() * certify._R_P
             assert np.all(np.abs(got - want) <= bound)
+
+
+def _face_vectors(gen, params):
+    """x_s = -A^-1 B k_c, the block's steady state under a unit command,
+    and v = [1, x_s, 0] in the secondary matrix's coordinates."""
+    x_s = -params.k_c * np.linalg.solve(np.array(gen.a_matrix),
+                                        np.array(gen.b_vector))
+    return x_s, np.concatenate([[1.0], x_s, [0.0]])
+
+
+def _random_blocks(seed, count):
+    """Hurwitz blocks of order 1 to 5 with a feedthrough D != 0, and gains."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        order = 1 + i % 5
+        a = (-np.diag(rng.uniform(0.3, 5.0, order))
+             + np.tril(rng.normal(size=(order, order)), -1))
+        gen = _block(a.tolist(), rng.normal(size=order).tolist(),
+                     rng.normal(size=order).tolist(),
+                     float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 1.0)))
+        yield gen, _params(k_c=float(rng.uniform(0.2, 3.0)),
+                           k_d=float(rng.uniform(0.2, 3.0))), rng
+
+
+class TestFace:
+    """With v = [1, x_s, 0], v^T M v = 0 for every P and k_f, so M <= 0
+    forces M v = 0, which is k_f = K k_c and A^T P x_s = -C^T."""
+
+    def test_v_is_isotropic_for_every_p_and_kf(self):
+        for gen, params, rng in _random_blocks(2601, 60):
+            assert gen.d_scalar != 0.0
+            _, v = _face_vectors(gen, params)
+            for _ in range(5):
+                p = _symmetric_stack(rng, 1, gen.order)[0]
+                k_f = float(10.0 ** rng.uniform(-2, 2))
+                lambda_hat = float(rng.uniform(0.0, 2.0))
+                for m in (secondary_matrix(gen, params, p, k_f, lambda_hat),
+                          secondary_lmi_matrix(gen, params,
+                                               SymmetricMatrix.from_rows(p),
+                                               lambda_hat, k_f=k_f).to_array()):
+                    scale = np.abs(v) @ np.abs(m) @ np.abs(v)
+                    assert abs(v @ m @ v) <= 1e-12 * scale
+
+    def test_m_annihilates_v_on_the_face(self):
+        for gen, params, rng in _random_blocks(2602, 60):
+            a = np.array(gen.a_matrix)
+            x_s, v = _face_vectors(gen, params)
+            w = -np.linalg.solve(a.T, np.array(gen.c_vector))
+            # P x_s = w: w w^T / (w^T x_s) plus any symmetric N with N x_s = 0
+            q = np.linalg.svd(x_s[None, :])[2][1:].T
+            s = _symmetric_stack(rng, 1, gen.order - 1)[0]
+            p = np.outer(w, w) / (w @ x_s) + q @ s @ q.T
+            assert np.allclose(a.T @ p @ x_s, -np.array(gen.c_vector),
+                               rtol=1e-9, atol=1e-9 * np.abs(p).max())
+            m = secondary_lmi_matrix(gen, params, SymmetricMatrix.from_rows(p),
+                                     float(rng.uniform(0.0, 2.0)),
+                                     k_f=gen.dc_gain * params.k_c).to_array()
+            scale = np.abs(m) @ np.abs(v)
+            assert np.all(np.abs(m @ v) <= 1e-10 * scale.max())
+
+    @staticmethod
+    def _fixture_cases():
+        for name in ("two_gen.scn", "ring9.scn"):
+            scn = load_scenario(fixture_path(name))
+            for s in (scn, with_optimal_gains(scn)):
+                for g, gen in s.generators.items():
+                    yield (f"{name} gen {g}", gen, s.controllers[g],
+                           s.network.bus(g).damping)
+
+    def test_certificates_lie_on_the_face(self):
+        found = 0
+        for name, gen, params, lam in [*_search_cases(),
+                                       *self._fixture_cases()]:
+            cert = search_certificate(gen, params, lam)
+            assert cert is not None, name
+            found += 1
+            assert cert.k_f == gen.dc_gain * params.k_c, name
+            a = np.array(gen.a_matrix)
+            c = np.array(gen.c_vector)
+            x_s, _ = _face_vectors(gen, params)
+            residual = a.T @ cert.p_matrix.to_array() @ x_s + c
+            assert np.linalg.norm(residual) <= 1e-6 * np.linalg.norm(c), name
+        assert found == len(_search_cases()) + 12
+
+    def test_face_without_positive_definite_p_is_refused_at_once(
+            self, monkeypatch):
+        # w = -A^-T C^T = [-1, -0.5] and x_s = [1, 0.5] k_c: w^T x_s < 0, so
+        # no positive definite P has P x_s = w
+        gen = _block([[-1.0, 0.0], [0.0, -2.0]], [1.0, 1.0], [-1.0, -1.0], 3.0)
+        assert gen.dc_gain == pytest.approx(1.5)
+        solved = _solver_spy(monkeypatch)
+        assert search_certificate(gen, _params(), 100.0) is None
+        assert solved == []
+
+    def test_start_outside_the_box_is_refused(self):
+        gen, params = _reheat(), _params()
+        x_s, _ = _face_vectors(gen, params)
+        for scale in (2.0 * certify._R_P, 0.5 * certify._EPS_P):
+            assert certify._face_search(gen, params, 1.0, x_s,
+                                        scale * np.eye(3)) is None
 
 
 def _reheat():
@@ -388,20 +506,21 @@ def _reheat():
 
 
 def _solver_spy(monkeypatch):
-    """The argument tuples of every _lmi_search call from here on."""
+    """The argument tuples of every _face_search call from here on."""
     solved = []
-    solve = certify._lmi_search
+    solve = certify._face_search
 
     def spy(*args):
         solved.append(args)
         return solve(*args)
-    monkeypatch.setattr(certify, "_lmi_search", spy)
+    monkeypatch.setattr(certify, "_face_search", spy)
     return solved
 
 
 class TestSearchPaths:
     """Blocks outside the worked shapes, and worked blocks whose analytic
-    certificate fails, go to the LMI solve."""
+    certificate fails, go to the face: one check at its only point for
+    order 1, the barrier solve over it above."""
 
     def _assert_certifies(self, gen, params, lam):
         assert first_order_params(gen) is None
@@ -435,11 +554,19 @@ class TestSearchPaths:
         lam = 0.5 * threshold / (1.0 - LAMBDA_SHAVE)
         assert search_certificate(gen, _params(), lam) is None
 
-    def test_order_one_feedthrough_reaches_solver(self, monkeypatch):
-        # a lag plus feedthrough, p_m = 0.8 x + 0.2 u: not the lag's shape
+    def test_order_one_blocks_make_no_barrier_solve(self, monkeypatch):
+        # a lag plus feedthrough, p_m = 0.8 x + 0.2 u: not the lag's shape,
+        # and its face is the one point P = w / x_s = 0.4 / 1
         gen = _block([[-2.0]], [2.0], [0.8], 0.2)
         solved = _solver_spy(monkeypatch)
         self._assert_certifies(gen, _params(), 1.0)
+        cert = search_certificate(gen, _params(), 1.0)
+        assert cert.p_matrix.entry(0, 0) == pytest.approx(0.4, rel=1e-15)
+        assert cert.k_f == gen.dc_gain
+        # below its damping threshold the point's check fails: no search
+        assert search_certificate(gen, _params(k_d=3.0), 0.1) is None
+        # the reheat block does reach the solve
+        assert search_certificate(_reheat(), _params(), 1.0) is not None
         assert len(solved) == 1
 
     def test_search_cases_certify(self):

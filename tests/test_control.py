@@ -1,10 +1,8 @@
 import math
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from gridfreq.control import ControllerGains, default_kf, optimal_kc
+from gridfreq.control import ControllerGains, optimal_kc
 
 
 def _gains(**over):
@@ -46,14 +44,3 @@ def test_optimal_kc_examples():
         optimal_kc(0.0, 1.0)
     with pytest.raises(ValueError):
         optimal_kc(1.0, -1.0)
-
-
-def test_default_kf_examples():
-    assert default_kf(1.0, 1.0, 1.0) == 1.0
-    assert default_kf(2.0, 0.5, 0.3) == pytest.approx(0.8)
-
-
-@given(st.floats(0.1, 5.0), st.floats(0.1, 5.0), st.floats(0.1, 5.0))
-def test_default_kf_scales_with_gain(k_gain, k_c, k_d):
-    assert default_kf(2 * k_gain, k_c, k_d) == pytest.approx(
-        2 * default_kf(k_gain, k_c, k_d), rel=1e-12)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -178,6 +180,34 @@ class TestValidate:
         first = validate(net)
         assert first == sorted(first)
         assert first == validate(net)
+
+
+class TestBusLookup:
+    def test_every_id_finds_its_bus(self):
+        net = ring_with_chords(2, buses=40, generators=10, chords=8).network
+        for b in net.buses:
+            assert net.bus(b.id) is b
+
+    @pytest.mark.parametrize("missing", [2, -1, 7])
+    def test_unknown_id_raises_key_error(self, missing):
+        with pytest.raises(KeyError, match=f"no bus with id {missing}"):
+            _two_bus().bus(missing)
+
+    def test_first_bus_of_a_repeated_id_wins(self):
+        # validate reports the repeat; the lookup answers as a scan would
+        first = Bus(0, BusKind.GENERATOR, inertia=1.0, damping=0.5)
+        net = PowerNetwork(buses=[first, Bus(0, BusKind.LOAD, damping=1.0)],
+                           lines=[], comm=[])
+        assert net.bus(0) is first
+
+    def test_index_follows_replace_and_pickle(self):
+        net = _two_bus()
+        moved = dataclasses.replace(
+            net, buses=[dataclasses.replace(b, damping=2.0) for b in net.buses])
+        assert moved.bus(1).damping == 2.0
+        again = pickle.loads(pickle.dumps(moved))
+        assert again == moved
+        assert again.bus(1) == moved.bus(1)
 
 
 class TestLinePower:

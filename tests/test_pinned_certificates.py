@@ -1,14 +1,17 @@
-"""Search verdicts against commit e3464c2.
+"""Search verdicts against commits e3464c2 and bfb9e3d.
 
 tests/data/pinned_verdicts_e3464c2.json holds whether
 ``search_certificate`` found a certificate at e3464c2, whose search over
 diagonal P was a grid and a coordinate descent, for reheat and cascade
 blocks at four bus dampings and for worked turbine-governor blocks around
 their closed-form threshold; tests/data/pin_verdicts.py wrote them and
-says how.  The solve over full P returns other certificates, so the pin
-is on verdicts: every case found there is still found, and every
-certificate passes the secondary matrix assembled apart from the program
-(tests/reference.py).
+says how.  tests/data/pinned_verdicts_bfb9e3d.json holds the verdicts at
+bfb9e3d, whose solve ran over full P and a free k_f, for seeded chain
+blocks of order 2 to 5 at five bus dampings;
+tests/data/pin_chain_verdicts.py wrote them and says how.  Later searches
+return other certificates, so the pins are on verdicts: every case found
+there is still found, and every certificate passes the secondary matrix
+assembled apart from the program (tests/reference.py).
 """
 
 import json
@@ -24,6 +27,9 @@ DATA = Path(__file__).parent / "data"
 PINS = json.loads((DATA / "pinned_verdicts_e3464c2.json")
                   .read_text(encoding="utf-8"))
 SCRIPT = runpy.run_path(str(DATA / "pin_verdicts.py"))
+CHAIN_PINS = json.loads((DATA / "pinned_verdicts_bfb9e3d.json")
+                        .read_text(encoding="utf-8"))
+CHAIN_SCRIPT = runpy.run_path(str(DATA / "pin_chain_verdicts.py"))
 
 
 def _block_name(case):
@@ -33,11 +39,32 @@ def _block_name(case):
 
 
 BLOCKS = list(dict.fromkeys(_block_name(c) for c in PINS))
+CHAIN_ORDERS = sorted({len(c["block"]["b"]) for c in CHAIN_PINS})
+
+
+def _check_verdict(script, case):
+    """The case is found if the pin found it, and any certificate passes
+    the reference check."""
+    gen = script["generator"](case["block"])
+    params = script["controller"](case["gains"])
+    cert = search_certificate(gen, params, case["lambda_bus"])
+    if case["found"]:
+        assert cert is not None, case["name"]
+    if cert is not None:
+        assert check_secondary(gen, params, cert, case["lambda_bus"]), \
+            case["name"]
+
+
+def _inputs(pins):
+    return [{k: v for k, v in c.items() if k != "found"} for c in pins]
 
 
 def test_pin_covers_the_script_cases():
-    assert SCRIPT["cases"]() == [{k: v for k, v in c.items() if k != "found"}
-                                 for c in PINS]
+    assert SCRIPT["cases"]() == _inputs(PINS)
+
+
+def test_chain_pin_covers_the_script_cases():
+    assert CHAIN_SCRIPT["cases"]() == _inputs(CHAIN_PINS)
 
 
 @pytest.mark.parametrize("block", BLOCKS)
@@ -45,11 +72,12 @@ def test_certificate_matches_pin(block):
     cases = [c for c in PINS if _block_name(c) == block]
     assert len(cases) == 4
     for case in cases:
-        gen = SCRIPT["generator"](case["block"])
-        params = SCRIPT["controller"](case["gains"])
-        cert = search_certificate(gen, params, case["lambda_bus"])
-        if case["found"]:
-            assert cert is not None, case["name"]
-        if cert is not None:
-            assert check_secondary(gen, params, cert, case["lambda_bus"]), \
-                case["name"]
+        _check_verdict(SCRIPT, case)
+
+
+@pytest.mark.parametrize("order", CHAIN_ORDERS)
+def test_chain_certificate_matches_pin(order):
+    cases = [c for c in CHAIN_PINS if len(c["block"]["b"]) == order]
+    assert len(cases) == 75
+    for case in cases:
+        _check_verdict(CHAIN_SCRIPT, case)
