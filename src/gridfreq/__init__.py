@@ -8,9 +8,8 @@ function along trajectories.
 """
 
 from .certify import (Certificate, SymmetricMatrix, check_secondary_lmi,
-                      first_order_min_damping, is_positive_definite,
-                      search_certificate, second_order_min_damping,
-                      secondary_lmi_matrix, sym_eigenvalues)
+                      first_order_min_damping, search_certificate,
+                      second_order_min_damping, secondary_lmi_matrix)
 from .control import ControllerGains, optimal_kc
 from .dispatch import DispatchProblem, marginal_costs, solve_dispatch
 from .generation import (LtiGenerator, is_hurwitz, make_first_order,
@@ -26,9 +25,8 @@ __all__ = [
     "DispatchProblem", "Equilibrium", "Line", "LtiGenerator", "PowerNetwork",
     "Scenario", "SymmetricMatrix", "Trajectory",
     "check_secondary_lmi", "compute_equilibrium", "dissipation_check",
-    "first_order_min_damping", "integrate", "is_hurwitz",
-    "is_positive_definite", "lyapunov_value", "make_first_order",
-    "make_second_order", "marginal_costs", "optimal_kc", "search_certificate",
-    "second_order_min_damping", "secondary_lmi_matrix", "solve_dispatch",
-    "sym_eigenvalues", "validate",
+    "first_order_min_damping", "integrate", "is_hurwitz", "lyapunov_value",
+    "make_first_order", "make_second_order", "marginal_costs", "optimal_kc",
+    "search_certificate", "second_order_min_damping", "secondary_lmi_matrix",
+    "solve_dispatch", "validate",
 ]

@@ -21,10 +21,7 @@ block is decided by one check there: for a first-order lag no certificate
 means infeasible by the closed form.  A higher-order block goes to a
 log-barrier Newton solve of the matrix inequality over the face's P.
 Every certificate is then checked by the eigenvalues of its full
-matrices, which come from one helper, _eigvalsh: it calls the LAPACK
-gufunc behind numpy.linalg.eigvalsh on the caller's array without the
-wrapper's per-call checks, so every eigenvalue is bitwise what
-numpy.linalg.eigvalsh gives.
+matrices, from numpy.linalg.eigvalsh on plain arrays.
 """
 
 from __future__ import annotations
@@ -35,10 +32,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-# The gufunc that numpy.linalg.eigvalsh(a) (UPLO="L") calls, and has since
-# numpy 1.8; its wrapper's argument checks and errstate block cost more
-# than the LAPACK call on the search's 3x3 to 8x8 matrices.
-from numpy.linalg._umath_linalg import eigvalsh_lo as _eigvalsh_lo
 
 from .control import ControllerGains
 from .generation import LtiGenerator, first_order_params, second_order_params
@@ -161,36 +154,6 @@ class Certificate:
     margin: float = 0.0
 
 
-def _eigvalsh(a: np.ndarray) -> np.ndarray:
-    """numpy.linalg.eigvalsh(a) for a float64 symmetric matrix or a stack
-    of them: the same LAPACK call on the same lower triangle, so the same
-    floats, without the wrapper.
-
-    A non-finite eigenvalue raises LinAlgError, as a LAPACK failure does in
-    eigvalsh.  The gufunc also raises floating-point flags (invalid on a
-    LAPACK failure, divide or overflow on some non-finite input) that
-    numpy would report as RuntimeWarnings and eigvalsh suppresses, so
-    callers hold np.errstate(all="ignore"): once per search on the hot
-    path.
-    """
-    w = _eigvalsh_lo(a)
-    # A sum of squares: NaN or inf exactly when some eigenvalue is, unless
-    # it overflows, which the second test tells apart.
-    if not math.isfinite(np.vdot(w, w)) and not np.isfinite(w).all():
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    return w
-
-
-def sym_eigenvalues(m: SymmetricMatrix) -> List[float]:
-    """All eigenvalues, ascending."""
-    with np.errstate(all="ignore"):
-        return _eigvalsh(m.to_array()).tolist()
-
-
-def is_positive_definite(m: SymmetricMatrix) -> bool:
-    return sym_eigenvalues(m)[0] > TOL_PD_PER_DIM * m.dim
-
-
 def _primary_array(gen: LtiGenerator, k_d: float, p: np.ndarray,
                    lambda_hat: float) -> np.ndarray:
     """The (n+1)-dimensional passivity matrix for droop feedback.
@@ -250,11 +213,11 @@ def check_secondary_lmi(gen: LtiGenerator, params: ControllerGains,
     """Does the certificate witness the secondary (averaging) condition?"""
     if not cert.lambda_hat < lambda_bus:
         raise ValueError("certificate lambda_hat must be below the bus damping")
-    if not is_positive_definite(cert.p_matrix):
+    p = cert.p_matrix.to_array()
+    if not np.linalg.eigvalsh(p)[0] > TOL_PD_PER_DIM * len(p):
         return False
-    m = secondary_lmi_matrix(gen, params, cert.p_matrix, cert.lambda_hat,
-                             k_f=cert.k_f)
-    return sym_eigenvalues(m)[-1] <= TOL_PSD
+    m = _secondary_array(gen, params, p, cert.lambda_hat, cert.k_f)
+    return np.linalg.eigvalsh(m)[-1] <= TOL_PSD
 
 
 def second_order_min_damping(k_gain: float, k_c: float, k_d: float) -> float:
@@ -353,10 +316,7 @@ def search_certificate(gen: LtiGenerator, params: ControllerGains,
           + (w @ x_s) / xx * (np.eye(gen.order) - np.outer(x_s, x_s) / xx))
     if gen.order == 1:
         return finish(p0)
-    # The floating-point flags of _eigvalsh's gufunc, which
-    # numpy.linalg.eigvalsh would suppress, quieted for the whole solve.
-    with np.errstate(all="ignore"):
-        p = _face_search(gen, params, lambda_hat, x_s, p0)
+    p = _face_search(gen, params, lambda_hat, x_s, p0)
     return None if p is None else finish(p)
 
 
@@ -413,8 +373,7 @@ def _face_search(gen: LtiGenerator, params: ControllerGains,
     dimension (the duality gap).  So once t minus that gap is above
     TOL_PSD / 2, or the gap is below TOL_PSD / 2 with t still above it,
     no point of the box brings U^T M U's largest eigenvalue down to
-    TOL_PSD / 2, and the answer is None.  Callers hold
-    np.errstate(all="ignore").
+    TOL_PSD / 2, and the answer is None.
     """
     n = gen.order
     dim = 3 * n + 1
@@ -432,7 +391,7 @@ def _face_search(gen: LtiGenerator, params: ControllerGains,
             return None
         return (root @ slopes @ root.T).reshape(size + 1, -1)
 
-    t = 1.0 - _eigvalsh(templates[-1].reshape(dim, dim)[:n + 1, :n + 1])[0]
+    t = 1.0 - np.linalg.eigvalsh(templates[-1].reshape(dim, dim)[:n + 1, :n + 1])[0]
     z = np.concatenate([np.zeros(size), [t, 1.0]])
     w = whitened(z)
     if w is None:

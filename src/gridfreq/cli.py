@@ -358,12 +358,14 @@ def write_trajectory_csv(traj: Trajectory, path: Path,
     end = "\n" if lyapunov is not None else ",\n"
     with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(_csv_columns(traj)) + "\n")
-        # row by row, so that no whole table of Python floats and strings
-        # is held: a sweep writes all its values from one process, whose
-        # heap keeps such a high-water mark; tolist() yields Python floats,
-        # whose repr is the shortest round trip
-        for row in np.hstack(series):
-            f.write(",".join(map(repr, row.tolist())) + end)
+        # a block of samples stacked at a time and written row by row, so
+        # that neither a whole table of floats nor one of Python floats and
+        # strings is held: a sweep writes all its values from one process,
+        # whose heap keeps such a high-water mark; tolist() yields Python
+        # floats, whose repr is the shortest round trip
+        for block in sim._sample_blocks(len(traj.times)):
+            for row in np.hstack([s[block] for s in series]):
+                f.write(",".join(map(repr, row.tolist())) + end)
 
 
 def emit_plots(traj: Trajectory, outdir) -> List[Path]:

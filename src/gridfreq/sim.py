@@ -655,12 +655,19 @@ def integrate_many(scns: Sequence[Scenario], *,
     union = _union(loops)
     n = len(union.load)
     dt, nsteps, stride = scn.dt, scn.steps, scn.output_stride
-    recorded = list(range(0, nsteps + 1, stride))
-    if recorded[-1] != nsteps:
-        recorded.append(nsteps)
-    times = np.array(recorded) * dt
-    states = np.empty((len(recorded), n))
-    load_step = int(np.searchsorted(loops[0].loaded(np.arange(nsteps) * dt), True))
+    # sample j is step j * stride, the last one step nsteps
+    samples = -(-nsteps // stride) + 1
+    times = np.minimum(np.arange(samples) * stride, nsteps) * dt
+    states = np.empty((samples, n))
+    # the first step k < nsteps whose time k * dt is loaded, else nsteps,
+    # by bisection: loaded is monotone in k
+    load_step, above = 0, nsteps
+    while load_step < above:
+        mid = (load_step + above) // 2
+        if loops[0].loaded(mid * dt):
+            above = mid
+        else:
+            load_step = mid + 1
 
     kernel = (_dense_kernel if kernel_entries(n, len(union.ends[0])) <= DENSE_ENTRIES
               else _sparse_kernel)
@@ -676,22 +683,22 @@ def integrate_many(scns: Sequence[Scenario], *,
     # starts at the load step; a -0.0 start is not at rest, since its first
     # step turns it into +0.0
     rest = not (states[0].any() or np.signbit(states[0]).any())
-    done, j = (load_step if rest else 0), 1
+    done, j, load_off = (load_step if rest else 0), 1, True
     # a diverging state runs to inf/nan: the run stops at the first such
     # sample, and the check after the loop names it
     with np.errstate(over="ignore", invalid="ignore"):
-        for stop in sorted({load_step, *recorded[1:]}):
+        while j < samples:
+            stop = min(j * stride, nsteps)
+            if load_off and load_step <= stop:
+                advance(max(load_step - done, 0))
+                done, load_off = max(load_step, done), False
+                load_on()
             x = advance(max(stop - done, 0))
             done = max(stop, done)
-            if stop == load_step:
-                load_on()
-            # a run of no steps stops only at the load step, and records
-            # nothing after its start
-            if j < len(recorded) and stop == recorded[j]:
-                states[j] = x
-                j += 1
-                if not np.isfinite(x).all():
-                    break
+            states[j] = x
+            j += 1
+            if not np.isfinite(x).all():
+                break
     bad = np.argwhere(~np.isfinite(states[:j]))
     if len(bad):
         # by the first bad sample one inf has usually spread to every slot,

@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 from gridfreq import certify
 from gridfreq.certify import (Certificate, LAMBDA_SHAVE, SymmetricMatrix,
                               _primary_array, check_secondary_lmi,
-                              first_order_min_damping,
-                              is_positive_definite, search_certificate,
-                              second_order_min_damping, secondary_lmi_matrix,
-                              sym_eigenvalues)
+                              first_order_min_damping, search_certificate,
+                              second_order_min_damping, secondary_lmi_matrix)
 from gridfreq.cli import load_scenario, with_optimal_gains
 from gridfreq.control import ControllerGains
 from gridfreq.fixtures import fixture_path
@@ -62,48 +60,36 @@ class TestSymmetricMatrix:
             m.entry(0, 1)
 
 
-class TestSymEigenvalues:
-    def test_diagonal_matrix_is_exact(self):
-        m = SymmetricMatrix.diagonal([3.0, -1.0, 2.0])
-        assert sym_eigenvalues(m) == [-1.0, 2.0, 3.0]
-
-    def test_two_by_two_hand_case(self):
-        # [[2,1],[1,2]] has eigenvalues 1 and 3
-        m = SymmetricMatrix.from_upper(2, [2.0, 1.0, 2.0])
-        assert sym_eigenvalues(m) == pytest.approx([1.0, 3.0], abs=1e-12)
-
-    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
-    def test_matches_numpy_on_random_matrices(self, dim):
-        rng = np.random.default_rng(1000 + dim)
-        for _ in range(5):
-            a = rng.normal(size=(dim, dim))
-            s = (a + a.T) / 2.0
-            got = sym_eigenvalues(SymmetricMatrix.from_rows(s.tolist()))
-            want = np.linalg.eigvalsh(s)
-            scale = max(1.0, float(np.abs(want).max()))
-            assert got == pytest.approx(list(want), abs=1e-10 * scale)
-
-    def test_orthogonal_invariance(self):
-        rng = np.random.default_rng(77)
-        for dim in (2, 3, 4, 5):
-            a = rng.normal(size=(dim, dim))
-            s = (a + a.T) / 2.0
-            q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
-            rotated = q @ s @ q.T
-            rotated = (rotated + rotated.T) / 2.0
-            e1 = sym_eigenvalues(SymmetricMatrix.from_rows(s.tolist()))
-            e2 = sym_eigenvalues(SymmetricMatrix.from_rows(rotated.tolist()))
-            assert e1 == pytest.approx(e2, abs=1e-8)
-
-
 class TestPositiveDefinite:
+    """check_secondary_lmi refuses a P that is not positive definite."""
+
+    def _case(self, p):
+        gen = make_second_order(0.35, 1.2, 1.2)
+        params = _params(k_c=0.6, k_d=0.8, k_f=1.2 * 0.6)
+        cert = second_order_certificate(0.35, 1.2, 1.2, 0.6, 0.8,
+                                        lambda_hat=0.5)
+        if p is not None:
+            cert = dataclasses.replace(cert, p_matrix=p)
+        return check_secondary_lmi(gen, params, cert, 0.6)
+
     def test_cases(self):
-        assert is_positive_definite(SymmetricMatrix.diagonal([1.0, 2.0]))
-        assert not is_positive_definite(SymmetricMatrix.diagonal([1.0, 0.0]))
-        assert not is_positive_definite(SymmetricMatrix.diagonal([1.0, -1.0]))
+        assert self._case(None)
+        assert not self._case(SymmetricMatrix.diagonal([1.0, 0.0]))
+        assert not self._case(SymmetricMatrix.diagonal([1.0, -1.0]))
         # [[1,2],[2,1]] has eigenvalues 3 and -1
-        assert not is_positive_definite(
-            SymmetricMatrix.from_upper(2, [1.0, 2.0, 1.0]))
+        assert not self._case(SymmetricMatrix.from_upper(2, [1.0, 2.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_p_raises_without_warning(self, bad):
+        gen = _block(np.diag([-1.0, -2.0, -3.0, -4.0]).tolist(),
+                     [1.0, 2.0, 3.0, 4.0], [0.25] * 4, 0.0)
+        cert = Certificate(p_matrix=SymmetricMatrix.from_rows(np.full((4, 4), bad)),
+                           k_f=1.0, lambda_hat=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError,
+                               match="Eigenvalues did not converge"):
+                check_secondary_lmi(gen, _params(), cert, 1.0)
 
 
 class TestPrimaryMatrix:
@@ -214,7 +200,8 @@ class TestAnalyticCertificates:
         assert cert.p_matrix.to_lists() == [[1.0, 0.0], [0.0, 1.0]]
         cert = second_order_certificate(2.0, 4.0, 1.0, 0.5, 1.0)
         assert cert.p_matrix.to_lists() == [[4.0, 0.0], [0.0, 8.0]]
-        assert is_positive_definite(cert.p_matrix)
+        assert np.linalg.eigvalsh(cert.p_matrix.to_array())[0] \
+            > certify.TOL_PD_PER_DIM * 2
 
     def test_certified_kf_ties_command_gain(self):
         cert = second_order_certificate(0.3, 1.0, 1.1, 0.4, 0.9)
@@ -632,46 +619,6 @@ class TestFirstOrderVerdicts:
 def _symmetric_stack(rng, count, dim):
     a = rng.normal(size=(count, dim, dim)) * 10.0 ** rng.uniform(-3, 3)
     return (a + np.swapaxes(a, -1, -2)) / 2.0
-
-
-class TestEigvalsh:
-    """certify._eigvalsh is numpy.linalg.eigvalsh without the wrapper."""
-
-    @pytest.mark.parametrize("dim", range(1, 13))
-    @pytest.mark.parametrize("count", [1, 20])
-    def test_bitwise_equal_to_numpy(self, dim, count):
-        rng = np.random.default_rng(dim * 100 + count)
-        stack = _symmetric_stack(rng, count, dim)
-        assert np.array_equal(certify._eigvalsh(stack),
-                              np.linalg.eigvalsh(stack))
-        for a in stack:
-            assert np.array_equal(certify._eigvalsh(a), np.linalg.eigvalsh(a))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_matrix_raises_without_warning(self, bad):
-        m = SymmetricMatrix.from_rows(np.full((4, 4), bad))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(np.linalg.LinAlgError,
-                               match="Eigenvalues did not converge"):
-                sym_eigenvalues(m)
-            with np.errstate(all="ignore"), \
-                    pytest.raises(np.linalg.LinAlgError):
-                certify._eigvalsh(m.to_array())
-
-    def test_lapack_failure_raises_without_warning(self, monkeypatch):
-        # A failing gufunc returns NaN and flags "invalid", as 0 * inf does;
-        # numpy.linalg.eigvalsh turns that into LinAlgError, no warning.
-        def failing(a):
-            return np.zeros(a.shape[:-1]) * np.inf
-        monkeypatch.setattr(certify, "_eigvalsh_lo", failing)
-        gen, params, lam = _search_cases()[0][1:]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(np.linalg.LinAlgError):
-                sym_eigenvalues(SymmetricMatrix.diagonal([1.0, 2.0]))
-            with pytest.raises(np.linalg.LinAlgError):
-                search_certificate(gen, params, lam)
 
 
 def _chain_block(rng, order):

@@ -21,6 +21,7 @@ from gridfreq.fixtures import fixture_path
 from gridfreq.generation import first_order_params, second_order_params
 from gridfreq.sim import integrate
 from meshes import ring_with_chords
+from tracing import traced_peak
 
 MINIMAL = textwrap.dedent("""\
     # one generator feeding one load
@@ -275,6 +276,29 @@ class TestOutputs:
         write_trajectory_csv(short_traj, path, values)
         rows = path.read_text().splitlines()[1:]
         assert [float(row.split(",")[-1]) for row in rows] == values.tolist()
+
+    def test_csv_holds_a_block_of_rows_at_a_time(self, short_traj, tmp_path):
+        # 20 001 samples of 11 columns: the table would take 1.8 MB, a
+        # block of rows and one row's strings take a few kB
+        samples = 20001
+        rng = np.random.default_rng(8)
+
+        def series(a):
+            return rng.normal(size=(samples, a.shape[1]))
+        traj = dataclasses.replace(
+            short_traj, times=np.arange(samples) * 0.01,
+            states=series(short_traj.states), freqs=series(short_traj.freqs),
+            p_m=series(short_traj.p_m),
+            marginal_cost=series(short_traj.marginal_cost))
+        values = rng.normal(size=samples)
+        path = tmp_path / "traj.csv"
+        held = traced_peak(lambda: write_trajectory_csv(traj, path, values))[1]
+        assert held < 0.1 * samples * 11 * 8
+        rows = path.read_text().splitlines()[1:]
+        assert len(rows) == samples
+        assert rows[-1] == ",".join(map(repr, np.concatenate([
+            traj.times[-1:], traj.freqs[-1], traj.p_m[-1], traj.commands[-1],
+            traj.marginal_cost[-1], values[-1:]]).tolist()))
 
     def test_plots_reference_csv_columns(self, short_traj, tmp_path):
         paths = emit_plots(short_traj, tmp_path)

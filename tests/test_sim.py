@@ -4,7 +4,6 @@ import resource
 import subprocess
 import sys
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +22,7 @@ from gridfreq.sim import (EPSILON_V, Scenario, assemble, compute_equilibrium,
 from meshes import ring_with_chords, with_generic_blocks
 from reference import (angle_peak, dense, derivative, equilibrium_angles,
                        lyapunov, net_injection, output, series)
+from tracing import traced_peak
 
 
 def _single_bus_scenario():
@@ -661,28 +661,11 @@ def test_mesh_run_scans_no_matrix_after_assemble(monkeypatch):
     assert all(ndim <= 1 for ndim in scanned), scanned
 
 
-def _traced_peak(call):
-    """call()'s result and the most memory it held at once beyond what
-    was allocated before it, in bytes, whether or not tracing is on."""
-    was_tracing = tracemalloc.is_tracing()
-    if was_tracing:
-        tracemalloc.reset_peak()
-    else:
-        tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        result = call()
-        return result, tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
-
-
 def test_assemble_holds_no_matrix():
     # 1 875 states: J over them alone would take 28 MB; the loop's
     # nonzeros and assemble's lists of them take well under 1 MB
     scn = ring_with_chords(1, buses=1000, generators=250, chords=300)
-    assert _traced_peak(lambda: assemble(scn))[1] < 4e6
+    assert traced_peak(lambda: assemble(scn))[1] < 4e6
 
 
 @pytest.mark.parametrize("case", ["ring9_scenario", "mesh"])
@@ -978,12 +961,26 @@ def test_series_memory_follows_the_states():
     # beside them
     scn = dataclasses.replace(ring_with_chords(1), t_end=20.0, output_stride=1)
     certs, eq = _certificates(scn), compute_equilibrium(scn)
-    traj, run = _traced_peak(lambda: integrate(scn))
+    traj, run = traced_peak(lambda: integrate(scn))
     held = traj.states.nbytes
     assert run < 2.5 * held
-    assert _traced_peak(lambda: lyapunov_value(scn, certs, eq, traj.states))[1] \
+    assert traced_peak(lambda: lyapunov_value(scn, certs, eq, traj.states))[1] \
         < 0.5 * held
-    assert _traced_peak(lambda: transient_angle_peak(scn, traj))[1] < 0.5 * held
+    assert traced_peak(lambda: transient_angle_peak(scn, traj))[1] < 0.5 * held
+
+
+def test_run_bookkeeping_does_not_grow_with_steps(two_gen_scenario, monkeypatch):
+    # 4 million steps and 5 samples, the kernel stubbed out: finding the
+    # load step and walking the samples take no array or list per step
+    # (one float per step alone would take 32 MB)
+    for name in ("_dense_kernel", "_sparse_kernel"):
+        monkeypatch.setattr(sim, name, lambda loop, dt, x0: (
+            lambda count: x0, lambda: None))
+    scn = dataclasses.replace(two_gen_scenario, dt=1e-3, t_end=4000.0,
+                              disturbance_time=1234.5, output_stride=10 ** 6)
+    traj, held = traced_peak(lambda: integrate(scn))
+    assert len(traj.times) == 5
+    assert held < 1e6
 
 
 class TestEquilibrium:
