@@ -16,10 +16,12 @@ v^T M v = 0 for every P and k_f, so a negative semidefinite M has M v = 0:
 k_f = K k_c and A^T P x_s = -C^T.  The search works on that face alone.
 For the two worked generator models there are exact diagonal certificates
 on it, with closed-form feasibility thresholds on the bus damping, and
-they are tried first.  An order-1 face is a single point, so an order-1
-block is decided by one check there: for a first-order lag no certificate
-means infeasible by the closed form.  A higher-order block goes to a
-log-barrier Newton solve of the matrix inequality over the face's P.
+they are tried first.  Then every block is checked at a closed-form
+point P0 of the face.  An order-1 face is that single point, so the check
+decides an order-1 block: for a first-order lag no certificate means
+infeasible by the closed form.  A block of higher order whose P0 fails
+goes to a log-barrier Newton solve of the matrix inequality over the
+face's P.
 Every certificate is then checked by the eigenvalues of its full
 matrices, from numpy.linalg.eigvalsh on plain arrays.
 """
@@ -58,14 +60,15 @@ _R_P = 1e6
 
 #: _face_search's first barrier weight.  On 1 500 seeded chain blocks
 #: (orders 2 to 6, five bus damping scales) 1e-4 to 10 gave the same
-#: verdicts; 1e-3 and 1e-4 took 1.7 s against 4.5 s at 0.1, and at 1e-3
-#: the certificates' P had a median condition number of 3.4 against 43.
+#: verdicts.  1e-4, 1e-3 and 0.1 took 1.4, 1.1 and 2.5 s (python 3.11,
+#: numpy 2.4, 2 CPUs), and at 1e-3 the certificates' P had a largest
+#: condition number of 8.8e4 against 4.4e6 at 0.1.
 _MU_START = 1e-3
 
 #: A centring ends once the Newton decrement is below _CENTRED, where
 #: damped Newton converges quadratically and the duality gap mu * dim is
 #: as good as exact, or after _NEWTON_STEPS steps.  On those chain blocks
-#: 15 of 1 562 centrings reached the cap, and a cap of 1 000 gave the same
+#: 8 of 674 centrings reached the cap, and a cap of 1 000 gave the same
 #: verdicts.
 _CENTRED = 1e-3
 _NEWTON_STEPS = 50
@@ -271,16 +274,17 @@ def search_certificate(gen: LtiGenerator, params: ControllerGains,
     1981).  The worked shapes' analytic certificates lie on the face and
     are tried first.  With w = -A^-T C^T, the face holds a positive
     definite P only if w^T x_s > 0, and then P0 = w w^T / (w^T x_s) + c (I
-    - x^ x^T), with x^ = x_s / |x_s| and c = w^T x_s / |x_s|^2, is one.
-    For order 1 P0 is the face's only point, so the verdict is the check
-    at P0: for a first-order lag None means lambda_hat is below
-    first_order_min_damping (to within TOL_PSD).  For a higher order
-    _face_search minimises U^T M U's largest eigenvalue over the face's
-    P with _EPS_P I <= P <= _R_P I, where the columns of U span v's
-    complement.  There None means that no such P brings it down to
-    TOL_PSD / 2.  The box keeps P clear of check_secondary_lmi's positive
-    definiteness test and keeps the problem bounded.  Every certificate
-    returned has passed check_secondary_lmi on the full matrix.
+    - x^ x^T), with x^ = x_s / |x_s| and c = w^T x_s / |x_s|^2, is one,
+    and it is checked next.  For order 1 P0 is the face's only point, so
+    the verdict is that check: for a first-order lag None means
+    lambda_hat is below first_order_min_damping (to within TOL_PSD).  For
+    a higher order whose P0 fails, _face_search minimises U^T M U's
+    largest eigenvalue over the face's P with _EPS_P I <= P <= _R_P I,
+    where the columns of U span v's complement.  There None means that
+    no such P brings it down to TOL_PSD / 2.  The box keeps P clear of
+    check_secondary_lmi's positive definiteness test and keeps the
+    problem bounded.  Every certificate returned has passed
+    check_secondary_lmi on the full matrix.
     """
     if not lambda_bus > 0.0:
         return None
@@ -314,8 +318,8 @@ def search_certificate(gen: LtiGenerator, params: ControllerGains,
     xx = x_s @ x_s
     p0 = (np.outer(w, w) / (w @ x_s)
           + (w @ x_s) / xx * (np.eye(gen.order) - np.outer(x_s, x_s) / xx))
-    if gen.order == 1:
-        return finish(p0)
+    if (cert := finish(p0)) is not None or gen.order == 1:
+        return cert
     p = _face_search(gen, params, lambda_hat, x_s, p0)
     return None if p is None else finish(p)
 
@@ -333,29 +337,35 @@ def _face_templates(gen: LtiGenerator, params: ControllerGains,
     that P = p0 + sum y_i N_i spans the face with.  G is the block
     diagonal of t I - U^T M(P) U, P - _EPS_P I and _R_P I - P, where M is
     the secondary matrix at k_f = K k_c and U = _complement(v) for v =
-    [1, x_s, 0].  G is affine in z, so the templates are read off G at
-    the origin and at each unit point, from P = 0 for the slopes and from
-    P = p0 for the constant."""
+    [1, x_s, 0].  M(P) is affine in P, and its linear part L(N) places
+    sym(N A), k_d N B / 2 and k_c B^T N / 2 in M's layout, so y_i's slope
+    is -U^T L(N_i) U, N_i and -N_i, t's is I in the top block, and the
+    constant is G at P = p0."""
     n = gen.order
-    k_f = gen.dc_gain * params.k_c
+    dim = 3 * n + 1
+    top, low, high = (slice(0, n + 1), slice(n + 1, 2 * n + 1),
+                      slice(2 * n + 1, dim))
     u = _complement(np.concatenate([[1.0], x_s, [0.0]]))
     q = _complement(x_s)
     basis = np.array([np.outer(q[:, i], q[:, j]) + np.outer(q[:, j], q[:, i])
                       for i, j in zip(*_upper(n - 1))])
-
-    def assembled(p: np.ndarray, t: float) -> np.ndarray:
-        g = np.zeros((3 * n + 1, 3 * n + 1))
-        g[:n + 1, :n + 1] = t * np.eye(n + 1) - u.T @ _secondary_array(
-            gen, params, p, lambda_hat, k_f) @ u
-        g[n + 1:2 * n + 1, n + 1:2 * n + 1] = p - _EPS_P * np.eye(n)
-        g[2 * n + 1:, 2 * n + 1:] = _R_P * np.eye(n) - p
-        return g.ravel()
-
-    zero = np.zeros((n, n))
-    origin = assembled(zero, 0.0)
-    units = [assembled(nb, 0.0) for nb in basis] + [assembled(zero, 1.0)]
-    return (np.stack([unit - origin for unit in units] + [assembled(p0, 0.0)]),
-            basis)
+    size = len(basis)
+    na = basis @ np.array(gen.a_matrix, dtype=float)
+    nb = basis @ np.array(gen.b_vector, dtype=float)
+    linear = np.zeros((size, n + 2, n + 2))
+    linear[:, 1:n + 1, 1:n + 1] = (na + np.swapaxes(na, 1, 2)) / 2.0
+    linear[:, 1:n + 1, 0] = linear[:, 0, 1:n + 1] = params.k_c * nb / 2.0
+    linear[:, 1:n + 1, n + 1] = linear[:, n + 1, 1:n + 1] = params.k_d * nb / 2.0
+    g = np.zeros((size + 2, dim, dim))
+    g[:size, top, top] = -(u.T @ linear @ u)
+    g[:size, low, low] = basis
+    g[:size, high, high] = -basis
+    g[size, top, top] = np.eye(n + 1)
+    g[size + 1, top, top] = -u.T @ _secondary_array(
+        gen, params, p0, lambda_hat, gen.dc_gain * params.k_c) @ u
+    g[size + 1, low, low] = p0 - _EPS_P * np.eye(n)
+    g[size + 1, high, high] = _R_P * np.eye(n) - p0
+    return g.reshape(size + 2, -1), basis
 
 
 def _face_search(gen: LtiGenerator, params: ControllerGains,

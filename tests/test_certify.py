@@ -363,6 +363,14 @@ class TestFaceTemplates:
         assert np.abs(u.T @ v).max() <= 1e-14 * np.abs(v).max()
         top, low, high = (slice(0, order + 1), slice(order + 1, 2 * order + 1),
                           slice(2 * order + 1, dim))
+        # the slopes in P's blocks and t's are exact, not read off G
+        slopes = templates[:-1].reshape(size + 1, dim, dim)
+        assert np.array_equal(slopes[:size, low, low], basis)
+        assert np.array_equal(slopes[:size, high, high], -basis)
+        assert np.array_equal(slopes[size, top, top], np.eye(order + 1))
+        beside = np.ones((dim, dim), dtype=bool)
+        beside[top, top] = False
+        assert not slopes[size][beside].any()
         for _ in range(20):
             y = rng.normal(size=size) * 10.0 ** rng.uniform(-3, 3)
             t = float(rng.normal())
@@ -375,12 +383,9 @@ class TestFaceTemplates:
             want[top, top] = t * np.eye(order + 1) - u.T @ m @ u
             want[low, low] = p - certify._EPS_P * np.eye(order)
             want[high, high] = certify._R_P * np.eye(order) - p
-            # rounding of the product and of U^T M U, entry by entry; each
-            # slope of _R_P I - P is read off beside _R_P, so it carries
-            # _R_P's rounding
+            # rounding of the product and of U^T M U, entry by entry
             bound = 1e-13 * (np.abs(z) @ np.abs(templates)).reshape(dim, dim)
             bound[top, top] += 1e-13 * (np.abs(u.T) @ np.abs(m) @ np.abs(u))
-            bound[high, high] += 1e-15 * np.abs(y).sum() * certify._R_P
             assert np.all(np.abs(got - want) <= bound)
 
 
@@ -492,6 +497,22 @@ def _reheat():
                   [1.0 / t_g, 0.0, 0.0], [0.0, f_hp, 1.0 - f_hp], 0.0)
 
 
+def _cascade():
+    """Two-lag cascade with feedthrough, p_m = 0.8 x_2 + 0.2 u."""
+    return _block([[-1.0 / 0.3, 0.0], [1.0 / 1.1, -1.0 / 1.1]],
+                  [1.0 / 0.3, 0.0], [0.0, 0.8], 0.2)
+
+
+def _face_point(gen, params):
+    """P0 = w w^T / (w^T x_s) + c (I - x^ x^T), the face's closed-form
+    point, with w = -A^-T C^T, x^ = x_s / |x_s| and c = w^T x_s / |x_s|^2."""
+    x_s, _ = _face_vectors(gen, params)
+    w = -np.linalg.solve(np.array(gen.a_matrix).T, np.array(gen.c_vector))
+    xx = x_s @ x_s
+    return (np.outer(w, w) / (w @ x_s)
+            + (w @ x_s) / xx * (np.eye(gen.order) - np.outer(x_s, x_s) / xx))
+
+
 def _solver_spy(monkeypatch):
     """The argument tuples of every _face_search call from here on."""
     solved = []
@@ -506,8 +527,9 @@ def _solver_spy(monkeypatch):
 
 class TestSearchPaths:
     """Blocks outside the worked shapes, and worked blocks whose analytic
-    certificate fails, go to the face: one check at its only point for
-    order 1, the barrier solve over it above."""
+    certificate fails, go to the face: one check at its closed-form point
+    P0, which decides order 1, and the barrier solve over it above when
+    P0 fails."""
 
     def _assert_certifies(self, gen, params, lam):
         assert first_order_params(gen) is None
@@ -556,6 +578,43 @@ class TestSearchPaths:
         assert search_certificate(_reheat(), _params(), 1.0) is not None
         assert len(solved) == 1
 
+    def test_face_point_is_decided_before_the_solve(self, monkeypatch):
+        solved = _solver_spy(monkeypatch)
+        params = _params()
+        lambda_hat = 1.0 - LAMBDA_SHAVE
+        for gen, top in ((_cascade(), -0.577), (_reheat(), 1.333)):
+            p0 = _face_point(gen, params)
+            _, v = _face_vectors(gen, params)
+            u = certify._complement(v)
+            m = secondary_matrix(gen, params, p0, gen.dc_gain * params.k_c,
+                                 lambda_hat)
+            assert np.linalg.eigvalsh(u.T @ m @ u)[-1] == pytest.approx(
+                top, abs=1e-3)
+        # U^T M(P0) U < 0: the cascade's certificate is P0 itself
+        cert = search_certificate(_cascade(), params, 1.0)
+        assert np.array_equal(cert.p_matrix.to_array(), _face_point(_cascade(),
+                                                                    params))
+        assert solved == []
+        # P0 fails the reheat block's check: one barrier solve
+        cert = search_certificate(_reheat(), params, 1.0)
+        assert cert is not None and check_secondary(_reheat(), params, cert, 1.0)
+        assert len(solved) == 1
+
+    @pytest.mark.parametrize("gen, most", [(_cascade(), 2), (_reheat(), 3)],
+                             ids=["cascade", "reheat"])
+    def test_secondary_matrix_builds_per_search(self, monkeypatch, gen, most):
+        # the check at P0, the constant template and the final check: the
+        # slopes are in closed form, not read off further builds
+        builds = []
+        build = certify._secondary_array
+
+        def spy(*args):
+            builds.append(args)
+            return build(*args)
+        monkeypatch.setattr(certify, "_secondary_array", spy)
+        assert search_certificate(gen, _params(), 1.0) is not None
+        assert 1 <= len(builds) <= most
+
     def test_search_cases_certify(self):
         for name, gen, params, lam in _search_cases():
             cert = search_certificate(gen, params, lam)
@@ -563,11 +622,7 @@ class TestSearchPaths:
             assert check_secondary(gen, params, cert, lam), name
 
     def test_cascade_with_feedthrough(self):
-        # two-lag cascade, p_m = (1 - f) x_2 + f K u
-        t_a, t_p, f = 0.3, 1.1, 0.2
-        gen = _block([[-1.0 / t_a, 0.0], [1.0 / t_p, -1.0 / t_p]],
-                     [1.0 / t_a, 0.0], [0.0, 1.0 - f], f)
-        self._assert_certifies(gen, _params(k_f=1.0, k_c=1.0, k_d=1.0), 1.0)
+        self._assert_certifies(_cascade(), _params(), 1.0)
 
 
 class TestFirstOrderVerdicts:
@@ -610,9 +665,7 @@ class TestFirstOrderVerdicts:
                     (tau, k_gain, params, ratio)
         assert solved == []
         # the spy does see a block outside the worked shapes
-        cascade = _block([[-1.0 / 0.3, 0.0], [1.0 / 1.1, -1.0 / 1.1]],
-                         [1.0 / 0.3, 0.0], [0.0, 0.8], 0.2)
-        assert search_certificate(cascade, _params(), 1.0) is not None
+        assert search_certificate(_reheat(), _params(), 1.0) is not None
         assert len(solved) == 1
 
 
