@@ -16,12 +16,14 @@ v^T M v = 0 for every P and k_f, so a negative semidefinite M has M v = 0:
 k_f = K k_c and A^T P x_s = -C^T.  The search works on that face alone.
 For the two worked generator models there are exact diagonal certificates
 on it, with closed-form feasibility thresholds on the bus damping, and
-they are tried first.  Then every block is checked at a closed-form
-point P0 of the face.  An order-1 face is that single point, so the check
-decides an order-1 block: for a first-order lag no certificate means
-infeasible by the closed form.  A block of higher order whose P0 fails
-goes to a log-barrier Newton solve of the matrix inequality over the
-face's P.
+they are tried first.  They are the face's one diagonal point, diag(p)
+with A^T diag(x_s) p = -C^T, and every other block is checked at that
+point next, found by one n x n solve.  An order-1 face is that single
+point, so this check decides an order-1 block: for a first-order lag no
+certificate means infeasible by the closed form.  A block of higher order
+whose diagonal point fails is checked at a closed-form point P0 of the
+face, and if P0 fails too it goes to a log-barrier Newton solve of the
+matrix inequality over the face's P.
 Every certificate is then checked by the eigenvalues of its full
 matrices, from numpy.linalg.eigvalsh on plain arrays.
 """
@@ -58,18 +60,19 @@ LAMBDA_SHAVE = 1e-3
 _EPS_P = 1e-6
 _R_P = 1e6
 
-#: _face_search's first barrier weight.  On 1 500 seeded chain blocks
-#: (orders 2 to 6, five bus damping scales) 1e-4 to 10 gave the same
-#: verdicts.  1e-4, 1e-3 and 0.1 took 1.4, 1.1 and 2.5 s (python 3.11,
-#: numpy 2.4, 2 CPUs), and at 1e-3 the certificates' P had a largest
+#: _face_search's first barrier weight.  Measured at commit c0ecb6a, which
+#: checked P0 but not the diagonal point before the solve: on 1 500 seeded
+#: chain blocks (orders 2 to 6, five bus damping scales) 1e-4 to 10 gave
+#: the same verdicts.  1e-4, 1e-3 and 0.1 took 1.4, 1.1 and 2.5 s (python
+#: 3.11, numpy 2.4, 2 CPUs), and at 1e-3 the certificates' P had a largest
 #: condition number of 8.8e4 against 4.4e6 at 0.1.
 _MU_START = 1e-3
 
 #: A centring ends once the Newton decrement is below _CENTRED, where
 #: damped Newton converges quadratically and the duality gap mu * dim is
 #: as good as exact, or after _NEWTON_STEPS steps.  On those chain blocks
-#: 8 of 674 centrings reached the cap, and a cap of 1 000 gave the same
-#: verdicts.
+#: at c0ecb6a 8 of 674 centrings reached the cap, and a cap of 1 000 gave
+#: the same verdicts.
 _CENTRED = 1e-3
 _NEWTON_STEPS = 50
 
@@ -271,18 +274,26 @@ def search_certificate(gen: LtiGenerator, params: ControllerGains,
     <= 0 forces M v = 0: k_f = K k_c and A^T P x_s = -C^T.  Every
     certificate has that k_f, and its P is sought on that face (facial
     reduction; Borwein and Wolkowicz, J. Austral. Math. Soc. A 30(3),
-    1981).  The worked shapes' analytic certificates lie on the face and
-    are tried first.  With w = -A^-T C^T, the face holds a positive
-    definite P only if w^T x_s > 0, and then P0 = w w^T / (w^T x_s) + c (I
-    - x^ x^T), with x^ = x_s / |x_s| and c = w^T x_s / |x_s|^2, is one,
-    and it is checked next.  For order 1 P0 is the face's only point, so
-    the verdict is that check: for a first-order lag None means
-    lambda_hat is below first_order_min_damping (to within TOL_PSD).  For
-    a higher order whose P0 fails, _face_search minimises U^T M U's
-    largest eigenvalue over the face's P with _EPS_P I <= P <= _R_P I,
-    where the columns of U span v's complement.  There None means that
-    no such P brings it down to TOL_PSD / 2.  The box keeps P clear of
-    check_secondary_lmi's positive definiteness test and keeps the
+    1981).  The points are checked in this order:
+
+    1. the worked shapes' analytic certificates, which lie on the face;
+    2. the face's one diagonal point, diag(p) with A^T diag(x_s) p =
+       -C^T, for every other block with no zero in x_s (for a worked
+       shape that point is its analytic one);
+    3. P0 = w w^T / (w^T x_s) + c (I - x^ x^T), with w = -A^-T C^T, x^ =
+       x_s / |x_s| and c = w^T x_s / |x_s|^2;
+    4. the barrier solve _face_search, started at P0.
+
+    The face holds a positive definite P only if w^T x_s > 0, so
+    otherwise None comes before step 2.  An order-1 face is its diagonal
+    point alone, so the verdict is that check: for a first-order lag None
+    means lambda_hat is below first_order_min_damping (to within
+    TOL_PSD).  A worked lag whose analytic check fails is refused there.
+    For a higher order whose steps 1 to 3 fail, _face_search minimises
+    U^T M U's largest eigenvalue over the face's P with _EPS_P I <= P <=
+    _R_P I, where the columns of U span v's complement.  There None means
+    that no such P brings it down to TOL_PSD / 2.  The box keeps P clear
+    of check_secondary_lmi's positive definiteness test and keeps the
     problem bounded.  Every certificate returned has passed
     check_secondary_lmi on the full matrix.
     """
@@ -307,18 +318,28 @@ def search_certificate(gen: LtiGenerator, params: ControllerGains,
     elif (so := second_order_params(gen)) is not None:
         scale = 1.0 / (k_gain * params.k_c)
         analytic = [so[0] * scale, so[1] * scale]
-    if analytic is not None and (cert := finish(np.diag(analytic))) is not None:
+    # A worked lag's face is its analytic point alone.
+    if analytic is not None and ((cert := finish(np.diag(analytic)))
+                                 is not None or gen.order == 1):
         return cert
 
     a = np.array(gen.a_matrix, dtype=float)
+    c = np.array(gen.c_vector, dtype=float)
     x_s = -params.k_c * np.linalg.solve(a, np.array(gen.b_vector, dtype=float))
-    w = -np.linalg.solve(a.T, np.array(gen.c_vector, dtype=float))
+    w = -np.linalg.solve(a.T, c)
     if not w @ x_s > 0.0:
         return None
+    # The face's one diagonal point, diag(p) with A^T diag(x_s) p = -C^T;
+    # a worked shape's analytic point is that point, already checked.  An
+    # order-1 face is that point alone (x_s != 0 since w^T x_s > 0).
+    if analytic is None and x_s.all():
+        cert = finish(np.diag(np.linalg.solve(a.T * x_s, -c)))
+        if cert is not None or gen.order == 1:
+            return cert
     xx = x_s @ x_s
     p0 = (np.outer(w, w) / (w @ x_s)
           + (w @ x_s) / xx * (np.eye(gen.order) - np.outer(x_s, x_s) / xx))
-    if (cert := finish(p0)) is not None or gen.order == 1:
+    if (cert := finish(p0)) is not None:
         return cert
     p = _face_search(gen, params, lambda_hat, x_s, p0)
     return None if p is None else finish(p)

@@ -600,8 +600,10 @@ def _prepare(scn: Scenario, flags: RunFlags,
 
 def _conclude(prep: _Prepared, traj: Trajectory) -> RunReport:
     """The checks on the trajectory, the report and the output files; with
-    certificates, the one Lyapunov series the check and the CSV read."""
-    scn, flags, checks, lines = prep.scn, prep.flags, prep.checks, prep.lines
+    certificates, the one Lyapunov series the check and the CSV read.
+    prep is left as it was, so it can be concluded again."""
+    scn, flags = prep.scn, prep.flags
+    checks, lines = dict(prep.checks), list(prep.lines)
     certs, eq, nu_opt = prep.certs, prep.eq, prep.nu_opt
     lines.append("")
     lines.append("[simulation]")

@@ -513,6 +513,41 @@ def _face_point(gen, params):
             + (w @ x_s) / xx * (np.eye(gen.order) - np.outer(x_s, x_s) / xx))
 
 
+def _diagonal_point(gen, params):
+    """p with A^T diag(p) x_s = -C^T: the face's one diagonal point."""
+    x_s, _ = _face_vectors(gen, params)
+    return np.linalg.solve(np.array(gen.a_matrix).T * x_s,
+                           -np.array(gen.c_vector))
+
+
+def _worked_below_threshold(share=0.75):
+    """(block, gains, bus damping): a worked cascade whose lambda_hat is
+    share of second_order_min_damping."""
+    gen = make_second_order(0.3, 1.1, 1.0)
+    threshold = second_order_min_damping(1.0, 1.0, 1.0)
+    return gen, _params(), share * threshold / (1.0 - LAMBDA_SHAVE)
+
+
+def _top_on_complement(gen, params, p, lambda_hat):
+    """U^T M U's largest eigenvalue, M the secondary matrix at k_f = K k_c."""
+    _, v = _face_vectors(gen, params)
+    u = certify._complement(v)
+    m = secondary_matrix(gen, params, p, gen.dc_gain * params.k_c, lambda_hat)
+    return np.linalg.eigvalsh(u.T @ m @ u)[-1]
+
+
+def _checked_spy(monkeypatch):
+    """The certificates of every check_secondary_lmi call from here on."""
+    checked = []
+    check = certify.check_secondary_lmi
+
+    def spy(gen, params, cert, lambda_bus):
+        checked.append(cert)
+        return check(gen, params, cert, lambda_bus)
+    monkeypatch.setattr(certify, "check_secondary_lmi", spy)
+    return checked
+
+
 def _solver_spy(monkeypatch):
     """The argument tuples of every _face_search call from here on."""
     solved = []
@@ -527,9 +562,10 @@ def _solver_spy(monkeypatch):
 
 class TestSearchPaths:
     """Blocks outside the worked shapes, and worked blocks whose analytic
-    certificate fails, go to the face: one check at its closed-form point
-    P0, which decides order 1, and the barrier solve over it above when
-    P0 fails."""
+    certificate fails, go to the face: one check at its diagonal point,
+    which decides order 1 (a worked shape's analytic point is that point),
+    then one at its closed-form point P0, and the barrier solve when both
+    fail."""
 
     def _assert_certifies(self, gen, params, lam):
         assert first_order_params(gen) is None
@@ -548,10 +584,7 @@ class TestSearchPaths:
     @pytest.mark.parametrize("share", [0.9, 0.75])
     def test_worked_block_below_threshold_certifies_off_diagonal(self, share):
         # the analytic (diagonal) certificate needs the whole threshold
-        gen = make_second_order(0.3, 1.1, 1.0)
-        params = _params()
-        threshold = second_order_min_damping(1.0, 1.0, 1.0)
-        lam = share * threshold / (1.0 - LAMBDA_SHAVE)
+        gen, params, lam = _worked_below_threshold(share)
         cert = search_certificate(gen, params, lam)
         assert cert is not None
         assert cert.p_matrix.entry(0, 1) != 0.0
@@ -574,37 +607,45 @@ class TestSearchPaths:
         assert cert.k_f == gen.dc_gain
         # below its damping threshold the point's check fails: no search
         assert search_certificate(gen, _params(k_d=3.0), 0.1) is None
-        # the reheat block does reach the solve
-        assert search_certificate(_reheat(), _params(), 1.0) is not None
+        # a worked cascade below its threshold does reach the solve
+        assert search_certificate(*_worked_below_threshold()) is not None
         assert len(solved) == 1
 
     def test_face_point_is_decided_before_the_solve(self, monkeypatch):
         solved = _solver_spy(monkeypatch)
         params = _params()
         lambda_hat = 1.0 - LAMBDA_SHAVE
-        for gen, top in ((_cascade(), -0.577), (_reheat(), 1.333)):
-            p0 = _face_point(gen, params)
-            _, v = _face_vectors(gen, params)
-            u = certify._complement(v)
-            m = secondary_matrix(gen, params, p0, gen.dc_gain * params.k_c,
-                                 lambda_hat)
-            assert np.linalg.eigvalsh(u.T @ m @ u)[-1] == pytest.approx(
-                top, abs=1e-3)
-        # U^T M(P0) U < 0: the cascade's certificate is P0 itself
-        cert = search_certificate(_cascade(), params, 1.0)
-        assert np.array_equal(cert.p_matrix.to_array(), _face_point(_cascade(),
-                                                                    params))
+        # U^T M U's largest eigenvalue at the diagonal point and at P0
+        for gen, diagonal, p0 in ((_cascade(), -0.634, -0.577),
+                                  (_reheat(), -0.310, 1.333)):
+            assert _top_on_complement(
+                gen, params, np.diag(_diagonal_point(gen, params)),
+                lambda_hat) == pytest.approx(diagonal, abs=1e-3)
+            assert _top_on_complement(gen, params, _face_point(gen, params),
+                                      lambda_hat) == pytest.approx(p0, abs=1e-3)
+            # both certify at the diagonal point, reheat where P0 fails
+            cert = search_certificate(gen, params, 1.0)
+            assert np.array_equal(cert.p_matrix.to_array(),
+                                  np.diag(_diagonal_point(gen, params)))
         assert solved == []
-        # P0 fails the reheat block's check: one barrier solve
-        cert = search_certificate(_reheat(), params, 1.0)
-        assert cert is not None and check_secondary(_reheat(), params, cert, 1.0)
+        # the worked cascade below its threshold fails at both: one solve
+        gen, params, lam = _worked_below_threshold()
+        lambda_hat = lam * (1.0 - LAMBDA_SHAVE)
+        for p, top in ((np.diag(_diagonal_point(gen, params)), 0.0687),
+                       (_face_point(gen, params), 0.182)):
+            assert _top_on_complement(gen, params, p, lambda_hat) == \
+                pytest.approx(top, abs=1e-3)
+        cert = search_certificate(gen, params, lam)
+        assert cert is not None and check_secondary(gen, params, cert, lam)
         assert len(solved) == 1
 
-    @pytest.mark.parametrize("gen, most", [(_cascade(), 2), (_reheat(), 3)],
-                             ids=["cascade", "reheat"])
-    def test_secondary_matrix_builds_per_search(self, monkeypatch, gen, most):
-        # the check at P0, the constant template and the final check: the
-        # slopes are in closed form, not read off further builds
+    @pytest.mark.parametrize("case, most", [
+        ((_cascade(), _params(), 1.0), 1), ((_reheat(), _params(), 1.0), 1),
+        (_worked_below_threshold(), 4)], ids=["cascade", "reheat", "worked"])
+    def test_secondary_matrix_builds_per_search(self, monkeypatch, case, most):
+        # one build per check, at the diagonal (analytic) point, at P0 and
+        # of the solve's certificate, and the solve's constant template:
+        # the slopes are in closed form, not read off further builds
         builds = []
         build = certify._secondary_array
 
@@ -612,8 +653,8 @@ class TestSearchPaths:
             builds.append(args)
             return build(*args)
         monkeypatch.setattr(certify, "_secondary_array", spy)
-        assert search_certificate(gen, _params(), 1.0) is not None
-        assert 1 <= len(builds) <= most
+        assert search_certificate(*case) is not None
+        assert len(builds) == most
 
     def test_search_cases_certify(self):
         for name, gen, params, lam in _search_cases():
@@ -664,9 +705,72 @@ class TestFirstOrderVerdicts:
                 assert (cert is not None) == (lambda_hat >= threshold), \
                     (tau, k_gain, params, ratio)
         assert solved == []
-        # the spy does see a block outside the worked shapes
-        assert search_certificate(_reheat(), _params(), 1.0) is not None
+        # the spy does see a worked cascade below its threshold
+        assert search_certificate(*_worked_below_threshold()) is not None
         assert len(solved) == 1
+
+    def test_lag_below_threshold_makes_one_check(self, monkeypatch):
+        # its face is its analytic point: no second check at P0
+        checked = _checked_spy(monkeypatch)
+        gen = make_first_order(0.45, 1.0)
+        params = _params(k_c=1.0, k_d=3.0)
+        lam = 0.9 * first_order_min_damping(1.0, 1.0, 3.0)
+        assert search_certificate(gen, params, lam) is None
+        assert len(checked) == 1
+
+
+class TestDiagonalFacePoint:
+    """The face holds one diagonal P: diag(p) with A^T diag(x_s) p = -C^T,
+    an n x n solve.  It is checked right after the worked shapes' analytic
+    certificates, which are that point."""
+
+    def test_first_check_outside_the_worked_shapes_is_on_the_face(
+            self, monkeypatch):
+        checked = _checked_spy(monkeypatch)
+        seen = 0
+        for gen, params, _ in _random_blocks(2603, 60):
+            del checked[:]
+            search_certificate(gen, params, 1.0)
+            if not checked:
+                continue  # w^T x_s <= 0: no positive definite P on the face
+            seen += 1
+            p = checked[0].p_matrix.to_array()
+            assert np.array_equal(p, np.diag(np.diag(p)))
+            assert checked[0].k_f == gen.dc_gain * params.k_c
+            x_s, _ = _face_vectors(gen, params)
+            c = np.array(gen.c_vector)
+            residual = np.array(gen.a_matrix).T @ p @ x_s + c
+            scale = np.abs(np.array(gen.a_matrix).T) @ np.abs(p @ x_s)
+            assert np.all(np.abs(residual) <= 1e-13 * (scale + np.abs(c)))
+        assert seen >= 20
+
+    def test_worked_shapes_analytic_certificates_are_the_diagonal_point(
+            self, monkeypatch):
+        rng = np.random.default_rng(2604)
+        cases = []
+        for trial in range(200):
+            k_gain = float(10.0 ** rng.uniform(-1, 1))
+            params = _params(k_c=float(10.0 ** rng.uniform(-1, 1)),
+                             k_d=float(10.0 ** rng.uniform(-1, 1)))
+            tau_a, tau_p = 10.0 ** rng.uniform(-1.3, 0.7, 2)
+            if trial % 2 == 0:
+                gen = make_first_order(float(tau_a), k_gain)
+                lam = first_order_min_damping(k_gain, params.k_c, params.k_d)
+            else:
+                gen = make_second_order(float(tau_a), float(tau_p), k_gain)
+                lam = second_order_min_damping(k_gain, params.k_c, params.k_d)
+            lam = 2.0 * lam + 0.01
+            cert = search_certificate(gen, params, lam)
+            assert cert is not None
+            cases.append((gen, params, lam, cert.p_matrix.to_array()))
+        # the same blocks with the worked shapes unrecognised
+        monkeypatch.setattr(certify, "first_order_params", lambda gen: None)
+        monkeypatch.setattr(certify, "second_order_params", lambda gen: None)
+        solved = _solver_spy(monkeypatch)
+        for gen, params, lam, analytic in cases:
+            p = search_certificate(gen, params, lam).p_matrix.to_array()
+            assert np.all(np.abs(p - analytic) <= 1e-15 * np.abs(analytic))
+        assert solved == []
 
 
 def _symmetric_stack(rng, count, dim):

@@ -421,6 +421,19 @@ class TestRun:
         csv_b = (tmp_path / "b" / "trajectory.csv").read_bytes()
         assert csv_a == csv_b
 
+    def test_concluding_twice_gives_the_same_report(self, two_gen_scenario):
+        # _conclude reads the prepared run and leaves it as it was
+        prep = cli._prepare(two_gen_scenario, RunFlags(optimal_gains=True))
+        lines, checks = list(prep.lines), dict(prep.checks)
+        traj = integrate(prep.scn)
+        first = cli._conclude(prep, traj)
+        second = cli._conclude(prep, traj)
+        assert (prep.lines, prep.checks) == (lines, checks)
+        assert second.report_text == first.report_text
+        assert second.checks == first.checks
+        assert first.report_text.count("[simulation]") == 1
+        assert first.report_text == run(two_gen_scenario,
+                                        RunFlags(optimal_gains=True)).report_text
 
     def test_benchmark_entry_points(self, two_gen_scenario, monkeypatch):
         # the benchmark wraps these module attributes and reads the

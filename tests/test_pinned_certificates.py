@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from gridfreq import certify
 from gridfreq.certify import search_certificate
 from reference import check_secondary
 
@@ -81,3 +82,20 @@ def test_chain_certificate_matches_pin(order):
     assert len(cases) == 75
     for case in cases:
         _check_verdict(CHAIN_SCRIPT, case)
+
+
+def test_pinned_cases_make_few_face_solves(monkeypatch):
+    # The diagonal face point and P0 are checked before the solve: 87 of
+    # the 360 cases reach it (138 when only P0 was checked first).
+    solved = []
+    solve = certify._face_search
+
+    def spy(*args):
+        solved.append(args)
+        return solve(*args)
+    monkeypatch.setattr(certify, "_face_search", spy)
+    for script, pins in ((SCRIPT, PINS), (CHAIN_SCRIPT, CHAIN_PINS)):
+        for case in pins:
+            _check_verdict(script, case)
+    assert len(PINS) + len(CHAIN_PINS) == 360
+    assert len(solved) <= 87
