@@ -17,15 +17,17 @@ k_f = K k_c and A^T P x_s = -C^T.  The search works on that face alone.
 For the two worked generator models there are exact diagonal certificates
 on it, with closed-form feasibility thresholds on the bus damping, and
 they are tried first.  They are the face's one diagonal point, diag(p)
-with A^T diag(x_s) p = -C^T, and every other block is checked at that
-point next, found by one n x n solve.  An order-1 face is that single
+with p * x_s = w for w = -A^-T C^T, and every other block is checked at
+that point next: p = w / x_s, with x_s from the block's stored A^-1 B, so
+w is the one linear solve up to that point.  An order-1 face is that single
 point, so this check decides an order-1 block: for a first-order lag no
 certificate means infeasible by the closed form.  A block of higher order
 whose diagonal point fails is checked at a closed-form point P0 of the
 face, and if P0 fails too it goes to a log-barrier Newton solve of the
 matrix inequality over the face's P.
 Every certificate is then checked by the eigenvalues of its full
-matrices, from numpy.linalg.eigvalsh on plain arrays.
+matrices, from numpy.linalg.eigvalsh on plain arrays, before it is
+packed into a SymmetricMatrix.
 """
 
 from __future__ import annotations
@@ -172,12 +174,10 @@ def _primary_array(gen: LtiGenerator, k_d: float, p: np.ndarray,
     n = gen.order
     if p.shape != (n, n):
         raise ValueError(f"P has dim {len(p)}, generator has order {n}")
-    b = np.array(gen.b_vector, dtype=float)
-    c = np.array(gen.c_vector, dtype=float)
-    pa = p @ np.array(gen.a_matrix, dtype=float)
+    pa = p @ gen.a_array
     m = np.empty((n + 1, n + 1))
     m[:n, :n] = (pa + pa.T) / 2.0
-    m[:n, n] = m[n, :n] = (k_d * (p @ b) - c) / 2.0
+    m[:n, n] = m[n, :n] = (k_d * (p @ gen.b_array) - gen.c_array) / 2.0
     m[n, n] = -lambda_hat - gen.d_scalar * k_d
     return m
 
@@ -191,8 +191,7 @@ def _secondary_array(gen: LtiGenerator, params: ControllerGains,
     m[1:, 1:] = _primary_array(gen, params.k_d, p, lambda_hat)
     m[0, 0] = -k_gain * params.k_c + d * params.k_c
     m[0, 1:n + 1] = m[1:n + 1, 0] = (
-        params.k_c * (np.array(gen.b_vector, dtype=float) @ p)
-        + np.array(gen.c_vector, dtype=float)) / 2.0
+        params.k_c * (gen.b_array @ p) + gen.c_array) / 2.0
     m[0, n + 1] = m[n + 1, 0] = (
         k_f - params.k_d * k_gain + d * params.k_d - d * params.k_c) / 2.0
     return m
@@ -219,10 +218,16 @@ def check_secondary_lmi(gen: LtiGenerator, params: ControllerGains,
     """Does the certificate witness the secondary (averaging) condition?"""
     if not cert.lambda_hat < lambda_bus:
         raise ValueError("certificate lambda_hat must be below the bus damping")
-    p = cert.p_matrix.to_array()
+    return _witnesses(gen, params, cert.p_matrix.to_array(), cert.lambda_hat,
+                      cert.k_f)
+
+
+def _witnesses(gen: LtiGenerator, params: ControllerGains, p: np.ndarray,
+               lambda_hat: float, k_f: float) -> bool:
+    """check_secondary_lmi on a symmetric array P, with no lambda_hat test."""
     if not np.linalg.eigvalsh(p)[0] > TOL_PD_PER_DIM * len(p):
         return False
-    m = _secondary_array(gen, params, p, cert.lambda_hat, cert.k_f)
+    m = _secondary_array(gen, params, p, lambda_hat, k_f)
     return np.linalg.eigvalsh(m)[-1] <= TOL_PSD
 
 
@@ -271,17 +276,19 @@ def search_certificate(gen: LtiGenerator, params: ControllerGains,
 
     With x_s = -A^-1 B k_c, the block's steady state under a unit
     command, and v = [1, x_s, 0], v^T M v = 0 for every P and k_f, so M
-    <= 0 forces M v = 0: k_f = K k_c and A^T P x_s = -C^T.  Every
-    certificate has that k_f, and its P is sought on that face (facial
-    reduction; Borwein and Wolkowicz, J. Austral. Math. Soc. A 30(3),
-    1981).  The points are checked in this order:
+    <= 0 forces M v = 0: k_f = K k_c and A^T P x_s = -C^T, that is P x_s
+    = w with w = -A^-T C^T.  Every certificate has that k_f, and its P is
+    sought on that face (facial reduction; Borwein and Wolkowicz, J.
+    Austral. Math. Soc. A 30(3), 1981).  x_s is k_c times the block's
+    stored A^-1 B, so w is the one linear solve before step 4.  The
+    points are checked in this order:
 
     1. the worked shapes' analytic certificates, which lie on the face;
-    2. the face's one diagonal point, diag(p) with A^T diag(x_s) p =
-       -C^T, for every other block with no zero in x_s (for a worked
-       shape that point is its analytic one);
-    3. P0 = w w^T / (w^T x_s) + c (I - x^ x^T), with w = -A^-T C^T, x^ =
-       x_s / |x_s| and c = w^T x_s / |x_s|^2;
+    2. the face's one diagonal point, diag(p) with p * x_s = w, so p = w /
+       x_s, for every other block with no zero in x_s (for a worked shape
+       that point is its analytic one);
+    3. P0 = w w^T / (w^T x_s) + c (I - x^ x^T), with x^ = x_s / |x_s| and
+       c = w^T x_s / |x_s|^2;
     4. the barrier solve _face_search, started at P0.
 
     The face holds a positive definite P only if w^T x_s > 0, so
@@ -295,7 +302,9 @@ def search_certificate(gen: LtiGenerator, params: ControllerGains,
     that no such P brings it down to TOL_PSD / 2.  The box keeps P clear
     of check_secondary_lmi's positive definiteness test and keeps the
     problem bounded.  Every certificate returned has passed
-    check_secondary_lmi on the full matrix.
+    check_secondary_lmi's test on the full matrix, run on P as an array:
+    each candidate is exactly symmetric, so it is the array its
+    SymmetricMatrix gives back.
     """
     if not lambda_bus > 0.0:
         return None
@@ -305,11 +314,10 @@ def search_certificate(gen: LtiGenerator, params: ControllerGains,
     k_f = k_gain * params.k_c
 
     def finish(p: np.ndarray) -> Optional[Certificate]:
-        cert = Certificate(p_matrix=SymmetricMatrix.from_rows(p), k_f=k_f,
+        if not _witnesses(gen, params, p, lambda_hat, k_f):
+            return None
+        return Certificate(p_matrix=SymmetricMatrix.from_rows(p), k_f=k_f,
                            lambda_hat=lambda_hat, margin=margin)
-        if check_secondary_lmi(gen, params, cert, lambda_bus):
-            return cert
-        return None
 
     # The worked shapes' analytic certificates, which lie on the face.
     analytic = None
@@ -323,17 +331,15 @@ def search_certificate(gen: LtiGenerator, params: ControllerGains,
                                  is not None or gen.order == 1):
         return cert
 
-    a = np.array(gen.a_matrix, dtype=float)
-    c = np.array(gen.c_vector, dtype=float)
-    x_s = -params.k_c * np.linalg.solve(a, np.array(gen.b_vector, dtype=float))
-    w = -np.linalg.solve(a.T, c)
+    x_s = -params.k_c * gen.a_inv_b
+    w = -np.linalg.solve(gen.a_array.T, gen.c_array)
     if not w @ x_s > 0.0:
         return None
-    # The face's one diagonal point, diag(p) with A^T diag(x_s) p = -C^T;
-    # a worked shape's analytic point is that point, already checked.  An
-    # order-1 face is that point alone (x_s != 0 since w^T x_s > 0).
+    # The face's one diagonal point, diag(p) with p * x_s = w; a worked
+    # shape's analytic point is that point, already checked.  An order-1
+    # face is that point alone (x_s != 0 since w^T x_s > 0).
     if analytic is None and x_s.all():
-        cert = finish(np.diag(np.linalg.solve(a.T * x_s, -c)))
+        cert = finish(np.diag(w / x_s))
         if cert is not None or gen.order == 1:
             return cert
     xx = x_s @ x_s
@@ -371,8 +377,8 @@ def _face_templates(gen: LtiGenerator, params: ControllerGains,
     basis = np.array([np.outer(q[:, i], q[:, j]) + np.outer(q[:, j], q[:, i])
                       for i, j in zip(*_upper(n - 1))])
     size = len(basis)
-    na = basis @ np.array(gen.a_matrix, dtype=float)
-    nb = basis @ np.array(gen.b_vector, dtype=float)
+    na = basis @ gen.a_array
+    nb = basis @ gen.b_array
     linear = np.zeros((size, n + 2, n + 2))
     linear[:, 1:n + 1, 1:n + 1] = (na + np.swapaxes(na, 1, 2)) / 2.0
     linear[:, 1:n + 1, 0] = linear[:, 0, 1:n + 1] = params.k_c * nb / 2.0
@@ -443,7 +449,11 @@ def _face_search(gen: LtiGenerator, params: ControllerGains,
                 step /= 2.0
             z, w = z + step, w_next
             if z[-2] <= TOL_PSD / 2.0:
-                return p0 + np.tensordot(z[:size], basis, axes=1)
+                # the upper triangle mirrored, as its SymmetricMatrix is
+                p = p0 + np.tensordot(z[:size], basis, axes=1)
+                lower = np.tril_indices(n, -1)
+                p[lower] = p.T[lower]
+                return p
             if decrement < _CENTRED:
                 break
         if z[-2] - mu * dim > TOL_PSD / 2.0 or mu * dim < TOL_PSD / 2.0:

@@ -33,8 +33,12 @@ class LtiGenerator:
         c_vector: length-n output row.
         d_scalar: direct feedthrough.
         order: n.
-        dc_gain: -C A^{-1} B + D, solved once when the block is made (a
-            Hurwitz A is invertible); derived, so out of repr and ==.
+        a_array, b_array, c_array: A, B and C as read-only float arrays,
+            made once when the block is made.
+        a_inv_b: A^{-1} B as a read-only array, solved once when the block
+            is made (a Hurwitz A is invertible).
+        dc_gain: -C A^{-1} B + D.
+        The last five are derived, so out of repr, == and hash.
     """
 
     a_matrix: Tuple[Tuple[float, ...], ...]
@@ -42,6 +46,10 @@ class LtiGenerator:
     c_vector: Tuple[float, ...]
     d_scalar: float
     order: int
+    a_array: np.ndarray = field(init=False, repr=False, compare=False)
+    b_array: np.ndarray = field(init=False, repr=False, compare=False)
+    c_array: np.ndarray = field(init=False, repr=False, compare=False)
+    a_inv_b: np.ndarray = field(init=False, repr=False, compare=False)
     dc_gain: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -55,12 +63,23 @@ class LtiGenerator:
         if not np.isfinite([*np.ravel(self.a_matrix), *self.b_vector,
                             *self.c_vector, self.d_scalar]).all():
             raise ValueError("generator block entries must be finite")
-        if not is_hurwitz([list(r) for r in self.a_matrix]):
-            raise ValueError("a_matrix must be Hurwitz")
         a, b, c = (np.array(v, dtype=float)
                    for v in (self.a_matrix, self.b_vector, self.c_vector))
-        object.__setattr__(self, "dc_gain",
-                           float(-c @ np.linalg.solve(a, b) + self.d_scalar))
+        if not is_hurwitz(a):
+            raise ValueError("a_matrix must be Hurwitz")
+        a_inv_b = np.linalg.solve(a, b)
+        self.__setstate__(dict(a_array=a, b_array=b, c_array=c,
+                               a_inv_b=a_inv_b,
+                               dc_gain=float(-c @ a_inv_b + self.d_scalar)))
+
+    def __setstate__(self, state):
+        """Set fields past the frozen guard, the derived arrays read-only;
+        pickle calls it too, since below protocol 5 it restores arrays
+        writeable."""
+        for name, value in state.items():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
 
 def _as_square(a_matrix) -> np.ndarray:
@@ -84,9 +103,7 @@ def is_hurwitz(a_matrix) -> bool:
 
 def equilibrium_state(gen: LtiGenerator, u: float) -> Tuple[float, ...]:
     """The unique rest state for a constant input: solves A x + B u = 0."""
-    a = np.array(gen.a_matrix, dtype=float)
-    b = np.array(gen.b_vector, dtype=float)
-    x = np.linalg.solve(a, -b * u)
+    x = np.linalg.solve(gen.a_array, -gen.b_array * u)
     return tuple(float(v) for v in x)
 
 

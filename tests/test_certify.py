@@ -514,10 +514,11 @@ def _face_point(gen, params):
 
 
 def _diagonal_point(gen, params):
-    """p with A^T diag(p) x_s = -C^T: the face's one diagonal point."""
+    """p with A^T diag(p) x_s = -C^T, the face's one diagonal point: p =
+    w / x_s with w = -A^-T C^T."""
     x_s, _ = _face_vectors(gen, params)
-    return np.linalg.solve(np.array(gen.a_matrix).T * x_s,
-                           -np.array(gen.c_vector))
+    return -np.linalg.solve(np.array(gen.a_matrix).T,
+                            np.array(gen.c_vector)) / x_s
 
 
 def _worked_below_threshold(share=0.75):
@@ -537,14 +538,16 @@ def _top_on_complement(gen, params, p, lambda_hat):
 
 
 def _checked_spy(monkeypatch):
-    """The certificates of every check_secondary_lmi call from here on."""
+    """The certificates of every check from here on: the calls of
+    certify._witnesses, which check_secondary_lmi and the search share."""
     checked = []
-    check = certify.check_secondary_lmi
+    check = certify._witnesses
 
-    def spy(gen, params, cert, lambda_bus):
-        checked.append(cert)
-        return check(gen, params, cert, lambda_bus)
-    monkeypatch.setattr(certify, "check_secondary_lmi", spy)
+    def spy(gen, params, p, lambda_hat, k_f):
+        checked.append(Certificate(p_matrix=SymmetricMatrix.from_rows(p),
+                                   k_f=k_f, lambda_hat=lambda_hat))
+        return check(gen, params, p, lambda_hat, k_f)
+    monkeypatch.setattr(certify, "_witnesses", spy)
     return checked
 
 
@@ -721,8 +724,52 @@ class TestFirstOrderVerdicts:
 
 class TestDiagonalFacePoint:
     """The face holds one diagonal P: diag(p) with A^T diag(x_s) p = -C^T,
-    an n x n solve.  It is checked right after the worked shapes' analytic
-    certificates, which are that point."""
+    that is p * x_s = w for w = -A^-T C^T, so p = w / x_s.  It is checked
+    right after the worked shapes' analytic certificates, which are that
+    point."""
+
+    def test_division_matches_the_solve(self):
+        # both round, so w / x_s and the n x n solve of A^T diag(x_s) p =
+        # -C^T agree to a few ulps of p's largest entry, and w / x_s meets
+        # the face residual bound of the certificates' first check
+        eps = np.finfo(float).eps
+        seen = 0
+        for seed in range(2601, 2606):
+            for gen, params, _ in _random_blocks(seed, 60):
+                x_s, _ = _face_vectors(gen, params)
+                a, c = np.array(gen.a_matrix), np.array(gen.c_vector)
+                if not x_s.all():
+                    continue
+                seen += 1
+                p = _diagonal_point(gen, params)
+                solved = np.linalg.solve(a.T * x_s, -c)
+                assert (np.abs(p - solved).max()
+                        <= 32.0 * eps * np.abs(solved).max()), (seed, gen)
+                residual = a.T @ np.diag(p) @ x_s + c
+                scale = np.abs(a.T) @ np.abs(p * x_s)
+                assert np.all(np.abs(residual) <= 1e-13 * (scale + np.abs(c)))
+        assert seen == 300
+
+    def test_one_linear_solve_per_search(self, monkeypatch):
+        # x_s = -k_c A^-1 B is read off the block and the diagonal point is
+        # w / x_s, so a block certified there solves only for w, and a
+        # worked shape's analytic certificate needs no solve
+        cases = [(_cascade(), 1), (_reheat(), 1),
+                 (make_first_order(0.45, 1.0), 0),
+                 (make_second_order(0.3, 1.1, 1.0), 0)]
+        solves = []
+        solve = np.linalg.solve
+
+        def spy(*args):
+            solves.append(args)
+            return solve(*args)
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        for gen, want in cases:
+            del solves[:]
+            cert = search_certificate(gen, _params(), 1.0)
+            p = cert.p_matrix.to_array()
+            assert np.array_equal(p, np.diag(np.diag(p)))
+            assert len(solves) == want, gen
 
     def test_first_check_outside_the_worked_shapes_is_on_the_face(
             self, monkeypatch):

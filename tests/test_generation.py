@@ -109,20 +109,46 @@ def test_dc_gain_is_solved_once_when_the_block_is_made(monkeypatch):
                        d_scalar=0.1, order=2)
     a, b, c = (np.array(v) for v in (gen.a_matrix, gen.b_vector, gen.c_vector))
     assert gen.dc_gain == float(-c @ np.linalg.solve(a, b) + 0.1)
-    # a derived value: out of repr and ==, and kept by pickle and replace
-    assert "dc_gain" not in repr(gen)
+    # the block's arrays and A^-1 B, made with it, equal to the tuples and
+    # read-only
+    arrays = dict(a_array=a, b_array=b, c_array=c,
+                  a_inv_b=np.linalg.solve(a, b))
+    for name, want in arrays.items():
+        got = getattr(gen, name)
+        assert np.array_equal(got, want) and got.dtype == float, name
+        with pytest.raises(ValueError, match="read-only"):
+            got[0] = 0.0
+    # derived values: out of repr, == and hash, and kept by pickle and replace
+    for name in ("dc_gain", *arrays):
+        assert name not in repr(gen)
+    odd = dataclasses.replace(gen)
+    for name in arrays:
+        object.__setattr__(odd, name, np.zeros(2))
+    assert odd == gen and hash(odd) == hash(gen)
     twin = dataclasses.replace(gen)
     assert twin == gen and hash(twin) == hash(gen)
     assert twin.dc_gain == pickle.loads(pickle.dumps(gen)).dc_gain == gen.dc_gain
     with pytest.raises(TypeError):
         LtiGenerator(a_matrix=((-1.0,),), b_vector=(1.0,), c_vector=(1.0,),
                      d_scalar=0.0, order=1, dc_gain=2.0)
+    with pytest.raises(TypeError):
+        LtiGenerator(a_matrix=((-1.0,),), b_vector=(1.0,), c_vector=(1.0,),
+                     d_scalar=0.0, order=1, a_array=np.eye(1))
 
     def no_solve(*args):
         raise AssertionError("dc_gain solved again")
 
     monkeypatch.setattr(np.linalg, "solve", no_solve)
     assert pickle.loads(pickle.dumps(gen)).dc_gain == gen.dc_gain
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        copied = pickle.loads(pickle.dumps(gen, protocol=protocol))
+        for name in arrays:
+            got = getattr(copied, name)
+            assert np.array_equal(got, getattr(gen, name)), (protocol, name)
+            assert not got.flags.writeable, (protocol, name)
+    for name in arrays:
+        assert np.array_equal(getattr(twin, name), getattr(gen, name))
+        assert not getattr(twin, name).flags.writeable
 
 
 def test_equilibrium_state_reaches_dc_gain():
