@@ -11,20 +11,20 @@ trailing principal submatrix of the secondary one, so a secondary pass
 implies a primary pass with the same (P, k_d, lambda_hat).
 
 The secondary condition fixes part of its own answer.  With x_s = -A^-1
-B k_c, the block's steady state under a unit command, and v = [1, x_s, 0],
-v^T M v = 0 for every P and k_f, so a negative semidefinite M has M v = 0:
-k_f = K k_c and A^T P x_s = -C^T.  The search works on that face alone.
-For the two worked generator models there are exact diagonal certificates
-on it, with closed-form feasibility thresholds on the bus damping, and
-they are tried first.  They are the face's one diagonal point, diag(p)
-with p * x_s = w for w = -A^-T C^T, and every other block is checked at
-that point next: p = w / x_s, with x_s from the block's stored A^-1 B, so
-w is the one linear solve up to that point.  An order-1 face is that single
-point, so this check decides an order-1 block: for a first-order lag no
-certificate means infeasible by the closed form.  A block of higher order
-whose diagonal point fails is checked at a closed-form point P0 of the
-face, and if P0 fails too it goes to a log-barrier Newton solve of the
-matrix inequality over the face's P.
+B k_c, the block's steady state under a unit command, and v = [1, x_s,
+0], v^T M v = 0 for every P and k_f, so a negative semidefinite M has M
+v = 0: k_f = K k_c and A^T P x_s = -C^T.  The search works on that face
+alone, in three steps.  It first checks the face's one diagonal point,
+diag(p) with p * x_s = w for w = -A^-T C^T, read off the block's stored
+A^-1 B and A^-T C^T with no linear solve.  For the two worked generator
+models that point is, to rounding, their exact diagonal certificate,
+whose feasibility thresholds on the bus damping are in closed form here.
+An order-1 face is that single point, so this check decides an order-1
+block: for a first-order lag no certificate means infeasible by the
+closed form.  A block of higher order whose diagonal point fails is
+checked at a closed-form point P0 of the face, and if P0 fails too it
+goes to a log-barrier Newton solve of the matrix inequality over the
+face's P.
 Every certificate is then checked by the eigenvalues of its full
 matrices, from numpy.linalg.eigvalsh on plain arrays, before it is
 packed into a SymmetricMatrix.
@@ -35,12 +35,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .control import ControllerGains
-from .generation import LtiGenerator, first_order_params, second_order_params
+from .generation import LtiGenerator, first_order_params
 
 #: "<= 0" for the certificate matrices means max eigenvalue <= TOL_PSD.
 TOL_PSD = 1e-9
@@ -72,11 +72,15 @@ _MU_START = 1e-3
 
 #: A centring ends once the Newton decrement is below _CENTRED, where
 #: damped Newton converges quadratically and the duality gap mu * dim is
-#: as good as exact, or after _NEWTON_STEPS steps.  On those chain blocks
-#: at c0ecb6a 8 of 674 centrings reached the cap, and a cap of 1 000 gave
-#: the same verdicts.
+#: as good as exact, or after _NEWTON_STEPS steps, which ends the search
+#: undecided.  Measured on tests/test_certify._random_blocks(seed, 60) for
+#: seeds 601 to 640, orders 2 to 5 and seven bus dampings from 0.05 to 5
+#: (13 440 searches): a cap of 50, when an uncentred point could still be
+#: refused by the gap test, refused 49 searches that certify; caps of 500
+#: and 5 000 gave the same 3 479 certificates, with 141 and 10 searches
+#: ending uncentred, all in their first centring.
 _CENTRED = 1e-3
-_NEWTON_STEPS = 50
+_NEWTON_STEPS = 500
 
 
 @functools.lru_cache(maxsize=None)
@@ -120,10 +124,6 @@ class SymmetricMatrix:
         return self.entries[self._index(i, j, self.dim)]
 
     @classmethod
-    def from_upper(cls, dim: int, upper: Sequence[float]) -> "SymmetricMatrix":
-        return cls(dim=dim, entries=tuple(float(v) for v in upper))
-
-    @classmethod
     def from_rows(cls, rows) -> "SymmetricMatrix":
         """Build from a full square array, reading only the upper triangle."""
         a = np.asarray(rows, dtype=float)
@@ -134,9 +134,6 @@ class SymmetricMatrix:
     @classmethod
     def diagonal(cls, values: Sequence[float]) -> "SymmetricMatrix":
         return cls.from_rows(np.diag(np.asarray(values, dtype=float)))
-
-    def to_lists(self) -> List[List[float]]:
-        return self.to_array().tolist()
 
     def to_array(self) -> np.ndarray:
         a = np.zeros((self.dim, self.dim))
@@ -162,38 +159,25 @@ class Certificate:
     margin: float = 0.0
 
 
-def _primary_array(gen: LtiGenerator, k_d: float, p: np.ndarray,
-                   lambda_hat: float) -> np.ndarray:
-    """The (n+1)-dimensional passivity matrix for droop feedback.
-
-    Layout: leading n x n block sym(P A), coupling column
-    (k_d P B - C^T)/2, corner -lambda_hat - D k_d.  Negative
-    semidefiniteness of this matrix (with P positive definite and
-    lambda_hat < Lambda) is the primary-control stability condition.
-    """
+def _secondary_array(gen: LtiGenerator, params: ControllerGains,
+                     p: np.ndarray, lambda_hat: float, k_f: float) -> np.ndarray:
+    """secondary_lmi_matrix as an array, for a symmetric array P."""
     n = gen.order
     if p.shape != (n, n):
         raise ValueError(f"P has dim {len(p)}, generator has order {n}")
-    pa = p @ gen.a_array
-    m = np.empty((n + 1, n + 1))
-    m[:n, :n] = (pa + pa.T) / 2.0
-    m[:n, n] = m[n, :n] = (k_d * (p @ gen.b_array) - gen.c_array) / 2.0
-    m[n, n] = -lambda_hat - gen.d_scalar * k_d
-    return m
-
-
-def _secondary_array(gen: LtiGenerator, params: ControllerGains,
-                     p: np.ndarray, lambda_hat: float, k_f: float) -> np.ndarray:
-    n = gen.order
     k_gain = gen.dc_gain
     d = gen.d_scalar
+    pa = p @ gen.a_array
     m = np.empty((n + 2, n + 2))
-    m[1:, 1:] = _primary_array(gen, params.k_d, p, lambda_hat)
     m[0, 0] = -k_gain * params.k_c + d * params.k_c
     m[0, 1:n + 1] = m[1:n + 1, 0] = (
         params.k_c * (gen.b_array @ p) + gen.c_array) / 2.0
     m[0, n + 1] = m[n + 1, 0] = (
         k_f - params.k_d * k_gain + d * params.k_d - d * params.k_c) / 2.0
+    m[1:n + 1, 1:n + 1] = (pa + pa.T) / 2.0
+    m[1:n + 1, n + 1] = m[n + 1, 1:n + 1] = (
+        params.k_d * (p @ gen.b_array) - gen.c_array) / 2.0
+    m[n + 1, n + 1] = -lambda_hat - d * params.k_d
     return m
 
 
@@ -204,8 +188,9 @@ def secondary_lmi_matrix(gen: LtiGenerator, params: ControllerGains,
 
     Row/column 0 carries the command coupling: corner -K k_c + D k_c and
     border r = [(k_c B^T P + C)/2, (k_f - k_d K + D k_d - D k_c)/2].  The
-    trailing (n+1) block is exactly the primary matrix (same floats, same
-    construction).  ``k_f`` overrides params.k_f when given; a
+    trailing (n+1) block is the primary (droop) matrix: leading n x n
+    block sym(P A), coupling column (k_d P B - C^T)/2 and corner
+    -lambda_hat - D k_d.  ``k_f`` overrides params.k_f when given; a
     certificate's k_f is always K k_c, which may differ from params.k_f.
     """
     kf = params.k_f if k_f is None else k_f
@@ -279,39 +264,38 @@ def search_certificate(gen: LtiGenerator, params: ControllerGains,
     <= 0 forces M v = 0: k_f = K k_c and A^T P x_s = -C^T, that is P x_s
     = w with w = -A^-T C^T.  Every certificate has that k_f, and its P is
     sought on that face (facial reduction; Borwein and Wolkowicz, J.
-    Austral. Math. Soc. A 30(3), 1981).  x_s is k_c times the block's
-    stored A^-1 B, so w is the one linear solve before step 4.  The
-    points are checked in this order:
+    Austral. Math. Soc. A 30(3), 1981).  x_s and w are read off the
+    block's stored A^-1 B and A^-T C^T, so no linear solve comes before
+    step 3.  The points are checked in this order:
 
-    1. the worked shapes' analytic certificates, which lie on the face;
-    2. the face's one diagonal point, diag(p) with p * x_s = w, so p = w /
-       x_s, for every other block with no zero in x_s (for a worked shape
-       that point is its analytic one);
-    3. P0 = w w^T / (w^T x_s) + c (I - x^ x^T), with x^ = x_s / |x_s| and
+    1. the face's one diagonal point, diag(p) with p * x_s = w, so p = w /
+       x_s, when no entry of x_s is zero; for a worked lag it is the
+       analytic certificate tau / (K k_c) bit for bit, and for a worked
+       cascade diag(tau_a, tau_p) / (K k_c) to rounding;
+    2. P0 = w w^T / (w^T x_s) + c (I - x^ x^T), with x^ = x_s / |x_s| and
        c = w^T x_s / |x_s|^2;
-    4. the barrier solve _face_search, started at P0.
+    3. the barrier solve _face_search, started at P0.
 
     The face holds a positive definite P only if w^T x_s > 0, so
-    otherwise None comes before step 2.  An order-1 face is its diagonal
+    otherwise None comes before step 1.  An order-1 face is its diagonal
     point alone, so the verdict is that check: for a first-order lag None
     means lambda_hat is below first_order_min_damping (to within
-    TOL_PSD).  A worked lag whose analytic check fails is refused there.
-    For a higher order whose steps 1 to 3 fail, _face_search minimises
-    U^T M U's largest eigenvalue over the face's P with _EPS_P I <= P <=
-    _R_P I, where the columns of U span v's complement.  There None means
-    that no such P brings it down to TOL_PSD / 2.  The box keeps P clear
-    of check_secondary_lmi's positive definiteness test and keeps the
-    problem bounded.  Every certificate returned has passed
-    check_secondary_lmi's test on the full matrix, run on P as an array:
-    each candidate is exactly symmetric, so it is the array its
-    SymmetricMatrix gives back.
+    TOL_PSD).  For a higher order whose steps 1 and 2 fail, _face_search
+    minimises U^T M U's largest eigenvalue over the face's P with _EPS_P
+    I <= P <= _R_P I, where the columns of U span v's complement.  There
+    None means that no such P brings it down to TOL_PSD / 2, or that a
+    centring of the barrier solve did not converge in _NEWTON_STEPS
+    steps.  The box keeps P clear of check_secondary_lmi's positive
+    definiteness test and keeps the problem bounded.  Every certificate
+    returned has passed check_secondary_lmi's test on the full matrix, run
+    on P as an array: each candidate is exactly symmetric, so it is the
+    array its SymmetricMatrix gives back.
     """
     if not lambda_bus > 0.0:
         return None
     lambda_hat = lambda_bus * (1.0 - LAMBDA_SHAVE)
     margin = lambda_bus - lambda_hat
-    k_gain = gen.dc_gain
-    k_f = k_gain * params.k_c
+    k_f = gen.dc_gain * params.k_c
 
     def finish(p: np.ndarray) -> Optional[Certificate]:
         if not _witnesses(gen, params, p, lambda_hat, k_f):
@@ -319,26 +303,13 @@ def search_certificate(gen: LtiGenerator, params: ControllerGains,
         return Certificate(p_matrix=SymmetricMatrix.from_rows(p), k_f=k_f,
                            lambda_hat=lambda_hat, margin=margin)
 
-    # The worked shapes' analytic certificates, which lie on the face.
-    analytic = None
-    if (fo := first_order_params(gen)) is not None:
-        analytic = [fo[0] / (k_gain * params.k_c)]
-    elif (so := second_order_params(gen)) is not None:
-        scale = 1.0 / (k_gain * params.k_c)
-        analytic = [so[0] * scale, so[1] * scale]
-    # A worked lag's face is its analytic point alone.
-    if analytic is not None and ((cert := finish(np.diag(analytic)))
-                                 is not None or gen.order == 1):
-        return cert
-
     x_s = -params.k_c * gen.a_inv_b
-    w = -np.linalg.solve(gen.a_array.T, gen.c_array)
+    w = -gen.a_inv_t_c
     if not w @ x_s > 0.0:
         return None
-    # The face's one diagonal point, diag(p) with p * x_s = w; a worked
-    # shape's analytic point is that point, already checked.  An order-1
+    # The face's one diagonal point, diag(p) with p * x_s = w.  An order-1
     # face is that point alone (x_s != 0 since w^T x_s > 0).
-    if analytic is None and x_s.all():
+    if x_s.all():
         cert = finish(np.diag(w / x_s))
         if cert is not None or gen.order == 1:
             return cert
@@ -410,7 +381,12 @@ def _face_search(gen: LtiGenerator, params: ControllerGains,
     dimension (the duality gap).  So once t minus that gap is above
     TOL_PSD / 2, or the gap is below TOL_PSD / 2 with t still above it,
     no point of the box brings U^T M U's largest eigenvalue down to
-    TOL_PSD / 2, and the answer is None.
+    TOL_PSD / 2, and the answer is None.  Only a centre bounds the least
+    t, so a centring that does not end within _NEWTON_STEPS steps ends
+    the search undecided, with None too: the search makes at most
+    _NEWTON_STEPS steps for each of its at most nine values of mu.  The
+    Newton step is a least-squares solve, since rounding can leave the
+    Hessian W W^T singular.
     """
     n = gen.order
     dim = 3 * n + 1
@@ -440,11 +416,11 @@ def _face_search(gen: LtiGenerator, params: ControllerGains,
             # objective t adds 1/mu to the last.
             grad = -w[:, ::dim + 1].sum(axis=1)
             grad[-1] += 1.0 / mu
-            step = np.append(np.linalg.solve(w @ w.T, -grad), 0.0)
-            decrement = math.sqrt(max(-(grad @ step[:-1]), 0.0))
+            step = np.linalg.lstsq(w @ w.T, -grad, rcond=None)[0]
+            decrement = math.sqrt(max(-(grad @ step), 0.0))
             # The damped step stays inside G's domain in exact arithmetic;
             # it is halved where rounding takes it out.
-            step /= 1.0 + decrement
+            step = np.append(step, 0.0) / (1.0 + decrement)
             while (w_next := whitened(z + step)) is None:
                 step /= 2.0
             z, w = z + step, w_next
@@ -456,6 +432,8 @@ def _face_search(gen: LtiGenerator, params: ControllerGains,
                 return p
             if decrement < _CENTRED:
                 break
+        else:
+            return None
         if z[-2] - mu * dim > TOL_PSD / 2.0 or mu * dim < TOL_PSD / 2.0:
             return None
         mu /= 10.0

@@ -37,8 +37,9 @@ class LtiGenerator:
             made once when the block is made.
         a_inv_b: A^{-1} B as a read-only array, solved once when the block
             is made (a Hurwitz A is invertible).
+        a_inv_t_c: A^{-T} C^T, solved and kept the same way.
         dc_gain: -C A^{-1} B + D.
-        The last five are derived, so out of repr, == and hash.
+        The last six are derived, so out of repr, == and hash.
     """
 
     a_matrix: Tuple[Tuple[float, ...], ...]
@@ -50,6 +51,7 @@ class LtiGenerator:
     b_array: np.ndarray = field(init=False, repr=False, compare=False)
     c_array: np.ndarray = field(init=False, repr=False, compare=False)
     a_inv_b: np.ndarray = field(init=False, repr=False, compare=False)
+    a_inv_t_c: np.ndarray = field(init=False, repr=False, compare=False)
     dc_gain: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -70,6 +72,7 @@ class LtiGenerator:
         a_inv_b = np.linalg.solve(a, b)
         self.__setstate__(dict(a_array=a, b_array=b, c_array=c,
                                a_inv_b=a_inv_b,
+                               a_inv_t_c=np.linalg.solve(a.T, c),
                                dc_gain=float(-c @ a_inv_b + self.d_scalar)))
 
     def __setstate__(self, state):

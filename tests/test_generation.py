@@ -109,10 +109,11 @@ def test_dc_gain_is_solved_once_when_the_block_is_made(monkeypatch):
                        d_scalar=0.1, order=2)
     a, b, c = (np.array(v) for v in (gen.a_matrix, gen.b_vector, gen.c_vector))
     assert gen.dc_gain == float(-c @ np.linalg.solve(a, b) + 0.1)
-    # the block's arrays and A^-1 B, made with it, equal to the tuples and
-    # read-only
+    # the block's arrays, A^-1 B and A^-T C^T, made with it, equal to the
+    # tuples and their solves, and read-only
     arrays = dict(a_array=a, b_array=b, c_array=c,
-                  a_inv_b=np.linalg.solve(a, b))
+                  a_inv_b=np.linalg.solve(a, b),
+                  a_inv_t_c=np.linalg.solve(a.T, c))
     for name, want in arrays.items():
         got = getattr(gen, name)
         assert np.array_equal(got, want) and got.dtype == float, name
