@@ -20,11 +20,12 @@ A^-1 B and A^-T C^T with no linear solve.  For the two worked generator
 models that point is, to rounding, their exact diagonal certificate,
 whose feasibility thresholds on the bus damping are in closed form here.
 An order-1 face is that single point, so this check decides an order-1
-block: for a first-order lag no certificate means infeasible by the
-closed form.  A block of higher order whose diagonal point fails is
-checked at a closed-form point P0 of the face, and if P0 fails too it
-goes to a log-barrier Newton solve of the matrix inequality over the
-face's P.
+block: for an order-1 block without feedthrough and with a positive DC
+gain, a first-order lag up to a scaling of its state, no certificate
+means infeasible by the lag's closed form.  A block of higher order
+whose diagonal point fails is checked at a closed-form point P0 of the
+face, and if P0 fails too it goes to a log-barrier Newton solve of the
+matrix inequality over the face's P.
 Every certificate is then checked by the eigenvalues of its full
 matrices, from numpy.linalg.eigvalsh on plain arrays, before it is
 packed into a SymmetricMatrix.
@@ -40,7 +41,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .control import ControllerGains
-from .generation import LtiGenerator, first_order_params
+from .generation import LtiGenerator
 
 #: "<= 0" for the certificate matrices means max eigenvalue <= TOL_PSD.
 TOL_PSD = 1e-9
@@ -243,11 +244,14 @@ def first_order_min_damping(k_gain: float, k_c: float, k_d: float) -> float:
 
 def first_order_shortfall(gen: LtiGenerator, params: ControllerGains,
                           lambda_bus: float) -> Optional[Tuple[float, float]]:
-    """(threshold, lambda_hat) when gen is a first-order lag whose
-    closed-form threshold lies above the lambda_hat that search_certificate
-    uses at this bus damping, else None.  This is why the search finds no
-    certificate for such a lag."""
-    if first_order_params(gen) is None:
+    """(threshold, lambda_hat) when gen is an order-1 block without
+    feedthrough and with a positive DC gain K whose closed-form threshold
+    lies above the lambda_hat that search_certificate uses at this bus
+    damping, else None.  Such a block is a first-order lag up to a scaling
+    of its state, which scales P alone, so first_order_min_damping(K, k_c,
+    k_d) is its exact threshold and this is why the search finds no
+    certificate for it."""
+    if gen.order != 1 or gen.d_scalar != 0.0 or not gen.dc_gain > 0.0:
         return None
     threshold = first_order_min_damping(gen.dc_gain, params.k_c, params.k_d)
     lambda_hat = lambda_bus * (1.0 - LAMBDA_SHAVE)
@@ -278,14 +282,14 @@ def search_certificate(gen: LtiGenerator, params: ControllerGains,
 
     The face holds a positive definite P only if w^T x_s > 0, so
     otherwise None comes before step 1.  An order-1 face is its diagonal
-    point alone, so the verdict is that check: for a first-order lag None
-    means lambda_hat is below first_order_min_damping (to within
-    TOL_PSD).  For a higher order whose steps 1 and 2 fail, _face_search
-    minimises U^T M U's largest eigenvalue over the face's P with _EPS_P
-    I <= P <= _R_P I, where the columns of U span v's complement.  There
-    None means that no such P brings it down to TOL_PSD / 2, or that a
-    centring of the barrier solve did not converge in _NEWTON_STEPS
-    steps.  The box keeps P clear of check_secondary_lmi's positive
+    point alone, so the verdict is that check: for an order-1 block
+    without feedthrough and with K > 0 None means lambda_hat is below
+    first_order_min_damping (to within TOL_PSD).  For a higher order
+    whose steps 1 and 2 fail, _face_search minimises U^T M U's largest
+    eigenvalue over the face's P with _EPS_P I <= P <= _R_P I, where the
+    columns of U span v's complement.  There None means that no such P
+    brings it down to TOL_PSD / 2, or that a centring of the barrier
+    solve did not converge in _NEWTON_STEPS steps.  The box keeps P clear of check_secondary_lmi's positive
     definiteness test and keeps the problem bounded.  Every certificate
     returned has passed check_secondary_lmi's test on the full matrix, run
     on P as an array: each candidate is exactly symmetric, so it is the

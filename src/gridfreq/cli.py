@@ -4,11 +4,13 @@ The scenario format is a flat text file: [section] headers, one record
 per line as whitespace-separated key=value pairs, comments with '#'.
 One table, _FORMAT, gives each section's keys in serialized order with
 their attributes, types and defaults, and _MODELS each generator model's
-builder, shape recogniser and fields; parsing, serialization and
-apply_param read both, so a new key or model is one entry.  The rules
-that span keys (time= alone on its line, [sim] over several lines, load
-buses without inertia, one generator, controller and step load per bus)
-are written where they act.
+builder and fields; parsing, serialization and apply_param read both, so
+a new key or model is one entry.  A generator is serialized by the
+builder and arguments its block records, so it is written with the
+values it was parsed or built from.  The rules that span keys (time=
+alone on its line, [sim] over several lines, load buses without inertia,
+one generator, controller and step load per bus) are written where they
+act.
 
 A Scenario is valid by construction (sim.Scenario decides validity), so
 an invalid file, override or swept value is a hard error, exit 2, before
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import math
 import os
 import sys
@@ -43,8 +44,7 @@ from . import certify, control, sim
 from .certify import Certificate, search_certificate
 from .control import ControllerGains
 from .dispatch import DispatchProblem, marginal_costs, solve_dispatch
-from .generation import (LtiGenerator, first_order_params, make_first_order,
-                         make_second_order, second_order_params)
+from .generation import LtiGenerator, make_first_order, make_second_order
 from .network import Bus, BusKind, CommEdge, Line, PowerNetwork
 from .sim import Scenario, Trajectory
 
@@ -57,13 +57,11 @@ SETTLING_TOL = 1e-4
 MARGINAL_TOL = 1e-3
 
 
-#: [generators] model name -> (builder, shape recogniser, the record's
-#: fields in builder order); the recogniser returns the builder's
-#: arguments for a block of the model's exact shape, else None.
+#: [generators] model name -> (builder, the record's fields in builder
+#: order).
 _MODELS = {
-    "first_order": (make_first_order, first_order_params, ("tau", "gain")),
-    "second_order": (make_second_order, second_order_params,
-                     ("tau_a", "tau_p", "gain")),
+    "first_order": (make_first_order, ("tau", "gain")),
+    "second_order": (make_second_order, ("tau_a", "tau_p", "gain")),
 }
 
 #: The key types beside int and float: each text they take, and its value.
@@ -93,7 +91,7 @@ _FORMAT = {
 
 def _model_keys(model: str) -> dict:
     """The _FORMAT entries of the fields of a [generators] record of model."""
-    return {f: (f, float) for f in _MODELS[model][2]}
+    return {f: (f, float) for f in _MODELS[model][1]}
 
 
 class ScenarioError(ValueError):
@@ -101,18 +99,12 @@ class ScenarioError(ValueError):
 
 
 def _model_of(scn: Scenario, bus: int) -> Tuple[str, tuple]:
-    """The _MODELS name of the generator at bus and builder arguments that
-    rebuild it exactly.  The recogniser's arguments come out of divisions
-    and miss that in about one block in a hundred; one of their float
-    neighbours then hits it."""
-    gen = scn.generators[bus]
-    for model, (build, params_of, _) in _MODELS.items():
-        params = params_of(gen)
-        if params is not None:
-            near = [(p, math.nextafter(p, 0.0), math.nextafter(p, math.inf))
-                    for p in params]
-            return model, next((c for c in itertools.product(*near)
-                                if build(*c) == gen), params)
+    """The _MODELS name of the generator at bus and the arguments its
+    builder made it from, as its block records them."""
+    built, params = scn.generators[bus].built_by or (None, ())
+    for model, (build, _) in _MODELS.items():
+        if build is built:
+            return model, params
     raise ValueError(f"generator at bus {bus} does not match a serializable model")
 
 
@@ -307,7 +299,7 @@ def serialize_scenario(scn: Scenario) -> str:
                   for b in net.buses],
         "lines": [vars(ln) for ln in net.lines],
         "generators": [{"bus": bus, "model": model,
-                        **dict(zip(_MODELS[model][2], params))}
+                        **dict(zip(_MODELS[model][1], params))}
                        for bus in sorted(scn.generators)
                        for model, params in [_model_of(scn, bus)]],
         "controllers": [{"bus": bus, **vars(scn.controllers[bus])}
@@ -478,8 +470,9 @@ def _passes(ok: bool, detail: str) -> Check:
 
 
 def _certify_bus(scn: Scenario, g: int) -> Tuple[Optional[Certificate], str]:
-    """The certificate search at generator bus g and its report line; a
-    lag's missing certificate names the closed-form threshold it misses."""
+    """The certificate search at generator bus g and its report line; an
+    order-1 block without feedthrough and with a positive DC gain names
+    the lag's closed-form threshold it misses."""
     gen, params = scn.generators[g], scn.controllers[g]
     lam = scn.network.bus(g).damping
     cert = search_certificate(gen, params, lam)

@@ -3,14 +3,15 @@
 Each generator bus carries a small state-space block (A, B, C, D) mapping
 the control input u to mechanical power output.  The two workhorse models
 are a first-order lag and a second-order turbine-governor cascade; both
-are built here with their DC gain forced to a requested value.
+are built here with their DC gain forced to a requested value, and the
+block each builder returns records the builder and its arguments.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -39,7 +40,12 @@ class LtiGenerator:
             is made (a Hurwitz A is invertible).
         a_inv_t_c: A^{-T} C^T, solved and kept the same way.
         dc_gain: -C A^{-1} B + D.
-        The last six are derived, so out of repr, == and hash.
+        built_by: (builder, arguments) for a block that make_first_order
+            or make_second_order returned, with builder(*arguments) equal
+            to the block; None for a block built any other way,
+            dataclasses.replace included, so a changed block never keeps
+            the model of the one it came from.
+        The last seven are derived, so out of repr, == and hash.
     """
 
     a_matrix: Tuple[Tuple[float, ...], ...]
@@ -53,6 +59,8 @@ class LtiGenerator:
     a_inv_b: np.ndarray = field(init=False, repr=False, compare=False)
     a_inv_t_c: np.ndarray = field(init=False, repr=False, compare=False)
     dc_gain: float = field(init=False, repr=False, compare=False)
+    built_by: Optional[Tuple[Callable[..., "LtiGenerator"], tuple]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.order
@@ -122,13 +130,15 @@ def make_first_order(tau: float, k: float) -> LtiGenerator:
     if not tau > 0.0 or not k > 0.0:
         raise ValueError("tau and k must be positive")
     _finite(tau=tau, k=k)
-    return LtiGenerator(
+    gen = LtiGenerator(
         a_matrix=((-1.0 / tau,),),
         b_vector=(k / tau,),
         c_vector=(1.0,),
         d_scalar=0.0,
         order=1,
     )
+    gen.__setstate__({"built_by": (make_first_order, (tau, k))})
+    return gen
 
 
 def make_second_order(tau_a: float, tau_p: float, k: float) -> LtiGenerator:
@@ -140,43 +150,13 @@ def make_second_order(tau_a: float, tau_p: float, k: float) -> LtiGenerator:
     if not (tau_a > 0.0 and tau_p > 0.0 and k > 0.0):
         raise ValueError("tau_a, tau_p and k must be positive")
     _finite(tau_a=tau_a, tau_p=tau_p, k=k)
-    return LtiGenerator(
+    gen = LtiGenerator(
         a_matrix=((-1.0 / tau_a, 0.0), (1.0 / tau_p, -1.0 / tau_p)),
         b_vector=(k / tau_a, 0.0),
         c_vector=(0.0, 1.0),
         d_scalar=0.0,
         order=2,
     )
+    gen.__setstate__({"built_by": (make_second_order, (tau_a, tau_p, k))})
+    return gen
 
-
-def first_order_params(gen: LtiGenerator):
-    """Recover (tau, k) if the block has the exact first-order-lag shape,
-    else None."""
-    if gen.order != 1 or gen.d_scalar != 0.0 or gen.c_vector != (1.0,):
-        return None
-    a = gen.a_matrix[0][0]
-    if not a < 0.0:
-        return None
-    tau = -1.0 / a
-    k = gen.b_vector[0] * tau
-    if not k > 0.0:
-        return None
-    return tau, k
-
-
-def second_order_params(gen: LtiGenerator):
-    """Recover (tau_a, tau_p, k) if the block has the exact turbine-governor
-    shape, else None."""
-    if gen.order != 2 or gen.d_scalar != 0.0 or gen.c_vector != (0.0, 1.0):
-        return None
-    (a11, a12), (a21, a22) = gen.a_matrix
-    if a12 != 0.0 or gen.b_vector[1] != 0.0:
-        return None
-    if not (a11 < 0.0 and a22 < 0.0) or a21 != -a22:
-        return None
-    tau_a = -1.0 / a11
-    tau_p = -1.0 / a22
-    k = gen.b_vector[0] * tau_a
-    if not k > 0.0:
-        return None
-    return tau_a, tau_p, k

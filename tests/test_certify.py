@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridfreq import certify
@@ -17,9 +17,8 @@ from gridfreq.certify import (Certificate, LAMBDA_SHAVE, SymmetricMatrix,
 from gridfreq.cli import load_scenario, with_optimal_gains
 from gridfreq.control import ControllerGains
 from gridfreq.fixtures import fixture_path
-from gridfreq.generation import (LtiGenerator, first_order_params,
-                                 make_first_order, make_second_order,
-                                 second_order_params)
+from gridfreq.generation import (LtiGenerator, make_first_order,
+                                 make_second_order)
 from reference import (check_primary, check_secondary, first_order_certificate,
                        primary_matrix, second_order_certificate,
                        secondary_matrix)
@@ -523,6 +522,19 @@ def _cascade():
                   [1.0 / 0.3, 0.0], [0.0, 0.8], 0.2)
 
 
+def _worked_shape(gen):
+    """Has gen the exact structure of a make_first_order lag or a
+    make_second_order cascade: no feedthrough, the last state read out
+    alone, and for order 2 the command entering the first state only and
+    the second state a unit-gain lag of the first?"""
+    if gen.d_scalar != 0.0 or gen.c_vector != (0.0,) * (gen.order - 1) + (1.0,):
+        return False
+    if gen.order == 1:
+        return True
+    (_, a12), (a21, a22) = gen.a_matrix
+    return gen.order == 2 and a12 == gen.b_vector[1] == 0.0 and a21 == -a22
+
+
 def _face_point(gen, params):
     """P0 = w w^T / (w^T x_s) + c (I - x^ x^T), the face's closed-form
     point, with w = -A^-T C^T, x^ = x_s / |x_s| and c = w^T x_s / |x_s|^2."""
@@ -590,8 +602,7 @@ class TestSearchPaths:
     fail."""
 
     def _assert_certifies(self, gen, params, lam):
-        assert first_order_params(gen) is None
-        assert second_order_params(gen) is None
+        assert not _worked_shape(gen)
         cert = search_certificate(gen, params, lam)
         assert cert is not None
         assert check_secondary(gen, params, cert, lam)
@@ -825,12 +836,13 @@ class TestDiagonalFacePoint:
                 gen = make_first_order(float(tau_a), k_gain)
                 lam = first_order_min_damping(k_gain, params.k_c, params.k_d)
                 analytic = first_order_certificate(
-                    first_order_params(gen)[0], gen.dc_gain, params.k_c)
+                    -1.0 / gen.a_matrix[0][0], gen.dc_gain, params.k_c)
             else:
                 gen = make_second_order(float(tau_a), float(tau_p), k_gain)
                 lam = second_order_min_damping(k_gain, params.k_c, params.k_d)
+                (a11, _), (_, a22) = gen.a_matrix
                 analytic = second_order_certificate(
-                    *second_order_params(gen)[:2], gen.dc_gain, params.k_c,
+                    -1.0 / a11, -1.0 / a22, gen.dc_gain, params.k_c,
                     params.k_d)
             cert = search_certificate(gen, params, 2.0 * lam + 0.01)
             assert cert is not None
@@ -909,6 +921,36 @@ def _chain_block(rng, order):
     w = rng.uniform(0.2, 1.0, order)
     return _block(a.tolist(), b.tolist(), ((1.0 - f) * w / w.sum()).tolist(),
                   float(f * k))
+
+
+class TestGainsOutsideM:
+    """gamma, q and the given k_f do not enter M, so the search returns the
+    same certificate whatever they are."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2**32 - 1),
+           st.tuples(*[st.floats(0.05, 20.0)] * 3),
+           st.floats(0.2, 5.0))
+    def test_same_certificate_for_any_gamma_q_and_given_kf(self, seed,
+                                                           other, lam):
+        rng = np.random.default_rng(seed)
+        blocks = [(gen, params) for gen, params, _ in _random_blocks(seed, 5)]
+        for order in (2, 3, 4):
+            blocks.append((_chain_block(rng, order),
+                           _params(k_c=float(rng.uniform(0.8, 1.2)),
+                                   k_d=float(rng.uniform(0.8, 1.2)))))
+        gamma, q, k_f = other
+        for gen, params in blocks:
+            want = search_certificate(gen, params, lam)
+            got = search_certificate(
+                gen, dataclasses.replace(params, gamma=gamma, q=q, k_f=k_f),
+                lam)
+            if want is None:
+                assert got is None
+                continue
+            assert got.p_matrix.to_array().tobytes() == \
+                want.p_matrix.to_array().tobytes()
+            assert (got.k_f, got.lambda_hat) == (want.k_f, want.lambda_hat)
 
 
 def _search_cases():

@@ -18,7 +18,6 @@ from gridfreq.cli import (MARGINAL_TOL, RunFlags, ScenarioError, apply_param,
                           run, run_sweep, serialize_scenario,
                           write_trajectory_csv)
 from gridfreq.fixtures import fixture_path
-from gridfreq.generation import first_order_params, second_order_params
 from gridfreq.sim import integrate
 from meshes import ring_with_chords
 from tracing import traced_peak
@@ -246,6 +245,31 @@ class TestSerialize:
         text = serialize_scenario(scn)
         assert text == serialize_scenario(two_gen_scenario)
         assert parse_scenario_text(text) == two_gen_scenario
+
+    @pytest.mark.parametrize("name", ["two_gen.scn", "ring9.scn"])
+    def test_fixture_serializes_to_its_own_records(self, name):
+        # each generator value is written as the file gives it
+        text = fixture_path(name).read_text(encoding="utf-8")
+        records = [line for line in text.splitlines()
+                   if line.strip() and not line.startswith("#")]
+        got = serialize_scenario(load_scenario(fixture_path(name)))
+        assert got.splitlines() == records
+
+    def test_unrecorded_generator_has_no_model(self, two_gen_scenario):
+        # a block built directly or by dataclasses.replace records no
+        # builder, though it equals the one the file built
+        gen = two_gen_scenario.generators[1]
+        direct = generation.LtiGenerator(gen.a_matrix, gen.b_vector,
+                                         gen.c_vector, gen.d_scalar, gen.order)
+        message = "^generator at bus 1 does not match a serializable model$"
+        for block in (direct, dataclasses.replace(gen)):
+            scn = dataclasses.replace(two_gen_scenario, generators={
+                **two_gen_scenario.generators, 1: block})
+            assert scn == two_gen_scenario
+            with pytest.raises(ValueError, match=message):
+                serialize_scenario(scn)
+            with pytest.raises(ValueError, match=message):
+                apply_param(scn, "generators.1.tau", 0.8)
 
 
 @pytest.fixture(scope="module")
@@ -518,9 +542,11 @@ class TestApplyParam:
         scn = apply_param(two_gen_scenario, "controllers.0.k_d", 0.5)
         assert scn.controllers[0].k_d == 0.5
         scn = apply_param(two_gen_scenario, "generators.0.tau", 0.8)
-        assert first_order_params(scn.generators[0]) == pytest.approx((0.8, 1.0))
+        assert scn.generators[0].built_by == (generation.make_first_order,
+                                              (0.8, 1.0))
         scn = apply_param(ring9_scenario, "generators.1.tau_p", 0.9)
-        assert second_order_params(scn.generators[1])[1] == pytest.approx(0.9)
+        assert scn.generators[1].built_by[0] is generation.make_second_order
+        assert scn.generators[1].built_by[1][1] == 0.9
 
     def test_bad_paths(self, two_gen_scenario):
         with pytest.raises(ScenarioError, match="unknown parameter path"):
@@ -559,14 +585,11 @@ class TestApplyParam:
                 new = apply_param(scn, path, v)
                 again = parse_scenario_text(serialize_scenario(new))
                 assert again == new, (path, v)
-                if path.startswith("generators."):
-                    assert read(again) == pytest.approx(v, rel=1e-12), path
-                else:
-                    assert read(again) == v, path
+                assert read(again) == v, path
 
     def test_generator_serializes_to_its_exact_block(self, two_gen_scenario):
-        # the lag recovered from this block's matrices, tau = -1/a, rebuilds
-        # a block one float away; the serialized value must rebuild it exactly
+        # tau = -1/a, read back from this block's matrix, rebuilds a block
+        # one float away; the serialized value must rebuild it exactly
         scn = apply_param(two_gen_scenario, "generators.1.tau", 1.891515249195032)
         assert parse_scenario_text(serialize_scenario(scn)) == scn
 
@@ -590,13 +613,10 @@ def _settable(scn):
                           ("k_d", "k_d"), ("cost", "q")):
             yield (f"controllers.{g}.{key}",
                    lambda s, g=g, attr=attr: getattr(s.controllers[g], attr))
-        if first_order_params(scn.generators[g]) is not None:
-            recover, fields = first_order_params, ("tau", "gain")
-        else:
-            recover, fields = second_order_params, ("tau_a", "tau_p", "gain")
-        for j, field in enumerate(fields):
+        model, _ = cli._model_of(scn, g)
+        for j, field in enumerate(cli._MODELS[model][1]):
             yield (f"generators.{g}.{field}",
-                   lambda s, g=g, j=j, recover=recover: recover(s.generators[g])[j])
+                   lambda s, g=g, j=j: s.generators[g].built_by[1][j])
 
 
 class TestSweep:
@@ -959,6 +979,38 @@ class TestMain:
         assert main(["certify", str(path)]) == 1
         assert capsys.readouterr().out.splitlines()[1] == want
 
+    @staticmethod
+    def _with_block(block, damping):
+        """two_gen with block at generator bus 1 (k_c = 0.4, k_d = 0.8) and
+        that bus's damping set to damping."""
+        scn = apply_param(load_scenario(fixture_path("two_gen.scn")),
+                          "buses.1.damping", damping)
+        return dataclasses.replace(scn, generators={**scn.generators, 1: block})
+
+    def test_scaled_lag_names_its_threshold(self):
+        # A = -2, B = 3, C = 0.5: a lag up to a scaling of its state, with
+        # K = 0.75 and the lag's threshold, which decides the search
+        block = generation.LtiGenerator(((-2.0,),), (3.0,), (0.5,), 0.0, 1)
+        threshold = certify.first_order_min_damping(0.75, 0.4, 0.8)
+        lam = 0.99 * threshold / (1.0 - certify.LAMBDA_SHAVE)
+        cert, line = cli._certify_bus(self._with_block(block, lam), 1)
+        assert cert is None
+        lambda_hat = lam * (1.0 - certify.LAMBDA_SHAVE)
+        assert line == (f"gen 1: no diagonal certificate found (first-order "
+                        f"threshold {threshold!r} > lambda_hat {lambda_hat!r})")
+        lam = 1.01 * threshold / (1.0 - certify.LAMBDA_SHAVE)
+        cert, _ = cli._certify_bus(self._with_block(block, lam), 1)
+        assert cert is not None
+
+    def test_negative_gain_order_one_block_names_no_threshold(self):
+        # K = -0.75: first_order_min_damping would raise on it
+        block = generation.LtiGenerator(((-2.0,),), (3.0,), (-0.5,), 0.0, 1)
+        scn = self._with_block(block, 1.2)
+        assert certify.first_order_shortfall(block, scn.controllers[1],
+                                             1.2) is None
+        assert cli._certify_bus(scn, 1) == (
+            None, "gen 1: no diagonal certificate found")
+
     def test_certify_success(self, capsys):
         assert main(["certify", str(fixture_path("two_gen.scn"))]) == 0
         out = capsys.readouterr().out
@@ -1168,7 +1220,7 @@ def test_readme_scenario_block_lists_the_format_table():
         found = re.findall(r"(\w+)=", line)
         if name == "generators":
             model = re.search(r"model=(\w+)", line).group(1)
-            assert found == [*cli._FORMAT[name], *cli._MODELS[model][2]], model
+            assert found == [*cli._FORMAT[name], *cli._MODELS[model][1]], model
             models.append(model)
         keys.setdefault(name, []).extend(found)
     assert list(keys) == list(cli._FORMAT)

@@ -5,10 +5,8 @@ import numpy as np
 import pytest
 
 from gridfreq.control import ControllerGains
-from gridfreq.generation import (LtiGenerator, equilibrium_state,
-                                 first_order_params, is_hurwitz,
-                                 make_first_order, make_second_order,
-                                 second_order_params)
+from gridfreq.generation import (LtiGenerator, equilibrium_state, is_hurwitz,
+                                 make_first_order, make_second_order)
 from gridfreq.network import Bus, BusKind, PowerNetwork
 from gridfreq.sim import Scenario, assemble
 from reference import dense, output
@@ -191,13 +189,54 @@ def test_lti_generator_rejects_unstable_a():
                      d_scalar=0.0, order=1)
 
 
-def test_structure_recovery_round_trip():
+def _read_back(gen):
+    """The builder arguments read back from a lag's or a cascade's
+    matrices: tau = -1/a for each time constant, k = b_1 tau_1."""
+    taus = [-1.0 / gen.a_matrix[i][i] for i in range(gen.order)]
+    return (*taus, gen.b_vector[0] * taus[0])
+
+
+def test_builders_record_the_arguments_that_rebuild_the_block():
+    rng = np.random.default_rng(3201)
+    missed = 0
+    for _ in range(1000):
+        tau_a, tau_p, k = (10.0 ** rng.uniform(-1.5, 1.5, 3)).tolist()
+        for build, args in ((make_first_order, (tau_a, k)),
+                             (make_second_order, (tau_a, tau_p, k))):
+            gen = build(*args)
+            assert gen.built_by == (build, args)
+            assert build(*gen.built_by[1]) == gen
+            missed += build(*_read_back(gen)) != gen
+    # the draws include blocks that the arguments read back from their
+    # matrices do not rebuild, about one in a hundred
+    assert missed >= 10
+
+
+def test_record_is_kept_out_of_equality_hash_and_repr():
+    gen = make_second_order(0.35, 1.2, 1.1)
+    direct = LtiGenerator(gen.a_matrix, gen.b_vector, gen.c_vector,
+                          gen.d_scalar, gen.order)
+    assert direct.built_by is None
+    assert direct == gen and hash(direct) == hash(gen)
+    assert repr(direct) == repr(gen)
+    assert "built_by" not in repr(gen)
+
+
+def test_replace_drops_the_record():
+    # a changed block must not keep the model of the block it came from
     gen = make_first_order(0.45, 1.25)
-    assert first_order_params(gen) == pytest.approx((0.45, 1.25))
-    gen2 = make_second_order(0.35, 1.2, 1.1)
-    assert second_order_params(gen2) == pytest.approx((0.35, 1.2, 1.1))
-    assert first_order_params(gen2) is None
-    assert second_order_params(gen) is None
+    assert dataclasses.replace(gen).built_by is None
+    assert dataclasses.replace(gen, d_scalar=0.5).built_by is None
+    with pytest.raises(ValueError):
+        dataclasses.replace(gen, built_by=gen.built_by)
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_pickle_keeps_the_record(protocol):
+    for gen in (make_first_order(0.45, 1.25), make_second_order(0.35, 1.2, 1.1)):
+        again = pickle.loads(pickle.dumps(gen, protocol=protocol))
+        assert again == gen
+        assert again.built_by == gen.built_by
 
 
 def _rk4_step_response(gen: LtiGenerator, u: float, t_end: float, dt: float) -> float:
