@@ -17,8 +17,13 @@ v = 0: k_f = K k_c and A^T P x_s = -C^T.  The search works on that face
 alone, in three steps.  It first checks the face's one diagonal point,
 diag(p) with p * x_s = w for w = -A^-T C^T, read off the block's stored
 A^-1 B and A^-T C^T with no linear solve.  For the two worked generator
-models that point is, to rounding, their exact diagonal certificate,
-whose feasibility thresholds on the bus damping are in closed form here.
+models that point is, to rounding, their analytic diagonal certificate,
+whose thresholds on the bus damping are in closed form here.  The lag's
+is the block's exact certification boundary.  The cascade's,
+second_order_min_damping, is exact only at tau_a = tau_p; for other time
+constants the face holds certificates down to the lower Lambda_0 =
+K [rho (k_c + k_d)^2 / (4 k_c) - k_d], with rho = (tau_a + tau_p)^2 /
+(tau_a^2 + tau_a tau_p + tau_p^2) <= 4/3, which the later steps find.
 An order-1 face is that single point, so this check decides an order-1
 block: for an order-1 block without feedthrough and with a positive DC
 gain, a first-order lag up to a scaling of its state, no certificate
@@ -218,12 +223,17 @@ def _witnesses(gen: LtiGenerator, params: ControllerGains, p: np.ndarray,
 
 
 def second_order_min_damping(k_gain: float, k_c: float, k_d: float) -> float:
-    """Exact damping threshold for the turbine-governor model.
+    """Damping threshold of the turbine-governor model's analytic
+    certificate, the face's diagonal point.
 
     Above K/(3 k_c) * (k_c^2 - k_c k_d + k_d^2) the analytic certificate
     passes the secondary condition for every pair of time constants; below
     it, no choice of lambda_hat saves that certificate.  Minimized over
-    k_d at k_d = k_c/2, where it equals K * k_c / 4.
+    k_d at k_d = k_c/2, where it equals K * k_c / 4.  It is the block's
+    exact certification boundary only when tau_a = tau_p: for other time
+    constants other points of the face certify down to Lambda_0 =
+    K [rho (k_c + k_d)^2 / (4 k_c) - k_d], rho = (tau_a + tau_p)^2 /
+    (tau_a^2 + tau_a tau_p + tau_p^2) < 4/3, which lies below it.
     """
     if not (k_gain > 0.0 and k_c > 0.0 and k_d > 0.0):
         raise ValueError("gains must be strictly positive")

@@ -14,17 +14,21 @@ act.
 
 A Scenario is valid by construction (sim.Scenario decides validity), so
 an invalid file, override or swept value is a hard error, exit 2, before
-any stage runs.  A run goes through stages (certification, k_f
-adoption, equilibrium, dispatch), each returning its report lines and
-its check if it has one; the certify, dispatch and equilibrium
-subcommands print one stage's lines.  Outputs of a run are a CSV
-trajectory, a plain-text report, and two gnuplot scripts; all output
-bytes are deterministic functions of the scenario so golden-file
-comparisons work.  A sweep integrates its values in the packs sim.packs
-cuts from the scenarios alone, never from the CPU count, so the same
-sweep command gives the same bytes on any machine; a swept value may
-differ from ``simulate`` with the same parameter in the last digits (at
-most 1e-12), because the block-diagonal products sum in another order.
+any stage runs.  A run goes through stages (certification with k_f
+adoption, equilibrium, dispatch, and simulation after integrating), each
+returning its value and its report Section: its [name], its lines and
+the gated checks it decides.  _conclude alone renders the report from
+the sections, with [checks] in the order the stages made them and the
+exit code they give; the certify, dispatch and equilibrium subcommands
+print one stage's lines and exit 1 when one of its checks fails.
+Outputs of a run are a CSV trajectory, a plain-text report, and two
+gnuplot scripts; all output bytes are deterministic functions of the
+scenario so golden-file comparisons work.  A sweep integrates its
+values in the packs sim.packs cuts from the scenarios alone, never from
+the CPU count, so the same sweep command gives the same bytes on any
+machine; a swept value may differ from ``simulate`` with the same
+parameter in the last digits (at most 1e-12), because the block-diagonal
+products sum in another order.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import dataclasses
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -416,16 +420,32 @@ Check = Tuple[str, str]
 
 
 @dataclass
+class Section:
+    """A stage's part of the report: its [name], its lines and the gated
+    checks it decides, name -> (status, detail), in the order it makes
+    them."""
+
+    name: str
+    lines: List[str] = field(default_factory=list)
+    checks: Dict[str, Check] = field(default_factory=dict)
+
+    def gate(self, name: str, ok: bool, detail: str) -> bool:
+        """Record the check name, pass or fail with detail, and return ok."""
+        self.checks[name] = ("pass", "") if ok else ("fail", detail)
+        return ok
+
+
+def _exit_code(checks: Dict[str, Check]) -> int:
+    """1 when any of checks failed, else 0."""
+    return int(any(status == "fail" for status, _ in checks.values()))
+
+
+@dataclass
 class RunReport:
-    scenario: str
-    checks: Dict[str, Check]  # name -> (status, detail)
+    checks: Dict[str, Check]  # name -> (status, detail), in [checks] order
     report_text: str
     outputs: List[Path]
     exit_code: int
-
-
-_GATED = ("certification", "security", "transient-security",
-          "settling", "dissipation", "dispatch-optimality")
 
 
 def with_optimal_gains(scn: Scenario) -> Scenario:
@@ -440,13 +460,12 @@ def with_optimal_gains(scn: Scenario) -> Scenario:
 class _Prepared:
     """A run up to its integration: the scenario as it will be simulated
     (overrides, --optimal-gains and adopted k_f applied), its flags, the
-    checks and report lines so far, and what integration and the checks
-    after it need."""
+    stages' sections so far, and what integration and the checks after it
+    need."""
 
     scn: Scenario
     flags: RunFlags
-    checks: Dict[str, Check]
-    lines: List[str]
+    sections: List[Section]
     certs: Optional[Dict[int, Certificate]]
     eq: sim.Equilibrium
     nu_opt: float
@@ -462,11 +481,6 @@ def run(scn: Scenario, flags: RunFlags) -> RunReport:
     """
     prep = _prepare(scn, flags)
     return _conclude(prep, sim.integrate(prep.scn))
-
-
-def _passes(ok: bool, detail: str) -> Check:
-    """A gating check: pass, or fail with detail."""
-    return ("pass", "") if ok else ("fail", detail)
 
 
 def _certify_bus(scn: Scenario, g: int) -> Tuple[Optional[Certificate], str]:
@@ -489,61 +503,63 @@ def _certify_bus(scn: Scenario, g: int) -> Tuple[Optional[Certificate], str]:
 
 
 def _certification(scn: Scenario, skip: bool
-                   ) -> Tuple[Optional[Dict[int, Certificate]], Check, List[str]]:
-    """Stage: the certificates (None unless every generator bus has one),
-    the certification check and one report line per generator bus."""
+                   ) -> Tuple[Optional[Dict[int, Certificate]], Section]:
+    """Stage: the certificates (None unless every generator bus has one)
+    and the certificates section, a line per generator bus and the
+    certification check."""
     gens = sorted(scn.network.generator_ids)
     if skip:
-        return None, ("skipped", ""), [f"gen {g}: skipped" for g in gens]
+        return None, Section("certificates", [f"gen {g}: skipped" for g in gens],
+                             {"certification": ("skipped", "")})
+    section = Section("certificates")
     certs: Dict[int, Certificate] = {}
-    lines = []
     for g in gens:
         cert, line = _certify_bus(scn, g)
-        lines.append(line)
+        section.lines.append(line)
         if cert is not None:
             certs[g] = cert
-    missing = [str(g) for g in gens if g not in certs]
-    if missing:
-        return None, ("fail", "no diagonal certificate found for generator "
-                      "bus(es) " + ", ".join(missing)), lines
-    return certs, ("pass", ""), lines
+    missing = ", ".join(str(g) for g in gens if g not in certs)
+    certified = section.gate("certification", not missing, "no diagonal "
+                             "certificate found for generator bus(es) " + missing)
+    return (certs if certified else None), section
 
 
-def _adopt_kf(scn: Scenario, certs: Optional[Dict[int, Certificate]]
-              ) -> Tuple[Scenario, List[str]]:
+def _adopt_kf(scn: Scenario, certs: Optional[Dict[int, Certificate]],
+              section: Section) -> Scenario:
     """Stage: the scenario with each controller's k_f set to its
     certificate's, since the Lyapunov argument holds for the certified
-    gains only, and a report line per changed gain."""
+    gains only, and a line in the certificates section per changed gain."""
     if certs is None:
-        return scn, []
-    lines = [f"gen {g}: adopting certified k_f={certs[g].k_f!r}"
-             for g, prm in scn.controllers.items() if certs[g].k_f != prm.k_f]
-    if lines:
-        scn = dataclasses.replace(scn, controllers={
-            g: dataclasses.replace(prm, k_f=certs[g].k_f)
-            for g, prm in scn.controllers.items()})
-    return scn, lines
+        return scn
+    section.lines += [f"gen {g}: adopting certified k_f={certs[g].k_f!r}"
+                      for g, prm in scn.controllers.items()
+                      if certs[g].k_f != prm.k_f]
+    return dataclasses.replace(scn, controllers={
+        g: dataclasses.replace(prm, k_f=certs[g].k_f)
+        for g, prm in scn.controllers.items()})
 
 
-def _equilibrium(scn: Scenario) -> Tuple[sim.Equilibrium, Check, List[str]]:
-    """Stage: the post-step equilibrium, the security check and the
-    report lines."""
+def _equilibrium(scn: Scenario) -> Tuple[sim.Equilibrium, Section]:
+    """Stage: the post-step equilibrium and its section, with the security
+    check: every line angle difference strictly inside (-pi/2, pi/2)."""
     eq = sim.compute_equilibrium(scn)
     spread = f"max |angle difference| = {eq.max_abs_angle_diff!r}"
-    return eq, _passes(eq.security_ok, spread), [
-        f"nu = {eq.nu!r}", spread, "security constraint: " + (
-            "pass" if eq.security_ok else "VIOLATED (some |eta*| >= pi/2)")]
+    section = Section("equilibrium", [f"nu = {eq.nu!r}", spread])
+    secure = section.gate("security", eq.max_abs_angle_diff < math.pi / 2.0, spread)
+    section.lines.append("security constraint: " + (
+        "pass" if secure else "VIOLATED (some |eta*| >= pi/2)"))
+    return eq, section
 
 
-def _dispatch(scn: Scenario) -> Tuple[float, List[str]]:
-    """Stage: the optimal dispatch price nu and the report lines."""
+def _dispatch(scn: Scenario) -> Tuple[float, Section]:
+    """Stage: the optimal dispatch price nu and its section."""
     prob = DispatchProblem(
         costs={g: scn.controllers[g].q for g in scn.network.generator_ids},
         total_load=sum(scn.step_loads.values()))
     allocation, nu = solve_dispatch(prob)
     mc = marginal_costs(allocation, prob.costs)
-    return nu, [f"nu = {nu!r}"] + [
-        f"gen {g}: p={allocation[g]!r} marginal={mc[g]!r}" for g in sorted(allocation)]
+    return nu, Section("dispatch", [f"nu = {nu!r}"] + [
+        f"gen {g}: p={allocation[g]!r} marginal={mc[g]!r}" for g in sorted(allocation)])
 
 
 def _prepare(scn: Scenario, flags: RunFlags,
@@ -554,9 +570,6 @@ def _prepare(scn: Scenario, flags: RunFlags,
     run does before integrating.  An invalid result raises its ValueError.
     The output directory is made before any stage, so an unwritable one
     fails the run before it spends time."""
-    checks: Dict[str, Check] = {}
-    lines: List[str] = []
-
     changes = {attr: v for attr, v in (("dt", flags.dt), ("t_end", flags.t_end))
                if v is not None}
     changes.update(fields or {})
@@ -568,102 +581,94 @@ def _prepare(scn: Scenario, flags: RunFlags,
         except OSError as exc:
             raise RuntimeError(f"cannot write outputs: {exc}") from exc
 
-    lines.append(f"scenario: {scn.name}")
-    n_gen = len(scn.network.generator_ids)
-    lines.append(f"buses: {len(scn.network.buses)} "
-                 f"(generators {n_gen}, loads {len(scn.network.load_ids)})")
-    lines.append(f"lines: {len(scn.network.lines)}")
-    lines.append(f"flags: optimal-gains={'yes' if flags.optimal_gains else 'no'} "
-                 f"skip-certify={'yes' if flags.skip_certify else 'no'}")
-
-    def section(name: str, body: List[str]) -> None:
-        lines.extend(["", f"[{name}]", *body])
-
     if flags.optimal_gains:
         scn = with_optimal_gains(scn)
-    certs, checks["certification"], body = _certification(scn, flags.skip_certify)
-    scn, adopted = _adopt_kf(scn, certs)
-    section("certificates", body + adopted)
-    eq, checks["security"], body = _equilibrium(scn)
-    section("equilibrium", body)
-    nu_opt, body = _dispatch(scn)
-    section("dispatch", body)
-    return _Prepared(scn, flags, checks, lines, certs, eq, nu_opt)
+    certs, certified = _certification(scn, flags.skip_certify)
+    scn = _adopt_kf(scn, certs, certified)
+    eq, balanced = _equilibrium(scn)
+    nu_opt, dispatched = _dispatch(scn)
+    return _Prepared(scn, flags, [certified, balanced, dispatched], certs, eq, nu_opt)
+
+
+def _simulation(prep: _Prepared, traj: Trajectory
+                ) -> Tuple[Optional[np.ndarray], Section]:
+    """Stage: the checks on the trajectory and its section; with
+    certificates, the one Lyapunov series the check and the CSV read."""
+    scn = prep.scn
+    section = Section("simulation", [
+        f"t_end = {scn.t_end!r} dt = {scn.dt!r} samples = {len(traj.times)}"])
+    peak, at = sim.transient_angle_peak(scn, traj)
+    excursion = f"max transient |angle difference| = {peak!r} at t={at!r}"
+    secure = section.gate("transient-security", peak < math.pi / 2.0, excursion)
+    section.lines.append(excursion + " -> " + ("pass" if secure else "VIOLATED (>= pi/2)"))
+    final_omega = float(np.max(np.abs(traj.freqs[-1])))
+    settled = section.gate("settling", final_omega < SETTLING_TOL,
+                           f"final max |omega| = {final_omega!r}")
+    section.lines.append(f"final max |omega| = {final_omega!r} -> settling "
+                         + ("pass" if settled else "FAIL"))
+    finals = zip(traj.layout.gen_ids, traj.p_m[-1].tolist(),
+                 traj.commands[-1].tolist(), traj.marginal_cost[-1].tolist())
+    section.lines += [f"gen {g}: final pm={pm!r} pc={pc!r} mc={mc!r}"
+                      for g, pm, pc, mc in finals]
+    lyapunov = None
+    if prep.certs is not None:
+        lyapunov = sim.lyapunov_value(scn, prep.certs, prep.eq, traj.states)
+        jump = sim.dissipation_check(lyapunov)
+        ok = section.gate("dissipation", jump <= sim.EPSILON_V, f"max V jump = {jump!r}")
+        section.lines.append(f"dissipation: max V jump = {jump!r} "
+                             f"(tolerance {sim.EPSILON_V!r}) -> "
+                             + ("pass" if ok else "EXCEEDED"))
+    else:
+        section.checks["dissipation"] = ("skipped", "")
+        section.lines.append("dissipation: not evaluated (no certificates)")
+
+    if prep.flags.optimal_gains:
+        finals = traj.marginal_cost[-1].tolist()
+        spread = max(finals) - min(finals)
+        rel = max(abs(v - prep.nu_opt) for v in finals) / max(abs(prep.nu_opt), 1e-12)
+        section.gate("dispatch-optimality", spread <= MARGINAL_TOL and rel <= MARGINAL_TOL,
+                     f"marginal spread {spread!r}, relative offset {rel!r}")
+        section.lines.append(f"marginal-cost spread = {spread!r}, "
+                             f"relative offset from dispatch nu = {rel!r}")
+    else:
+        section.checks["dispatch-optimality"] = ("skipped", "")
+    return lyapunov, section
 
 
 def _conclude(prep: _Prepared, traj: Trajectory) -> RunReport:
-    """The checks on the trajectory, the report and the output files; with
-    certificates, the one Lyapunov series the check and the CSV read.
-    prep is left as it was, so it can be concluded again."""
-    scn, flags = prep.scn, prep.flags
-    checks, lines = dict(prep.checks), list(prep.lines)
-    certs, eq, nu_opt = prep.certs, prep.eq, prep.nu_opt
-    lines.append("")
-    lines.append("[simulation]")
-    lines.append(f"t_end = {scn.t_end!r} dt = {scn.dt!r} samples = {len(traj.times)}")
-    peak, at = sim.transient_angle_peak(scn, traj)
-    secure = peak < math.pi / 2.0
-    excursion = f"max transient |angle difference| = {peak!r} at t={at!r}"
-    checks["transient-security"] = _passes(secure, excursion)
-    lines.append(excursion + " -> " + ("pass" if secure else "VIOLATED (>= pi/2)"))
-    final_omega = float(np.max(np.abs(traj.freqs[-1])))
-    settled = final_omega < SETTLING_TOL
-    checks["settling"] = _passes(settled, f"final max |omega| = {final_omega!r}")
-    lines.append(f"final max |omega| = {final_omega!r} -> settling "
-                 + ("pass" if settled else "FAIL"))
-    finals = zip(traj.layout.gen_ids, traj.p_m[-1].tolist(),
-                 traj.commands[-1].tolist(), traj.marginal_cost[-1].tolist())
-    for g, pm, pc, mc in finals:
-        lines.append(f"gen {g}: final pm={pm!r} pc={pc!r} mc={mc!r}")
-    lyapunov = None
-    if certs is not None:
-        lyapunov = sim.lyapunov_value(scn, certs, eq, traj.states)
-        jump = sim.dissipation_check(lyapunov)
-        ok = jump <= sim.EPSILON_V
-        checks["dissipation"] = _passes(ok, f"max V jump = {jump!r}")
-        lines.append(f"dissipation: max V jump = {jump!r} "
-                     f"(tolerance {sim.EPSILON_V!r}) -> "
-                     + ("pass" if ok else "EXCEEDED"))
-    else:
-        checks["dissipation"] = ("skipped", "")
-        lines.append("dissipation: not evaluated (no certificates)")
-
-    if flags.optimal_gains:
-        finals = traj.marginal_cost[-1].tolist()
-        spread = max(finals) - min(finals)
-        rel = max(abs(v - nu_opt) for v in finals) / max(abs(nu_opt), 1e-12)
-        ok = spread <= MARGINAL_TOL and rel <= MARGINAL_TOL
-        checks["dispatch-optimality"] = _passes(
-            ok, f"marginal spread {spread!r}, relative offset {rel!r}")
-        lines.append(f"marginal-cost spread = {spread!r}, "
-                     f"relative offset from dispatch nu = {rel!r}")
-    else:
-        checks["dispatch-optimality"] = ("skipped", "")
-
-    failed = [name for name in _GATED if checks[name][0] == "fail"]
-    exit_code = 1 if failed else 0
-    lines.append("")
-    lines.append("[checks]")
-    for name in _GATED:
-        status, detail = checks[name]
-        lines.append(f"{name}: {status}" + (f" ({detail})" if detail else ""))
+    """The simulation stage, the report and the output files.  The report
+    is the run's header, every stage's section, the checks in the order
+    the stages made them, and the exit code they give.  prep is left as it
+    was, so it can be concluded again."""
+    net, flags = prep.scn.network, prep.flags
+    lyapunov, simulated = _simulation(prep, traj)
+    sections = prep.sections + [simulated]
+    checks = {name: check for s in sections for name, check in s.checks.items()}
+    exit_code = _exit_code(checks)
+    lines = [f"scenario: {prep.scn.name}",
+             f"buses: {len(net.buses)} (generators {len(net.generator_ids)}, "
+             f"loads {len(net.load_ids)})",
+             f"lines: {len(net.lines)}",
+             f"flags: optimal-gains={'yes' if flags.optimal_gains else 'no'} "
+             f"skip-certify={'yes' if flags.skip_certify else 'no'}"]
+    for s in sections:
+        lines += ["", f"[{s.name}]", *s.lines]
+    lines += ["", "[checks]"] + [f"{name}: {status}" + (f" ({detail})" if detail else "")
+                                 for name, (status, detail) in checks.items()]
     lines.append(f"exit code: {exit_code}")
     report_text = "\n".join(lines) + "\n"
 
     outputs: List[Path] = []
     if flags.out_dir is not None:
         outdir = Path(flags.out_dir)
+        outputs = [outdir / "report.txt", outdir / "trajectory.csv"]
         try:
-            report_path = outdir / "report.txt"
-            report_path.write_text(report_text, encoding="utf-8")
-            outputs.append(report_path)
-            csv_path = outdir / "trajectory.csv"
-            write_trajectory_csv(traj, csv_path, lyapunov)
-            outputs.append(csv_path)
+            outputs[0].write_text(report_text, encoding="utf-8")
+            write_trajectory_csv(traj, outputs[1], lyapunov)
             outputs.extend(emit_plots(traj, outdir))
         except OSError as exc:
             raise RuntimeError(f"cannot write outputs: {exc}") from exc
-    return RunReport(scenario=scn.name, checks=checks, report_text=report_text,
+    return RunReport(checks=checks, report_text=report_text,
                      outputs=outputs, exit_code=exit_code)
 
 
@@ -876,24 +881,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # exits 2 with "scenario error: ..." like every other hard error
     try:
         if args.command not in ("simulate", "sweep"):
-            # one stage of the run: its report lines, and exit 1 when its
-            # check fails
+            # one stage of the run: its section's lines, and exit 1 when
+            # one of its checks fails
             scn = load_scenario(args.scenario)
             if getattr(args, "optimal_gains", False):
                 scn = with_optimal_gains(scn)
-            status = "pass"
             if args.command == "certify":
-                _, (status, _), lines = _certification(scn, skip=False)
+                _, section = _certification(scn, skip=False)
             elif args.command == "dispatch":
-                _, lines = _dispatch(scn)
+                _, section = _dispatch(scn)
             else:
-                eq, (status, _), lines = _equilibrium(scn)
-                lines[1:1] = [f"bus {bid}: theta={eq.angles_star[bid]!r}"
-                              for bid in sorted(eq.angles_star)] + [
-                             f"line {a}-{b}: flow={flow!r}"
-                             for (a, b), flow in sorted(eq.flows_star.items())]
-            sys.stdout.write("".join(line + "\n" for line in lines))
-            return 1 if status == "fail" else 0
+                eq, section = _equilibrium(scn)
+                section.lines[1:1] = [f"bus {bid}: theta={eq.angles_star[bid]!r}"
+                                      for bid in sorted(eq.angles_star)] + [
+                                     f"line {a}-{b}: flow={flow!r}"
+                                     for (a, b), flow in sorted(eq.flows_star.items())]
+            sys.stdout.write("".join(line + "\n" for line in section.lines))
+            return _exit_code(section.checks)
 
         flags = RunFlags(optimal_gains=args.optimal_gains,
                          skip_certify=args.skip_certify,

@@ -125,6 +125,8 @@ class Scenario:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.dt > 0.0:
             raise ValueError("dt must be positive")
+        if self.t_end < 0.0:
+            raise ValueError("t_end must not be negative")
         if not self.disturbance_time < self.t_end:
             raise ValueError("disturbance_time must lie before t_end")
         if abs(self.steps * self.dt - self.t_end) > 1e-9 * max(1.0, abs(self.t_end)):
@@ -299,15 +301,14 @@ class Equilibrium:
     """Synchronous steady state after the load step.
 
     All frequencies are zero and every power command equals the common
-    value nu.  security_ok records whether every line angle difference
-    stays strictly inside (-pi/2, pi/2).  equilibrium_system_state
-    assembles the full state x* from it.
+    value nu.  max_abs_angle_diff is the largest line angle difference
+    |eta*|, which security needs strictly inside (-pi/2, pi/2).
+    equilibrium_system_state assembles the full state x* from it.
     """
 
     angles_star: Dict[int, float]
     nu: float
     flows_star: Dict[Tuple[int, int], float]
-    security_ok: bool
     max_abs_angle_diff: float
 
 
@@ -898,7 +899,6 @@ def compute_equilibrium(scn: Scenario) -> Equilibrium:
         nu=nu,
         flows_star={(ln.from_bus, ln.to_bus): float(f)
                     for ln, f in zip(net.lines, flows)},
-        security_ok=max_eta < math.pi / 2.0,
         max_abs_angle_diff=max_eta,
     )
 

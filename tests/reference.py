@@ -9,8 +9,9 @@ equilibrium's Newton steps with np.linalg.solve, where the program runs
 conjugate gradients over the line ends.  The certificate ones are the
 primary (droop) condition, which the program only checks as the trailing
 block of the secondary one, the secondary condition, assembled from its
-definition, and the worked models' analytic certificates, which
-search_certificate builds inline.
+definition, the worked models' analytic certificates, which
+search_certificate builds inline, and the cascade's exact certification
+boundary in closed form.
 """
 
 import math
@@ -224,6 +225,20 @@ def second_order_certificate(tau_a, tau_p, k_gain, k_c, k_d, lambda_hat=0.0):
     return certify.Certificate(
         p_matrix=certify.SymmetricMatrix.diagonal([tau_a * scale, tau_p * scale]),
         k_f=k_gain * k_c, lambda_hat=lambda_hat)
+
+
+def cascade_min_damping(tau_a, tau_p, k_gain, k_c, k_d):
+    """Lambda_0 = K [rho (k_c + k_d)^2 / (4 k_c) - k_d], with rho =
+    (tau_a + tau_p)^2 / (tau_a^2 + tau_a tau_p + tau_p^2), the bus damping
+    below which make_second_order's cascade has no certificate.  By the
+    KYP lemma a certificate exists exactly when the damping allowance
+    bounds a function F of frequency built from the block's response
+    G(jw); for the cascade F is largest as w -> 0, where it tends to
+    Lambda_0, with rho = g1^2 / (K g2) from the Taylor coefficients g1 =
+    -C A^-2 B and g2 = -C A^-3 B of G at 0.  rho <= 4/3, with equality at
+    tau_a = tau_p, where Lambda_0 is certify.second_order_min_damping."""
+    rho = (tau_a + tau_p) ** 2 / (tau_a * tau_a + tau_a * tau_p + tau_p * tau_p)
+    return k_gain * (rho * (k_c + k_d) ** 2 / (4.0 * k_c) - k_d)
 
 
 def first_order_certificate(tau, k_gain, k_c, lambda_hat=0.0):

@@ -223,10 +223,11 @@ def test_08_equilibrium_oracle():
     eta_oracle = (lo + hi) / 2
 
     diff = abs(eta - eta_oracle)
-    ok = diff <= 1e-10 and eq.security_ok
+    secure = eq.max_abs_angle_diff < math.pi / 2.0
+    ok = diff <= 1e-10 and secure
     _report(8, "two-machine equilibrium oracle", ok,
             f"|eta - asin(-0.1)| = {diff:.3e}, security "
-            + ("pass" if eq.security_ok else "FAIL"))
+            + ("pass" if secure else "FAIL"))
 
 
 def test_09_golden_outputs(tmp_path, child_env):

@@ -19,9 +19,9 @@ from gridfreq.control import ControllerGains
 from gridfreq.fixtures import fixture_path
 from gridfreq.generation import (LtiGenerator, make_first_order,
                                  make_second_order)
-from reference import (check_primary, check_secondary, first_order_certificate,
-                       primary_matrix, second_order_certificate,
-                       secondary_matrix)
+from reference import (cascade_min_damping, check_primary, check_secondary,
+                       first_order_certificate, primary_matrix,
+                       second_order_certificate, secondary_matrix)
 
 
 def _params(**over):
@@ -211,6 +211,39 @@ class TestDampingThresholds:
         assert val >= 2.0 * 1.4 / 4.0 - 1e-12
         floor = second_order_min_damping(2.0, 1.4, 0.7)
         assert floor == pytest.approx(2.0 * 1.4 / 4.0)
+
+
+class TestCascadeBoundary:
+    # search_certificate certifies at lambda_hat = Lambda (1 - LAMBDA_SHAVE),
+    # so its boundary on the bus damping is Lambda_0 / (1 - LAMBDA_SHAVE)
+    @staticmethod
+    def _cascades(count=400):
+        rng = np.random.default_rng(3301)
+        for _ in range(count):
+            tau_a, tau_p = rng.uniform(0.05, 3.0, 2)
+            k_gain = rng.uniform(0.5, 2.0)
+            k_c, k_d = rng.uniform(0.3, 2.0, 2)
+            yield tau_a, tau_p, k_gain, k_c, k_d
+
+    def test_search_flips_at_the_closed_form(self):
+        wrong = []
+        for tau_a, tau_p, k_gain, k_c, k_d in self._cascades():
+            lam0 = cascade_min_damping(tau_a, tau_p, k_gain, k_c, k_d)
+            boundary = lam0 / (1.0 - LAMBDA_SHAVE)
+            gen = make_second_order(tau_a, tau_p, k_gain)
+            params = _params(k_c=k_c, k_d=k_d)
+            verdicts = [search_certificate(gen, params, f * boundary) is not None
+                        for f in (0.99, 1.01)]
+            if lam0 <= 0.0 or verdicts != [False, True]:
+                wrong.append((tau_a, tau_p, k_gain, k_c, k_d, lam0, verdicts))
+        assert wrong == []
+
+    def test_meets_the_analytic_threshold_only_at_equal_time_constants(self):
+        for tau_a, tau_p, k_gain, k_c, k_d in self._cascades(50):
+            analytic = second_order_min_damping(k_gain, k_c, k_d)
+            assert cascade_min_damping(tau_a, tau_a, k_gain, k_c, k_d) \
+                == pytest.approx(analytic, rel=1e-12)
+            assert cascade_min_damping(tau_a, tau_p, k_gain, k_c, k_d) < analytic
 
 
 class TestAnalyticCertificates:

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import multiprocessing
@@ -448,16 +449,40 @@ class TestRun:
     def test_concluding_twice_gives_the_same_report(self, two_gen_scenario):
         # _conclude reads the prepared run and leaves it as it was
         prep = cli._prepare(two_gen_scenario, RunFlags(optimal_gains=True))
-        lines, checks = list(prep.lines), dict(prep.checks)
+        sections = copy.deepcopy(prep.sections)
         traj = integrate(prep.scn)
         first = cli._conclude(prep, traj)
         second = cli._conclude(prep, traj)
-        assert (prep.lines, prep.checks) == (lines, checks)
+        assert prep.sections == sections
         assert second.report_text == first.report_text
         assert second.checks == first.checks
         assert first.report_text.count("[simulation]") == 1
         assert first.report_text == run(two_gen_scenario,
                                         RunFlags(optimal_gains=True)).report_text
+
+    @pytest.mark.parametrize("flags", [
+        RunFlags(), RunFlags(skip_certify=True), RunFlags(optimal_gains=True),
+        RunFlags(t_end=2.0)], ids=["clean", "skip-certify", "optimal-gains",
+                                   "failing"])
+    def test_verdict_contract(self, two_gen_scenario, flags):
+        # the checks come out in [checks] order, each a (status, detail)
+        # pair, and the report's [checks] lines and exit code say the same
+        report = run(two_gen_scenario, flags)
+        names = ["certification", "security", "transient-security",
+                 "settling", "dissipation", "dispatch-optimality"]
+        assert list(report.checks) == names
+        for check in report.checks.values():
+            assert isinstance(check, tuple) and len(check) == 2
+            assert check[0] in ("pass", "fail", "skipped")
+        failed = any(status == "fail" for status, _ in report.checks.values())
+        assert report.exit_code == (1 if failed else 0)
+        assert failed == (flags.t_end is not None)
+        rendered = ["[checks]"] + [
+            f"{name}: {status}" + (f" ({detail})" if detail else "")
+            for name, (status, detail) in report.checks.items()] + [
+            f"exit code: {report.exit_code}"]
+        tail = report.report_text.split("\n\n")[-1]
+        assert tail == "\n".join(rendered) + "\n"
 
     def test_benchmark_entry_points(self, two_gen_scenario, monkeypatch):
         # the benchmark wraps these module attributes and reads the
@@ -547,6 +572,12 @@ class TestApplyParam:
         scn = apply_param(ring9_scenario, "generators.1.tau_p", 0.9)
         assert scn.generators[1].built_by[0] is generation.make_second_order
         assert scn.generators[1].built_by[1][1] == 0.9
+
+    def test_negative_horizon_rejected(self, two_gen_scenario):
+        # a step before t = 0 may still lie before a negative horizon
+        scn = apply_param(two_gen_scenario, "disturbance.time", -2.0)
+        with pytest.raises(ValueError, match="^t_end must not be negative$"):
+            apply_param(scn, "sim.t_end", -1.0)
 
     def test_bad_paths(self, two_gen_scenario):
         with pytest.raises(ScenarioError, match="unknown parameter path"):
@@ -929,6 +960,23 @@ class TestMain:
             "", "error: t_end must be an integer multiple of dt\n")
         assert reached == []
         assert not (tmp_path / "out").exists()
+
+    def test_negative_horizon_fails_before_any_stage(self, tmp_path, monkeypatch,
+                                                     capsys):
+        reached = []
+        for module, name in [(cli, "search_certificate"),
+                             (sim, "compute_equilibrium"), (sim, "integrate")]:
+            monkeypatch.setattr(module, name,
+                                lambda *a, name=name, **k: reached.append(name))
+        text = fixture_path("two_gen.scn").read_text(encoding="utf-8")
+        bad = tmp_path / "bad.scn"
+        bad.write_text(text.replace("time=1.0", "time=-2.0")
+                       .replace("t_end=30.0", "t_end=-1.0"), encoding="utf-8")
+        assert main(["simulate", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "scenario error: t_end must not be negative\n")
+        assert reached == []
 
     def test_overloaded_mesh_is_exit_2(self, tmp_path, capsys):
         scn = ring_with_chords(seed=3)

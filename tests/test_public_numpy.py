@@ -1,8 +1,12 @@
 """gridfreq uses numpy through its public names only: no import from, and
 no attribute of, a numpy module path with a part that starts with "_"
-(dunders such as __version__ are public)."""
+(dunders such as __version__ are public).  Every absolute import in it
+is of the standard library or of numpy, its one declared runtime
+dependency, so a package that is only installed here (scipy, sympy)
+cannot slip in."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -70,3 +74,45 @@ def test_no_private_numpy(module):
         "attribute-chain", "aliased-module", "public-names"])
 def test_checker_finds_private_paths(text, want):
     assert private_numpy_uses(ast.parse(text)) == want
+
+
+NEEDS_STDLIB_NAMES = pytest.mark.skipif(
+    sys.version_info < (3, 10), reason="sys.stdlib_module_names is new in Python 3.10")
+
+
+def undeclared_imports(tree: ast.AST) -> list:
+    """(line, module) for each absolute import, at any depth, of a top-level
+    package outside the standard library and numpy."""
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.split(".")[0] not in allowed]
+    return found
+
+
+@NEEDS_STDLIB_NAMES
+@pytest.mark.parametrize("module", sorted(
+    str(p.relative_to(SOURCE)) for p in SOURCE.rglob("*.py")))
+def test_imports_only_the_standard_library_and_numpy(module):
+    path = SOURCE / module
+    assert undeclared_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+@NEEDS_STDLIB_NAMES
+@pytest.mark.parametrize("text, want", [
+    ("import scipy.linalg", [(1, "scipy.linalg")]),
+    ("def f():\n    from sympy import Matrix", [(2, "sympy")]),
+    ("import os, scipy as sp", [(1, "scipy")]),
+    ("import math\nimport numpy.linalg\nfrom numpy import linalg\n"
+     "from collections.abc import Mapping\nfrom . import sim\nfrom .sim import x",
+     []),
+], ids=["module", "nested-from", "one-of-several", "stdlib-numpy-relative"])
+def test_checker_finds_undeclared_imports(text, want):
+    assert undeclared_imports(ast.parse(text)) == want
