@@ -699,6 +699,9 @@ def _param_fields(scn: Scenario, path: str, value: float) -> Dict[str, object]:
         attr, type_, *_ = keys[where[0]]
         if type_ is float and attr in scenario_fields:
             return {attr: value}
+        if attr in scenario_fields:
+            raise ScenarioError(f"cannot apply parameter path {path!r}: "
+                                f"{where[0]!r} is not settable")
     net = scn.network
     # each record section's records by the number a path names them with
     homes = {"buses": ("bus", {b.id: b for b in net.buses}),

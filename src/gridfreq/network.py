@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Sequence, Tuple
+from operator import attrgetter
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 
 class BusKind(str, Enum):
@@ -98,22 +99,54 @@ class PowerNetwork:
             raise KeyError(f"no bus with id {bus_id}") from None
 
 
-def _connected(node_ids: Sequence[int], edges: Sequence[Tuple[int, int]]) -> bool:
-    if not node_ids:
-        return False
-    adj: Dict[int, List[int]] = {n: [] for n in node_ids}
-    for a, b in edges:
+def _number_fault(value: float, sign: str = "positive") -> str:
+    """The number rule: value must be positive (with sign "nonnegative",
+    at least zero), then finite.  Returns the word of the first test value
+    fails, or "" when it passes both.  A NaN fails the sign test where zero
+    fails it too, and the finite test otherwise."""
+    if value < 0.0 or not (value > 0.0 or sign == "nonnegative"):
+        return sign
+    return "" if math.isfinite(value) else "finite"
+
+
+def _graph_faults(edges: Iterable[Tuple[int, int, float]], nodes: List[int],
+                  noun: str, weight: str, stray: str, graph: str) -> List[str]:
+    """The graph rules for edges, each (end, end, weight), over nodes: no
+    self-loop, both ends among the nodes, the number rule on the weight, no
+    pair twice and, when there are nodes, one connected graph.  noun names
+    an edge, and its last word a repeated one; weight names the weight,
+    stray the fault of an end outside the nodes, and graph the whole."""
+    adj: Dict[int, List[int]] = {n: [] for n in nodes}
+    faults: List[str] = []
+    seen = set()
+    for a, b, w in edges:
+        if a == b:
+            faults.append(f"{noun} {a}-{b} is a self-loop")
         if a in adj and b in adj:
             adj[a].append(b)
             adj[b].append(a)
-    seen = {node_ids[0]}
-    stack = [node_ids[0]]
-    while stack:
-        for nb in adj[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == len(node_ids)
+        else:
+            faults.append(f"{noun} {a}-{b} {stray}")
+        word = _number_fault(w)
+        if word:
+            faults.append(f"{noun} {a}-{b} {weight} must be {word}")
+        key = frozenset((a, b))
+        if key in seen:
+            faults.append(f"{noun} {a}-{b} duplicates an existing {noun.split()[-1]}")
+        seen.add(key)
+    if nodes:
+        reached = {nodes[0]}
+        stack = [nodes[0]]
+        while stack:
+            for nb in adj[stack.pop()]:
+                if nb not in reached:
+                    reached.add(nb)
+                    stack.append(nb)
+        # a repeated node id is reached once, so a graph with one never
+        # reads connected
+        if len(reached) != len(nodes):
+            faults.append(f"{graph} is not connected")
+    return faults
 
 
 def validate(net: PowerNetwork) -> List[str]:
@@ -141,58 +174,22 @@ def validate(net: PowerNetwork) -> List[str]:
 
     for b in net.buses:
         if b.kind is BusKind.GENERATOR:
-            if not b.inertia > 0.0:
-                problems.append(f"generator bus {b.id} inertia must be positive")
-            elif not math.isfinite(b.inertia):
-                problems.append(f"generator bus {b.id} inertia must be finite")
-            if b.damping < 0.0:
-                problems.append(f"generator bus {b.id} damping must be nonnegative")
-            elif not math.isfinite(b.damping):
-                problems.append(f"generator bus {b.id} damping must be finite")
+            numbers = (("generator", "inertia", b.inertia, "positive"),
+                       ("generator", "damping", b.damping, "nonnegative"))
         else:
-            if not b.damping > 0.0:
-                problems.append(f"load bus {b.id} damping must be positive")
-            elif not math.isfinite(b.damping):
-                problems.append(f"load bus {b.id} damping must be finite")
+            numbers = (("load", "damping", b.damping, "positive"),)
             if b.inertia != 0.0:
                 problems.append(f"load bus {b.id} inertia must be zero")
+        for kind, name, value, sign in numbers:
+            word = _number_fault(value, sign)
+            if word:
+                problems.append(f"{kind} bus {b.id} {name} must be {word}")
 
-    id_set = set(ids)
-    seen_pairs = set()
-    for ln in net.lines:
-        if ln.from_bus == ln.to_bus:
-            problems.append(f"line {ln.from_bus}-{ln.to_bus} is a self-loop")
-        if ln.from_bus not in id_set or ln.to_bus not in id_set:
-            problems.append(f"line {ln.from_bus}-{ln.to_bus} references an unknown bus")
-        if not ln.susceptance > 0.0:
-            problems.append(f"line {ln.from_bus}-{ln.to_bus} susceptance must be positive")
-        elif not math.isfinite(ln.susceptance):
-            problems.append(f"line {ln.from_bus}-{ln.to_bus} susceptance must be finite")
-        key = frozenset((ln.from_bus, ln.to_bus))
-        if key in seen_pairs:
-            problems.append(f"line {ln.from_bus}-{ln.to_bus} duplicates an existing line")
-        seen_pairs.add(key)
-
-    gen_set = set(gens)
-    seen_edges = set()
-    for e in net.comm:
-        if e.a not in gen_set or e.b not in gen_set:
-            problems.append(f"communication edge {e.a}-{e.b} must join generator buses")
-        if e.a == e.b:
-            problems.append(f"communication edge {e.a}-{e.b} is a self-loop")
-        if not e.weight > 0.0:
-            problems.append(f"communication edge {e.a}-{e.b} weight must be positive")
-        elif not math.isfinite(e.weight):
-            problems.append(f"communication edge {e.a}-{e.b} weight must be finite")
-        key = frozenset((e.a, e.b))
-        if key in seen_edges:
-            problems.append(f"communication edge {e.a}-{e.b} duplicates an existing edge")
-        seen_edges.add(key)
-
-    if not _connected(ids, [(ln.from_bus, ln.to_bus) for ln in net.lines]):
-        problems.append("power graph is not connected")
-    if gens and not _connected(gens, [(e.a, e.b) for e in net.comm]):
-        problems.append("communication graph over generator buses is not connected")
-
+    lines = map(attrgetter("from_bus", "to_bus", "susceptance"), net.lines)
+    problems += _graph_faults(lines, ids, "line", "susceptance",
+                              "references an unknown bus", "power graph")
+    comm = map(attrgetter("a", "b", "weight"), net.comm)
+    problems += _graph_faults(comm, gens, "communication edge", "weight",
+                              "must join generator buses",
+                              "communication graph over generator buses")
     return sorted(problems)
-

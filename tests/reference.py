@@ -96,17 +96,25 @@ def angle_peak(scn, traj):
     return float(peak[i]), float(traj.times[i])
 
 
-def lyapunov(scn, certs, eq, state):
-    """lyapunov_value: the energy-style distance of each state from the
-    equilibrium, with its quadratic form and line incidence dense."""
+def lyapunov_weights(scn, certs, p_scale=1.0):
+    """W, lyapunov_value's quadratic form, dense: each generator's inertia
+    at its frequency, its certificate's P (times p_scale) on its block and
+    its gamma at its command."""
     lay = sim.state_layout(scn)
     weights = np.zeros((lay.size, lay.size))
     for i, g in enumerate(lay.gen_ids):
         om, pc, xs = lay.omega.start + i, lay.pc.start + i, lay.x[i]
         weights[om, om] = scn.network.bus(g).inertia
-        weights[xs, xs] = certs[g].p_matrix.to_array()
+        weights[xs, xs] = p_scale * certs[g].p_matrix.to_array()
         weights[pc, pc] = scn.controllers[g].gamma
-    e, b = incidence(scn.network, lay.size)
+    return weights
+
+
+def lyapunov(scn, certs, eq, state):
+    """lyapunov_value: the energy-style distance of each state from the
+    equilibrium, with its quadratic form and line incidence dense."""
+    weights = lyapunov_weights(scn, certs)
+    e, b = incidence(scn.network, len(weights))
     x_star = sim.equilibrium_system_state(scn, eq)
     d = state - x_star
     eta_s = x_star @ e.T

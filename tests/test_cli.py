@@ -591,7 +591,7 @@ class TestApplyParam:
         for path in ("disturbance.9.delta", "buses.9.damping",
                      "lines.-1.susceptance", "buses.2.kind", "buses.0.id",
                      "disturbance.x.delta", "buses.2.inertia",
-                     "controllers.0.q", "comm.1.weight",
+                     "controllers.0.q", "comm.1.weight", "sim.output_stride",
                      # decimal digits, but not ASCII ones
                      "controllers.\u0661.k_d", "buses.\uff12.damping"):
             with pytest.raises(ScenarioError,

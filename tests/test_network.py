@@ -182,6 +182,107 @@ class TestValidate:
         assert first == validate(net)
 
 
+_GEN = Bus(0, BusKind.GENERATOR, inertia=1.0, damping=0.5)
+_LOAD = Bus(1, BusKind.LOAD, damping=1.0)
+
+
+def _two_bus_with(bus0=_GEN, lines=(), comm=()):
+    """_two_bus with bus0 as its bus 0, and more lines and comm edges after
+    its own."""
+    net = _two_bus()
+    return PowerNetwork([bus0, net.buses[1]], net.lines + tuple(lines),
+                        net.comm + tuple(comm))
+
+
+def _gen_and_load(load):
+    """Generator bus 0 and the load bus, joined by a line."""
+    return PowerNetwork([_GEN, load], [Line(0, 1, 1.0)], [])
+
+
+# validate's 23 messages: 13 from the networks below, each with the whole
+# list it gives, and the number rule's two words for each of five numbers
+# (_NUMBERS)
+_MESSAGES = {
+    "no-buses": (PowerNetwork([], [], []), ["network has no buses"]),
+    "id-gap": (PowerNetwork([_GEN, dataclasses.replace(_GEN, id=2)],
+                            [Line(0, 2, 1.0)], [CommEdge(0, 2)]),
+               ["bus ids must be exactly 0..n-1 with no gaps or repeats"]),
+    "order": (PowerNetwork([dataclasses.replace(_LOAD, id=0),
+                            dataclasses.replace(_GEN, id=1)],
+                           [Line(0, 1, 1.0)], []),
+              ["generator buses must precede load buses in the id order"]),
+    "no-generator": (PowerNetwork([dataclasses.replace(_LOAD, id=0)], [], []),
+                     ["network needs at least one generator bus"]),
+    "load-inertia": (_gen_and_load(dataclasses.replace(_LOAD, inertia=7.0)),
+                     ["load bus 1 inertia must be zero"]),
+    "line-self-loop": (_two_bus_with(lines=[Line(0, 0, 1.0)]),
+                       ["line 0-0 is a self-loop"]),
+    "line-unknown-bus": (_two_bus_with(lines=[Line(0, 5, 1.0)]),
+                         ["line 0-5 references an unknown bus"]),
+    "line-repeat": (_two_bus_with(lines=[Line(1, 0, 2.0)]),
+                    ["line 1-0 duplicates an existing line"]),
+    "comm-off-generators": (
+        PowerNetwork([_GEN, dataclasses.replace(_GEN, id=1),
+                      dataclasses.replace(_LOAD, id=2)],
+                     [Line(0, 1, 1.0), Line(1, 2, 1.0)],
+                     [CommEdge(0, 1), CommEdge(0, 2)]),
+        ["communication edge 0-2 must join generator buses"]),
+    "comm-self-loop": (_two_bus_with(comm=[CommEdge(0, 0)]),
+                       ["communication edge 0-0 is a self-loop"]),
+    "comm-repeat": (_two_bus_with(comm=[CommEdge(1, 0)]),
+                    ["communication edge 1-0 duplicates an existing edge"]),
+    "power-graph": (dataclasses.replace(_two_bus(), lines=[]),
+                    ["power graph is not connected"]),
+    "comm-graph": (_two_bus(comm=False),
+                   ["communication graph over generator buses is not connected"]),
+    # a network without generator buses still holds its comm edges to them;
+    # only the comm graph's connectivity has no nodes to test
+    "comm-without-generators": (
+        PowerNetwork([dataclasses.replace(_LOAD, id=0), _LOAD],
+                     [Line(0, 1, 1.0)], [CommEdge(0, 1)]),
+        ["communication edge 0-1 must join generator buses",
+         "network needs at least one generator bus"]),
+}
+
+_VALUES = [0.0, -1.0, math.nan, math.inf, -math.inf]
+# the word each of _VALUES draws from the number rule: the sign test, which
+# a NaN fails only where zero is refused too, then the finite test
+_WORDS = {"positive": ["positive", "positive", "positive", "finite", "positive"],
+          "nonnegative": [None, "nonnegative", "finite", "finite", "nonnegative"]}
+# each number validate checks: the name it reports, the sign it must have
+# and a valid network with that number set to a value
+_NUMBERS = [
+    ("generator bus 0 inertia", "positive",
+     lambda v: _two_bus_with(dataclasses.replace(_GEN, inertia=v))),
+    ("generator bus 0 damping", "nonnegative",
+     lambda v: _two_bus_with(dataclasses.replace(_GEN, damping=v))),
+    ("load bus 1 damping", "positive",
+     lambda v: _gen_and_load(dataclasses.replace(_LOAD, damping=v))),
+    ("line 0-1 susceptance", "positive",
+     lambda v: dataclasses.replace(_two_bus(), lines=[Line(0, 1, v)])),
+    ("communication edge 0-1 weight", "positive",
+     lambda v: dataclasses.replace(_two_bus(), comm=[CommEdge(0, 1, v)])),
+]
+
+
+class TestValidateMessages:
+    """Every message validate gives, word for word."""
+
+    @pytest.mark.parametrize("name", _MESSAGES)
+    def test_message(self, name):
+        net, expected = _MESSAGES[name]
+        assert validate(net) == expected
+
+    @pytest.mark.parametrize("at", range(len(_VALUES)),
+                             ids=[repr(v) for v in _VALUES])
+    @pytest.mark.parametrize("number, sign, build", _NUMBERS,
+                             ids=[n.replace(" ", "-") for n, *_ in _NUMBERS])
+    def test_number_rule(self, number, sign, build, at):
+        word = _WORDS[sign][at]
+        assert validate(build(_VALUES[at])) == (
+            [f"{number} must be {word}"] if word else [])
+
+
 class TestBusLookup:
     def test_every_id_finds_its_bus(self):
         net = ring_with_chords(2, buses=40, generators=10, chords=8).network

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from gridfreq import sim
+from gridfreq import cli, sim
 from gridfreq.certify import search_certificate
 from gridfreq.cli import load_scenario
 from gridfreq.control import ControllerGains
@@ -21,7 +21,8 @@ from gridfreq.sim import (EPSILON_V, Scenario, assemble, compute_equilibrium,
                           state_layout, transient_angle_peak)
 from meshes import ring_with_chords, with_generic_blocks
 from reference import (angle_peak, dense, derivative, equilibrium_angles,
-                       lyapunov, net_injection, output, series)
+                       incidence, lyapunov, lyapunov_weights, net_injection,
+                       output, series)
 from tracing import traced_peak
 
 
@@ -1127,3 +1128,60 @@ class TestLyapunov:
         one_by_one = [lyapunov_value(scn, certs, eq, x) for x in traj.states]
         assert lyapunov_value(scn, certs, eq, traj.states) == pytest.approx(
             one_by_one, rel=1e-13, abs=1e-16)
+
+
+@pytest.fixture(scope="module", params=[
+    ("two_gen.scn", False), ("two_gen.scn", True), ("ring9.scn", False),
+    ("ring9.scn", True), (1, False), (2, False), (3, False)],
+    ids=["two_gen", "two_gen-optimal", "ring9", "ring9-optimal", "mesh1",
+         "mesh2", "mesh3"])
+def prepared(request):
+    """A run as cli._prepare leaves it (--optimal-gains and the adopted k_f
+    applied), on a fixture or a seeded mesh in which every generator
+    certifies."""
+    case, optimal = request.param
+    scn = (load_scenario(fixture_path(case)) if isinstance(case, str)
+           else ring_with_chords(case, buses=60, generators=15, chords=20))
+    prep = cli._prepare(scn, cli.RunFlags(optimal_gains=optimal))
+    assert prep.certs is not None
+    assert set(prep.certs) == set(prep.scn.network.generator_ids)
+    return prep
+
+
+def _linearised(prep, p_scale=1.0):
+    """A, the loop linearised at the equilibrium, and Q = HA + AᵀH, the
+    rate of the energy function's quadratic part along it, with every
+    certificate's P times p_scale."""
+    scn = prep.scn
+    jac, e, s, _ = dense(assemble(scn))
+    x_star = equilibrium_system_state(scn, prep.eq)
+    cos = np.cos(e @ x_star)
+    a = jac + s @ (cos[:, None] * e)
+    inc, b = incidence(scn.network, len(x_star))
+    h = (lyapunov_weights(scn, prep.certs, p_scale)
+         + inc.T @ ((b * np.cos(inc @ x_star))[:, None] * inc))
+    return a, h @ a + a.T @ h
+
+
+class TestStabilityTheorem:
+    """The argument the verdict rests on, on the linearised loop: with every
+    generator certified, the energy function's Hessian H at the equilibrium
+    makes Q = HA + AᵀH negative semidefinite, and A is stable but for the
+    angle reference."""
+
+    def test_certified_energy_does_not_grow(self, prepared):
+        _, q = _linearised(prepared)
+        assert np.linalg.eigvalsh(q)[-1] <= 1e-12 * np.linalg.norm(q, 2)
+
+    @pytest.mark.parametrize("p_scale", [0.5, 2.0])
+    def test_energy_off_the_certificate_grows(self, prepared, p_scale):
+        # P scaled leaves the LMI's face, and some direction gains energy
+        _, q = _linearised(prepared, p_scale)
+        assert np.linalg.eigvalsh(q)[-1] > 0.0
+
+    def test_one_zero_mode_and_the_rest_decay(self, prepared):
+        a, _ = _linearised(prepared)
+        modes = np.linalg.eigvals(a)
+        zero = np.abs(modes) <= 1e-12 * np.linalg.norm(a, 2)
+        assert np.count_nonzero(zero) == 1
+        assert np.all(modes[~zero].real < 0.0)
