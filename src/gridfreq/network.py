@@ -142,9 +142,7 @@ def _graph_faults(edges: Iterable[Tuple[int, int, float]], nodes: List[int],
                 if nb not in reached:
                     reached.add(nb)
                     stack.append(nb)
-        # a repeated node id is reached once, so a graph with one never
-        # reads connected
-        if len(reached) != len(nodes):
+        if len(reached) != len(adj):
             faults.append(f"{graph} is not connected")
     return faults
 

@@ -32,17 +32,19 @@ balanced member counts, so that the packs of one sweep run side by side
 on the CPUs a sweep's pool has.  A step runs on one of two kernels,
 chosen by the union's size alone, and advances a block of steps per
 call: one call runs from the load step or a recorded sample to the next.
-A run from the all-zero rest state starts the kernel at the load step:
-with the load off, every earlier step leaves x at exactly +0.0, so those
-steps are skipped, not approximated.  The dense kernel writes every RK4
-stage as linear in x, the constant 1 and the stages' line sines, so a
-step is three products of L rows for the stage line arguments, one
-product for the state's increment and the next step's line arguments,
-four sines and one add; it runs loops up to DENSE_ENTRIES matrix entries
-(the shipped fixtures and every pack of two or more).  The sparse one
-evaluates the slope four times with a gather and a bincount over the
-nonzeros; it runs larger networks.  Around 1.2e5 entries the two cost
-the same, about 20 us per step.
+The run checks its recorded states for inf and nan once per sample
+block (_sample_blocks, below), after the block's last sample, not once
+per sample.  A run from the all-zero rest state starts the kernel at the
+load step: with the load off, every earlier step leaves x at exactly
++0.0, so those steps are skipped, not approximated.  The dense kernel
+writes every RK4 stage as linear in x, the constant 1 and the stages'
+line sines, so a step is three products of L rows for the stage line
+arguments, one product for the state's increment and the next step's
+line arguments, four sines and one add; it runs loops up to
+DENSE_ENTRIES matrix entries (the shipped fixtures and every pack of two
+or more).  The sparse one evaluates the slope four times with a gather
+and a bincount over the nonzeros; it runs larger networks.  Around 1.2e5
+entries the two cost the same, about 20 us per step.
 
 The series derived from the recorded states (bus frequencies, p_m, the
 Lyapunov value, the transient angle peak) are computed over blocks of
@@ -640,9 +642,14 @@ def integrate_many(scns: Sequence[Scenario], *,
     kernel_entries() stays within DENSE_ENTRIES and on the sparse kernel
     above it; the two differ in the last digits too.
     A non-finite sample raises ArithmeticError; in a union it may have
-    spread to every member.  From the all-zero rest state (every start
-    +0.0) the kernel starts at the load step, and the samples before it
-    are the rest state: bitwise what stepping there from t = 0 gives.
+    spread to every member.  Finiteness is checked once per sample block
+    (_sample_blocks), after its last sample, so a diverging run steps on
+    to the end of the block that holds its first non-finite sample.  The
+    error names the slot that was largest in the last finite sample and
+    the time of the first non-finite one.  From the all-zero rest state
+    (every start +0.0) the kernel starts at the load step, and the samples
+    before it are the rest state: bitwise what stepping there from t = 0
+    gives.
     No scenarios, no trajectories.
     """
     if not scns:
@@ -684,23 +691,24 @@ def integrate_many(scns: Sequence[Scenario], *,
     # starts at the load step; a -0.0 start is not at rest, since its first
     # step turns it into +0.0
     rest = not (states[0].any() or np.signbit(states[0]).any())
-    done, j, load_off = (load_step if rest else 0), 1, True
-    # a diverging state runs to inf/nan: the run stops at the first such
-    # sample, and the check after the loop names it
+    done, load_off = (load_step if rest else 0), True
+    # a diverging state runs to inf/nan: finiteness is checked once per
+    # sample block, after its last sample, so the run stops at the end of
+    # the block that holds the first such sample, and the check after the
+    # loop names it
     with np.errstate(over="ignore", invalid="ignore"):
-        while j < samples:
-            stop = min(j * stride, nsteps)
-            if load_off and load_step <= stop:
-                advance(max(load_step - done, 0))
-                done, load_off = max(load_step, done), False
-                load_on()
-            x = advance(max(stop - done, 0))
-            done = max(stop, done)
-            states[j] = x
-            j += 1
-            if not np.isfinite(x).all():
+        for block in _sample_blocks(samples):
+            for j in range(max(block.start, 1), block.stop):
+                stop = min(j * stride, nsteps)
+                if load_off and load_step <= stop:
+                    advance(max(load_step - done, 0))
+                    done, load_off = max(load_step, done), False
+                    load_on()
+                states[j] = advance(max(stop - done, 0))
+                done = max(stop, done)
+            if not np.isfinite(states[block]).all():
                 break
-    bad = np.argwhere(~np.isfinite(states[:j]))
+    bad = np.argwhere(~np.isfinite(states[:block.stop]))
     if len(bad):
         # by the first bad sample one inf has usually spread to every slot,
         # so name the slot that was largest in the last finite sample

@@ -242,6 +242,20 @@ _MESSAGES = {
                      [Line(0, 1, 1.0)], [CommEdge(0, 1)]),
         ["communication edge 0-1 must join generator buses",
          "network needs at least one generator bus"]),
+    # a repeated id is one node of either graph, so it alone leaves no
+    # graph disconnected
+    "id-repeat": (PowerNetwork([_GEN, _GEN], [], []),
+                  ["bus ids must be exactly 0..n-1 with no gaps or repeats"]),
+    "id-repeat-across-kinds": (
+        PowerNetwork([_GEN, dataclasses.replace(_GEN, id=1), _LOAD],
+                     [Line(0, 1, 1.0)], [CommEdge(0, 1)]),
+        ["bus ids must be exactly 0..n-1 with no gaps or repeats"]),
+    "id-repeat-and-island": (
+        PowerNetwork([_GEN, dataclasses.replace(_GEN, id=1), _LOAD,
+                      dataclasses.replace(_LOAD, id=3)],
+                     [Line(0, 1, 1.0)], [CommEdge(0, 1)]),
+        ["bus ids must be exactly 0..n-1 with no gaps or repeats",
+         "power graph is not connected"]),
 }
 
 _VALUES = [0.0, -1.0, math.nan, math.inf, -math.inf]

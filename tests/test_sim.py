@@ -379,6 +379,22 @@ class TestIntegrate:
         assert proc.returncode == 2
         assert proc.stderr == "error: non-finite value in x_0[0] at t=700.0\n"
 
+    def test_divergence_past_the_first_sample_block(self, two_gen_scenario,
+                                                     monkeypatch):
+        # finiteness is checked once per sample block: the first non-finite
+        # sample is 264, in the third block, and the run steps no further
+        # than that block's last sample
+        scn = dataclasses.replace(two_gen_scenario, dt=10.0, t_end=4000.0,
+                                  disturbance_time=2000.0, output_stride=1)
+        counts = _counted_steps(monkeypatch)
+        with pytest.raises(ArithmeticError,
+                           match=r"non-finite value in x_0\[0\] at t=2640\.0$"):
+            integrate(scn)
+        (block,) = [b for b in sim._sample_blocks(401) if b.start <= 264 < b.stop]
+        assert block.start > 0
+        # from rest the kernel starts at the load step, step 200
+        assert 264 <= 200 + sum(counts) <= block.stop - 1
+
 
 def _certified_variant(scn, k_d):
     ctl = dict(scn.controllers)
@@ -428,6 +444,18 @@ class TestIntegrateMany:
                                    scns, x0):
             lone = integrate(scn, initial_state=start)
             assert np.max(np.abs(got.states - lone.states)) <= 1e-12
+
+    def test_divergence_names_the_member(self, two_gen_scenario):
+        # the run of TestIntegrate's divergence past the first sample block,
+        # beside a copy with another k_d
+        scn = dataclasses.replace(two_gen_scenario, dt=10.0, t_end=4000.0,
+                                  disturbance_time=2000.0, output_stride=1)
+        ctl = dict(scn.controllers)
+        ctl[1] = dataclasses.replace(ctl[1], k_d=0.6)
+        other = dataclasses.replace(scn, controllers=ctl)
+        with pytest.raises(ArithmeticError, match=r"non-finite value in "
+                           r"x_0\[0\] of member 1 at t=2640\.0$"):
+            integrate_many([scn, other])
 
     def test_members_need_one_time_grid(self, two_gen_scenario):
         other = dataclasses.replace(two_gen_scenario, output_stride=5)
