@@ -37,7 +37,9 @@ class LtiGenerator:
         a_array, b_array, c_array: A, B and C as read-only float arrays,
             made once when the block is made.
         a_inv_b: A^{-1} B as a read-only array, solved once when the block
-            is made (a Hurwitz A is invertible).
+            is made (a Hurwitz A is invertible). The block's rest state
+            under a constant input u is -u A^{-1} B; the equilibrium state
+            and the certificate search both read it from here.
         a_inv_t_c: A^{-T} C^T, solved and kept the same way.
         dc_gain: -C A^{-1} B + D.
         built_by: (builder, arguments) for a block that make_first_order
@@ -110,12 +112,6 @@ def is_hurwitz(a_matrix) -> bool:
         raise ValueError(f"matrix order {m.shape[0]} exceeds supported maximum {MAX_ORDER}")
     eigs = np.linalg.eigvals(m)
     return bool(np.all(eigs.real < -TOL_HURWITZ))
-
-
-def equilibrium_state(gen: LtiGenerator, u: float) -> Tuple[float, ...]:
-    """The unique rest state for a constant input: solves A x + B u = 0."""
-    x = np.linalg.solve(gen.a_array, -gen.b_array * u)
-    return tuple(float(v) for v in x)
 
 
 def _finite(**params: float) -> None:

@@ -60,7 +60,9 @@ spins on a second core after the call returns; the dense step's
 matrix-vector products run on one thread.  The equilibrium's Newton
 steps solve by conjugate gradients from the line ends
 (_solve_laplacian), since LAPACK's solvers wake that pool from about
-100 buses.
+100 buses, and x* reads each block's rest state from the A^{-1}B the
+block stored when it was made, so a run makes no linear solve once its
+blocks are made.
 """
 
 from __future__ import annotations
@@ -72,7 +74,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import generation
 from .certify import Certificate
 from .control import ControllerGains
 from .generation import LtiGenerator
@@ -913,14 +914,14 @@ def compute_equilibrium(scn: Scenario) -> Equilibrium:
 
 def equilibrium_system_state(scn: Scenario, eq: Equilibrium) -> np.ndarray:
     """The equilibrium as a flat state x*: the angles, zero frequencies,
-    each generator block at rest under its input k_c nu, and every command
-    at nu."""
+    each generator block at rest under its input k_c nu (-k_c nu A^{-1}B,
+    from the block's stored a_inv_b, so nothing is solved here), and every
+    command at nu."""
     lay = state_layout(scn)
     x = np.zeros(lay.size)
     x[:lay.n_bus] = [eq.angles_star[b] for b in range(lay.n_bus)]
     for g, xs in zip(lay.gen_ids, lay.x):
-        x[xs] = generation.equilibrium_state(scn.generators[g],
-                                             scn.controllers[g].k_c * eq.nu)
+        x[xs] = -(scn.controllers[g].k_c * eq.nu) * scn.generators[g].a_inv_b
     x[lay.pc] = eq.nu
     return x
 

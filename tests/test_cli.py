@@ -518,10 +518,85 @@ class TestRun:
         assert f"nu = {eq.nu!r}" in report.report_text
 
 
+def _simulated(prep, **changes):
+    """The simulation stage's section of the prepared run, its fields set
+    from changes after integration."""
+    traj = integrate(prep.scn)
+    return cli._simulation(dataclasses.replace(prep, **changes), traj)[1]
+
+
+def _scaled_certificates(certs, factor):
+    """Each certificate with its P times factor, off the LMI's face."""
+    return {g: dataclasses.replace(c, p_matrix=certify.SymmetricMatrix(
+        c.p_matrix.dim, tuple(factor * v for v in c.p_matrix.entries)))
+        for g, c in certs.items()}
+
+
+class TestGatesAtTheirBoundary:
+    """Each gate fails on a run just past its bound and passes on one
+    inside it, so loosening its bound or dropping a clause fails a test."""
+
+    def test_equilibrium_past_pi_over_2_fails_security(self, two_gen_scenario,
+                                                       tmp_path, capsys):
+        # bus 2's step at 9.2 sets max |eta*| = 1.6021, past pi/2 and far
+        # below pi; from about 9.3 Newton meets a singular Jacobian
+        scn = apply_param(two_gen_scenario, "disturbance.2.delta", 9.2)
+        eq, section = cli._equilibrium(scn)
+        assert math.pi / 2.0 < eq.max_abs_angle_diff < 1.61
+        assert section.checks["security"] == (
+            "fail", f"max |angle difference| = {eq.max_abs_angle_diff!r}")
+        path = tmp_path / "heavy.scn"
+        path.write_text(serialize_scenario(scn))
+        assert main(["equilibrium", str(path)]) == 1
+        assert "security constraint: VIOLATED" in capsys.readouterr().out
+        assert cli._equilibrium(two_gen_scenario)[1].checks["security"] == ("pass", "")
+
+    @pytest.mark.parametrize("scale", [1.0, 1.01])
+    def test_dispatch_optimality_needs_the_price(self, two_gen_scenario, scale):
+        # the final marginal costs agree with each other to 1.4e-5 whatever
+        # the price; 1 % off the dispatch price nu they miss it by 0.0099
+        prep = cli._prepare(two_gen_scenario, RunFlags(optimal_gains=True))
+        section = _simulated(prep, nu_opt=prep.nu_opt * scale)
+        status, detail = section.checks["dispatch-optimality"]
+        assert status == ("pass" if scale == 1.0 else "fail")
+        if scale != 1.0:
+            spread, rel = map(float, re.fullmatch(
+                r"marginal spread (\S+), relative offset (\S+)", detail).groups())
+            assert spread < MARGINAL_TOL < rel < 1e-2
+
+    def test_slow_settling_fails_the_run(self, two_gen_scenario, capsys,
+                                         tmp_path):
+        # bus 1's damping at 0.12 leaves max |omega| = 1.96e-4 at t_end,
+        # twice SETTLING_TOL
+        scn = apply_param(two_gen_scenario, "buses.1.damping", 0.12)
+        path = tmp_path / "slow.scn"
+        path.write_text(serialize_scenario(scn))
+        assert main(["simulate", str(path), "--skip-certify"]) == 1
+        checks = dict(line.split(": ", 1) for line in capsys.readouterr().out
+                      .split("[checks]\n")[1].splitlines())
+        assert checks.pop("settling").startswith("fail (final max |omega| = 0.0001")
+        assert checks.pop("exit code") == "1"
+        assert set(checks.values()) <= {"pass", "skipped"}
+
+    @pytest.mark.parametrize("name", ["two_gen.scn", "ring9.scn"])
+    @pytest.mark.parametrize("factor", [0.5, 1.0, 2.0, 10.0])
+    def test_certificate_off_the_lmi_fails_dissipation(self, name, factor):
+        # P halved lets V rise after the step by 2.2e-5 (two_gen) and
+        # 1.8e-5 (ring9), three orders above EPSILON_V; P doubled or times
+        # ten stays within it (ring9 at ten rises by 8.4e-9)
+        prep = cli._prepare(load_scenario(fixture_path(name)), RunFlags())
+        section = _simulated(prep, certs=_scaled_certificates(prep.certs, factor))
+        status, detail = section.checks["dissipation"]
+        assert status == ("fail" if factor == 0.5 else "pass")
+        if factor == 0.5:
+            assert 1e-5 < float(detail.split("= ")[1]) < 3e-5
+
+
 def test_mesh_run_repeats_no_per_generator_constant(tmp_path, monkeypatch):
-    # each generator's DC gain is solved when its block is made, and the
-    # packed-triangle indices once per dimension: a --optimal-gains run of
-    # a 200-bus mesh solves only for the generator blocks' rest states
+    # each generator's A^{-1}B is solved when its block is made, and the
+    # packed-triangle indices made once per dimension: a --optimal-gains
+    # run of a 200-bus mesh reads the blocks' rest states from A^{-1}B
+    # and solves nothing
     scn = ring_with_chords(7, buses=200, generators=50, chords=60)
     triangles, solvers = [], []
 
@@ -537,7 +612,7 @@ def test_mesh_run_repeats_no_per_generator_constant(tmp_path, monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", solve)
     assert run(scn, RunFlags(optimal_gains=True, out_dir=str(tmp_path))).outputs
     assert len(triangles) == len(set(triangles))
-    assert solvers == [generation.equilibrium_state.__code__] * 50
+    assert solvers == []
 
 
 class TestApplyParam:

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from gridfreq.control import ControllerGains
-from gridfreq.generation import (LtiGenerator, equilibrium_state, is_hurwitz,
-                                 make_first_order, make_second_order)
+from gridfreq.generation import (LtiGenerator, is_hurwitz, make_first_order,
+                                 make_second_order)
 from gridfreq.network import Bus, BusKind, PowerNetwork
 from gridfreq.sim import Scenario, assemble
 from reference import dense, output
@@ -148,14 +148,6 @@ def test_dc_gain_is_solved_once_when_the_block_is_made(monkeypatch):
     for name in arrays:
         assert np.array_equal(getattr(twin, name), getattr(gen, name))
         assert not getattr(twin, name).flags.writeable
-
-
-def test_equilibrium_state_reaches_dc_gain():
-    gen = make_second_order(0.7, 1.3, 2.0)
-    xs = equilibrium_state(gen, 0.5)
-    rate = np.array(gen.a_matrix) @ xs + np.array(gen.b_vector) * 0.5
-    assert rate == pytest.approx((0.0, 0.0), abs=1e-15)
-    assert output(gen, xs, 0.5) == pytest.approx(gen.dc_gain * 0.5)
 
 
 class TestIsHurwitz:

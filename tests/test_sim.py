@@ -1034,6 +1034,22 @@ class TestEquilibrium:
             gen_out = outputs.get(b.id, 0.0)
             assert gen_out - load + inj == pytest.approx(0.0, abs=1e-10)
 
+    @pytest.mark.parametrize("case", ["ring9", "generic"])
+    def test_block_rest_states_reach_dc_gain(self, case, ring9_scenario):
+        # each block's slice of x* rests under its input u = k_c nu (A x +
+        # B u = 0) and puts out its DC gain times u, feedthrough included
+        scn = (ring9_scenario if case == "ring9" else
+               with_generic_blocks(ring_with_chords(5, buses=12, generators=6,
+                                                    chords=2), seed=5))
+        eq = compute_equilibrium(scn)
+        x_star = equilibrium_system_state(scn, eq)
+        lay = sim.state_layout(scn)
+        for g, xs in zip(lay.gen_ids, lay.x):
+            gen, u = scn.generators[g], scn.controllers[g].k_c * eq.nu
+            rate = np.array(gen.a_matrix) @ x_star[xs] + np.array(gen.b_vector) * u
+            assert rate == pytest.approx(np.zeros(gen.order), abs=1e-15)
+            assert output(gen, x_star[xs], u) == pytest.approx(gen.dc_gain * u)
+
     def test_flows_match_angle_differences(self, two_gen_scenario):
         eq = compute_equilibrium(two_gen_scenario)
         for (i, j), f in eq.flows_star.items():
