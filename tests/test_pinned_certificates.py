@@ -1,4 +1,4 @@
-"""Search verdicts against commits e3464c2 and bfb9e3d.
+"""Search verdicts against commits e3464c2, bfb9e3d and c7a7149.
 
 tests/data/pinned_verdicts_e3464c2.json holds whether
 ``search_certificate`` found a certificate at e3464c2, whose search over
@@ -8,7 +8,11 @@ their closed-form threshold; tests/data/pin_verdicts.py wrote them and
 says how.  tests/data/pinned_verdicts_bfb9e3d.json holds the verdicts at
 bfb9e3d, whose solve ran over full P and a free k_f, for seeded chain
 blocks of order 2 to 5 at five bus dampings;
-tests/data/pin_chain_verdicts.py wrote them and says how.  Later searches
+tests/data/pin_chain_verdicts.py wrote them and says how.
+tests/data/pinned_verdicts_c7a7149.json holds the verdicts at c7a7149,
+whose last step was a log-barrier solve over the face, for 14 840 random
+and chain blocks at seven bus dampings; tests/data/pin_face_verdicts.py
+wrote them and says how.  Later searches
 return other certificates, so the pins are on verdicts: every case found
 there is still found, and every certificate passes the secondary matrix
 assembled apart from the program (tests/reference.py).
@@ -31,6 +35,9 @@ SCRIPT = runpy.run_path(str(DATA / "pin_verdicts.py"))
 CHAIN_PINS = json.loads((DATA / "pinned_verdicts_bfb9e3d.json")
                         .read_text(encoding="utf-8"))
 CHAIN_SCRIPT = runpy.run_path(str(DATA / "pin_chain_verdicts.py"))
+FACE_PINS = json.loads((DATA / "pinned_verdicts_c7a7149.json")
+                       .read_text(encoding="utf-8"))
+FACE_SCRIPT = runpy.run_path(str(DATA / "pin_face_verdicts.py"))
 
 
 def _block_name(case):
@@ -82,6 +89,25 @@ def test_chain_certificate_matches_pin(order):
     assert len(cases) == 75
     for case in cases:
         _check_verdict(CHAIN_SCRIPT, case)
+
+
+def test_face_pin_covers_the_script_cases():
+    groups = FACE_SCRIPT["groups"]()
+    assert list(groups) == list(FACE_PINS)
+    assert [len(v) for v in FACE_PINS.values()] == \
+        [len(pairs) * len(FACE_SCRIPT["DAMPINGS"]) for pairs in groups.values()]
+    assert sum(map(len, FACE_PINS.values())) == 14840
+
+
+def test_face_certificates_match_pin():
+    # every search certified at c7a7149 is still certified
+    lost = []
+    for name, pairs in FACE_SCRIPT["groups"]().items():
+        got = FACE_SCRIPT["verdicts"](pairs)
+        lost += [(name, i) for i, (want, have) in
+                 enumerate(zip(FACE_PINS[name], got)) if want > have]
+    assert sum(v.count("1") for v in FACE_PINS.values()) == 4660
+    assert lost == []
 
 
 def test_pinned_cases_make_few_face_solves(monkeypatch):
