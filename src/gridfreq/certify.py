@@ -29,8 +29,10 @@ block: for an order-1 block without feedthrough and with a positive DC
 gain, a first-order lag up to a scaling of its state, no certificate
 means infeasible by the lag's closed form.  A block of higher order
 whose diagonal point fails is checked at a closed-form point P0 of the
-face, and if P0 fails too it goes to a log-barrier Newton solve of the
-matrix inequality over the face's P.
+face, and if P0 fails too, at the face's solutions of a Riccati
+equation, built from the eigenvectors of one 2n x 2n Hamiltonian
+(face_hamiltonian): the matrix inequality's closed form by the KYP lemma
+(Rantzer, Syst. Control Lett. 28(1), 1996), with no iterative solver.
 Every certificate is then checked by the eigenvalues of its full
 matrices, from numpy.linalg.eigvalsh on plain arrays, before it is
 packed into a SymmetricMatrix.
@@ -39,7 +41,6 @@ packed into a SymmetricMatrix.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -57,37 +58,6 @@ TOL_PD_PER_DIM = 1e-12
 #: Default relative shave applied to the bus damping when picking
 #: lambda_hat inside the search: lambda_hat = Lambda * (1 - LAMBDA_SHAVE).
 LAMBDA_SHAVE = 1e-3
-
-#: The box _face_search keeps P in, _EPS_P I <= P <= _R_P I.  The floor
-#: keeps P positive definite far above check_secondary_lmi's TOL_PD_PER_DIM
-#: test.  The ceiling bounds the feasible set, so every barrier problem has
-#: a minimiser, and keeps M's rounding (about 1e-16 times P) well below
-#: TOL_PSD.  On the 360 cases of tests/data/pinned_verdicts_*.json the
-#: certificates' P had eigenvalues from 0.026 to 3.4e3, and every verdict
-#: was the same with a ceiling of 1e4 or 1e8.
-_EPS_P = 1e-6
-_R_P = 1e6
-
-#: _face_search's first barrier weight.  Measured at commit c0ecb6a, which
-#: checked P0 but not the diagonal point before the solve: on 1 500 seeded
-#: chain blocks (orders 2 to 6, five bus damping scales) 1e-4 to 10 gave
-#: the same verdicts.  1e-4, 1e-3 and 0.1 took 1.4, 1.1 and 2.5 s (python
-#: 3.11, numpy 2.4, 2 CPUs), and at 1e-3 the certificates' P had a largest
-#: condition number of 8.8e4 against 4.4e6 at 0.1.
-_MU_START = 1e-3
-
-#: A centring ends once the Newton decrement is below _CENTRED, where
-#: damped Newton converges quadratically and the duality gap mu * dim is
-#: as good as exact, or after _NEWTON_STEPS steps, which ends the search
-#: undecided.  Measured on tests/test_certify._random_blocks(seed, 60) for
-#: seeds 601 to 640, orders 2 to 5 and seven bus dampings from 0.05 to 5
-#: (13 440 searches): a cap of 50, when an uncentred point could still be
-#: refused by the gap test, refused 49 searches that certify; caps of 500
-#: and 5 000 gave the same 3 479 certificates, with 141 and 10 searches
-#: ending uncentred, all in their first centring.
-_CENTRED = 1e-3
-_NEWTON_STEPS = 500
-
 
 @functools.lru_cache(maxsize=None)
 def _upper(dim: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -288,22 +258,28 @@ def search_certificate(gen: LtiGenerator, params: ControllerGains,
        cascade diag(tau_a, tau_p) / (K k_c) to rounding;
     2. P0 = w w^T / (w^T x_s) + c (I - x^ x^T), with x^ = x_s / |x_s| and
        c = w^T x_s / |x_s|^2;
-    3. the barrier solve _face_search, started at P0.
+    3. the face's solutions of the Riccati equation P F + F^T P + P G P +
+       Q + 2 eps Pi = 0, for eps = 1, 0.1, ..., 1e-9 and then 0, where
+       [[F, G], [-Q, -F^T]] is face_hamiltonian's and Pi = I - x^ x^T.
+       The perturbed Hamiltonian keeps [x_s; w] in its kernel, since Pi
+       x_s = 0; its two eigenvalues of least modulus, that zero pair, are
+       dropped, and P = sym(X2 X1^-1) for [X1; X2] = [x_s; w] beside a
+       real basis of the n - 1 eigenvectors with Re lambda < 0.  The
+       first such P that passes is returned.  eps > 0 leaves the Schur
+       complement of M at -eps Pi, a margin off the face's direction; eps
+       = 0 is the equation's own stabilising solution.
 
     The face holds a positive definite P only if w^T x_s > 0, so
     otherwise None comes before step 1.  An order-1 face is its diagonal
     point alone, so the verdict is that check: for an order-1 block
     without feedthrough and with K > 0 None means lambda_hat is below
-    first_order_min_damping (to within TOL_PSD).  For a higher order
-    whose steps 1 and 2 fail, _face_search minimises U^T M U's largest
-    eigenvalue over the face's P with _EPS_P I <= P <= _R_P I, where the
-    columns of U span v's complement.  There None means that no such P
-    brings it down to TOL_PSD / 2, or that a centring of the barrier
-    solve did not converge in _NEWTON_STEPS steps.  The box keeps P clear of check_secondary_lmi's positive
-    definiteness test and keeps the problem bounded.  Every certificate
-    returned has passed check_secondary_lmi's test on the full matrix, run
-    on P as an array: each candidate is exactly symmetric, so it is the
-    array its SymmetricMatrix gives back.
+    first_order_min_damping (to within TOL_PSD).  For a higher order,
+    step 3 gives None at once when M's (xi, omega) block is not negative
+    definite, which no P changes; an eigendecomposition or solve that
+    fails, or a P that is not finite, skips that eps, so no exception
+    escapes.  Every certificate returned has passed check_secondary_lmi's
+    test on the full matrix, run on P as an array: each candidate is
+    exactly symmetric, so it is the array its SymmetricMatrix gives back.
     """
     if not lambda_bus > 0.0:
         return None
@@ -327,127 +303,62 @@ def search_certificate(gen: LtiGenerator, params: ControllerGains,
         cert = finish(np.diag(w / x_s))
         if cert is not None or gen.order == 1:
             return cert
+    n = gen.order
     xx = x_s @ x_s
-    p0 = (np.outer(w, w) / (w @ x_s)
-          + (w @ x_s) / xx * (np.eye(gen.order) - np.outer(x_s, x_s) / xx))
+    pi = np.eye(n) - np.outer(x_s, x_s) / xx
+    p0 = np.outer(w, w) / (w @ x_s) + (w @ x_s) / xx * pi
     if (cert := finish(p0)) is not None:
         return cert
-    p = _face_search(gen, params, lambda_hat, x_s, p0)
-    return None if p is None else finish(p)
+    h = face_hamiltonian(gen, params, lambda_hat)
+    if h is None:
+        return None
+    for eps in [10.0 ** -k for k in range(10)] + [0.0]:
+        h_eps = h.copy()
+        h_eps[n:, :n] -= 2.0 * eps * pi
+        try:
+            lam, vec = np.linalg.eig(h_eps)
+            # the face's zero pair dropped, then beside [x_s; w] a real
+            # basis of the stable eigenvectors: each real one, and the real
+            # and imaginary parts of one of each conjugate pair
+            keep = np.argsort(np.abs(lam))[2:]
+            keep = keep[lam[keep].real < 0.0]
+            x = np.column_stack([np.concatenate([x_s, w]),
+                                 vec[:, keep[lam[keep].imag >= 0.0]].real,
+                                 vec[:, keep[lam[keep].imag > 0.0]].imag])
+            # P^T = X1^-T X2^T; eigenvalues on the imaginary axis leave
+            # X1 not square, and the solve raises
+            p = np.linalg.solve(x[:n].T, x[n:].T)
+        except np.linalg.LinAlgError:
+            continue
+        if np.isfinite(p).all() and (cert := finish((p + p.T) / 2.0)):
+            return cert
+    return None
 
 
-def _complement(x: np.ndarray) -> np.ndarray:
-    """An orthonormal basis of the vectors orthogonal to x, as columns."""
-    return np.linalg.qr(x[:, None], mode="complete")[0][:, 1:]
+def face_hamiltonian(gen: LtiGenerator, params: ControllerGains,
+                     lambda_hat: float) -> Optional[np.ndarray]:
+    """The 2n x 2n Hamiltonian [[F, G], [-Q, -F^T]] of the secondary
+    condition at k_f = K k_c, or None unless M's (xi, omega) block R is
+    negative definite.
 
-
-def _face_templates(gen: LtiGenerator, params: ControllerGains,
-                    lambda_hat: float, x_s: np.ndarray, p0: np.ndarray
-                    ) -> Tuple[np.ndarray, np.ndarray]:
-    """(templates, basis): G as a product, G(z) = (z @ templates).reshape(
-    dim, dim) for z = [y, t, 1], and the symmetric N_i with N_i x_s = 0
-    that P = p0 + sum y_i N_i spans the face with.  G is the block
-    diagonal of t I - U^T M(P) U, P - _EPS_P I and _R_P I - P, where M is
-    the secondary matrix at k_f = K k_c and U = _complement(v) for v =
-    [1, x_s, 0].  M(P) is affine in P, and its linear part L(N) places
-    sym(N A), k_d N B / 2 and k_c B^T N / 2 in M's layout, so y_i's slope
-    is -U^T L(N_i) U, N_i and -N_i, t's is I in the top block, and the
-    constant is G at P = p0."""
-    n = gen.order
-    dim = 3 * n + 1
-    top, low, high = (slice(0, n + 1), slice(n + 1, 2 * n + 1),
-                      slice(2 * n + 1, dim))
-    u = _complement(np.concatenate([[1.0], x_s, [0.0]]))
-    q = _complement(x_s)
-    basis = np.array([np.outer(q[:, i], q[:, j]) + np.outer(q[:, j], q[:, i])
-                      for i, j in zip(*_upper(n - 1))])
-    size = len(basis)
-    na = basis @ gen.a_array
-    nb = basis @ gen.b_array
-    linear = np.zeros((size, n + 2, n + 2))
-    linear[:, 1:n + 1, 1:n + 1] = (na + np.swapaxes(na, 1, 2)) / 2.0
-    linear[:, 1:n + 1, 0] = linear[:, 0, 1:n + 1] = params.k_c * nb / 2.0
-    linear[:, 1:n + 1, n + 1] = linear[:, n + 1, 1:n + 1] = params.k_d * nb / 2.0
-    g = np.zeros((size + 2, dim, dim))
-    g[:size, top, top] = -(u.T @ linear @ u)
-    g[:size, low, low] = basis
-    g[:size, high, high] = -basis
-    g[size, top, top] = np.eye(n + 1)
-    g[size + 1, top, top] = -u.T @ _secondary_array(
-        gen, params, p0, lambda_hat, gen.dc_gain * params.k_c) @ u
-    g[size + 1, low, low] = p0 - _EPS_P * np.eye(n)
-    g[size + 1, high, high] = _R_P * np.eye(n) - p0
-    return g.reshape(size + 2, -1), basis
-
-
-def _face_search(gen: LtiGenerator, params: ControllerGains,
-                 lambda_hat: float, x_s: np.ndarray, p0: np.ndarray
-                 ) -> Optional[np.ndarray]:
-    """Minimise t subject to U^T M(P) U <= t I and _EPS_P I <= P <= _R_P I
-    over the face's P = p0 + sum y_i N_i and t, with U, M and N_i those of
-    _face_templates: P as an array once t <= TOL_PSD / 2, else None.
-    None too when p0 lies outside the box.
-
-    Barrier method (Boyd and Vandenberghe, Convex Optimization, 11.3):
-    damped Newton on t / mu - log det G, with G the block diagonal of
-    _face_templates, from p0, with mu cut tenfold after each centring.
-    At a centre, t exceeds the least t in the box by at most mu times G's
-    dimension (the duality gap).  So once t minus that gap is above
-    TOL_PSD / 2, or the gap is below TOL_PSD / 2 with t still above it,
-    no point of the box brings U^T M U's largest eigenvalue down to
-    TOL_PSD / 2, and the answer is None.  Only a centre bounds the least
-    t, so a centring that does not end within _NEWTON_STEPS steps ends
-    the search undecided, with None too: the search makes at most
-    _NEWTON_STEPS steps for each of its at most nine values of mu.  The
-    Newton step is a least-squares solve, since rounding can leave the
-    Hessian W W^T singular.
+    R does not depend on P.  With N, the x rows of M at P = 0 in R's two
+    columns, and R < 0, M(P) <= 0 is the Schur complement S(P) = sym(P A)
+    + (N + P B~ / 2) W (N + P B~ / 2)^T <= 0, for B~ = B [k_c, k_d] and W
+    = (-R)^-1; and 2 S(P) = P F + F^T P + P G P + Q with F = A + B~ W
+    N^T, G = B~ W B~^T / 2 and Q = 2 N W N^T.  A solution of that Riccati
+    equation is an invariant subspace [I; P] of the Hamiltonian (Willems,
+    IEEE TAC 16(6), 1971); on the face, [x_s; w] lies in its kernel.
     """
     n = gen.order
-    dim = 3 * n + 1
-    templates, basis = _face_templates(gen, params, lambda_hat, x_s, p0)
-    size = len(basis)
-    slopes = templates[:-1].reshape(size + 1, dim, dim)
-
-    def whitened(z: np.ndarray) -> Optional[np.ndarray]:
-        """The slopes as L^-1 slope L^-T for G(z) = L L^T, one row each,
-        or None where G(z) is not positive definite."""
-        try:
-            root = np.linalg.inv(np.linalg.cholesky(
-                (z @ templates).reshape(dim, dim)))
-        except np.linalg.LinAlgError:
-            return None
-        return (root @ slopes @ root.T).reshape(size + 1, -1)
-
-    t = 1.0 - np.linalg.eigvalsh(templates[-1].reshape(dim, dim)[:n + 1, :n + 1])[0]
-    z = np.concatenate([np.zeros(size), [t, 1.0]])
-    w = whitened(z)
-    if w is None:
+    m = _secondary_array(gen, params, np.zeros((n, n)), lambda_hat,
+                         gen.dc_gain * params.k_c)
+    ends = [0, n + 1]
+    r = m[np.ix_(ends, ends)]
+    if not (r[0, 0] < 0.0 and np.linalg.det(r) > 0.0):
         return None
-    mu = _MU_START
-    while True:
-        for _ in range(_NEWTON_STEPS):
-            # The barrier's gradient is -tr(W_k) and its Hessian W W^T; the
-            # objective t adds 1/mu to the last.
-            grad = -w[:, ::dim + 1].sum(axis=1)
-            grad[-1] += 1.0 / mu
-            step = np.linalg.lstsq(w @ w.T, -grad, rcond=None)[0]
-            decrement = math.sqrt(max(-(grad @ step), 0.0))
-            # The damped step stays inside G's domain in exact arithmetic;
-            # it is halved where rounding takes it out.
-            step = np.append(step, 0.0) / (1.0 + decrement)
-            while (w_next := whitened(z + step)) is None:
-                step /= 2.0
-            z, w = z + step, w_next
-            if z[-2] <= TOL_PSD / 2.0:
-                # the upper triangle mirrored, as its SymmetricMatrix is
-                p = p0 + np.tensordot(z[:size], basis, axes=1)
-                lower = np.tril_indices(n, -1)
-                p[lower] = p.T[lower]
-                return p
-            if decrement < _CENTRED:
-                break
-        else:
-            return None
-        if z[-2] - mu * dim > TOL_PSD / 2.0 or mu * dim < TOL_PSD / 2.0:
-            return None
-        mu /= 10.0
+    n_rows = m[1:n + 1, ends]
+    b_gain = np.outer(gen.b_array, [params.k_c, params.k_d])
+    w = np.linalg.inv(-r)
+    f = gen.a_array + b_gain @ w @ n_rows.T
+    return np.block([[f, b_gain @ w @ b_gain.T / 2.0],
+                     [-2.0 * n_rows @ w @ n_rows.T, -f.T]])

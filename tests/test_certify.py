@@ -17,8 +17,7 @@ from gridfreq.certify import (Certificate, LAMBDA_SHAVE, SymmetricMatrix,
 from gridfreq.cli import load_scenario, with_optimal_gains
 from gridfreq.control import ControllerGains
 from gridfreq.fixtures import fixture_path
-from gridfreq.generation import (LtiGenerator, make_first_order,
-                                 make_second_order)
+from gridfreq.generation import make_first_order, make_second_order
 from reference import (cascade_min_damping, check_primary, check_secondary,
                        first_order_certificate, primary_matrix,
                        second_order_certificate, secondary_matrix)
@@ -375,70 +374,16 @@ class TestSearchCertificate:
         assert checked >= 100
 
 
-def _block(a, b, c, d):
-    return LtiGenerator(a_matrix=tuple(tuple(r) for r in a), b_vector=tuple(b),
-                        c_vector=tuple(c), d_scalar=d, order=len(b))
-
-
-class TestFaceTemplates:
-    """The face solve's block-diagonal barrier matrix G, evaluated from its
-    templates, against G assembled from its definition: t I - U^T M U, P -
-    _EPS_P I and _R_P I - P, with P = p0 + sum y_i N_i, M the secondary
-    matrix at k_f = K k_c and U an orthonormal basis of v's complement."""
-
-    @pytest.mark.parametrize("order", [2, 3, 4])
-    def test_templates_match_assembled_matrix(self, order):
-        rng = np.random.default_rng(300 + order)
-        # lower triangular with a negative diagonal: Hurwitz by construction
-        a = (-np.diag(rng.uniform(0.5, 5.0, order))
-             + np.tril(rng.normal(size=(order, order)), -1))
-        gen = _block(a.tolist(), rng.uniform(0.2, 3.0, order).tolist(),
-                     rng.uniform(0.0, 1.0, order).tolist(),
-                     float(rng.uniform(0.0, 0.5)))
-        params = _params(k_c=float(rng.uniform(0.3, 2.0)),
-                         k_d=float(rng.uniform(0.3, 2.0)))
-        lambda_hat = float(rng.uniform(0.1, 2.0))
-        x_s, v = _face_vectors(gen, params)
-        p0 = _symmetric_stack(rng, 1, order)[0]
-        templates, basis = certify._face_templates(gen, params, lambda_hat,
-                                                   x_s, p0)
-        size = order * (order - 1) // 2
-        dim = 3 * order + 1
-        assert templates.shape == (size + 2, dim * dim)
-        # the N_i: symmetric, independent, and each keeps P x_s fixed
-        assert basis.shape == (size, order, order)
-        assert np.array_equal(basis, np.swapaxes(basis, 1, 2))
-        assert np.linalg.matrix_rank(basis.reshape(size, -1)) == size
-        assert np.abs(basis @ x_s).max() <= 1e-14 * np.abs(x_s).max()
-        u = certify._complement(v)
-        assert np.allclose(u.T @ u, np.eye(order + 1), rtol=0, atol=1e-15)
-        assert np.abs(u.T @ v).max() <= 1e-14 * np.abs(v).max()
-        top, low, high = (slice(0, order + 1), slice(order + 1, 2 * order + 1),
-                          slice(2 * order + 1, dim))
-        # the slopes in P's blocks and t's are exact, not read off G
-        slopes = templates[:-1].reshape(size + 1, dim, dim)
-        assert np.array_equal(slopes[:size, low, low], basis)
-        assert np.array_equal(slopes[:size, high, high], -basis)
-        assert np.array_equal(slopes[size, top, top], np.eye(order + 1))
-        beside = np.ones((dim, dim), dtype=bool)
-        beside[top, top] = False
-        assert not slopes[size][beside].any()
-        for _ in range(20):
-            y = rng.normal(size=size) * 10.0 ** rng.uniform(-3, 3)
-            t = float(rng.normal())
-            z = np.concatenate([y, [t, 1.0]])
-            p = p0 + np.einsum("i,ijk->jk", y, basis)
-            got = (z @ templates).reshape(dim, dim)
-            m = secondary_matrix(gen, params, p, gen.dc_gain * params.k_c,
-                                 lambda_hat)
-            want = np.zeros((dim, dim))
-            want[top, top] = t * np.eye(order + 1) - u.T @ m @ u
-            want[low, low] = p - certify._EPS_P * np.eye(order)
-            want[high, high] = certify._R_P * np.eye(order) - p
-            # rounding of the product and of U^T M U, entry by entry
-            bound = 1e-13 * (np.abs(z) @ np.abs(templates)).reshape(dim, dim)
-            bound[top, top] += 1e-13 * (np.abs(u.T) @ np.abs(m) @ np.abs(u))
-            assert np.all(np.abs(got - want) <= bound)
+#: The random and chain blocks of the face pin, tests/data/pin_face_verdicts.py.
+_FACE = runpy.run_path(str(Path(__file__).parent / "data"
+                           / "pin_face_verdicts.py"))
+_block = _FACE["block"]
+#: Hurwitz blocks of order 1 to 5 with a feedthrough D != 0, their gains
+#: and the generator that drew them.
+_random_blocks = _FACE["random_blocks"]
+#: A chain of lags read out through a mix of its states plus a
+#: feedthrough: never one of the worked shapes.
+_chain_block = _FACE["chain_block"]
 
 
 def _face_vectors(gen, params):
@@ -447,20 +392,6 @@ def _face_vectors(gen, params):
     x_s = -params.k_c * np.linalg.solve(np.array(gen.a_matrix),
                                         np.array(gen.b_vector))
     return x_s, np.concatenate([[1.0], x_s, [0.0]])
-
-
-def _random_blocks(seed, count):
-    """Hurwitz blocks of order 1 to 5 with a feedthrough D != 0, and gains."""
-    rng = np.random.default_rng(seed)
-    for i in range(count):
-        order = 1 + i % 5
-        a = (-np.diag(rng.uniform(0.3, 5.0, order))
-             + np.tril(rng.normal(size=(order, order)), -1))
-        gen = _block(a.tolist(), rng.normal(size=order).tolist(),
-                     rng.normal(size=order).tolist(),
-                     float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 1.0)))
-        yield gen, _params(k_c=float(rng.uniform(0.2, 3.0)),
-                           k_d=float(rng.uniform(0.2, 3.0))), rng
 
 
 class TestFace:
@@ -533,12 +464,85 @@ class TestFace:
         assert search_certificate(gen, _params(), 100.0) is None
         assert solved == []
 
-    def test_start_outside_the_box_is_refused(self):
-        gen, params = _reheat(), _params()
-        x_s, _ = _face_vectors(gen, params)
-        for scale in (2.0 * certify._R_P, 0.5 * certify._EPS_P):
-            assert certify._face_search(gen, params, 1.0, x_s,
-                                        scale * np.eye(3)) is None
+
+class TestFaceHamiltonian:
+    """face_hamiltonian's [[F, G], [-Q, -F^T]]: the Riccati equation of M's
+    Schur complement, with the face's direction in its kernel."""
+
+    @staticmethod
+    def _blocks():
+        for seed in (2611, 2612):
+            for gen, params, rng in _random_blocks(seed, 60):
+                lambda_hat = float(rng.uniform(0.05, 5.0))
+                h = certify.face_hamiltonian(gen, params, lambda_hat)
+                if h is not None:
+                    yield gen, params, rng, lambda_hat, h
+
+    def test_face_direction_is_in_the_kernel(self):
+        seen = 0
+        for gen, params, _, _, h in self._blocks():
+            x_s, _ = _face_vectors(gen, params)
+            w = -np.linalg.solve(np.array(gen.a_matrix).T,
+                                 np.array(gen.c_vector))
+            z = np.concatenate([x_s, w])
+            assert np.all(np.abs(h @ z) <= 1e-13 * (np.abs(h) @ np.abs(z))), gen
+            seen += 1
+        assert seen >= 40
+
+    def test_riccati_residual_is_twice_the_schur_complement(self):
+        seen = 0
+        for gen, params, rng, lambda_hat, h in self._blocks():
+            n = gen.order
+            f, g, q = h[:n, :n], h[:n, n:], -h[n:, :n]
+            assert np.array_equal(h[n:, n:], -f.T)
+            for p in _symmetric_stack(rng, 3, n):
+                m = secondary_matrix(gen, params, p, gen.dc_gain * params.k_c,
+                                     lambda_hat)
+                ends = [0, n + 1]
+                cross = m[1:n + 1, ends]
+                schur = (m[1:n + 1, 1:n + 1]
+                         - cross @ np.linalg.solve(m[np.ix_(ends, ends)], cross.T))
+                residual = p @ f + f.T @ p + p @ g @ p + q
+                scale = (np.abs(p) @ np.abs(f) + np.abs(f.T) @ np.abs(p)
+                         + np.abs(p) @ np.abs(g) @ np.abs(p) + np.abs(q))
+                assert np.all(np.abs(residual - 2.0 * schur) <= 1e-10 * scale)
+            seen += 1
+        assert seen >= 40
+
+    def test_lags_build_exactly_above_the_closed_form(self):
+        # for a lag, R < 0 is lambda_hat > first_order_min_damping
+        rng = np.random.default_rng(2613)
+        wrong = []
+        for _ in range(400):
+            tau, k_gain, k_c, k_d = 10.0 ** rng.uniform(-1, 1, 4)
+            gen = make_first_order(float(tau), float(k_gain))
+            params = _params(k_c=float(k_c), k_d=float(k_d))
+            threshold = first_order_min_damping(k_gain, k_c, k_d)
+            built = [certify.face_hamiltonian(gen, params, f * threshold)
+                     is not None for f in (0.99, 1.01)]
+            if built != [False, True]:
+                wrong.append((tau, k_gain, k_c, k_d, built))
+        assert wrong == []
+
+    def test_cascade_spectrum_leaves_the_imaginary_axis_at_lambda_0(self):
+        # beside the face's zero pair a cascade's Hamiltonian has one pair
+        # +-mu: imaginary below Lambda_0, where no P certifies, and real
+        # above it
+        wrong = []
+        for tau_a, tau_p, k_gain, k_c, k_d in TestCascadeBoundary._cascades():
+            gen = make_second_order(tau_a, tau_p, k_gain)
+            params = _params(k_c=k_c, k_d=k_d)
+            lam0 = cascade_min_damping(tau_a, tau_p, k_gain, k_c, k_d)
+            pairs = []
+            for f in (0.99, 1.01):
+                eig = np.linalg.eigvals(
+                    certify.face_hamiltonian(gen, params, f * lam0))
+                pairs.append(eig[np.argsort(np.abs(eig))[2:]])
+            below, above = pairs
+            if not (np.abs(below.real).max() <= 4.8e-13 * np.abs(below).max()
+                    and below.imag.all() and not above.imag.any()):
+                wrong.append((tau_a, tau_p, k_gain, k_c, k_d, below, above))
+        assert wrong == []
 
 
 def _reheat():
@@ -595,9 +599,10 @@ def _worked_below_threshold(share=0.75):
 
 
 def _top_on_complement(gen, params, p, lambda_hat):
-    """U^T M U's largest eigenvalue, M the secondary matrix at k_f = K k_c."""
+    """U^T M U's largest eigenvalue, M the secondary matrix at k_f = K k_c
+    and the columns of U an orthonormal basis of v's complement."""
     _, v = _face_vectors(gen, params)
-    u = certify._complement(v)
+    u = np.linalg.qr(v[:, None], mode="complete")[0][:, 1:]
     m = secondary_matrix(gen, params, p, gen.dc_gain * params.k_c, lambda_hat)
     return np.linalg.eigvalsh(u.T @ m @ u)[-1]
 
@@ -617,22 +622,23 @@ def _checked_spy(monkeypatch):
 
 
 def _solver_spy(monkeypatch):
-    """The argument tuples of every _face_search call from here on."""
+    """The argument tuples of every face_hamiltonian call from here on: one
+    per search that reaches step 3, the Riccati construction."""
     solved = []
-    solve = certify._face_search
+    build = certify.face_hamiltonian
 
     def spy(*args):
         solved.append(args)
-        return solve(*args)
-    monkeypatch.setattr(certify, "_face_search", spy)
+        return build(*args)
+    monkeypatch.setattr(certify, "face_hamiltonian", spy)
     return solved
 
 
 class TestSearchPaths:
     """Every block goes to the face: one check at its diagonal point, which
     decides order 1 (a worked shape's analytic point is that point), then
-    one at its closed-form point P0, and the barrier solve when both
-    fail."""
+    one at its closed-form point P0, and the Riccati construction when
+    both fail."""
 
     def _assert_certifies(self, gen, params, lam):
         assert not _worked_shape(gen)
@@ -673,7 +679,7 @@ class TestSearchPaths:
         assert cert.k_f == gen.dc_gain
         # below its damping threshold the point's check fails: no search
         assert search_certificate(gen, _params(k_d=3.0), 0.1) is None
-        # a worked cascade below its threshold does reach the solve
+        # a worked cascade below its threshold does reach the Riccati step
         assert search_certificate(*_worked_below_threshold()) is not None
         assert len(solved) == 1
 
@@ -694,7 +700,8 @@ class TestSearchPaths:
             assert np.array_equal(cert.p_matrix.to_array(),
                                   np.diag(_diagonal_point(gen, params)))
         assert solved == []
-        # the worked cascade below its threshold fails at both: one solve
+        # the worked cascade below its threshold fails at both: one
+        # Hamiltonian
         gen, params, lam = _worked_below_threshold()
         lambda_hat = lam * (1.0 - LAMBDA_SHAVE)
         for p, top in ((np.diag(_diagonal_point(gen, params)), 0.0687),
@@ -710,8 +717,8 @@ class TestSearchPaths:
         (_worked_below_threshold(), 4)], ids=["cascade", "reheat", "worked"])
     def test_secondary_matrix_builds_per_search(self, monkeypatch, case, most):
         # one build per check, at the diagonal (analytic) point, at P0 and
-        # of the solve's certificate, and the solve's constant template:
-        # the slopes are in closed form, not read off further builds
+        # of the Riccati step's certificate, and M at P = 0 for its
+        # Hamiltonian
         builds = []
         build = certify._secondary_array
 
@@ -890,9 +897,10 @@ class TestDiagonalFacePoint:
 
 
 #: (seed, index, bus dampings) of _random_blocks(seed, 60) that certify
-#: but were refused when the duality-gap test ran on a point left
-#: uncentred by a cap of 50 Newton steps; (617, 54) at 0.05, 0.2 and 0.5
-#: certify once the Newton step is a least-squares solve
+#: but were refused by the former barrier solve when its duality-gap test
+#: ran on a point left uncentred by a cap of 50 Newton steps, or, for
+#: (617, 54) at 0.05, 0.2 and 0.5, before its Newton step was a
+#: least-squares solve
 _REFUSED_UNCENTRED = [
     (601, 8, (2.0,)), (604, 17, (0.5,)), (604, 54, (5.0,)),
     (605, 13, (0.05, 0.1, 0.2)), (605, 18, (0.05,)),
@@ -911,8 +919,9 @@ def _random_block(seed, index):
 
 
 class TestCentredVerdicts:
-    """_face_search refuses only from a centred point, where the duality
-    gap bounds the least t, and its Newton step is a least-squares solve."""
+    """Blocks that the former barrier solve refused or could not decide:
+    the Riccati construction certifies the first and decides the second
+    without raising."""
 
     def test_blocks_refused_from_uncentred_points_certify(self):
         assert sum(len(lams) for *_, lams in _REFUSED_UNCENTRED) == 52
@@ -927,33 +936,21 @@ class TestCentredVerdicts:
                              [(601, 13, 1.0), (603, 53, 2.0), (620, 48, 5.0)])
     def test_singular_newton_systems_do_not_raise(self, monkeypatch, seed,
                                                   index, lam):
-        # order-4 blocks whose Newton system np.linalg.solve found singular
-        # with a cap of 500 steps
+        # order-4 blocks whose Newton system in the barrier solve was
+        # singular: they reach the Riccati step and are refused, as the
+        # face pin has them, with no exception or warning
         solved = _solver_spy(monkeypatch)
         gen, params = _random_block(seed, index)
         assert gen.order == 4
-        cert = search_certificate(gen, params, lam)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert search_certificate(gen, params, lam) is None
         assert len(solved) == 1
-        assert cert is None or check_secondary_lmi(gen, params, cert, lam)
 
 
 def _symmetric_stack(rng, count, dim):
     a = rng.normal(size=(count, dim, dim)) * 10.0 ** rng.uniform(-3, 3)
     return (a + np.swapaxes(a, -1, -2)) / 2.0
-
-
-def _chain_block(rng, order):
-    """A chain of lags read out through a mix of its states plus a
-    feedthrough, DC gain k: never one of the worked shapes."""
-    t = rng.uniform(0.15, 1.5, order)
-    k = rng.uniform(0.8, 1.2)
-    f = rng.uniform(0.1, 0.3)
-    a = np.diag(-1.0 / t) + np.diag(1.0 / t[1:], -1)
-    b = np.zeros(order)
-    b[0] = k / t[0]
-    w = rng.uniform(0.2, 1.0, order)
-    return _block(a.tolist(), b.tolist(), ((1.0 - f) * w / w.sum()).tolist(),
-                  float(f * k))
 
 
 class TestGainsOutsideM:

@@ -111,15 +111,16 @@ def test_face_certificates_match_pin():
 
 
 def test_pinned_cases_make_few_face_solves(monkeypatch):
-    # The diagonal face point and P0 are checked before the solve: 87 of
-    # the 360 cases reach it (138 when only P0 was checked first).
+    # The diagonal face point and P0 are checked before the Riccati step,
+    # whose Hamiltonian face_hamiltonian builds: 87 of the 360 cases reach
+    # it (138 when only P0 was checked first).
     solved = []
-    solve = certify._face_search
+    build = certify.face_hamiltonian
 
     def spy(*args):
         solved.append(args)
-        return solve(*args)
-    monkeypatch.setattr(certify, "_face_search", spy)
+        return build(*args)
+    monkeypatch.setattr(certify, "face_hamiltonian", spy)
     for script, pins in ((SCRIPT, PINS), (CHAIN_SCRIPT, CHAIN_PINS)):
         for case in pins:
             _check_verdict(script, case)
