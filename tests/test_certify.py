@@ -489,7 +489,7 @@ class TestFaceHamiltonian:
             seen += 1
         assert seen >= 40
 
-    def test_riccati_residual_is_twice_the_schur_complement(self):
+    def test_riccati_residual_is_twice_m_over_r(self):
         seen = 0
         for gen, params, rng, lambda_hat, h in self._blocks():
             n = gen.order
@@ -498,6 +498,7 @@ class TestFaceHamiltonian:
             for p in _symmetric_stack(rng, 3, n):
                 m = secondary_matrix(gen, params, p, gen.dc_gain * params.k_c,
                                      lambda_hat)
+                # M / R, the Schur complement of R = M's (xi, omega) block
                 ends = [0, n + 1]
                 cross = m[1:n + 1, ends]
                 schur = (m[1:n + 1, 1:n + 1]
@@ -598,7 +599,7 @@ def _worked_below_threshold(share=0.75):
     return gen, _params(), share * threshold / (1.0 - LAMBDA_SHAVE)
 
 
-def _top_on_complement(gen, params, p, lambda_hat):
+def _top_off_v(gen, params, p, lambda_hat):
     """U^T M U's largest eigenvalue, M the secondary matrix at k_f = K k_c
     and the columns of U an orthonormal basis of v's complement."""
     _, v = _face_vectors(gen, params)
@@ -690,11 +691,11 @@ class TestSearchPaths:
         # U^T M U's largest eigenvalue at the diagonal point and at P0
         for gen, diagonal, p0 in ((_cascade(), -0.634, -0.577),
                                   (_reheat(), -0.310, 1.333)):
-            assert _top_on_complement(
+            assert _top_off_v(
                 gen, params, np.diag(_diagonal_point(gen, params)),
                 lambda_hat) == pytest.approx(diagonal, abs=1e-3)
-            assert _top_on_complement(gen, params, _face_point(gen, params),
-                                      lambda_hat) == pytest.approx(p0, abs=1e-3)
+            assert _top_off_v(gen, params, _face_point(gen, params),
+                              lambda_hat) == pytest.approx(p0, abs=1e-3)
             # both certify at the diagonal point, reheat where P0 fails
             cert = search_certificate(gen, params, 1.0)
             assert np.array_equal(cert.p_matrix.to_array(),
@@ -706,7 +707,7 @@ class TestSearchPaths:
         lambda_hat = lam * (1.0 - LAMBDA_SHAVE)
         for p, top in ((np.diag(_diagonal_point(gen, params)), 0.0687),
                        (_face_point(gen, params), 0.182)):
-            assert _top_on_complement(gen, params, p, lambda_hat) == \
+            assert _top_off_v(gen, params, p, lambda_hat) == \
                 pytest.approx(top, abs=1e-3)
         cert = search_certificate(gen, params, lam)
         assert cert is not None and check_secondary(gen, params, cert, lam)
