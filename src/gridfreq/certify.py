@@ -14,7 +14,7 @@ The secondary condition fixes part of its own answer.  With x_s = -A^-1
 B k_c, the block's steady state under a unit command, and v = [1, x_s,
 0], v^T M v = 0 for every P and k_f, so a negative semidefinite M has M
 v = 0: k_f = K k_c and A^T P x_s = -C^T.  The search works on that face
-alone, in three steps.  It first checks the face's one diagonal point,
+alone, in two steps.  It first checks the face's one diagonal point,
 diag(p) with p * x_s = w for w = -A^-T C^T, read off the block's stored
 A^-1 B and A^-T C^T with no linear solve.  For the two worked generator
 models that point is, to rounding, their analytic diagonal certificate,
@@ -23,14 +23,13 @@ is the block's exact certification boundary.  The cascade's,
 second_order_min_damping, is exact only at tau_a = tau_p; for other time
 constants the face holds certificates down to the lower Lambda_0 =
 K [rho (k_c + k_d)^2 / (4 k_c) - k_d], with rho = (tau_a + tau_p)^2 /
-(tau_a^2 + tau_a tau_p + tau_p^2) <= 4/3, which the later steps find.
+(tau_a^2 + tau_a tau_p + tau_p^2) <= 4/3, which the second step finds.
 An order-1 face is that single point, so this check decides an order-1
 block: for an order-1 block without feedthrough and with a positive DC
 gain, a first-order lag up to a scaling of its state, no certificate
 means infeasible by the lag's closed form.  A block of higher order
-whose diagonal point fails is checked at a closed-form point P0 of the
-face, and if P0 fails too, at the face's solutions of a Riccati
-equation, built from the eigenvectors of one 2n x 2n Hamiltonian
+whose diagonal point fails is checked at the face's solutions of a
+Riccati equation, built from the eigenvectors of one 2n x 2n Hamiltonian
 (face_hamiltonian): the matrix inequality's closed form by the KYP lemma
 (Rantzer, Syst. Control Lett. 28(1), 1996), with no iterative solver.
 Every certificate is then checked by the eigenvalues of its full
@@ -250,31 +249,30 @@ def search_certificate(gen: LtiGenerator, params: ControllerGains,
     sought on that face (facial reduction; Borwein and Wolkowicz, J.
     Austral. Math. Soc. A 30(3), 1981).  x_s and w are read off the
     block's stored A^-1 B and A^-T C^T, so no linear solve comes before
-    step 3.  The points are checked in this order:
+    step 2.  The points are checked in this order:
 
     1. the face's one diagonal point, diag(p) with p * x_s = w, so p = w /
        x_s, when no entry of x_s is zero; for a worked lag it is the
        analytic certificate tau / (K k_c) bit for bit, and for a worked
        cascade diag(tau_a, tau_p) / (K k_c) to rounding;
-    2. P0 = w w^T / (w^T x_s) + c (I - x^ x^T), with x^ = x_s / |x_s| and
-       c = w^T x_s / |x_s|^2;
-    3. the face's solutions of the Riccati equation P F + F^T P + P G P +
+    2. the face's solutions of the Riccati equation P F + F^T P + P G P +
        Q + 2 eps Pi = 0, for eps = 1, 0.1, ..., 1e-9 and then 0, where
-       [[F, G], [-Q, -F^T]] is face_hamiltonian's and Pi = I - x^ x^T.
-       The perturbed Hamiltonian keeps [x_s; w] in its kernel, since Pi
-       x_s = 0; its two eigenvalues of least modulus, that zero pair, are
-       dropped, and P = sym(X2 X1^-1) for [X1; X2] = [x_s; w] beside a
-       real basis of the n - 1 eigenvectors with Re lambda < 0.  The
-       first such P that passes is returned.  eps > 0 leaves the Schur
-       complement of M at -eps Pi, a margin off the face's direction; eps
-       = 0 is the equation's own stabilising solution.
+       [[F, G], [-Q, -F^T]] is face_hamiltonian's and Pi = I - x^ x^T
+       for x^ = x_s / |x_s|.  The perturbed Hamiltonian keeps [x_s; w]
+       in its kernel, since Pi x_s = 0; its two eigenvalues of least
+       modulus, that zero pair, are dropped, and P = sym(X2 X1^-1) for
+       [X1; X2] = [x_s; w] beside a real basis of the n - 1 eigenvectors
+       with Re lambda < 0.  The first such P that passes is returned.
+       eps > 0 leaves the Schur complement of M at -eps Pi, a margin off
+       the face's direction; eps = 0 is the equation's own stabilising
+       solution.
 
     The face holds a positive definite P only if w^T x_s > 0, so
     otherwise None comes before step 1.  An order-1 face is its diagonal
     point alone, so the verdict is that check: for an order-1 block
     without feedthrough and with K > 0 None means lambda_hat is below
     first_order_min_damping (to within TOL_PSD).  For a higher order,
-    step 3 gives None at once when M's (xi, omega) block is not negative
+    step 2 gives None at once when M's (xi, omega) block is not negative
     definite, which no P changes; an eigendecomposition or solve that
     fails, or a P that is not finite, skips that eps, so no exception
     escapes.  Every certificate returned has passed check_secondary_lmi's
@@ -303,15 +301,11 @@ def search_certificate(gen: LtiGenerator, params: ControllerGains,
         cert = finish(np.diag(w / x_s))
         if cert is not None or gen.order == 1:
             return cert
-    n = gen.order
-    xx = x_s @ x_s
-    pi = np.eye(n) - np.outer(x_s, x_s) / xx
-    p0 = np.outer(w, w) / (w @ x_s) + (w @ x_s) / xx * pi
-    if (cert := finish(p0)) is not None:
-        return cert
     h = face_hamiltonian(gen, params, lambda_hat)
     if h is None:
         return None
+    n = gen.order
+    pi = np.eye(n) - np.outer(x_s, x_s) / (x_s @ x_s)
     for eps in [10.0 ** -k for k in range(10)] + [0.0]:
         h_eps = h.copy()
         h_eps[n:, :n] -= 2.0 * eps * pi

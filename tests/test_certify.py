@@ -573,16 +573,6 @@ def _worked_shape(gen):
     return gen.order == 2 and a12 == gen.b_vector[1] == 0.0 and a21 == -a22
 
 
-def _face_point(gen, params):
-    """P0 = w w^T / (w^T x_s) + c (I - x^ x^T), the face's closed-form
-    point, with w = -A^-T C^T, x^ = x_s / |x_s| and c = w^T x_s / |x_s|^2."""
-    x_s, _ = _face_vectors(gen, params)
-    w = -np.linalg.solve(np.array(gen.a_matrix).T, np.array(gen.c_vector))
-    xx = x_s @ x_s
-    return (np.outer(w, w) / (w @ x_s)
-            + (w @ x_s) / xx * (np.eye(gen.order) - np.outer(x_s, x_s) / xx))
-
-
 def _diagonal_point(gen, params):
     """p with A^T diag(p) x_s = -C^T, the face's one diagonal point: p =
     w / x_s with w = -A^-T C^T."""
@@ -637,9 +627,8 @@ def _solver_spy(monkeypatch):
 
 class TestSearchPaths:
     """Every block goes to the face: one check at its diagonal point, which
-    decides order 1 (a worked shape's analytic point is that point), then
-    one at its closed-form point P0, and the Riccati construction when
-    both fail."""
+    decides order 1 (a worked shape's analytic point is that point), and
+    the Riccati construction when it fails."""
 
     def _assert_certifies(self, gen, params, lam):
         assert not _worked_shape(gen)
@@ -688,38 +677,32 @@ class TestSearchPaths:
         solved = _solver_spy(monkeypatch)
         params = _params()
         lambda_hat = 1.0 - LAMBDA_SHAVE
-        # U^T M U's largest eigenvalue at the diagonal point and at P0
-        for gen, diagonal, p0 in ((_cascade(), -0.634, -0.577),
-                                  (_reheat(), -0.310, 1.333)):
+        # U^T M U's largest eigenvalue at the diagonal point
+        for gen, diagonal in ((_cascade(), -0.634), (_reheat(), -0.310)):
             assert _top_off_v(
                 gen, params, np.diag(_diagonal_point(gen, params)),
                 lambda_hat) == pytest.approx(diagonal, abs=1e-3)
-            assert _top_off_v(gen, params, _face_point(gen, params),
-                              lambda_hat) == pytest.approx(p0, abs=1e-3)
-            # both certify at the diagonal point, reheat where P0 fails
+            # both certify at the diagonal point
             cert = search_certificate(gen, params, 1.0)
             assert np.array_equal(cert.p_matrix.to_array(),
                                   np.diag(_diagonal_point(gen, params)))
         assert solved == []
-        # the worked cascade below its threshold fails at both: one
+        # the worked cascade below its threshold fails there: one
         # Hamiltonian
         gen, params, lam = _worked_below_threshold()
         lambda_hat = lam * (1.0 - LAMBDA_SHAVE)
-        for p, top in ((np.diag(_diagonal_point(gen, params)), 0.0687),
-                       (_face_point(gen, params), 0.182)):
-            assert _top_off_v(gen, params, p, lambda_hat) == \
-                pytest.approx(top, abs=1e-3)
+        assert _top_off_v(gen, params, np.diag(_diagonal_point(gen, params)),
+                          lambda_hat) == pytest.approx(0.0687, abs=1e-3)
         cert = search_certificate(gen, params, lam)
         assert cert is not None and check_secondary(gen, params, cert, lam)
         assert len(solved) == 1
 
     @pytest.mark.parametrize("case, most", [
         ((_cascade(), _params(), 1.0), 1), ((_reheat(), _params(), 1.0), 1),
-        (_worked_below_threshold(), 4)], ids=["cascade", "reheat", "worked"])
+        (_worked_below_threshold(), 3)], ids=["cascade", "reheat", "worked"])
     def test_secondary_matrix_builds_per_search(self, monkeypatch, case, most):
-        # one build per check, at the diagonal (analytic) point, at P0 and
-        # of the Riccati step's certificate, and M at P = 0 for its
-        # Hamiltonian
+        # one build per check, at the diagonal (analytic) point and of the
+        # Riccati step's certificate, and M at P = 0 for its Hamiltonian
         builds = []
         build = certify._secondary_array
 
@@ -784,7 +767,7 @@ class TestFirstOrderVerdicts:
         assert len(solved) == 1
 
     def test_lag_below_threshold_makes_one_check(self, monkeypatch):
-        # its face is its analytic point: no second check at P0
+        # its face is its analytic point: no second check
         checked = _checked_spy(monkeypatch)
         gen = make_first_order(0.45, 1.0)
         params = _params(k_c=1.0, k_d=3.0)

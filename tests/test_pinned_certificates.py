@@ -111,9 +111,8 @@ def test_face_certificates_match_pin():
 
 
 def test_pinned_cases_make_few_face_solves(monkeypatch):
-    # The diagonal face point and P0 are checked before the Riccati step,
-    # whose Hamiltonian face_hamiltonian builds: 87 of the 360 cases reach
-    # it (138 when only P0 was checked first).
+    # The diagonal face point is checked before the Riccati step, whose
+    # Hamiltonian face_hamiltonian builds: 87 of the 360 cases reach it.
     solved = []
     build = certify.face_hamiltonian
 
