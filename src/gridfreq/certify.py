@@ -13,28 +13,29 @@ implies a primary pass with the same (P, k_d, lambda_hat).
 The secondary condition fixes part of its own answer.  With x_s = -A^-1
 B k_c, the block's steady state under a unit command, and v = [1, x_s,
 0], v^T M v = 0 for every P and k_f, so a negative semidefinite M has M
-v = 0: k_f = K k_c and A^T P x_s = -C^T.  The search works on that face
-alone, in two steps.  It first checks the face's one diagonal point,
-diag(p) with p * x_s = w for w = -A^-T C^T, read off the block's stored
-A^-1 B and A^-T C^T with no linear solve.  For the two worked generator
-models that point is, to rounding, their analytic diagonal certificate,
-whose thresholds on the bus damping are in closed form here.  The lag's
-is the block's exact certification boundary.  The cascade's,
-second_order_min_damping, is exact only at tau_a = tau_p; for other time
-constants the face holds certificates down to the lower Lambda_0 =
-K [rho (k_c + k_d)^2 / (4 k_c) - k_d], with rho = (tau_a + tau_p)^2 /
-(tau_a^2 + tau_a tau_p + tau_p^2) <= 4/3, which the second step finds.
-An order-1 face is that single point, so this check decides an order-1
-block: for an order-1 block without feedthrough and with a positive DC
-gain, a first-order lag up to a scaling of its state, no certificate
-means infeasible by the lag's closed form.  A block of higher order
-whose diagonal point fails is checked at the face's solutions of a
-Riccati equation, built from the eigenvectors of one 2n x 2n Hamiltonian
-(face_hamiltonian): the matrix inequality's closed form by the KYP lemma
-(Rantzer, Syst. Control Lett. 28(1), 1996), with no iterative solver.
-Every certificate is then checked by the eigenvalues of its full
-matrices, from numpy.linalg.eigvalsh on plain arrays, before it is
-packed into a SymmetricMatrix.
+v = 0: k_f = K k_c and A^T P x_s = -C^T.  That k_f is a gain only when
+the DC gain K is positive, so a block with K <= 0 is refused.  The
+search works on that face alone, in two steps.  It first checks the
+face's one diagonal point, diag(p) with p * x_s = w for w = -A^-T C^T,
+read off the block's stored A^-1 B and A^-T C^T with no linear solve.
+For the two worked generator models that point is, to rounding, their
+analytic diagonal certificate, whose thresholds on the bus damping are
+in closed form here.  The lag's is the block's exact certification
+boundary.  The cascade's, second_order_min_damping, is exact only at
+tau_a = tau_p; for other time constants the face holds certificates down
+to the lower Lambda_0 = K [rho (k_c + k_d)^2 / (4 k_c) - k_d], with rho
+= (tau_a + tau_p)^2 / (tau_a^2 + tau_a tau_p + tau_p^2) <= 4/3, which
+the second step finds.  An order-1 face is that single point, so this
+check decides an order-1 block: for an order-1 block without feedthrough
+and with a positive DC gain, a first-order lag up to a scaling of its
+state, no certificate means infeasible by the lag's closed form.  A
+block of higher order whose diagonal point fails is checked at the
+face's solutions of a Riccati equation, built from the eigenvectors of
+one 2n x 2n Hamiltonian (face_hamiltonian): the matrix inequality's
+closed form by the KYP lemma (Rantzer, Syst. Control Lett. 28(1), 1996),
+with no iterative solver.  Every certificate is then checked by the
+eigenvalues of its full matrices, from numpy.linalg.eigvalsh on plain
+arrays, before it is packed into a SymmetricMatrix.
 """
 
 from __future__ import annotations
@@ -267,7 +268,8 @@ def search_certificate(gen: LtiGenerator, params: ControllerGains,
        the face's direction; eps = 0 is the equation's own stabilising
        solution.
 
-    The face holds a positive definite P only if w^T x_s > 0, so
+    The face holds a positive definite P only if w^T x_s > 0, and its
+    k_f is a gain, as ControllerGains requires, only if K > 0, so
     otherwise None comes before step 1.  An order-1 face is its diagonal
     point alone, so the verdict is that check: for an order-1 block
     without feedthrough and with K > 0 None means lambda_hat is below
@@ -293,7 +295,7 @@ def search_certificate(gen: LtiGenerator, params: ControllerGains,
 
     x_s = -params.k_c * gen.a_inv_b
     w = -gen.a_inv_t_c
-    if not w @ x_s > 0.0:
+    if not (gen.dc_gain > 0.0 and w @ x_s > 0.0):
         return None
     # The face's one diagonal point, diag(p) with p * x_s = w.  An order-1
     # face is that point alone (x_s != 0 since w^T x_s > 0).

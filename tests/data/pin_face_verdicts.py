@@ -13,9 +13,12 @@ step was a log-barrier Newton solve over the face's P.  The cases are
   and k_d uniform on [0.3, 2].
 
 Each group holds one character per search, block by block and damping by
-damping within a block: 1 where a certificate was found, else 0.  A later
-search may certify more of them, never fewer.  tests/test_certify.py
-reads its random and chain blocks from here.  To regenerate the pin:
+damping within a block: 1 where a certificate was found, else 0.  The
+search at c7a7149 also certified 404 searches of blocks whose DC gain K
+is not positive, whose k_f = K k_c is no gain; a later search refuses
+every block with K <= 0, and of the others may certify more, never
+fewer.  tests/test_certify.py reads its random and chain blocks from
+here.  To regenerate the pin:
 
     mkdir OLD && git archive c7a7149 src | tar -x -C OLD
     PYTHONPATH=OLD/src python3 tests/data/pin_face_verdicts.py \

@@ -880,11 +880,11 @@ class TestDiagonalFacePoint:
         assert solved == []
 
 
-#: (seed, index, bus dampings) of _random_blocks(seed, 60) that certify
-#: but were refused by the former barrier solve when its duality-gap test
-#: ran on a point left uncentred by a cap of 50 Newton steps, or, for
-#: (617, 54) at 0.05, 0.2 and 0.5, before its Newton step was a
-#: least-squares solve
+#: (seed, index, bus dampings) of _random_blocks(seed, 60) that the
+#: Riccati construction certified but the former barrier solve refused
+#: when its duality-gap test ran on a point left uncentred by a cap of 50
+#: Newton steps, or, for (617, 54) at 0.05, 0.2 and 0.5, before its Newton
+#: step was a least-squares solve
 _REFUSED_UNCENTRED = [
     (601, 8, (2.0,)), (604, 17, (0.5,)), (604, 54, (5.0,)),
     (605, 13, (0.05, 0.1, 0.2)), (605, 18, (0.05,)),
@@ -897,6 +897,10 @@ _REFUSED_UNCENTRED = [
     (635, 24, (0.05, 0.1, 0.2, 0.5, 1.0)), (636, 37, (2.0, 5.0)),
     (636, 59, (1.0,)), (638, 4, (0.2,))]
 
+#: The (seed, index) of _REFUSED_UNCENTRED's blocks whose DC gain K is not
+#: positive: their certified k_f = K k_c would not be a gain
+_NONPOSITIVE_GAIN = [(601, 8), (620, 58), (636, 37), (636, 59)]
+
 
 def _random_block(seed, index):
     return list(_random_blocks(seed, 60))[index][:2]
@@ -905,31 +909,43 @@ def _random_block(seed, index):
 class TestCentredVerdicts:
     """Blocks that the former barrier solve refused or could not decide:
     the Riccati construction certifies the first and decides the second
-    without raising."""
+    without raising, and a block whose DC gain K is not positive is
+    refused before either step."""
 
     def test_blocks_refused_from_uncentred_points_certify(self):
         assert sum(len(lams) for *_, lams in _REFUSED_UNCENTRED) == 52
+        certified = refused = 0
         for seed, index, dampings in _REFUSED_UNCENTRED:
             gen, params = _random_block(seed, index)
+            positive = (seed, index) not in _NONPOSITIVE_GAIN
+            assert (gen.dc_gain > 0.0) == positive, (seed, index)
             for lam in dampings:
                 cert = search_certificate(gen, params, lam)
+                if not positive:
+                    assert cert is None, (seed, index, lam)
+                    refused += 1
+                    continue
                 assert cert is not None, (seed, index, lam)
                 assert check_secondary_lmi(gen, params, cert, lam)
+                certified += 1
+        assert (certified, refused) == (47, 5)
 
     @pytest.mark.parametrize("seed, index, lam",
                              [(601, 13, 1.0), (603, 53, 2.0), (620, 48, 5.0)])
     def test_singular_newton_systems_do_not_raise(self, monkeypatch, seed,
                                                   index, lam):
         # order-4 blocks whose Newton system in the barrier solve was
-        # singular: they reach the Riccati step and are refused, as the
-        # face pin has them, with no exception or warning
+        # singular: they are refused, as the face pin has them, with no
+        # exception or warning; the two with K <= 0 before the Riccati
+        # step, the third there
         solved = _solver_spy(monkeypatch)
         gen, params = _random_block(seed, index)
         assert gen.order == 4
+        assert (gen.dc_gain > 0.0) == ((seed, index) == (620, 48))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert search_certificate(gen, params, lam) is None
-        assert len(solved) == 1
+        assert len(solved) == (1 if gen.dc_gain > 0.0 else 0)
 
 
 def _symmetric_stack(rng, count, dim):

@@ -14,7 +14,8 @@ whose last step was a log-barrier solve over the face, for 14 840 random
 and chain blocks at seven bus dampings; tests/data/pin_face_verdicts.py
 wrote them and says how.  Later searches
 return other certificates, so the pins are on verdicts: every case found
-there is still found, and every certificate passes the secondary matrix
+there is still found, apart from the blocks with a DC gain K <= 0, which
+the search now refuses, and every certificate passes the secondary matrix
 assembled apart from the program (tests/reference.py).
 """
 
@@ -100,14 +101,28 @@ def test_face_pin_covers_the_script_cases():
 
 
 def test_face_certificates_match_pin():
-    # every search certified at c7a7149 is still certified
-    lost = []
+    # every search certified at c7a7149 of a block whose DC gain K is
+    # positive is still certified; every search of a block with K <= 0 is
+    # refused, since its k_f = K k_c would not be a gain
+    lost, kept, pinned, refused = [], 0, "", ""
     for name, pairs in FACE_SCRIPT["groups"]().items():
         got = FACE_SCRIPT["verdicts"](pairs)
-        lost += [(name, i) for i, (want, have) in
-                 enumerate(zip(FACE_PINS[name], got)) if want > have]
+        positive = [gen.dc_gain > 0.0 for gen, _ in pairs
+                    for _ in FACE_SCRIPT["DAMPINGS"]]
+        for i, (want, have, k) in enumerate(zip(FACE_PINS[name], got,
+                                                positive)):
+            if not k:
+                pinned += want
+                refused += have
+            elif want == "1":
+                kept += 1
+                if have == "0":
+                    lost.append((name, i))
     assert sum(v.count("1") for v in FACE_PINS.values()) == 4660
+    assert kept == 4256
     assert lost == []
+    assert (len(pinned), pinned.count("1")) == (6482, 404)
+    assert "1" not in refused
 
 
 def test_pinned_cases_make_few_face_solves(monkeypatch):
