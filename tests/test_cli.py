@@ -551,6 +551,33 @@ class TestGatesAtTheirBoundary:
         assert "security constraint: VIOLATED" in capsys.readouterr().out
         assert cli._equilibrium(two_gen_scenario)[1].checks["security"] == ("pass", "")
 
+    @pytest.mark.parametrize("scale", [50.4, 50.61])
+    def test_swing_past_pi_over_2_fails_transient_security(self,
+                                                           ring9_scenario,
+                                                           scale):
+        # every ring9 step load x50.61 leaves the post-step equilibrium
+        # secure (max |eta*| = 1.5589) while the swing to it peaks at
+        # 1.5868 at t = 21.2, past pi/2; x50.4 peaks at 1.5430
+        scn = dataclasses.replace(ring9_scenario, step_loads={
+            bus: delta * scale
+            for bus, delta in ring9_scenario.step_loads.items()})
+        report = run(scn, RunFlags())
+        peak = float(re.search(r"max transient \|angle difference\| = (\S+) at",
+                               report.report_text).group(1))
+        checks = {name: status for name, (status, _) in report.checks.items()}
+        assert checks.pop("dispatch-optimality") == "skipped"
+        if scale == 50.4:
+            assert 1.54 < peak < math.pi / 2.0
+            assert set(checks.values()) == {"pass"}
+            assert report.exit_code == 0
+            return
+        assert math.pi / 2.0 < peak < 1.59
+        assert checks.pop("transient-security") == "fail"
+        assert report.checks["transient-security"][1] == (
+            f"max transient |angle difference| = {peak!r} at t=21.2")
+        assert set(checks.values()) == {"pass"}
+        assert report.exit_code == 1
+
     @pytest.mark.parametrize("scale", [1.0, 1.01])
     def test_dispatch_optimality_needs_the_price(self, two_gen_scenario, scale):
         # the final marginal costs agree with each other to 1.4e-5 whatever
@@ -749,6 +776,22 @@ class TestSweep:
         assert captured.err == ("controllers.1.k_d=-1.0: error: "
                                 "k_d must be strictly positive\n")
         assert (tmp_path / "controllers_1_k_d=0.6" / "trajectory.csv").exists()
+
+    def test_unwritable_member_fails_alone(self, two_gen_scenario, tmp_path):
+        # each member's output directory is made when it is prepared; a file
+        # put in the second one's place fails its writes, not the first's
+        pack = [cli._prepare(two_gen_scenario,
+                             RunFlags(out_dir=str(tmp_path / name)))
+                for name in ("a", "b")]
+        (tmp_path / "b").rmdir()
+        (tmp_path / "b").write_text("")
+        with pytest.raises(RuntimeError, match="^cannot write outputs: "):
+            cli._conclude(pack[1], integrate(pack[1].scn))
+        (first, first_text), (second, second_text) = cli._run_pack(pack)
+        assert (first, first_text) == (0, "")
+        assert (tmp_path / "a" / "trajectory.csv").exists()
+        assert second == 2
+        assert second_text.startswith("error: cannot write outputs: ")
 
     def test_swept_values_match_lone_runs(self, tmp_path, capsys):
         # eight k_d values on one grid integrate as two packs of four
