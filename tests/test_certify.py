@@ -188,6 +188,19 @@ class TestSecondaryMatrix:
         assert m1.entry(1, 1) == m2.entry(1, 1)
 
 
+    @pytest.mark.parametrize("lambda_hat", [1.0, 1.5])
+    def test_check_needs_lambda_hat_below_bus_damping(self, lambda_hat):
+        # the lag's analytic certificate, which passes at lambda_hat 0.5
+        gen = make_first_order(1.0, 1.0)
+        cert = Certificate(p_matrix=SymmetricMatrix.diagonal([1.0]),
+                           k_f=1.0, lambda_hat=lambda_hat)
+        assert check_secondary_lmi(
+            gen, _params(), dataclasses.replace(cert, lambda_hat=0.5), 1.0)
+        with pytest.raises(ValueError, match="^certificate lambda_hat must "
+                           "be below the bus damping$"):
+            check_secondary_lmi(gen, _params(), cert, 1.0)
+
+
 class TestDampingThresholds:
     def test_second_order_values(self):
         assert second_order_min_damping(1.0, 1.0, 1.0) == pytest.approx(1 / 3)

@@ -53,6 +53,19 @@ def test_block_entries_must_be_finite(build):
         build(np.inf)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ((((),), (), (), 0.0, 0), "generator order must be at least 1"),
+    ((((-1.0, 0.0),), (1.0,), (1.0,), 0.0, 1),
+     "a_matrix shape does not match order"),
+    ((((-1.0, 0.0), (1.0, -1.0)), (1.0,), (0.0, 1.0), 0.0, 2),
+     "b/c vector length does not match order"),
+    ((((-1.0, 0.0), (1.0, -1.0)), (1.0, 0.0), (1.0,), 0.0, 2),
+     "b/c vector length does not match order")])
+def test_block_shape_must_match_order(fields, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        LtiGenerator(*fields)
+
+
 @pytest.mark.parametrize("args, name", [
     ((np.inf, 1.0), "tau"), ((0.5, np.inf), "k"), ((np.inf, np.inf), "tau")])
 def test_first_order_names_a_non_finite_parameter(args, name):

@@ -1094,6 +1094,41 @@ class TestEquilibrium:
             monkeypatch.setattr(np.linalg, name, guard(getattr(np.linalg, name)))
         assert compute_equilibrium(scn).max_abs_angle_diff < math.pi / 2.0
 
+    @pytest.mark.parametrize("scale", [1e4, 1e5])
+    def test_residual_below_rounding_stalls(self, two_gen_scenario, scale):
+        # every susceptance and the step scaled alike leave the angles as
+        # they are, but at x1e5 the flows' rounding keeps the residual above
+        # the absolute NEWTON_TOL, and no step of the line search lowers it
+        net = two_gen_scenario.network
+        scn = dataclasses.replace(
+            two_gen_scenario, step_loads={2: 0.4 * scale},
+            network=dataclasses.replace(net, lines=[
+                dataclasses.replace(ln, susceptance=ln.susceptance * scale)
+                for ln in net.lines]))
+        if scale == 1e4:
+            assert compute_equilibrium(scn).max_abs_angle_diff == \
+                pytest.approx(0.0474226345494790, rel=1e-13)
+            return
+        with pytest.raises(RuntimeError,
+                           match="^equilibrium Newton stalled; try smaller"):
+            compute_equilibrium(scn)
+
+    def test_newton_stops_at_its_iteration_cap(self, two_gen_scenario,
+                                               monkeypatch):
+        monkeypatch.setattr(sim, "NEWTON_MAX_ITER", 1)
+        with pytest.raises(RuntimeError, match="^equilibrium Newton did not "
+                           "converge in 1 iterations; try smaller"):
+            compute_equilibrium(two_gen_scenario)
+
+    def test_indefinite_laplacian_raises(self):
+        # line 1-2's weight of -0.9 leaves both free diagonal entries at
+        # 0.1 > 0, but L with bus 0 pinned is [[0.1, 0.9], [0.9, 0.1]],
+        # indefinite: the first direction [10, -10] has curvature -160
+        frm, to = np.array([0, 0, 1]), np.array([1, 2, 2])
+        with pytest.raises(RuntimeError, match="singular Jacobian"):
+            sim._solve_laplacian(frm, to, np.array([1.0, 1.0, -0.9]),
+                                 np.array([0.0, 1.0, -1.0]))
+
     def test_overloaded_mesh_raises(self):
         scn = ring_with_chords(seed=3)
         scn = dataclasses.replace(scn, step_loads={
@@ -1155,6 +1190,10 @@ class TestLyapunov:
         # wobbles at the square of that scale rather than sitting at 0.0
         assert dissipation_check(lyapunov_value(scn0, certs, eq, traj.states)) \
             <= 1e-30
+
+    @pytest.mark.parametrize("values", [[], [3.0]])
+    def test_fewer_than_two_values_have_no_increase(self, values):
+        assert dissipation_check(np.array(values)) == 0.0
 
     def test_disturbed_run_dissipates(self, certified):
         scn, certs, eq = certified
