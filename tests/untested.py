@@ -87,7 +87,6 @@ def main(args) -> int:
         hits.setdefault(name, set())
         return trace_lines
 
-    sys.path.insert(0, str(ROOT / "src"))
     threading.settrace(trace_calls)
     sys.settrace(trace_calls)
     try:
