@@ -35,12 +35,11 @@ one 2n x 2n Hamiltonian (face_hamiltonian): the matrix inequality's
 closed form by the KYP lemma (Rantzer, Syst. Control Lett. 28(1), 1996),
 with no iterative solver.  Every certificate is then checked by the
 eigenvalues of its full matrices, from numpy.linalg.eigvalsh on plain
-arrays, before it is packed into a SymmetricMatrix.
+arrays, and its P is then held as one read-only array, a SymmetricMatrix.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -59,64 +58,58 @@ TOL_PD_PER_DIM = 1e-12
 #: lambda_hat inside the search: lambda_hat = Lambda * (1 - LAMBDA_SHAVE).
 LAMBDA_SHAVE = 1e-3
 
-@functools.lru_cache(maxsize=None)
-def _upper(dim: int) -> Tuple[np.ndarray, np.ndarray]:
-    """np.triu_indices(dim), made once per dimension; read-only, since
-    every SymmetricMatrix of that dimension shares them."""
-    upper = np.triu_indices(dim)
-    for index in upper:
-        index.flags.writeable = False
-    return upper
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymmetricMatrix:
-    """Exactly symmetric matrix; only the upper triangle is stored.
+    """Exactly symmetric matrix, held as one read-only float array.
 
-    entries holds the upper triangle row-major: (0,0), (0,1), ...,
-    (0,dim-1), (1,1), ...  Reads below the diagonal mirror the stored
-    value, so entry(i, j) == entry(j, i) holds identically, not just up
-    to rounding.
+    The array is mirrored from the upper triangle of the rows it is made
+    from, so entry(i, j) == entry(j, i) holds identically, not just up to
+    rounding, and the lower triangle of those rows is ignored.  Matrices
+    compare and hash by value.
     """
 
-    dim: int
-    entries: Tuple[float, ...]
+    array: np.ndarray
 
     def __post_init__(self):
-        want = self.dim * (self.dim + 1) // 2
-        if len(self.entries) != want:
-            raise ValueError(f"expected {want} packed entries for dim {self.dim}")
+        a = np.array(self.array, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError("rows must form a square matrix")
+        # row by row, which for a block's few states is cheaper than a mask
+        for i in range(1, len(a)):
+            a[i, :i] = a[:i, i]
+        a.flags.writeable = False
+        object.__setattr__(self, "array", a)
 
-    @staticmethod
-    def _index(i: int, j: int, dim: int) -> int:
-        if i > j:
-            i, j = j, i
-        # offset of row i's diagonal in the packed upper triangle
-        return i * dim - i * (i - 1) // 2 + (j - i)
+    def __reduce__(self):
+        # made again through __post_init__, so pickle keeps it read-only
+        return type(self), (self.array,)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and np.array_equal(self.array, other.array)
+
+    def __hash__(self):
+        # + 0.0 turns -0.0 into 0.0, which compares equal to it
+        return hash((self.array + 0.0).tobytes())
 
     def entry(self, i: int, j: int) -> float:
-        if not (0 <= i < self.dim and 0 <= j < self.dim):
+        # numpy raises IndexError past n - 1 but counts back from n below 0
+        if min(i, j) < 0:
             raise IndexError("index out of range")
-        return self.entries[self._index(i, j, self.dim)]
+        return float(self.array[i, j])
 
     @classmethod
     def from_rows(cls, rows) -> "SymmetricMatrix":
         """Build from a full square array, reading only the upper triangle."""
-        a = np.asarray(rows, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("rows must form a square matrix")
-        return cls(dim=len(a), entries=tuple(a[_upper(len(a))].tolist()))
+        return cls(rows)
 
     @classmethod
     def diagonal(cls, values: Sequence[float]) -> "SymmetricMatrix":
-        return cls.from_rows(np.diag(np.asarray(values, dtype=float)))
+        return cls(np.diag(np.asarray(values, dtype=float)))
 
     def to_array(self) -> np.ndarray:
-        a = np.zeros((self.dim, self.dim))
-        upper = _upper(self.dim)
-        a[upper] = self.entries
-        a.T[upper] = self.entries
-        return a
+        """A writable copy of the array."""
+        return self.array.copy()
 
 
 @dataclass(frozen=True)
@@ -171,7 +164,7 @@ def secondary_lmi_matrix(gen: LtiGenerator, params: ControllerGains,
     """
     kf = params.k_f if k_f is None else k_f
     return SymmetricMatrix.from_rows(
-        _secondary_array(gen, params, p.to_array(), lambda_hat, kf))
+        _secondary_array(gen, params, p.array, lambda_hat, kf))
 
 
 def check_secondary_lmi(gen: LtiGenerator, params: ControllerGains,
@@ -179,7 +172,7 @@ def check_secondary_lmi(gen: LtiGenerator, params: ControllerGains,
     """Does the certificate witness the secondary (averaging) condition?"""
     if not cert.lambda_hat < lambda_bus:
         raise ValueError("certificate lambda_hat must be below the bus damping")
-    return _witnesses(gen, params, cert.p_matrix.to_array(), cert.lambda_hat,
+    return _witnesses(gen, params, cert.p_matrix.array, cert.lambda_hat,
                       cert.k_f)
 
 
@@ -279,7 +272,8 @@ def search_certificate(gen: LtiGenerator, params: ControllerGains,
     fails, or a P that is not finite, skips that eps, so no exception
     escapes.  Every certificate returned has passed check_secondary_lmi's
     test on the full matrix, run on P as an array: each candidate is
-    exactly symmetric, so it is the array its SymmetricMatrix gives back.
+    exactly symmetric, so its SymmetricMatrix holds the same values, as
+    one read-only array.
     """
     if not lambda_bus > 0.0:
         return None
@@ -290,8 +284,7 @@ def search_certificate(gen: LtiGenerator, params: ControllerGains,
     def finish(p: np.ndarray) -> Optional[Certificate]:
         if not _witnesses(gen, params, p, lambda_hat, k_f):
             return None
-        return Certificate(p_matrix=SymmetricMatrix.from_rows(p), k_f=k_f,
-                           lambda_hat=lambda_hat, margin=margin)
+        return Certificate(SymmetricMatrix(p), k_f, lambda_hat, margin)
 
     x_s = -params.k_c * gen.a_inv_b
     w = -gen.a_inv_t_c

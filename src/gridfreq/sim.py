@@ -802,14 +802,15 @@ def transient_angle_peak(scn: Scenario, traj: Trajectory) -> Tuple[float, float]
 
 
 def _solve_laplacian(frm: np.ndarray, to: np.ndarray, w: np.ndarray,
-                     rhs: np.ndarray) -> np.ndarray:
+                     rhs: np.ndarray, tol: float) -> np.ndarray:
     """The Newton step s (s[0] = 0) with (L s)[1:] = rhs[1:] for the
     weighted Laplacian L = E^T diag(w) E of the lines frm -> to, by
     conjugate gradients preconditioned with L's diagonal (Jacobi).
 
     L is applied from the line ends, E p as p[frm] - p[to] and E^T f as
     two bincounts, and never built, so the solve makes no BLAS or LAPACK
-    call.  It ends once every residual entry is within NEWTON_TOL / 1000.
+    call.  It ends once every residual entry is within tol / 1000, for
+    the Newton tolerance tol.
     A non-positive diagonal entry or curvature (L is not positive
     definite with bus 0 pinned) raises RuntimeError, as does a solve
     still short of that after 10 n iterations for n buses: exact
@@ -828,7 +829,7 @@ def _solve_laplacian(frm: np.ndarray, to: np.ndarray, w: np.ndarray,
         p = z
         rz = (r * z).sum()
         for _ in range(10 * n):
-            if np.abs(r).max() <= NEWTON_TOL * 1e-3:
+            if np.abs(r).max() <= tol * 1e-3:
                 return s
             f = w * (p.take(frm) - p.take(to))
             q = np.bincount(frm, f, n) - np.bincount(to, f, n)
@@ -851,7 +852,9 @@ def compute_equilibrium(scn: Scenario) -> Equilibrium:
 
     nu = total load / sum_j K_j k_c_j; each generator settles at
     p_m = K k_c nu; the angles solve the lossless flow balance by damped
-    Newton iteration with bus 0 pinned as the angle reference.  Each
+    Newton iteration with bus 0 pinned as the angle reference, until every
+    flow residual is below NEWTON_TOL times the largest |injection| (times
+    1 when that is smaller), since rounding grows with the flows.  Each
     Newton step solves the reduced weighted Laplacian by matrix-free,
     Jacobi-preconditioned conjugate gradients over the line ends
     (_solve_laplacian), so the solve stays on one core.
@@ -870,6 +873,7 @@ def compute_equilibrium(scn: Scenario) -> Equilibrium:
     for bus, delta in scn.step_loads.items():
         target[bus] -= delta
     frm, to, b = _line_ends(net)
+    tol = NEWTON_TOL * max(1.0, float(np.max(np.abs(target))))
 
     def residual(theta: np.ndarray) -> np.ndarray:
         f = b * np.sin(theta[frm] - theta[to])
@@ -878,10 +882,10 @@ def compute_equilibrium(scn: Scenario) -> Equilibrium:
     theta = np.zeros(nbus)
     r = residual(theta)
     for _ in range(NEWTON_MAX_ITER):
-        if float(np.max(np.abs(r))) < NEWTON_TOL or nbus == 1:
+        if float(np.max(np.abs(r))) < tol or nbus == 1:
             break
         # the residual's Jacobian is -L for the weights b cos(eta)
-        step = _solve_laplacian(frm, to, b * np.cos(theta[frm] - theta[to]), r)
+        step = _solve_laplacian(frm, to, b * np.cos(theta[frm] - theta[to]), r, tol)
         alpha = 1.0
         best = float(np.max(np.abs(r)))
         while alpha > 1e-6:
@@ -895,7 +899,7 @@ def compute_equilibrium(scn: Scenario) -> Equilibrium:
             raise RuntimeError(
                 "equilibrium Newton stalled; "
                 "try smaller loads or larger susceptances")
-    if float(np.max(np.abs(r))) >= NEWTON_TOL:
+    if float(np.max(np.abs(r))) >= tol:
         raise RuntimeError(
             f"equilibrium Newton did not converge in {NEWTON_MAX_ITER} "
             "iterations; try smaller loads or larger susceptances")
@@ -949,7 +953,7 @@ def lyapunov_value(scn: Scenario, certs: Mapping[int, Certificate],
         om, pc, x0 = lay.omega.start + i, lay.pc.start + i, lay.x[i].start
         weights += [(om, om, scn.network.bus(g).inertia), (pc, pc, scn.controllers[g].gamma)]
         weights += [(x0 + r, x0 + c, v)
-                    for (r, c), v in np.ndenumerate(certs[g].p_matrix.to_array())]
+                    for (r, c), v in np.ndenumerate(certs[g].p_matrix.array)]
     # summed row by row, column by column, an order that fixes the sum's
     # rounding; sums over the nonzeros and the line ends, not dense
     # products, which would wake the BLAS thread pool on a sample series

@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 import runpy
 import types
 import warnings
@@ -31,32 +32,101 @@ def _params(**over):
 
 class TestSymmetricMatrix:
     def test_entry_mirrors_exactly(self):
-        m = SymmetricMatrix(3, (1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
+        m = SymmetricMatrix.from_rows([[1.0, 2.0, 3.0], [0.0, 4.0, 5.0],
+                                       [0.0, 0.0, 6.0]])
         assert m.entry(0, 2) == 3.0
         assert m.entry(2, 0) == 3.0
         assert m.entry(1, 2) == 5.0
-        assert m.entry(2, 1) is m.entry(1, 2)
-
-    def test_packed_length_checked(self):
-        with pytest.raises(ValueError):
-            SymmetricMatrix(2, (1.0, 2.0))
+        assert m.entry(2, 1) == m.entry(1, 2)
+        assert np.array_equal(m.array, m.array.T)
 
     def test_from_rows_reads_upper_triangle(self):
         m = SymmetricMatrix.from_rows([[1.0, 2.0], [99.0, 3.0]])
         assert m.entry(1, 0) == 2.0  # lower triangle of input ignored
+        assert m == SymmetricMatrix.from_rows([[1.0, 2.0], [-7.0, 3.0]])
+        # the sign of a zero is mirrored too
+        assert np.signbit(SymmetricMatrix.from_rows(
+            [[1.0, -0.0], [5.0, 1.0]]).array[1, 0])
 
     def test_from_rows_requires_square(self):
-        with pytest.raises(ValueError):
-            SymmetricMatrix.from_rows([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        for rows in ([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], [1.0, 2.0], [[[1.0]]]):
+            with pytest.raises(ValueError, match="must form a square matrix"):
+                SymmetricMatrix.from_rows(rows)
 
     def test_diagonal_and_to_array(self):
         m = SymmetricMatrix.diagonal([2.0, -1.0])
         assert m.to_array().tolist() == [[2.0, 0.0], [0.0, -1.0]]
 
     def test_index_out_of_range(self):
-        m = SymmetricMatrix.diagonal([1.0])
-        with pytest.raises(IndexError):
-            m.entry(0, 1)
+        m = SymmetricMatrix.diagonal([1.0, 2.0])
+        for i, j in [(0, 2), (2, 0), (2, 2), (-1, 0), (0, -1)]:
+            with pytest.raises(IndexError):
+                m.entry(i, j)
+
+    def test_array_is_read_only_and_owned(self):
+        rows = np.array([[1.0, 2.0], [2.0, 3.0]])
+        m = SymmetricMatrix.from_rows(rows)
+        assert not m.array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            m.array[0, 0] = 5.0
+        rows[0, 1] = 7.0  # the rows it was made from stay the caller's
+        assert m.entry(0, 1) == 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.array = rows
+
+    def test_to_array_is_a_writable_copy(self):
+        m = SymmetricMatrix.from_rows([[1.0, 2.0], [2.0, 3.0]])
+        a = m.to_array()
+        assert a.flags.writeable and not np.shares_memory(a, m.array)
+        a[0, 1] = 9.0
+        assert m.entry(0, 1) == 2.0
+        assert np.array_equal(m.to_array(), [[1.0, 2.0], [2.0, 3.0]])
+
+    def test_equal_by_value(self):
+        m = SymmetricMatrix.from_rows([[1.0, 2.0], [2.0, 3.0]])
+        same = SymmetricMatrix.from_rows([[1.0, 2.0], [0.0, 3.0]])
+        assert m == same and hash(m) == hash(same)
+        zero, negative_zero = (SymmetricMatrix.diagonal([z])
+                               for z in (0.0, -0.0))
+        assert zero == negative_zero and hash(zero) == hash(negative_zero)
+        for other in (SymmetricMatrix.from_rows([[1.0, 2.5], [2.5, 3.0]]),
+                      SymmetricMatrix.diagonal([1.0, 3.0]),
+                      SymmetricMatrix.diagonal([1.0, 3.0, 0.0]),
+                      m.to_array()):
+            assert m != other
+        assert SymmetricMatrix.diagonal([np.nan]) != \
+            SymmetricMatrix.diagonal([np.nan])
+        cert = Certificate(p_matrix=m, k_f=1.0, lambda_hat=0.5)
+        twin = Certificate(p_matrix=same, k_f=1.0, lambda_hat=0.5)
+        assert cert == twin and hash(cert) == hash(twin)
+        assert cert != dataclasses.replace(
+            cert, p_matrix=SymmetricMatrix.diagonal([1.0, 3.0]))
+
+    def test_pickle_keeps_the_array_read_only(self):
+        m = SymmetricMatrix.from_rows([[1.0, 2.0], [2.0, 3.0]])
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(m, protocol))
+            assert back == m and not back.array.flags.writeable
+
+    @pytest.mark.parametrize("case", ["two_gen", "ring9", "riccati"])
+    def test_entries_are_the_array(self, case):
+        # perfbench's checks.certificate_problems reads P entry by entry
+        if case == "riccati":
+            # search_paths_reheat at a bus damping of 0.3 fails at its
+            # diagonal point, so its P comes from the Riccati step
+            name, gen, params, _ = _search_cases()[0]
+            assert name == "search_paths_reheat"
+            certs = [search_certificate(gen, params, 0.3)]
+            assert certs[0].p_matrix.entry(0, 1) != 0.0
+        else:
+            scn = load_scenario(fixture_path(f"{case}.scn"))
+            certs = [search_certificate(scn.generators[g], scn.controllers[g],
+                                        scn.network.bus(g).damping)
+                     for g in sorted(scn.network.generator_ids)]
+        for cert in certs:
+            p = cert.p_matrix.array
+            assert [[cert.p_matrix.entry(i, j) for j in range(len(p))]
+                    for i in range(len(p))] == p.tolist()
 
 
 class TestPositiveDefinite:
@@ -302,7 +372,7 @@ class TestAnalyticCertificates:
             gen = make_second_order(tau_a, tau_p, 1.2)
             m = secondary_lmi_matrix(gen, params, cert.p_matrix, 0.3,
                                      k_f=cert.k_f)
-            entries.append(m.entries)
+            entries.append(m.to_array())
         for other in entries[1:]:
             assert other == pytest.approx(entries[0], rel=1e-12, abs=1e-15)
 

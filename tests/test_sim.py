@@ -1094,24 +1094,27 @@ class TestEquilibrium:
             monkeypatch.setattr(np.linalg, name, guard(getattr(np.linalg, name)))
         assert compute_equilibrium(scn).max_abs_angle_diff < math.pi / 2.0
 
-    @pytest.mark.parametrize("scale", [1e4, 1e5])
-    def test_residual_below_rounding_stalls(self, two_gen_scenario, scale):
+    @pytest.mark.parametrize("scale", [1e4, 1e5, 1e8])
+    def test_tolerance_scales_with_the_loads(self, two_gen_scenario, scale):
         # every susceptance and the step scaled alike leave the angles as
-        # they are, but at x1e5 the flows' rounding keeps the residual above
-        # the absolute NEWTON_TOL, and no step of the line search lowers it
+        # they are; the flows' rounding grows with the loads, so an absolute
+        # NEWTON_TOL stalled from x1e5 on, and a relative one does not
         net = two_gen_scenario.network
         scn = dataclasses.replace(
             two_gen_scenario, step_loads={2: 0.4 * scale},
             network=dataclasses.replace(net, lines=[
                 dataclasses.replace(ln, susceptance=ln.susceptance * scale)
                 for ln in net.lines]))
-        if scale == 1e4:
-            assert compute_equilibrium(scn).max_abs_angle_diff == \
-                pytest.approx(0.0474226345494790, rel=1e-13)
-            return
+        assert compute_equilibrium(scn).max_abs_angle_diff == pytest.approx(
+            compute_equilibrium(two_gen_scenario).max_abs_angle_diff,
+            rel=1e-15)
+
+    def test_newton_stalls_below_rounding(self, two_gen_scenario, monkeypatch):
+        # no step of the line search lowers the residual below 1e-17
+        monkeypatch.setattr(sim, "NEWTON_TOL", 1e-17)
         with pytest.raises(RuntimeError,
                            match="^equilibrium Newton stalled; try smaller"):
-            compute_equilibrium(scn)
+            compute_equilibrium(two_gen_scenario)
 
     def test_newton_stops_at_its_iteration_cap(self, two_gen_scenario,
                                                monkeypatch):
@@ -1127,7 +1130,7 @@ class TestEquilibrium:
         frm, to = np.array([0, 0, 1]), np.array([1, 2, 2])
         with pytest.raises(RuntimeError, match="singular Jacobian"):
             sim._solve_laplacian(frm, to, np.array([1.0, 1.0, -0.9]),
-                                 np.array([0.0, 1.0, -1.0]))
+                                 np.array([0.0, 1.0, -1.0]), sim.NEWTON_TOL)
 
     def test_overloaded_mesh_raises(self):
         scn = ring_with_chords(seed=3)

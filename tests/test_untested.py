@@ -1,7 +1,7 @@
 import textwrap
 
 import untested
-from untested import statements
+from untested import exit_status, statements
 
 _SOURCE = textwrap.dedent('''\
     import os
@@ -40,3 +40,10 @@ class TestUntested:
         assert untested.untested(hits) == [(tmp_path / "m.py", 12)]
         assert untested.untested({}) == [
             (tmp_path / "m.py", line) for line in (1, 4, 8, 10, 11, 12, 15)]
+
+    def test_any_untested_statement_fails_the_run(self, tmp_path):
+        missed = [(tmp_path / "m.py", 12)]
+        assert exit_status(missed, 0) == 1
+        assert exit_status(missed, 1) == 1
+        # with none listed, pytest's status: passed, failed, no tests
+        assert [exit_status([], s) for s in (0, 1, 5)] == [0, 1, 5]

@@ -11,7 +11,8 @@ pool) is not seen, so the body of a module's
 
 Run as ``python tests/untested.py`` from the repository root; arguments
 go on to pytest.  It prints each statement that no test ran as
-``file:line``, then their count, and exits with pytest's status.
+``file:line``, then their count, and exits 1 when it printed any, so CI
+fails on an untested statement; otherwise it exits with pytest's status.
 """
 
 import ast
@@ -71,6 +72,11 @@ def untested(hits: dict) -> list:
     return out
 
 
+def exit_status(missed: list, status: int) -> int:
+    """1 when any statement ran under no test, else pytest's status."""
+    return 1 if missed else int(status)
+
+
 def main(args) -> int:
     hits = {}
     prefix = str(PACKAGE) + "/"
@@ -99,7 +105,7 @@ def main(args) -> int:
     for path, line in missed:
         print(f"{path.relative_to(ROOT)}:{line}")
     print(f"{len(missed)} statements of src/gridfreq run by no test")
-    return int(status)
+    return exit_status(missed, status)
 
 
 if __name__ == "__main__":
